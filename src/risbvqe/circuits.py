@@ -8,6 +8,7 @@ are listed on the gate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -110,6 +111,45 @@ def gate_matrix(gate: Gate, bindings: Mapping[str, float] | None = None
     raise AssertionError(kind)
 
 
+def gate_derivatives(gate: Gate, bindings: Mapping[str, float] | None = None
+                     ) -> list[tuple[str, np.ndarray]]:
+    """(name, d gate_matrix / d name) for every named slot of the gate.
+
+    The slot's scale enters by the chain rule; a name on two slots of one
+    gate appears twice, and callers sum the contributions.
+    """
+    bindings = bindings or {}
+    return [(slot.name, slot.scale * _slot_derivative(gate, index, bindings))
+            for index, slot in enumerate(gate.params)
+            if isinstance(slot, ParamRef)]
+
+
+def _slot_derivative(gate: Gate, index: int,
+                     bindings: Mapping[str, float]) -> np.ndarray:
+    """Closed-form derivative of gate_matrix in the angle of one slot."""
+    kind = gate.kind
+    theta = _resolve(gate.params[index], bindings)
+    if kind in ("RX", "RY", "RZ"):
+        c, s = 0.5 * math.cos(theta / 2.0), 0.5 * math.sin(theta / 2.0)
+        if kind == "RX":
+            return np.array([[-s, -1j * c], [-1j * c, -s]])
+        if kind == "RY":
+            return np.array([[-s, -c], [c, -s]], dtype=complex)
+        return np.array([[-s - 1j * c, 0], [0, -s + 1j * c]])
+    if kind == "FSIM":
+        d = np.zeros((4, 4), dtype=complex)
+        if index == 0:
+            d[1, 1] = d[2, 2] = -math.sin(theta)
+            d[1, 2] = d[2, 1] = -1j * math.cos(theta)
+        else:
+            d[3, 3] = -1j * np.exp(-1j * theta)
+        return d
+    if kind == "RPQ":
+        pq = np.kron(_PAULI[gate.axes[0]], _PAULI[gate.axes[1]])
+        return -math.sin(theta) * np.eye(4) + 1j * math.cos(theta) * pq
+    raise AssertionError(kind)
+
+
 # Basis changes bringing e^{i theta Z o Z} to e^{i theta P o Q}: the fragment
 # applies U_A^dag first and U_A last, with U_X = RY(pi/2), U_Y = RZ(pi/2)
 # RY(pi/2), U_Z = 1, so that U_A Z U_A^dag = A exactly.
@@ -152,8 +192,9 @@ class Circuit:
                                  f"register of size {self.n_qubits}")
         object.__setattr__(self, "bindings", dict(self.bindings))
 
-    @property
+    @functools.cached_property
     def parameter_names(self) -> tuple[str, ...]:
+        """Distinct parameter names in first-use order, computed once."""
         seen: dict[str, None] = {}
         for g in self.gates:
             for name in g.param_names():

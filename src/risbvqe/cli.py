@@ -68,7 +68,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -542,13 +541,6 @@ def parse_noise_flag(value: str) -> tuple[str, float]:
                       f"got {value!r}")
 
 
-def set_threads(n: int) -> None:
-    # Best effort: honored by BLAS pools spawned after this point.
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="risbvqe",
@@ -562,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, metavar="N")
         sub.add_argument("--out", metavar="DIR",
                          help="output directory (default from config)")
-        sub.add_argument("--threads", type=int, metavar="N")
         sub.add_argument("--noise", metavar="MODE",
                          help="off, calibrated, or scale=X")
     return parser
@@ -583,10 +574,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if args.noise:
         mode, scale = parse_noise_flag(args.noise)
         cfg = replace(cfg, noise_mode=mode, noise_scale=scale)
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        set_threads(args.threads)
     validate_config(cfg)
     return cfg
 

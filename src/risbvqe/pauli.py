@@ -29,13 +29,6 @@ PRUNE_TOL = 1e-12
 # Dense materialization refuses registers larger than this by default.
 MATRIX_QUBIT_CAP = 12
 
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
 # Single-qubit products (a, b) -> (phase, a*b).
 _MUL = {
     ("I", "I"): (1.0, "I"),
@@ -70,23 +63,13 @@ def pauli_product(a: str, b: str) -> tuple[complex, str]:
     return phase, "".join(out)
 
 
-@functools.lru_cache(maxsize=1024)
-def word_matrix(word: str) -> np.ndarray:
-    """Dense matrix of a Pauli word, qubit 0 leftmost in the Kronecker chain."""
-    m = PAULI_MATRICES[word[0]] if word else np.eye(1, dtype=complex)
-    for ch in word[1:]:
-        m = np.kron(m, PAULI_MATRICES[ch])
-    m.setflags(write=False)
-    return m
-
-
 class PauliSum:
     """Weighted sum of Pauli words over a fixed register.
 
     Immutable after construction; zero terms are pruned at `PRUNE_TOL`.
     """
 
-    __slots__ = ("n_qubits", "_terms", "_matrix")
+    __slots__ = ("n_qubits", "_terms", "_matrix", "_max_imag")
 
     def __init__(self, terms: Mapping[str, complex] | None = None,
                  n_qubits: int | None = None):
@@ -107,6 +90,7 @@ class PauliSum:
         self.n_qubits = int(n_qubits)
         self._terms = merged
         self._matrix: np.ndarray | None = None
+        self._max_imag: float | None = None
 
     @classmethod
     def zero(cls, n_qubits: int) -> "PauliSum":
@@ -173,7 +157,11 @@ class PauliSum:
                         self.n_qubits)
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return all(abs(c.imag) <= tol for c in self._terms.values())
+        # The terms never change, so one scan serves every later check.
+        if self._max_imag is None:
+            self._max_imag = max((abs(c.imag) for c in self._terms.values()),
+                                 default=0.0)
+        return self._max_imag <= tol
 
     def __repr__(self) -> str:
         n = len(self._terms)
@@ -213,9 +201,23 @@ def count_terms(p: PauliSum, include_identity: bool = False) -> int:
     return n
 
 
+def _masks(word: str) -> tuple[int, int, int]:
+    """(x_mask, z_mask, number of Y) of a word; qubit 0 is the top bit."""
+    x = z = 0
+    for ch in word:
+        x = (x << 1) | (ch in "XY")
+        z = (z << 1) | (ch in "ZY")
+    return x, z, word.count("Y")
+
+
 def expectation_matrix(p: PauliSum, n_qubits: int | None = None,
                        cap: int = MATRIX_QUBIT_CAP) -> np.ndarray:
-    """Materialize a PauliSum as a dense 2^n x 2^n matrix."""
+    """Materialize a PauliSum as a dense 2^n x 2^n matrix.
+
+    A word maps basis state j to i^(#Y) (-1)^popcount(j & z_mask) times
+    basis state j ^ x_mask (Y = iXZ), so each word fills one permutation
+    pattern of entries; words sharing an x_mask share the pattern.
+    """
     if n_qubits is None:
         n_qubits = p.n_qubits
     if n_qubits != p.n_qubits:
@@ -225,9 +227,19 @@ def expectation_matrix(p: PauliSum, n_qubits: int | None = None,
     if p._matrix is not None:
         return p._matrix
     dim = 2 ** n_qubits
-    m = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim)
+    parity = np.zeros(dim, dtype=np.int64)
+    for bit in range(n_qubits):
+        parity ^= (cols >> bit) & 1
+    by_x: dict[int, np.ndarray] = {}
     for word, coeff in p._terms.items():
-        m += coeff * word_matrix(word)
+        x, z, n_y = _masks(word)
+        phase = coeff * (1, 1j, -1, -1j)[n_y % 4]
+        values = phase * (1 - 2 * parity[cols & z])
+        by_x[x] = by_x[x] + values if x in by_x else values
+    m = np.zeros((dim, dim), dtype=complex)
+    for x, values in by_x.items():
+        m[cols ^ x, cols] = values
     m.setflags(write=False)
     p._matrix = m
     return m

@@ -3,18 +3,19 @@
 Two backends share one gate set: pure state vectors (noiseless) and density
 matrices (with optional per-gate depolarizing noise).  States are stored as
 rank-n (or rank-2n) tensors with one axis per qubit; qubit 0 is axis 0 and
-the most significant bit of the flattened index.
+the most significant bit of the flattened index.  `adjoint_gradient`
+differentiates an expectation on either backend in one reverse sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .circuits import Circuit, Gate, ParamRef, gate_matrix
+from .circuits import Circuit, Gate, gate_derivatives, gate_matrix
 
 
 @dataclass(frozen=True)
@@ -122,14 +123,18 @@ class QuantumState:
             raise ValueError("density matrix not positive semidefinite")
 
 
+def _front(tensor: np.ndarray, axes: tuple[int, ...]) -> list[int]:
+    """Axis order that puts `axes` first and keeps the rest in order."""
+    return list(axes) + [a for a in range(tensor.ndim) if a not in axes]
+
+
 def _apply_unitary(tensor: np.ndarray, u: np.ndarray,
                    axes: tuple[int, ...]) -> np.ndarray:
-    if len(axes) == 1:
-        out = np.tensordot(u, tensor, axes=([1], [axes[0]]))
-        return np.moveaxis(out, 0, axes[0])
-    u4 = u.reshape(2, 2, 2, 2)
-    out = np.tensordot(u4, tensor, axes=([2, 3], list(axes)))
-    return np.moveaxis(out, (0, 1), axes)
+    # Bring `axes` to the front, contract with one matmul, move them back.
+    perm = _front(tensor, axes)
+    moved = tensor.transpose(perm)
+    out = (u @ moved.reshape(2 ** len(axes), -1)).reshape(moved.shape)
+    return out.transpose(np.argsort(perm))
 
 
 def _depolarize(tensor: np.ndarray, qubit: int, p: float,
@@ -149,6 +154,22 @@ def _depolarize(tensor: np.ndarray, qubit: int, p: float,
     return out
 
 
+def _conjugate(tensor: np.ndarray, u: np.ndarray, qubits: tuple[int, ...],
+               n_qubits: int) -> np.ndarray:
+    """u rho u^dag on a density tensor: rows with u, columns with u*."""
+    tensor = _apply_unitary(tensor, u, qubits)
+    return _apply_unitary(tensor, u.conj(),
+                          tuple(n_qubits + q for q in qubits))
+
+
+def _gate_noise(tensor: np.ndarray, gate: Gate, noise: NoiseModel,
+                n_qubits: int) -> np.ndarray:
+    p = noise.effective_p1 if len(gate.qubits) == 1 else noise.effective_p2
+    for q in gate.qubits:
+        tensor = _depolarize(tensor, q, p, n_qubits)
+    return tensor
+
+
 def apply_gate(state: QuantumState, gate: Gate,
                bindings: Mapping[str, float] | None = None,
                noise: NoiseModel | None = None) -> QuantumState:
@@ -162,15 +183,19 @@ def apply_gate(state: QuantumState, gate: Gate,
     if state.kind == "pure":
         return QuantumState(n, "pure",
                             _apply_unitary(state.tensor, u, gate.qubits))
-    tensor = _apply_unitary(state.tensor, u, gate.qubits)
-    col_axes = tuple(n + q for q in gate.qubits)
-    tensor = _apply_unitary(tensor, u.conj(), col_axes)
+    tensor = _conjugate(state.tensor, u, gate.qubits, n)
     if noise is not None:
-        p = (noise.effective_p1 if len(gate.qubits) == 1
-             else noise.effective_p2)
-        for q in gate.qubits:
-            tensor = _depolarize(tensor, q, p, n)
+        tensor = _gate_noise(tensor, gate, noise, n)
     return QuantumState(n, "mixed", tensor)
+
+
+def _bound(circuit: Circuit,
+           bindings: Mapping[str, float] | None) -> dict[str, float]:
+    resolved = circuit.resolved_bindings(bindings)
+    missing = [p for p in circuit.parameter_names if p not in resolved]
+    if missing:
+        raise ValueError(f"unbound parameters: {missing}")
+    return resolved
 
 
 def run(circuit: Circuit, bindings: Mapping[str, float] | None = None,
@@ -178,10 +203,7 @@ def run(circuit: Circuit, bindings: Mapping[str, float] | None = None,
         mixed: bool | None = None) -> QuantumState:
     """Execute from |0...0>; the backend follows the noise setting unless
     forced with `mixed`."""
-    resolved = circuit.resolved_bindings(bindings)
-    missing = [p for p in circuit.parameter_names if p not in resolved]
-    if missing:
-        raise ValueError(f"unbound parameters: {missing}")
+    resolved = _bound(circuit, bindings)
     if mixed is None:
         mixed = noise is not None
     state = QuantumState.zero(circuit.n_qubits, mixed=mixed)
@@ -190,109 +212,58 @@ def run(circuit: Circuit, bindings: Mapping[str, float] | None = None,
     return state
 
 
-def _resolve_batch(slot, arrays: Mapping[str, np.ndarray],
-                   size: int) -> np.ndarray:
-    if isinstance(slot, ParamRef):
-        return slot.scale * arrays[slot.name]
-    return np.full(size, float(slot))
+def _overlap(bra: np.ndarray, ket: np.ndarray,
+             axes: tuple[int, ...]) -> np.ndarray:
+    """M[i, j] = sum over the other axes of conj(bra[i, ...]) ket[j, ...],
+    with i and j running over the joint index of `axes`."""
+    perm = _front(bra, axes)
+    b = bra.transpose(perm).reshape(2 ** len(axes), -1)
+    c = ket.transpose(perm).reshape(2 ** len(axes), -1)
+    return b.conj() @ c.T
 
 
-_PAULI_1Q = {"X": np.array([[0, 1], [1, 0]], dtype=complex),
-             "Y": np.array([[0, -1j], [1j, 0]]),
-             "Z": np.array([[1, 0], [0, -1]], dtype=complex)}
+def adjoint_gradient(circuit: Circuit, observable: np.ndarray,
+                     bindings: Mapping[str, float] | None = None,
+                     noise: NoiseModel | None = None) -> np.ndarray:
+    """Exact d<O>/d(parameter) in `circuit.parameter_names` order, from one
+    forward and one reverse sweep (Jones & Gacon, arXiv:2009.02823).
 
-
-def _gate_matrix_batch(gate: Gate, arrays: Mapping[str, np.ndarray],
-                       size: int) -> np.ndarray:
-    """Stack of per-element gate unitaries, shape (size, d, d)."""
-    kind = gate.kind
-    if kind in ("X", "H", "CNOT"):
-        fixed = gate_matrix(gate)
-        return np.broadcast_to(fixed, (size,) + fixed.shape)
-    if kind in ("RX", "RY", "RZ"):
-        theta = _resolve_batch(gate.params[0], arrays, size)
-        c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-        m = np.zeros((size, 2, 2), dtype=complex)
-        if kind == "RX":
-            m[:, 0, 0] = m[:, 1, 1] = c
-            m[:, 0, 1] = m[:, 1, 0] = -1j * s
-        elif kind == "RY":
-            m[:, 0, 0] = m[:, 1, 1] = c
-            m[:, 0, 1], m[:, 1, 0] = -s, s
-        else:
-            m[:, 0, 0], m[:, 1, 1] = c - 1j * s, c + 1j * s
-        return m
-    if kind == "FSIM":
-        theta = _resolve_batch(gate.params[0], arrays, size)
-        phi = _resolve_batch(gate.params[1], arrays, size)
-        m = np.zeros((size, 4, 4), dtype=complex)
-        m[:, 0, 0] = 1.0
-        m[:, 1, 1] = m[:, 2, 2] = np.cos(theta)
-        m[:, 1, 2] = m[:, 2, 1] = -1j * np.sin(theta)
-        m[:, 3, 3] = np.exp(-1j * phi)
-        return m
-    if kind == "RPQ":
-        theta = _resolve_batch(gate.params[0], arrays, size)
-        pq = np.kron(_PAULI_1Q[gate.axes[0]], _PAULI_1Q[gate.axes[1]])
-        return (np.cos(theta)[:, None, None] * np.eye(4)
-                + 1j * np.sin(theta)[:, None, None] * pq)
-    raise AssertionError(kind)
-
-
-def _apply_unitary_batch(tensor: np.ndarray, u: np.ndarray,
-                         axes: tuple[int, ...]) -> np.ndarray:
-    # tensor axis 0 indexes the batch; `axes` are absolute tensor axes.
-    k = len(axes)
-    moved = np.moveaxis(tensor, axes, range(1, 1 + k))
-    shape = moved.shape
-    flat = moved.reshape(shape[0], 2 ** k, -1)
-    out = np.einsum("bij,bjr->bir", u, flat)
-    return np.moveaxis(out.reshape(shape), range(1, 1 + k), axes)
-
-
-def _run_chunk(circuit: Circuit, arrays: Mapping[str, np.ndarray],
-               size: int) -> list[QuantumState]:
-    n = circuit.n_qubits
-    tensor = np.zeros((size,) + (2,) * n, dtype=complex)
-    tensor[(slice(None),) + (0,) * n] = 1.0
-    for gate in circuit.gates:
-        u = _gate_matrix_batch(gate, arrays, size)
-        tensor = _apply_unitary_batch(tensor, u,
-                                      tuple(1 + q for q in gate.qubits))
-    return [QuantumState(n, "pure", tensor[i]) for i in range(size)]
-
-
-def run_many(circuit: Circuit,
-             bindings_seq: Sequence[Mapping[str, float]],
-             noise: NoiseModel | None = None,
-             mixed: bool | None = None) -> list[QuantumState]:
-    """Equivalent of [run(circuit, b, ...) for b in bindings_seq].
-
-    Pure-state workloads travel through the gate sequence together, which
-    amortizes the per-gate bookkeeping; gradient-style batches of nearby
-    parameter sets gain an order of magnitude.  Density-matrix tensors are
-    memory-bound, so the mixed backend stays sequential.
+    `observable` is the dense Hermitian 2^n x 2^n matrix of O.  The forward
+    sweep keeps the state entering each parameterized gate.  The reverse
+    sweep carries lambda = O psi (pure backend) or O itself (mixed backend,
+    Heisenberg picture) back through every gate; each depolarizing channel
+    is self-adjoint, so this is exact at every allowed strength.  Once
+    lambda sits before gate k, the gate contributes
+    2 Re <lambda| U^dag dU |state entering k>, the Hilbert-Schmidt product
+    on the mixed backend.
     """
-    if noise is not None and mixed is False:
-        raise ValueError("noise requires the density-matrix backend")
-    if mixed is None:
-        mixed = noise is not None
+    resolved = _bound(circuit, bindings)
+    n = circuit.n_qubits
+    mixed = noise is not None
+    state = QuantumState.zero(n, mixed=mixed)
+    entering: list[np.ndarray] = []
+    for gate in circuit.gates:
+        if gate.param_names():
+            entering.append(state.tensor)
+        state = apply_gate(state, gate, resolved, noise)
+    observable = np.asarray(observable, dtype=complex)
+    shape = state.tensor.shape
     if mixed:
-        return [run(circuit, b, noise=noise, mixed=True)
-                for b in bindings_seq]
-    resolved = [circuit.resolved_bindings(b) for b in bindings_seq]
-    for rb in resolved:
-        missing = [p for p in circuit.parameter_names if p not in rb]
-        if missing:
-            raise ValueError(f"unbound parameters: {missing}")
-    if not resolved:
-        return []
-    names = circuit.parameter_names
-    out: list[QuantumState] = []
-    chunk = 256
-    for lo in range(0, len(resolved), chunk):
-        part = resolved[lo:lo + chunk]
-        arrays = {name: np.array([rb[name] for rb in part], dtype=float)
-                  for name in names}
-        out.extend(_run_chunk(circuit, arrays, len(part)))
-    return out
+        lam = observable.reshape(shape)
+    else:
+        lam = (observable @ state.tensor.reshape(-1)).reshape(shape)
+    index = {name: i for i, name in enumerate(circuit.parameter_names)}
+    grad = np.zeros(len(index))
+    for gate in reversed(circuit.gates):
+        u_dag = gate_matrix(gate, resolved).conj().T
+        if mixed:
+            lam = _conjugate(_gate_noise(lam, gate, noise, n), u_dag,
+                             gate.qubits, n)
+        else:
+            lam = _apply_unitary(lam, u_dag, gate.qubits)
+        derivatives = gate_derivatives(gate, resolved)
+        if derivatives:
+            overlap = _overlap(lam, entering.pop(), gate.qubits)
+            for name, du in derivatives:
+                grad[index[name]] += 2.0 * np.sum((u_dag @ du) * overlap).real
+    return grad

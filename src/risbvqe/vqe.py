@@ -1,9 +1,10 @@
 """Variational minimization of cluster energies over circuit parameters.
 
 Single starts wrap scipy optimizers around the exact (or sampled) channel
-expectation; multi-start keeps the best of a seeded batch.  The landscape
-scan sweeps the single-site self-consistency cost over an (R, lambda) grid
-with the one-parameter ansatz tuned analytically at each node.
+expectation, BFGS with exact adjoint gradients; multi-start keeps the best
+of a seeded batch.  The landscape scan sweeps the single-site
+self-consistency cost over an (R, lambda) grid with the one-parameter
+ansatz tuned analytically at each node.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from .ed import ed_rdm1, ground_state, half_filling_sector
 from .embedding import LatticeSpec, SymMatrix, risb_cost
 from .estimator import (expectation, measure_rdm1, parameter_shift_minimize,
                         sample_expectation)
-from .pauli import PauliSum
-from .simulator import NoiseModel, run, run_many
+from .pauli import PauliSum, expectation_matrix
+from .simulator import NoiseModel, adjoint_gradient, run
 
-GRADIENT_STEP = 1e-6
 GRADIENT_TOL = 1e-8
 
 
@@ -67,37 +67,17 @@ def _objective(circuit: Circuit, observable: PauliSum,
     return energy
 
 
-def finite_difference_gradient(fn: Callable, x: np.ndarray,
-                               step: float = GRADIENT_STEP) -> np.ndarray:
-    """Central-difference gradient on angle vectors."""
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        shift = np.zeros_like(x)
-        shift[i] = step
-        grad[i] = (fn(x + shift) - fn(x - shift)) / (2.0 * step)
-    return grad
-
-
-def _batched_gradient(circuit: Circuit, observable: PauliSum,
-                      noise: NoiseModel | None) -> Callable:
-    """Central-difference gradient with all shifted points executed in one
-    vectorized pass; identical values to finite_difference_gradient."""
+def _gradient(circuit: Circuit, observable: PauliSum,
+              noise: NoiseModel | None) -> Callable:
     names = circuit.parameter_names
 
     def gradient(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        points = np.repeat(x[None, :], 2 * x.size, axis=0)
-        rows = np.arange(x.size)
-        points[2 * rows, rows] += GRADIENT_STEP
-        points[2 * rows + 1, rows] -= GRADIENT_STEP
-        states = run_many(circuit, [dict(zip(names, p)) for p in points],
-                          noise=noise)
-        values = np.array([expectation(s, observable) for s in states])
-        if not np.all(np.isfinite(values)):
-            bad = values[~np.isfinite(values)][0]
-            raise RuntimeError(f"objective diverged to {bad}")
-        return (values[0::2] - values[1::2]) / (2.0 * GRADIENT_STEP)
+        grad = adjoint_gradient(circuit, expectation_matrix(observable),
+                                dict(zip(names, x)), noise=noise)
+        if not np.all(np.isfinite(grad)):
+            bad = grad[~np.isfinite(grad)][0]
+            raise RuntimeError(f"objective gradient diverged to {bad}")
+        return grad
 
     return gradient
 
@@ -111,9 +91,10 @@ def vqe_minimize(observable: PauliSum, ansatz: Circuit,
                  n_shots: int | None = None) -> VqeResult:
     """Minimize <observable> over the ansatz angles.
 
-    BFGS differentiates the exact channel expectation by central
-    differences; finite-shot objectives are stochastic, so they are
-    restricted to the simplex optimizer.
+    BFGS takes the exact gradient of the channel expectation from one
+    forward and one reverse (adjoint) sweep of the circuit; finite-shot
+    objectives are stochastic, so they are restricted to the simplex
+    optimizer.
     """
     names = ansatz.parameter_names
     if not names:
@@ -146,7 +127,7 @@ def vqe_minimize(observable: PauliSum, ansatz: Circuit,
     started = time.perf_counter()
     if optimizer == "bfgs":
         result = minimize(traced, x0, method="BFGS",
-                          jac=_batched_gradient(ansatz, observable, noise),
+                          jac=_gradient(ansatz, observable, noise),
                           options={"gtol": GRADIENT_TOL,
                                    "maxiter": max_iter})
     else:

@@ -129,6 +129,18 @@ def noisy_density(circuit, noise, bindings=None):
     return rho
 
 
+def finite_difference_gradient(fn, x, step=1e-6):
+    """Central-difference gradient of a scalar function of an angle
+    vector: two evaluations per component."""
+    x = np.asarray(x, dtype=float)
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        shift = np.zeros_like(x)
+        shift[i] = step
+        grad[i] = (fn(x + shift) - fn(x - shift)) / (2.0 * step)
+    return grad
+
+
 def single_site_z(u, t=-0.25, mesh=40, beta=200.0):
     """Quasiparticle weight of the half-filled single-site cluster.
 

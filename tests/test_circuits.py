@@ -18,6 +18,7 @@ from risbvqe.circuits import (
     build_product_ry,
     decompose_circuit,
     decompose_rpq,
+    gate_derivatives,
     gate_matrix,
 )
 
@@ -67,6 +68,34 @@ class TestGateMatrix:
         for kind in ("RX", "RY", "RZ"):
             m = gate_matrix(Gate(kind, (0,), (rng.uniform(-4, 4),)))
             assert np.allclose(m @ m.conj().T, np.eye(2))
+
+
+class TestGateDerivatives:
+    @pytest.mark.parametrize("gate", [
+        Gate("RX", (0,), (ParamRef("a"),)),
+        Gate("RY", (0,), (ParamRef("a"),)),
+        Gate("RZ", (0,), (ParamRef("a", -2.0),)),
+        Gate("FSIM", (0, 1), (ParamRef("a"), ParamRef("b", 0.5))),
+        Gate("FSIM", (0, 1), (ParamRef("a"), 0.3)),
+    ] + [Gate("RPQ", (0, 1), (ParamRef("a", 1.5),), axes=(pa, pb))
+         for pa in "XYZ" for pb in "XYZ"])
+    def test_match_central_differences(self, gate):
+        rng = np.random.default_rng(5)
+        step = 1e-6
+        for _ in range(3):
+            values = {"a": rng.uniform(-4, 4), "b": rng.uniform(-4, 4)}
+            derivatives = gate_derivatives(gate, values)
+            assert [n for n, _ in derivatives] == gate.param_names()
+            for name, got in derivatives:
+                up = gate_matrix(gate, {**values, name: values[name] + step})
+                down = gate_matrix(gate,
+                                   {**values, name: values[name] - step})
+                want = (up - down) / (2.0 * step)
+                assert np.max(np.abs(got - want)) < 1e-8
+
+    def test_fixed_gates_have_none(self):
+        assert gate_derivatives(Gate("CNOT", (0, 1))) == []
+        assert gate_derivatives(Gate("RY", (0,), (0.4,))) == []
 
 
 class TestDecomposeRpq:
@@ -235,6 +264,15 @@ class TestCircuitPlumbing:
         c = build_product_ry(2)
         assert c.bind([0.1, 0.2]).bindings == c.bind({"t0": 0.1,
                                                       "t1": 0.2}).bindings
+
+    def test_parameter_names_computed_once(self):
+        c = build_mrep(2, 1)
+        names = c.parameter_names
+        assert c.parameter_names is names
+        assert names[:2] == ("prep_0", "prep_1") and len(names) == 16
+        bound = c.bind(np.zeros(16))
+        assert bound.parameter_names == names
+        assert bound == Circuit(c.n_qubits, c.gates, bound.bindings)
 
     def test_bind_wrong_length(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ oracles built independently with numpy kron products."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risbvqe.pauli import (
     PRUNE_TOL,
@@ -37,6 +39,18 @@ def oracle_sum_matrix(p):
 
 def random_word(rng, n):
     return "".join(rng.choice(list("IXYZ")) for _ in range(n))
+
+
+finite = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@st.composite
+def pauli_sums(draw, max_qubits=6):
+    n = draw(st.integers(1, max_qubits))
+    words = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n),
+                          max_size=12))
+    return PauliSum({w: complex(draw(finite), draw(finite)) for w in words},
+                    n)
 
 
 class TestPauliProduct:
@@ -100,6 +114,21 @@ class TestPauliSum:
     def test_hermitian_predicate(self):
         assert PauliSum({"XZ": 0.5, "YY": -2.0}).is_hermitian()
         assert not PauliSum({"XZ": 0.5j}).is_hermitian()
+
+    def test_hermitian_predicate_tolerance_after_first_check(self):
+        p = PauliSum({"XZ": 0.5 + 1e-6j, "II": 1.0})
+        assert not p.is_hermitian()
+        assert p.is_hermitian(tol=1e-5)
+        assert not p.is_hermitian(tol=1e-7)
+        assert PauliSum.zero(2).is_hermitian(tol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pauli_sums())
+    def test_expectation_matrix_matches_kronecker_sum(self, p):
+        got = expectation_matrix(p)
+        assert got.shape == (2 ** p.n_qubits,) * 2
+        np.testing.assert_allclose(got, oracle_sum_matrix(p), rtol=0,
+                                   atol=1e-12)
 
     def test_expectation_matrix_examples(self):
         assert np.allclose(expectation_matrix(PauliSum({"Z": 1.0})),

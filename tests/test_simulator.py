@@ -8,11 +8,13 @@ import pytest
 
 from risbvqe.circuits import (Circuit, Gate, ParamRef, build_hea_nc1,
                               build_mr_nc1,
-                              build_mrep)
-from risbvqe.simulator import (NoiseModel, QuantumState, apply_gate,
-                               calibrate_noise, run, run_many)
+                              build_mrep, decompose_circuit)
+from risbvqe.estimator import expectation
+from risbvqe.pauli import PauliSum, expectation_matrix
+from risbvqe.simulator import (NoiseModel, QuantumState, adjoint_gradient,
+                               apply_gate, calibrate_noise, run)
 
-from oracles import dense_state
+from oracles import dense_state, finite_difference_gradient
 
 RNG = np.random.default_rng(20240811)
 
@@ -213,63 +215,141 @@ class TestDepolarizing:
         assert abs(f_ave - (1.0 - eps)) < 1e-14
 
 
-class TestRunMany:
-    def test_matches_sequential_pure(self):
+def all_kinds_circuit() -> Circuit:
+    """Every gate kind on two qubits, with a scaled parameter slot."""
+    ref = ParamRef
+    return Circuit(2, (Gate("H", (0,)), Gate("X", (1,)),
+                       Gate("RX", (0,), (ref("a"),)),
+                       Gate("RY", (1,), (ref("b"),)),
+                       Gate("RZ", (0,), (ref("c", scale=-2.0),)),
+                       Gate("FSIM", (0, 1), (ref("d"), ref("e"))),
+                       Gate("RPQ", (0, 1), (ref("f"),), axes=("Y", "X")),
+                       Gate("CNOT", (1, 0))))
+
+
+def random_observable(n: int, n_words: int = 10) -> PauliSum:
+    words = {"".join(RNG.choice(list("IXYZ"), n)): RNG.normal()
+             for _ in range(n_words)}
+    return PauliSum(words, n)
+
+
+def assert_gradient_matches_oracle(circuit, obs, noise=None, x=None):
+    """Adjoint gradient against central differences of <obs>, to 1e-7
+    relative to the largest component; returns the gradient."""
+    names = circuit.parameter_names
+    if x is None:
+        x = RNG.uniform(-math.pi, math.pi, len(names))
+    got = adjoint_gradient(circuit, expectation_matrix(obs),
+                           dict(zip(names, x)), noise=noise)
+
+    def energy(y):
+        return expectation(run(circuit, dict(zip(names, y)), noise=noise),
+                           obs)
+
+    want = finite_difference_gradient(energy, x)
+    assert got.shape == (len(names),)
+    scale = max(np.max(np.abs(want)), 1e-3)
+    assert np.max(np.abs(got - want)) <= 1e-7 * scale
+    return got
+
+
+# One-qubit channels at full strength erase the qubit they follow; the
+# two-qubit rotations acting first keep correlations that later gates read.
+ERASING_P1_CIRCUIT = Circuit(3, (
+    Gate("RPQ", (0, 1), (ParamRef("u"),), axes=("X", "Y")),
+    Gate("RPQ", (1, 2), (ParamRef("v"),), axes=("Y", "Y")),
+    Gate("FSIM", (0, 1), (ParamRef("w"), ParamRef("y"))),
+    Gate("RY", (2,), (ParamRef("z"),)),
+    Gate("RPQ", (1, 2), (ParamRef("t"),), axes=("Z", "X"))))
+
+
+class TestAdjointGradient:
+    def test_all_gate_kinds(self):
+        for _ in range(3):
+            grad = assert_gradient_matches_oracle(all_kinds_circuit(),
+                                                  random_observable(2, 6))
+            assert np.max(np.abs(grad)) > 1e-3
+
+    @pytest.mark.parametrize("axes", [a + b for a in "XYZ" for b in "XYZ"])
+    def test_rpq_axis_pairs(self, axes):
+        circ = Circuit(2, (Gate("RY", (0,), (ParamRef("a"),)),
+                           Gate("RX", (1,), (ParamRef("b"),)),
+                           Gate("RPQ", (0, 1), (ParamRef("t"),),
+                                axes=tuple(axes))))
+        obs = random_observable(2, 8)
+        assert_gradient_matches_oracle(circ, obs)
+        assert_gradient_matches_oracle(circ, obs, noise=calibrate_noise())
+
+    def test_shared_parameter_in_decomposed_ldca_fragment(self):
+        # A translation-invariant LDCA fragment: each rotation angle is
+        # shared by the blocks on pairs (0,1) and (1,2), and after the RPQ
+        # expansion also by the RZ gates at scale -2.
+        order = (("X", "Y"), ("Y", "X"), ("X", "X"), ("Z", "Z"), ("Y", "Y"))
+        gates = [Gate("RY", (0,), (math.pi,)),
+                 Gate("RZ", (1,), (ParamRef("z1"),))]
+        for qa, qb in ((0, 1), (1, 2)):
+            for pa, pb in order:
+                gates.append(Gate("RPQ", (qa, qb),
+                                  (ParamRef(f"{pa}{pb}".lower()),),
+                                  axes=(pa, pb)))
+        native = Circuit(3, tuple(gates))
+        expanded = decompose_circuit(native)
+        assert native.parameter_names == expanded.parameter_names
+        assert len(native.parameter_names) == 6
+        obs = random_observable(3, 12)
+        x = RNG.uniform(-math.pi, math.pi, 6)
+        g_native = assert_gradient_matches_oracle(native, obs, x=x)
+        g_expanded = assert_gradient_matches_oracle(expanded, obs, x=x)
+        np.testing.assert_allclose(g_expanded, g_native, atol=1e-12)
+
+    def test_mrep_pure_and_noisy(self):
         circ = build_mrep(2, 1)
+        obs = random_observable(8, 20)
+        assert_gradient_matches_oracle(circ, obs)
+        assert_gradient_matches_oracle(circ, obs, noise=calibrate_noise())
+
+    def test_all_gate_kinds_calibrated_noise(self):
+        grad = assert_gradient_matches_oracle(all_kinds_circuit(),
+                                              random_observable(2, 6),
+                                              noise=calibrate_noise())
+        assert np.max(np.abs(grad)) > 1e-3
+
+    def test_erasing_one_qubit_channels(self):
+        noise = NoiseModel(p1=0.75, p2=calibrate_noise().p2)
+        obs = PauliSum({"ZZI": 1.0, "XYI": 0.7, "YXI": -0.4, "IYZ": 0.3,
+                        "ZIX": 0.5, "IIZ": 0.2})
+        grad = assert_gradient_matches_oracle(ERASING_P1_CIRCUIT, obs,
+                                              noise=noise)
+        names = ERASING_P1_CIRCUIT.parameter_names
+        # the RY acts on an erased qubit and feeds nothing downstream
+        assert grad[names.index("z")] == pytest.approx(0.0, abs=1e-12)
+        assert np.max(np.abs(grad)) > 1e-3
+
+    def test_erasing_channels_everywhere_give_zero_gradient(self):
+        # p = 3/4 on every gate leaves the maximally mixed state, whatever
+        # the angles, so every derivative vanishes; central differences
+        # only resolve that down to their rounding floor, so the check
+        # is on the energy itself.
+        circ = all_kinds_circuit()
         names = circ.parameter_names
-        sets = [dict(zip(names, RNG.uniform(-math.pi, math.pi, len(names))))
-                for _ in range(7)]
-        batch = run_many(circ, sets)
-        for bindings, state in zip(sets, batch):
-            np.testing.assert_allclose(state.vector(),
-                                       run(circ, bindings).vector(),
-                                       atol=1e-12)
+        obs = random_observable(2, 6)
+        noise = NoiseModel(0.75, 0.75)
+        energies = []
+        for _ in range(3):
+            bindings = dict(zip(names, RNG.uniform(-3, 3, len(names))))
+            grad = adjoint_gradient(circ, expectation_matrix(obs), bindings,
+                                    noise=noise)
+            assert np.max(np.abs(grad)) < 1e-14
+            energies.append(expectation(run(circ, bindings, noise=noise),
+                                        obs))
+        assert np.ptp(energies) < 1e-14
 
-    def test_matches_sequential_noisy(self):
-        circ = build_hea_nc1()
-        names = circ.parameter_names
-        nm = calibrate_noise()
-        sets = [dict(zip(names, RNG.uniform(-1, 1, len(names))))
-                for _ in range(3)]
-        batch = run_many(circ, sets, noise=nm)
-        for bindings, state in zip(sets, batch):
-            assert state.kind == "mixed"
-            np.testing.assert_allclose(state.density(),
-                                       run(circ, bindings, noise=nm)
-                                       .density(), atol=1e-12)
-
-    def test_chunking_boundary(self):
-        # more sets than one mixed-backend chunk holds
-        circ = build_mr_nc1()
-        sets = [{"theta": th} for th in np.linspace(-2.0, 2.0, 37)]
-        nm = NoiseModel(0.01, 0.02)
-        batch = run_many(circ, sets, noise=nm)
-        assert len(batch) == 37
-        np.testing.assert_allclose(batch[36].density(),
-                                   run(circ, sets[36], noise=nm).density(),
-                                   atol=1e-12)
-
-    def test_all_gate_kinds_batch(self):
-        ref = ParamRef
-        circ = Circuit(2, (Gate("H", (0,)), Gate("X", (1,)),
-                           Gate("RX", (0,), (ref("a"),)),
-                           Gate("RY", (1,), (ref("b"),)),
-                           Gate("RZ", (0,), (ref("c", scale=-2.0),)),
-                           Gate("FSIM", (0, 1), (ref("d"), ref("e"))),
-                           Gate("RPQ", (0, 1), (ref("f"),), axes=("Y", "X")),
-                           Gate("CNOT", (1, 0))))
-        names = circ.parameter_names
-        sets = [dict(zip(names, RNG.uniform(-2, 2, len(names))))
-                for _ in range(5)]
-        for bindings, state in zip(sets, run_many(circ, sets)):
-            np.testing.assert_allclose(state.vector(),
-                                       run(circ, bindings).vector(),
-                                       atol=1e-12)
-
-    def test_empty_batch(self):
-        assert run_many(build_mr_nc1(), []) == []
+    def test_fixed_circuit_has_empty_gradient(self):
+        circ = Circuit(1, (Gate("H", (0,)),))
+        grad = adjoint_gradient(circ, np.diag([1.0, -1.0]))
+        assert grad.shape == (0,)
 
     def test_unbound_parameter_rejected(self):
         circ = build_hea_nc1()
         with pytest.raises(ValueError, match="unbound"):
-            run_many(circ, [{"a0": 0.1}])
+            adjoint_gradient(circ, np.eye(16), {"a0": 0.1})

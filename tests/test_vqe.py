@@ -13,9 +13,10 @@ from risbvqe.estimator import expectation
 from risbvqe.hamiltonians import EmbeddingHamiltonian
 from risbvqe.pauli import PauliSum
 from risbvqe.simulator import calibrate_noise, run
-from risbvqe.vqe import (LandscapeTable, VqeResult, finite_difference_gradient,
-                         landscape_scan, mr_impurity_solver, multi_start,
-                         vqe_minimize)
+from risbvqe.vqe import (LandscapeTable, VqeResult, landscape_scan,
+                         mr_impurity_solver, multi_start, vqe_minimize)
+
+from oracles import finite_difference_gradient
 
 
 def ry_probe() -> tuple[PauliSum, object]:
@@ -95,6 +96,14 @@ class TestSingleStart:
         import risbvqe.vqe as vqe_module
         monkeypatch.setattr(vqe_module, "expectation",
                             lambda state, obs: math.nan)
+        obs, ansatz = ry_probe()
+        with pytest.raises(RuntimeError, match="diverged"):
+            vqe_minimize(obs, ansatz, seed=1)
+
+    def test_divergent_gradient_reported(self, monkeypatch):
+        import risbvqe.vqe as vqe_module
+        monkeypatch.setattr(vqe_module, "adjoint_gradient",
+                            lambda *args, **kwargs: np.array([math.inf]))
         obs, ansatz = ry_probe()
         with pytest.raises(RuntimeError, match="diverged"):
             vqe_minimize(obs, ansatz, seed=1)
