@@ -12,3 +12,7 @@ deterministic artifact writers (`runio`).
 """
 
 __version__ = "0.1.0"
+
+
+class SolverFailure(RuntimeError):
+    """A solver stopped without converging; the CLI exits with code 3."""

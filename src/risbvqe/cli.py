@@ -60,7 +60,8 @@ defaults:
     label = run
     classical_table =      ; sweep CSV warm-starting circuit-solver sweeps
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure.
+Exit codes: 0 success, 2 configuration error, 3 a solver did not converge
+(`SolverFailure`); any other exception propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import SolverFailure
 from .circuits import (Circuit, build_hea_nc1, build_ldca, build_mr_nc1,
                        build_mrep)
 from .ed import ground_state, half_filling_sector
@@ -585,7 +587,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ValueError) as exc:
+    except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

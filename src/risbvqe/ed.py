@@ -5,11 +5,18 @@ explicit sign bookkeeping, sharing nothing with the Pauli-compilation
 route, so the two constructions can cross-check each other.  Mode p sits on
 bit p counted from the most significant end of the basis index, matching
 the qubit layout used elsewhere.
+
+The bookkeeping depends only on structure, never on coefficients: each
+fermion term's (row, col, sign) ladder table is compiled once per (term,
+mode count, sector), and the 1-RDM's (state, p, q, final, sign) table once
+per mode count.  A new Hamiltonian or state then costs one fancy-index
+update per term, or one accumulation over the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +26,9 @@ from .hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
 
 MODE_CAP = 12
 DEGENERACY_RTOL = 1e-9
+LADDER_CACHE_SIZE = 1 << 14
+SECTOR_CACHE_SIZE = 64
+AMPLITUDE_FLOOR = 1e-16
 
 
 @dataclass(frozen=True)
@@ -57,6 +67,12 @@ def _apply_ladder(index: int, mode: int, dagger: bool,
     return index ^ (1 << (n_modes - 1 - mode)), sign
 
 
+def _frozen(values) -> np.ndarray:
+    out = np.array(values, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
 def sector_of(index: int, n_modes: int) -> SectorLabel:
     half = n_modes // 2
     n_up = bin(index >> half).count("1")
@@ -64,13 +80,44 @@ def sector_of(index: int, n_modes: int) -> SectorLabel:
     return SectorLabel(n_up + n_dn, n_up - n_dn)
 
 
-def sector_basis(n_modes: int, sector: SectorLabel | None) -> list[int]:
+@lru_cache(maxsize=SECTOR_CACHE_SIZE)
+def _sector_states(n_modes: int, sector: SectorLabel | None) -> np.ndarray:
     if sector is None:
-        return list(range(2 ** n_modes))
+        return _frozen(range(2 ** n_modes))
     if not 0 <= sector.n_particles <= n_modes:
         raise ValueError(f"sector {sector} impossible for {n_modes} modes")
-    return [i for i in range(2 ** n_modes)
-            if sector_of(i, n_modes) == sector]
+    return _frozen([i for i in range(2 ** n_modes)
+                    if sector_of(i, n_modes) == sector])
+
+
+def sector_basis(n_modes: int, sector: SectorLabel | None) -> list[int]:
+    return _sector_states(n_modes, sector).tolist()
+
+
+@lru_cache(maxsize=LADDER_CACHE_SIZE)
+def _ladder_table(ops: tuple, n_modes: int, sector: SectorLabel | None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries (row, col, sign) of one operator string's matrix
+    over the sector basis, in column order."""
+    basis = sector_basis(n_modes, sector)
+    position = {idx: col for col, idx in enumerate(basis)}
+    rows, cols, signs = [], [], []
+    for col, start in enumerate(basis):
+        state, sign = start, 1
+        for mode, dagger in reversed(ops):
+            step = _apply_ladder(state, mode, dagger, n_modes)
+            if step is None:
+                break
+            state, s = step
+            sign *= s
+        else:
+            row = position.get(state)
+            if row is None:
+                raise ValueError("term leaves the requested sector")
+            rows.append(row)
+            cols.append(col)
+            signs.append(sign)
+    return _frozen(rows), _frozen(cols), _frozen(signs)
 
 
 def hamiltonian_matrix(ham, sector: SectorLabel | None = None) -> np.ndarray:
@@ -79,27 +126,11 @@ def hamiltonian_matrix(ham, sector: SectorLabel | None = None) -> np.ndarray:
     m = orb.n_modes
     if m > MODE_CAP:
         raise ValueError(f"{m} modes exceeds the dense cap {MODE_CAP}")
-    basis = sector_basis(m, sector)
-    position = {idx: col for col, idx in enumerate(basis)}
-    dim = len(basis)
+    dim = _sector_states(m, sector).size
     out = np.zeros((dim, dim), dtype=complex)
     for coeff, ops in orb.to_fermion_operator().terms:
-        for col, start in enumerate(basis):
-            state, sign = start, 1
-            dead = False
-            for mode, dagger in reversed(ops):
-                step = _apply_ladder(state, mode, dagger, m)
-                if step is None:
-                    dead = True
-                    break
-                state, s = step
-                sign *= s
-            if dead:
-                continue
-            row = position.get(state)
-            if row is None:
-                raise ValueError("term leaves the requested sector")
-            out[row, col] += sign * coeff
+        rows, cols, signs = _ladder_table(ops, m, sector)
+        out[rows, cols] += signs * coeff
     return out
 
 
@@ -113,15 +144,35 @@ def ground_state(ham, sector: SectorLabel | None = None) -> GroundState:
     """Lowest eigenpair, embedded back into the full 2^m amplitude space."""
     orb = _orbital(ham)
     m = orb.n_modes
-    basis = sector_basis(m, sector)
     matrix = hamiltonian_matrix(orb, sector)
     vals, vecs = np.linalg.eigh(matrix)
     e0 = float(vals[0])
     tol = DEGENERACY_RTOL * max(1.0, abs(e0))
     degeneracy = int(np.sum(vals <= e0 + tol))
     full = np.zeros(2 ** m, dtype=complex)
-    full[basis] = vecs[:, 0]
+    full[_sector_states(m, sector)] = vecs[:, 0]
     return GroundState(e0, full, degeneracy)
+
+
+@lru_cache(maxsize=SECTOR_CACHE_SIZE)
+def _rdm1_table(n_modes: int) -> tuple[np.ndarray, ...]:
+    """Every nonzero c+_p c_q |idx> = sign |final>, ordered by idx, then q,
+    then p."""
+    entries = []
+    for idx in range(2 ** n_modes):
+        for q in range(n_modes):
+            step = _apply_ladder(idx, q, dagger=False, n_modes=n_modes)
+            if step is None:
+                continue
+            mid, s1 = step
+            for p in range(n_modes):
+                step2 = _apply_ladder(mid, p, dagger=True, n_modes=n_modes)
+                if step2 is None:
+                    continue
+                final, s2 = step2
+                entries.append((idx, p, q, final, s1 * s2))
+    table = np.array(entries, dtype=np.intp).reshape(-1, 5)
+    return tuple(_frozen(column) for column in table.T)
 
 
 def ed_rdm1_full(psi: np.ndarray) -> np.ndarray:
@@ -130,20 +181,18 @@ def ed_rdm1_full(psi: np.ndarray) -> np.ndarray:
     m = int(round(np.log2(psi.size)))
     if 2 ** m != psi.size:
         raise ValueError("amplitude vector length is not a power of two")
+    idx, p, q, final, sign = _rdm1_table(m)
+    keep = (np.abs(psi) > AMPLITUDE_FLOOR)[idx]
+    idx, p, q, final, sign = (a[keep] for a in (idx, p, q, final, sign))
+    # conj(b) * a written out in real arithmetic: numpy's vectorized complex
+    # product may fuse multiply-adds, which rounds complex amplitudes
+    # differently from the scalar product of the reference loop.
+    a, b = psi[idx], psi[final]
+    terms = np.empty(idx.size, dtype=complex)
+    terms.real = b.real * a.real + b.imag * a.imag
+    terms.imag = b.real * a.imag - b.imag * a.real
     rdm = np.zeros((m, m), dtype=complex)
-    for idx in np.flatnonzero(np.abs(psi) > 1e-16):
-        amp = psi[idx]
-        for q in range(m):
-            step = _apply_ladder(int(idx), q, dagger=False, n_modes=m)
-            if step is None:
-                continue
-            mid, s1 = step
-            for p in range(m):
-                step2 = _apply_ladder(mid, p, dagger=True, n_modes=m)
-                if step2 is None:
-                    continue
-                final, s2 = step2
-                rdm[p, q] += np.conj(psi[final]) * amp * s1 * s2
+    np.add.at(rdm, (p, q), terms * sign)
     return rdm
 
 

@@ -13,18 +13,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import brentq, minimize
 from scipy.special import expit, polygamma
 
+from . import SolverFailure
 from .ed import ed_rdm1, ground_state, half_filling_sector
 from .hamiltonians import EmbeddingHamiltonian
 
 FILLING_TOL = 1e-8
 MOTT_CLAMP = 1e-3
 SYM_FORM_TOL = 1e-8
+BAND_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -146,8 +149,8 @@ def dispersion(spec: LatticeSpec, k) -> np.ndarray:
             + t * math.sin(kx) * sy)
 
 
-def _k_grid(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
-    vals = 2.0 * math.pi * np.arange(spec.mesh) / spec.mesh
+def _k_grid(mesh: int) -> tuple[np.ndarray, np.ndarray]:
+    vals = 2.0 * math.pi * np.arange(mesh) / mesh
     kx, ky = np.meshgrid(vals, vals, indexing="ij")
     return kx.ravel(), ky.ravel()
 
@@ -155,13 +158,23 @@ def _k_grid(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
 def _band_components(spec: LatticeSpec):
     """Channel-diagonal dispersion e (and inter-channel coupling s for the
     two-site cell) over the whole mesh."""
-    kx, ky = _k_grid(spec)
-    t = spec.t
-    if spec.n_c == 1:
-        return (2.0 * t * (np.cos(kx) + np.cos(ky)),), None
-    e_plus = 2.0 * t * np.cos(ky) + t * (1.0 + np.cos(kx))
-    e_minus = 2.0 * t * np.cos(ky) - t * (1.0 + np.cos(kx))
-    return (e_plus, e_minus), t * np.sin(kx)
+    return _bands(spec.n_c, spec.t, spec.mesh)
+
+
+@lru_cache(maxsize=BAND_CACHE_SIZE)
+def _bands(n_c: int, t: float, mesh: int):
+    # Depends on the lattice geometry only, so U, beta and filling share one
+    # read-only entry.
+    kx, ky = _k_grid(mesh)
+    if n_c == 1:
+        bands, s = (2.0 * t * (np.cos(kx) + np.cos(ky)),), None
+    else:
+        e_plus = 2.0 * t * np.cos(ky) + t * (1.0 + np.cos(kx))
+        e_minus = 2.0 * t * np.cos(ky) - t * (1.0 + np.cos(kx))
+        bands, s = (e_plus, e_minus), t * np.sin(kx)
+    for array in bands + (() if s is None else (s,)):
+        array.flags.writeable = False
+    return bands, s
 
 
 def eps_loc(spec: LatticeSpec, mu: float) -> SymMatrix:
@@ -258,38 +271,13 @@ def solve_d(delta: SymMatrix, kinetic: SymMatrix) -> SymMatrix:
 
 def lambda_c(delta: SymMatrix, d: SymMatrix, r: SymMatrix,
              lam: SymMatrix) -> SymMatrix:
-    """Bath one-body potential closing the Lagrange equations; channel
-    form of `matrix_lambda_c`."""
+    """Bath one-body potential closing the Lagrange equations, one value
+    per symmetry channel."""
     dc = delta.channels()
     if np.any(dc <= 0.0) or np.any(dc >= 1.0):
         raise ValueError("bath occupations outside (0, 1)")
     correction = 2.0 * d.channels() * r.channels() * bath_kernel_slope(dc)
     return SymMatrix.from_channels(-lam.channels() - correction)
-
-
-def matrix_lambda_c(delta: np.ndarray, d: np.ndarray, r: np.ndarray,
-                    lam: np.ndarray) -> np.ndarray:
-    """Matrix form of the bath potential for general symmetric inputs.
-
-    The derivative of the matrix square-root kernel is evaluated by the
-    eigendecomposition divided-difference formula; coinciding eigenvalues
-    fall back to the analytic slope.
-    """
-    vals, q = np.linalg.eigh(np.asarray(delta, dtype=float))
-    if np.any(vals <= 0.0) or np.any(vals >= 1.0):
-        raise ValueError("bath occupations outside (0, 1)")
-    dim = vals.size
-    gamma = np.empty((dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            if abs(vals[i] - vals[j]) > 1e-10:
-                gamma[i, j] = ((bath_kernel(vals[i]) - bath_kernel(vals[j]))
-                               / (vals[i] - vals[j]))
-            else:
-                gamma[i, j] = bath_kernel_slope(0.5 * (vals[i] + vals[j]))
-    m = np.asarray(r, dtype=float) @ np.asarray(d, dtype=float)
-    t_mat = q @ (gamma * (q.T @ m @ q)) @ q.T
-    return -np.asarray(lam, dtype=float) - (t_mat + t_mat.T)
 
 
 def find_mu(r: SymMatrix, lam: SymMatrix, spec: LatticeSpec) -> float:
@@ -312,7 +300,7 @@ def find_mu(r: SymMatrix, lam: SymMatrix, spec: LatticeSpec) -> float:
             break
         lo, hi = 2.0 * lo, 2.0 * hi
     else:
-        raise RuntimeError("could not bracket the chemical potential")
+        raise SolverFailure("could not bracket the chemical potential")
     return float(brentq(filling_gap, lo, hi, xtol=1e-12))
 
 
@@ -460,8 +448,8 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
                                "fatol": fatol,
                                "initial_simplex": simplex})
     if not math.isfinite(best["cost"]):
-        raise RuntimeError(f"cost never became finite over "
-                           f"{len(trace)} evaluations")
+        raise SolverFailure(f"cost never became finite over "
+                            f"{len(trace)} evaluations")
     r, lam = _unpack(best["x"], n_ch)
     report = best["report"]
     return RisbOutput(r=r, lam=lam, mu=report.mu, cost=best["cost"],

@@ -79,15 +79,16 @@ class OrbitalHamiltonian:
         terms: list[tuple[complex, tuple]] = []
         if self.const:
             terms.append((complex(self.const), ()))
-        for p in range(self.n_modes):
-            for q in range(self.n_modes):
-                if abs(self.h[p, q]) > 1e-14:
-                    terms.append((self.h[p, q],
-                                  ((p, True), (q, False))))
-        for (p, q, r, s), coeff in np.ndenumerate(self.u):
-            if abs(coeff) > 1e-14:
-                terms.append((coeff, ((p, True), (q, True),
-                                      (r, False), (s, False))))
+        # argwhere and boolean masks both walk the tensors in C order.
+        h_mask = np.abs(self.h) > 1e-14
+        for (p, q), coeff in zip(np.argwhere(h_mask).tolist(),
+                                 self.h[h_mask]):
+            terms.append((coeff, ((p, True), (q, False))))
+        u_mask = np.abs(self.u) > 1e-14
+        for (p, q, r, s), coeff in zip(np.argwhere(u_mask).tolist(),
+                                       self.u[u_mask]):
+            terms.append((coeff, ((p, True), (q, True),
+                                  (r, False), (s, False))))
         return FermionOperator(terms)
 
     def to_pauli(self) -> PauliSum:

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
+from . import SolverFailure
 from .circuits import Circuit, build_mr_nc1
 from .ed import ed_rdm1, ground_state, half_filling_sector
 from .embedding import LatticeSpec, SymMatrix, risb_cost
@@ -61,7 +62,7 @@ def _objective(circuit: Circuit, observable: PauliSum,
         else:
             value = expectation(state, observable)
         if not math.isfinite(value):
-            raise RuntimeError(f"objective diverged to {value}")
+            raise SolverFailure(f"objective diverged to {value}")
         return value
 
     return energy
@@ -76,7 +77,7 @@ def _gradient(circuit: Circuit, observable: PauliSum,
                                 dict(zip(names, x)), noise=noise)
         if not np.all(np.isfinite(grad)):
             bad = grad[~np.isfinite(grad)][0]
-            raise RuntimeError(f"objective gradient diverged to {bad}")
+            raise SolverFailure(f"objective gradient diverged to {bad}")
         return grad
 
     return gradient

@@ -9,6 +9,7 @@ qubit p.
 import numpy as np
 
 from risbvqe.circuits import gate_matrix
+from risbvqe.embedding import bath_kernel, bath_kernel_slope
 
 
 def embed_gate(n_qubits, gate, bindings=None):
@@ -76,6 +77,81 @@ def oracle_rdm1_full(psi, n_modes):
                 k = j | (1 << (n_modes - 1 - p))
                 rdm[p, q] += np.conj(psi[k]) * amp * s1 * s2
     return rdm
+
+
+def _ladder(index, mode, dagger, n):
+    """c+_mode (dagger) or c_mode on a basis index: (new index, sign), or
+    None when the mode's occupation annihilates the state."""
+    if dagger == bool(_mode_bit(index, mode, n)):
+        return None
+    return index ^ (1 << (n - 1 - mode)), _jw_parity(index, mode, n)
+
+
+def oracle_sector_basis(n_modes, sector):
+    """Basis indices with the sector's particle count and 2*Sz, ascending;
+    every index when `sector` is None."""
+    if sector is None:
+        return list(range(2 ** n_modes))
+    half = n_modes // 2
+    out = []
+    for i in range(2 ** n_modes):
+        n_up = bin(i >> half).count("1")
+        n_dn = bin(i & ((1 << half) - 1)).count("1")
+        if (n_up + n_dn, n_up - n_dn) == (sector.n_particles,
+                                          sector.sz_twice):
+            out.append(i)
+    return out
+
+
+def oracle_hamiltonian_matrix(orb, sector=None):
+    """Sector-restricted Fock matrix built term by term and column by
+    column, walking each operator string over every basis state."""
+    m = orb.n_modes
+    basis = oracle_sector_basis(m, sector)
+    position = {idx: col for col, idx in enumerate(basis)}
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    for coeff, ops in orb.to_fermion_operator().terms:
+        for col, start in enumerate(basis):
+            state, sign = start, 1
+            dead = False
+            for mode, dagger in reversed(ops):
+                step = _ladder(state, mode, dagger, m)
+                if step is None:
+                    dead = True
+                    break
+                state, s = step
+                sign *= s
+            if dead:
+                continue
+            row = position.get(state)
+            if row is None:
+                raise ValueError("term leaves the requested sector")
+            out[row, col] += sign * coeff
+    return out
+
+
+def matrix_lambda_c(delta, d, r, lam):
+    """Matrix form of the bath potential for general symmetric inputs.
+
+    The derivative of the matrix square-root kernel is evaluated by the
+    eigendecomposition divided-difference formula; coinciding eigenvalues
+    fall back to the analytic slope.
+    """
+    vals, q = np.linalg.eigh(np.asarray(delta, dtype=float))
+    if np.any(vals <= 0.0) or np.any(vals >= 1.0):
+        raise ValueError("bath occupations outside (0, 1)")
+    dim = vals.size
+    gamma = np.empty((dim, dim))
+    for i in range(dim):
+        for j in range(dim):
+            if abs(vals[i] - vals[j]) > 1e-10:
+                gamma[i, j] = ((bath_kernel(vals[i]) - bath_kernel(vals[j]))
+                               / (vals[i] - vals[j]))
+            else:
+                gamma[i, j] = bath_kernel_slope(0.5 * (vals[i] + vals[j]))
+    m = np.asarray(r, dtype=float) @ np.asarray(d, dtype=float)
+    t_mat = q @ (gamma * (q.T @ m @ q)) @ q.T
+    return -np.asarray(lam, dtype=float) - (t_mat + t_mat.T)
 
 
 def partial_trace(psi, keep, n_qubits):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from risbvqe import SolverFailure
 from risbvqe.cli import (ConfigError, RunConfig, build_noise, load_reference,
                          main, parse_config, parse_noise_flag, run_hash,
                          serialize_config, u_grid)
@@ -132,12 +133,22 @@ class TestExitCodes:
 
     def test_solver_failure_maps_to_three(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
-            raise RuntimeError("cost never became finite")
+            raise SolverFailure("cost never became finite")
 
         monkeypatch.setattr("risbvqe.cli.risb_sweep", boom)
         cfg = write_cfg(tmp_path, ED_SWEEP)
         assert main(["ed-reference", "--config", cfg,
                      "--out", str(tmp_path)]) == 3
+
+    def test_programming_error_is_not_a_solver_failure(self, tmp_path,
+                                                       monkeypatch):
+        def bug(*args, **kwargs):
+            raise ValueError("index out of range")
+
+        monkeypatch.setattr("risbvqe.cli.risb_sweep", bug)
+        cfg = write_cfg(tmp_path, ED_SWEEP)
+        with pytest.raises(ValueError, match="index out of range"):
+            main(["ed-reference", "--config", cfg, "--out", str(tmp_path)])
 
     def test_landscape_needs_single_site(self, tmp_path):
         cfg = write_cfg(tmp_path, "[lattice]\nn_c = 2\n")

@@ -2,18 +2,28 @@
 analytic fillings."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import risbvqe
 from risbvqe.circuits import build_mr_nc1
-from risbvqe.ed import (GroundState, SectorLabel, ed_rdm1, ed_rdm1_full,
-                        ground_state, half_filling_sector,
-                        hamiltonian_matrix, sector_basis, sector_of)
+from risbvqe.ed import (GroundState, SectorLabel, _ladder_table, _rdm1_table,
+                        _sector_states, ed_rdm1, ed_rdm1_full, ground_state,
+                        half_filling_sector, hamiltonian_matrix,
+                        sector_basis, sector_of)
 from risbvqe.estimator import (measure_rdm1, measure_rdm1_full,
                                parameter_shift_minimize)
 from risbvqe.hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
 from risbvqe.simulator import QuantumState
+
+from oracles import oracle_hamiltonian_matrix, oracle_rdm1_full
 
 RNG = np.random.default_rng(40813)
 
@@ -37,8 +47,21 @@ class TestSectors:
         assert len(sector_basis(4, None)) == 16
 
     def test_impossible_sector(self):
-        with pytest.raises(ValueError):
-            sector_basis(4, SectorLabel(9, 0))
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                sector_basis(4, SectorLabel(9, 0))
+
+    def test_term_leaving_the_sector_raises(self):
+        # c+_0 c_2 moves an up electron into a down mode.
+        h = np.zeros((4, 4))
+        h[0, 2] = h[2, 0] = 0.3
+        orb = OrbitalHamiltonian(h)
+        # The full-space tables of both terms are cached first.
+        assert hamiltonian_matrix(orb).shape == (16, 16)
+        for _ in range(2):
+            with pytest.raises(ValueError,
+                               match="term leaves the requested sector"):
+                hamiltonian_matrix(orb, SectorLabel(2, 0))
 
     def test_blocks_never_mix(self):
         full = hamiltonian_matrix(random_embedding(RNG))
@@ -119,6 +142,96 @@ class TestRdm1:
         rdm = ed_rdm1(ground_state(emb).state, n_c=1)
         assert rdm.occupations.min() >= -1e-10
         assert rdm.occupations.max() <= 1 + 1e-10
+
+
+def random_unitary(rng, dim) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim))
+                        + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def dense_hamiltonians(draw):
+    """Random Hermitian h and dense u, optionally rotated, with a sector
+    they conserve: none, half filling, or one particle below it with
+    2 Sz = 1.  Sector-restricted draws keep only spin-conserving entries."""
+    n_c = draw(st.sampled_from((1, 2)))
+    kind = draw(st.sampled_from(("none", "half", "other")))
+    rotate = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = 4 * n_c
+    h = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    h = h + h.conj().T
+    u = rng.normal(size=(m,) * 4) + 1j * rng.normal(size=(m,) * 4)
+    u = 0.5 * (u + u.conj().transpose(3, 2, 1, 0))
+    sector = None
+    if kind != "none":
+        spin = np.arange(m) // (2 * n_c)
+        h = h * (spin[:, None] == spin[None, :])
+        u = u * ((spin[:, None, None, None] + spin[None, :, None, None])
+                 == (spin[None, None, :, None] + spin[None, None, None, :]))
+        sector = (half_filling_sector(n_c) if kind == "half"
+                  else SectorLabel(2 * n_c - 1, 1))
+    orb = OrbitalHamiltonian(h, u, const=rng.normal())
+    if rotate:
+        # A spin-resolved rotation only where a sector must survive it.
+        orb = orb.rotate(random_unitary(rng, m if sector is None else m // 2))
+    return orb, sector
+
+
+class TestCompiledTables:
+    @settings(max_examples=25, deadline=None)
+    @given(dense_hamiltonians())
+    def test_matrix_and_rdm_match_oracles(self, case):
+        orb, sector = case
+        got = hamiltonian_matrix(orb, sector)
+        assert np.array_equal(got, oracle_hamiltonian_matrix(orb, sector))
+        psi = ground_state(orb, sector).state
+        assert np.max(np.abs(ed_rdm1_full(psi)
+                             - oracle_rdm1_full(psi, orb.n_modes))) <= 1e-14
+
+    def test_embedding_path_is_bit_identical(self):
+        for _ in range(4):
+            emb = random_embedding(RNG)
+            for sector in (None, half_filling_sector(1)):
+                got = hamiltonian_matrix(emb, sector)
+                assert np.array_equal(
+                    got, oracle_hamiltonian_matrix(emb.orbital(), sector))
+                psi = ground_state(emb, sector).state
+                assert np.array_equal(ed_rdm1_full(psi),
+                                      oracle_rdm1_full(psi, 4))
+
+    def test_tables_are_read_only(self):
+        emb = random_embedding(RNG)
+        sector = half_filling_sector(1)
+        hamiltonian_matrix(emb, sector)
+        _, ops = emb.orbital().to_fermion_operator().terms[-1]
+        arrays = (_ladder_table(ops, 4, sector) + _rdm1_table(4)
+                  + (_sector_states(4, sector), _sector_states(4, None)))
+        for array in arrays:
+            assert array.size
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
+
+    def test_sector_basis_is_a_fresh_list(self):
+        first = sector_basis(4, SectorLabel(2, 0))
+        assert first == [5, 6, 9, 10]
+        first.append(99)
+        second = sector_basis(4, SectorLabel(2, 0))
+        assert second == [5, 6, 9, 10] and second is not first
+
+    def test_import_fills_no_cache(self):
+        # Table building belongs to the first solve, not to start-up.
+        code = ("import risbvqe.cli\n"
+                "from risbvqe import ed, embedding\n"
+                "caches = (ed._sector_states, ed._ladder_table,\n"
+                "          ed._rdm1_table, embedding._bands)\n"
+                "print(sum(c.cache_info().currsize for c in caches))\n")
+        src = str(Path(risbvqe.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "0"
 
 
 class TestNaturalOrbitalExactness:

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import risbvqe.embedding as embedding_module
+from risbvqe import SolverFailure
 from risbvqe.embedding import (CostReport, LatticeSpec, SymMatrix,
                                bath_kernel, bath_kernel_slope,
                                build_embedding_hamiltonian, dispersion,
                                ed_impurity_solver, eps_loc, fermi, find_mu,
-                               lambda_c, matrix_lambda_c, matsubara_fermi,
-                               qp_fill, risb_cost, risb_solve, solve_d,
-                               sym_project)
+                               lambda_c, matsubara_fermi, qp_fill,
+                               risb_cost, risb_solve, solve_d, sym_project)
 
-from oracles import single_site_z
+from oracles import matrix_lambda_c, single_site_z
 
 HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -306,6 +307,36 @@ class TestFindMu:
         delta, _ = qp_fill(r, lam, mu, spec)
         assert delta.channels().mean() == pytest.approx(0.5, abs=1e-8)
 
+    def test_lost_bracket_is_a_solver_failure(self, monkeypatch):
+        # A filling that ignores mu can never cross the target.
+        monkeypatch.setattr(embedding_module, "qp_fill",
+                            lambda r, lam, mu, spec: (SymMatrix(0.2, 0.2),
+                                                      None))
+        with pytest.raises(SolverFailure, match="bracket"):
+            find_mu(SymMatrix(0.9, 0.8), SymMatrix(0.0, 0.0),
+                    LatticeSpec(n_c=2, u=1.0))
+
+
+class TestBandCache:
+    def test_shared_across_u_and_beta(self):
+        base = embedding_module._band_components(LatticeSpec(n_c=2, u=0.1))
+        for other in (LatticeSpec(n_c=2, u=0.7),
+                      LatticeSpec(n_c=2, u=0.1, beta=50.0)):
+            bands, s = embedding_module._band_components(other)
+            assert bands[0] is base[0][0] and bands[1] is base[0][1]
+            assert s is base[1]
+        finer = embedding_module._band_components(
+            LatticeSpec(n_c=2, u=0.1, mesh=16))
+        assert finer[0][0] is not base[0][0]
+
+    def test_arrays_are_read_only(self):
+        for n_c in (1, 2):
+            bands, s = embedding_module._band_components(
+                LatticeSpec(n_c=n_c, u=0.3))
+            for array in bands + (() if s is None else (s,)):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+
 
 class TestCost:
     def test_noninteracting_fixed_point(self):
@@ -371,6 +402,12 @@ class TestSolve:
         np.testing.assert_allclose(out.z.channels(), [1.0, 1.0], atol=1e-3)
         np.testing.assert_allclose(out.lambda_tilde(spec).channels(),
                                    [0.0, 0.0], atol=5e-3)
+
+    def test_never_finite_cost_is_a_solver_failure(self, monkeypatch):
+        monkeypatch.setattr(embedding_module, "risb_cost",
+                            lambda *args: CostReport(cost=math.inf))
+        with pytest.raises(SolverFailure, match="never became finite"):
+            risb_solve(LatticeSpec(n_c=1, u=1.0), max_iter=5)
 
     def test_reports_best_seen_point(self):
         spec = LatticeSpec(n_c=1, u=1.0)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from risbvqe import SolverFailure
 from risbvqe.circuits import build_hea_nc1, build_mr_nc1, build_product_ry
 from risbvqe.ed import SectorLabel, ground_state
 from risbvqe.embedding import LatticeSpec, SymMatrix, risb_cost, risb_solve
@@ -97,7 +98,7 @@ class TestSingleStart:
         monkeypatch.setattr(vqe_module, "expectation",
                             lambda state, obs: math.nan)
         obs, ansatz = ry_probe()
-        with pytest.raises(RuntimeError, match="diverged"):
+        with pytest.raises(SolverFailure, match="diverged"):
             vqe_minimize(obs, ansatz, seed=1)
 
     def test_divergent_gradient_reported(self, monkeypatch):
@@ -105,7 +106,7 @@ class TestSingleStart:
         monkeypatch.setattr(vqe_module, "adjoint_gradient",
                             lambda *args, **kwargs: np.array([math.inf]))
         obs, ansatz = ry_probe()
-        with pytest.raises(RuntimeError, match="diverged"):
+        with pytest.raises(SolverFailure, match="diverged"):
             vqe_minimize(obs, ansatz, seed=1)
 
     def test_noise_lifts_the_floor(self):
