@@ -1,27 +1,29 @@
-"""Exact diagonalization of small fermionic clusters.
+"""Exact diagonalization of small fermionic clusters, and the package's
+one-particle density-matrix kernel.
 
 The matrix is assembled directly in the occupation-number basis with
-explicit sign bookkeeping, sharing nothing with the Pauli-compilation
-route, so the two constructions can cross-check each other.  Mode p sits on
-bit p counted from the most significant end of the basis index, matching
-the qubit layout used elsewhere.
+explicit sign bookkeeping, sharing nothing with the Jordan-Wigner
+compilation, so the two constructions can cross-check each other.  Mode p
+sits on bit p counted from the most significant end of the basis index,
+matching the qubit layout used elsewhere.
 
 The bookkeeping depends only on structure, never on coefficients: each
 fermion term's (row, col, sign) ladder table is compiled once per (term,
 mode count, sector), and the 1-RDM's (state, p, q, final, sign) table once
 per mode count.  A new Hamiltonian or state then costs one fancy-index
-update per term, or one accumulation over the table.
+update per term, or one accumulation over the table.  The same 1-RDM table
+serves exact eigenstates and simulator states alike: an amplitude vector or
+a density matrix goes through `ed_rdm1_full`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .estimator import Rdm1
 from .hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
 
 MODE_CAP = 12
@@ -29,6 +31,7 @@ DEGENERACY_RTOL = 1e-9
 LADDER_CACHE_SIZE = 1 << 14
 SECTOR_CACHE_SIZE = 64
 AMPLITUDE_FLOOR = 1e-16
+OCC_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -175,29 +178,71 @@ def _rdm1_table(n_modes: int) -> tuple[np.ndarray, ...]:
     return tuple(_frozen(column) for column in table.T)
 
 
-def ed_rdm1_full(psi: np.ndarray) -> np.ndarray:
-    """<c+_p c_q> over every mode, straight from amplitudes."""
-    psi = np.asarray(psi).ravel()
-    m = int(round(np.log2(psi.size)))
-    if 2 ** m != psi.size:
-        raise ValueError("amplitude vector length is not a power of two")
+@dataclass
+class Rdm1:
+    """One-particle reduced density matrix block (impurity+bath combined)."""
+
+    matrix: np.ndarray
+    _occupations: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=complex)
+        if np.max(np.abs(m - m.conj().T)) > 1e-10:
+            raise ValueError("1-RDM is not Hermitian")
+        self.matrix = 0.5 * (m + m.conj().T)
+        occ = np.linalg.eigvalsh(self.matrix)
+        if occ.min() < -OCC_TOL or occ.max() > 1.0 + OCC_TOL:
+            raise ValueError(f"occupations outside [0, 1]: {occ}")
+        self._occupations = occ
+
+    @property
+    def occupations(self) -> np.ndarray:
+        return self._occupations.copy()
+
+    def trace(self) -> float:
+        return float(np.trace(self.matrix).real)
+
+
+def ed_rdm1_full(state: np.ndarray) -> np.ndarray:
+    """<c+_p c_q> over every mode, from an amplitude vector or a density
+    matrix.
+
+    Both read the compiled table: amplitudes give conj(psi[final]) psi[idx]
+    sign per entry, a density matrix gives Tr(rho c+_p c_q) as the sum of
+    rho[idx, final] sign.
+    """
+    state = np.asarray(state)
+    density = state.ndim == 2
+    if density and state.shape[0] != state.shape[1]:
+        raise ValueError(f"density matrix of shape {state.shape} is not "
+                         f"square")
+    dim = state.shape[0] if density else state.size
+    m = int(round(np.log2(dim)))
+    if 2 ** m != dim:
+        raise ValueError(f"state dimension {dim} is not a power of two")
     idx, p, q, final, sign = _rdm1_table(m)
-    keep = (np.abs(psi) > AMPLITUDE_FLOOR)[idx]
-    idx, p, q, final, sign = (a[keep] for a in (idx, p, q, final, sign))
-    # conj(b) * a written out in real arithmetic: numpy's vectorized complex
-    # product may fuse multiply-adds, which rounds complex amplitudes
-    # differently from the scalar product of the reference loop.
-    a, b = psi[idx], psi[final]
-    terms = np.empty(idx.size, dtype=complex)
-    terms.real = b.real * a.real + b.imag * a.imag
-    terms.imag = b.real * a.imag - b.imag * a.real
+    if density:
+        terms = state[idx, final]
+    else:
+        psi = state.ravel()
+        keep = (np.abs(psi) > AMPLITUDE_FLOOR)[idx]
+        idx, p, q, final, sign = (a[keep] for a in (idx, p, q, final, sign))
+        # conj(b) * a written out in real arithmetic: numpy's vectorized
+        # complex product may fuse multiply-adds, which rounds complex
+        # amplitudes differently from the scalar product of the reference
+        # loop.
+        a, b = psi[idx], psi[final]
+        terms = np.empty(idx.size, dtype=complex)
+        terms.real = b.real * a.real + b.imag * a.imag
+        terms.imag = b.real * a.imag - b.imag * a.real
     rdm = np.zeros((m, m), dtype=complex)
     np.add.at(rdm, (p, q), terms * sign)
     return rdm
 
 
 def ed_rdm1(psi: np.ndarray, n_c: int, spin_average: bool = True) -> Rdm1:
-    """Per-spin 1-RDM of an embedded-cluster eigenstate."""
+    """Per-spin 1-RDM of an embedded-cluster eigenstate (amplitudes or
+    density matrix, as `ed_rdm1_full` takes them)."""
     full = ed_rdm1_full(psi)
     if full.shape[0] != 4 * n_c:
         raise ValueError(f"state covers {full.shape[0]} modes, expected "

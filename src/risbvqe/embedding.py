@@ -289,9 +289,15 @@ def find_mu(r: SymMatrix, lam: SymMatrix, spec: LatticeSpec) -> float:
     if spec.n_c == 1 and spec.filling == 0.5:
         return lam.plus
 
+    # brentq starts by evaluating both bracket ends, which the doubling
+    # loop has just evaluated.
+    gaps: dict[float, float] = {}
+
     def filling_gap(mu: float) -> float:
-        delta, _ = qp_fill(r, lam, mu, spec)
-        return float(delta.channels().mean()) - spec.filling
+        if mu not in gaps:
+            delta, _ = qp_fill(r, lam, mu, spec)
+            gaps[mu] = float(delta.channels().mean()) - spec.filling
+        return gaps[mu]
 
     width = 2.0 + float(np.max(np.abs(lam.channels())))
     lo, hi = -width, width

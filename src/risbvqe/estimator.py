@@ -1,23 +1,26 @@
 """Observable estimation: exact expectations, 1-RDM measurement,
-parameter-shift optimizers, shot sampling, and zero-noise extrapolation."""
+parameter-shift optimizers, and zero-noise extrapolation.
+
+The 1-RDM of a simulator state is read off the exact solver's compiled
+(state, p, q, final, sign) table (`ed.ed_rdm1_full`), from the amplitudes
+of a pure state or the density matrix of a mixed one; no Pauli observable
+is compiled for it.
+"""
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .circuits import Circuit, Gate, ParamRef
-from .pauli import (FermionOperator, PauliSum, expectation_matrix,
-                    jordan_wigner)
+from .ed import Rdm1, ed_rdm1_full
+from .pauli import PauliSum, expectation_matrix
 from .simulator import NoiseModel, QuantumState, run
 
 IMAG_TOL = 1e-9
-OCC_TOL = 1e-8
 SPIN_ASYMMETRY_TOL = 1e-6
 
 
@@ -41,85 +44,26 @@ def expectation(state: QuantumState, obs: PauliSum) -> float:
     return value.real
 
 
-@dataclass
-class Rdm1:
-    """One-particle reduced density matrix block (impurity+bath combined)."""
-
-    matrix: np.ndarray
-    _occupations: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ValueError("1-RDM is not Hermitian")
-        self.matrix = 0.5 * (m + m.conj().T)
-        occ = np.linalg.eigvalsh(self.matrix)
-        if occ.min() < -OCC_TOL or occ.max() > 1.0 + OCC_TOL:
-            raise ValueError(f"occupations outside [0, 1]: {occ}")
-        self._occupations = occ
-
-    @property
-    def occupations(self) -> np.ndarray:
-        return self._occupations.copy()
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-
-@functools.lru_cache(maxsize=4096)
-def _hopping_parts(p: int, q: int, n_modes: int) -> tuple[PauliSum, PauliSum]:
-    """Hermitian pieces h1 = c+_p c_q + h.c. and h2 = i c+_p c_q + h.c.;
-    <c+_p c_q> = (<h1> - i <h2>) / 2."""
-    hop = FermionOperator.creation(p) * FermionOperator.annihilation(q)
-    h1 = hop + hop.adjoint()
-    h2 = 1j * hop + (1j * hop).adjoint()
-    return jordan_wigner(h1, n_modes), jordan_wigner(h2, n_modes)
-
-
-@functools.lru_cache(maxsize=256)
-def _number_op(p: int, n_modes: int) -> PauliSum:
-    return jordan_wigner(FermionOperator.number(p), n_modes)
-
-
-def _rdm_block(state: QuantumState, modes: tuple[int, ...]) -> np.ndarray:
-    n_modes = state.n_qubits
-    size = len(modes)
-    out = np.zeros((size, size), dtype=complex)
-    for i, p in enumerate(modes):
-        out[i, i] = expectation(state, _number_op(p, n_modes))
-        for j in range(i + 1, size):
-            q = modes[j]
-            h1, h2 = _hopping_parts(p, q, n_modes)
-            val = 0.5 * (expectation(state, h1) - 1j * expectation(state, h2))
-            out[i, j] = val
-            out[j, i] = np.conj(val)
-    return out
-
-
 def measure_rdm1(state: QuantumState, n_c: int,
                  spin_average: bool = True) -> Rdm1:
-    """Per-spin 1-RDM of an embedded-cluster state, entry by entry from
-    Pauli expectations.  Modes are spin-major: up block first, down second;
-    each block lists the n_c impurity orbitals then the n_c bath orbitals."""
+    """Per-spin 1-RDM of an embedded-cluster state.  Modes are spin-major:
+    up block first, down second; each block lists the n_c impurity orbitals
+    then the n_c bath orbitals."""
     if state.n_qubits != 4 * n_c:
         raise ValueError(f"state has {state.n_qubits} qubits, expected "
                          f"{4 * n_c}")
-    up = _rdm_block(state, tuple(range(2 * n_c)))
+    dim = 2 ** state.n_qubits
+    shape = (dim,) if state.kind == "pure" else (dim, dim)
+    full = ed_rdm1_full(state.tensor.reshape(shape))
+    up = full[:2 * n_c, :2 * n_c]
     if not spin_average:
         return Rdm1(up)
-    down = _rdm_block(state, tuple(range(2 * n_c, 4 * n_c)))
+    down = full[2 * n_c:, 2 * n_c:]
     gap = np.max(np.abs(up - down))
     if gap > SPIN_ASYMMETRY_TOL:
         warnings.warn(f"spin blocks differ by {gap:.3e}; paramagnetic "
                       f"symmetry may be broken", stacklevel=2)
     return Rdm1(0.5 * (up + down))
-
-
-def measure_rdm1_full(state: QuantumState) -> np.ndarray:
-    """Full spin-resolved 1-RDM over every mode, including spin-mixing
-    entries; used when the orbital basis is allowed to rotate freely."""
-    block = _rdm_block(state, tuple(range(state.n_qubits)))
-    return 0.5 * (block + block.conj().T)
 
 
 class ShiftFit(NamedTuple):
@@ -239,26 +183,3 @@ def zne_linear(circuit: Circuit, obs: PauliSum,
     e_amp = expectation(run(fold_cnots(circuit, n_foldings), noise=noise),
                         obs)
     return e_raw + (e_raw - e_amp) / n_foldings
-
-
-def sample_expectation(state: QuantumState, obs: PauliSum, n_shots: int,
-                       seed: int | None = None) -> float:
-    """Finite-shot estimate: each Pauli word is sampled as an independent
-    binomial with success probability (1 + <P>)/2."""
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
-    if not obs.is_hermitian():
-        raise ValueError("observable is not Hermitian")
-    rng = np.random.default_rng(seed)
-    identity = "I" * obs.n_qubits
-    total = 0.0
-    for word, coeff in obs.items():
-        if word == identity:
-            total += coeff.real
-            continue
-        exact = expectation(state, PauliSum({word: 1.0},
-                                            n_qubits=obs.n_qubits))
-        p_plus = min(1.0, max(0.0, 0.5 * (1.0 + exact)))
-        hits = rng.binomial(n_shots, p_plus)
-        total += coeff.real * (2.0 * hits / n_shots - 1.0)
-    return total

@@ -16,8 +16,9 @@ from typing import Callable
 import numpy as np
 
 from .circuits import Circuit, build_hea_nc1
-from .ed import ed_rdm1, ground_state, half_filling_sector
-from .estimator import Rdm1, measure_rdm1, measure_rdm1_full, rotosolve
+from .ed import (Rdm1, ed_rdm1, ed_rdm1_full, ground_state,
+                 half_filling_sector)
+from .estimator import measure_rdm1, rotosolve
 from .hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
 from .pauli import count_terms
 from .simulator import NoiseModel, calibrate_noise, run
@@ -299,4 +300,4 @@ def determine_fixed_no_basis(seed: int = 202, n_starts: int = 5,
         if best is None or energy < best[1]:
             best = (params, energy)
     state = run(ansatz, best[0], noise=noise)
-    return diagonalize_rdm(measure_rdm1_full(state))
+    return diagonalize_rdm(ed_rdm1_full(state.density()))

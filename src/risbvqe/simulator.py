@@ -224,9 +224,11 @@ def _overlap(bra: np.ndarray, ket: np.ndarray,
 
 def adjoint_gradient(circuit: Circuit, observable: np.ndarray,
                      bindings: Mapping[str, float] | None = None,
-                     noise: NoiseModel | None = None) -> np.ndarray:
-    """Exact d<O>/d(parameter) in `circuit.parameter_names` order, from one
-    forward and one reverse sweep (Jones & Gacon, arXiv:2009.02823).
+                     noise: NoiseModel | None = None
+                     ) -> tuple[QuantumState, np.ndarray]:
+    """The final state (the one `run` returns) and the exact
+    d<O>/d(parameter) in `circuit.parameter_names` order, from one forward
+    and one reverse sweep (Jones & Gacon, arXiv:2009.02823).
 
     `observable` is the dense Hermitian 2^n x 2^n matrix of O.  The forward
     sweep keeps the state entering each parameterized gate.  The reverse
@@ -266,4 +268,4 @@ def adjoint_gradient(circuit: Circuit, observable: np.ndarray,
             overlap = _overlap(lam, entering.pop(), gate.qubits)
             for name, du in derivatives:
                 grad[index[name]] += 2.0 * np.sum((u_dag @ du) * overlap).real
-    return grad
+    return state, grad

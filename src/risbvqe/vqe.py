@@ -1,10 +1,10 @@
 """Variational minimization of cluster energies over circuit parameters.
 
-Single starts wrap scipy optimizers around the exact (or sampled) channel
-expectation, BFGS with exact adjoint gradients; multi-start keeps the best
-of a seeded batch.  The landscape scan sweeps the single-site
-self-consistency cost over an (R, lambda) grid with the one-parameter
-ansatz tuned analytically at each node.
+Single starts wrap scipy optimizers around the exact channel expectation,
+BFGS with exact adjoint gradients; multi-start keeps the best of a seeded
+batch.  The landscape scan sweeps the single-site self-consistency cost
+over an (R, lambda) grid with the one-parameter ansatz tuned analytically
+at each node.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from . import SolverFailure
 from .circuits import Circuit, build_mr_nc1
 from .ed import ed_rdm1, ground_state, half_filling_sector
 from .embedding import LatticeSpec, SymMatrix, risb_cost
-from .estimator import (expectation, measure_rdm1, parameter_shift_minimize,
-                        sample_expectation)
+from .estimator import expectation, measure_rdm1, parameter_shift_minimize
 from .pauli import PauliSum, expectation_matrix
 from .simulator import NoiseModel, adjoint_gradient, run
 
@@ -50,37 +49,30 @@ class VqeResult:
 
 
 def _objective(circuit: Circuit, observable: PauliSum,
-               noise: NoiseModel | None, n_shots: int | None,
-               shot_rng) -> Callable:
+               noise: NoiseModel | None, gradient: bool) -> Callable:
+    """x -> (<O>, d<O>/dx) from one adjoint sweep, or (<O>, None) from one
+    `run`; the energy is read off the final state either way, so both give
+    the same value bit for bit."""
     names = circuit.parameter_names
 
-    def energy(x: np.ndarray) -> float:
-        state = run(circuit, dict(zip(names, x)), noise=noise)
-        if n_shots:
-            value = sample_expectation(state, observable, n_shots,
-                                       seed=int(shot_rng.integers(2 ** 63)))
+    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray | None]:
+        bindings = dict(zip(names, x))
+        grad = None
+        if gradient:
+            state, grad = adjoint_gradient(
+                circuit, expectation_matrix(observable), bindings,
+                noise=noise)
+            if not np.all(np.isfinite(grad)):
+                bad = grad[~np.isfinite(grad)][0]
+                raise SolverFailure(f"objective gradient diverged to {bad}")
         else:
-            value = expectation(state, observable)
+            state = run(circuit, bindings, noise=noise)
+        value = expectation(state, observable)
         if not math.isfinite(value):
             raise SolverFailure(f"objective diverged to {value}")
-        return value
+        return value, grad
 
-    return energy
-
-
-def _gradient(circuit: Circuit, observable: PauliSum,
-              noise: NoiseModel | None) -> Callable:
-    names = circuit.parameter_names
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        grad = adjoint_gradient(circuit, expectation_matrix(observable),
-                                dict(zip(names, x)), noise=noise)
-        if not np.all(np.isfinite(grad)):
-            bad = grad[~np.isfinite(grad)][0]
-            raise SolverFailure(f"objective gradient diverged to {bad}")
-        return grad
-
-    return gradient
+    return evaluate
 
 
 def vqe_minimize(observable: PauliSum, ansatz: Circuit,
@@ -88,14 +80,11 @@ def vqe_minimize(observable: PauliSum, ansatz: Circuit,
                  noise: NoiseModel | None = None,
                  seed: int | None = None,
                  max_iter: int = 10_000,
-                 x0: Sequence[float] | None = None,
-                 n_shots: int | None = None) -> VqeResult:
+                 x0: Sequence[float] | None = None) -> VqeResult:
     """Minimize <observable> over the ansatz angles.
 
-    BFGS takes the exact gradient of the channel expectation from one
-    forward and one reverse (adjoint) sweep of the circuit; finite-shot
-    objectives are stochastic, so they are restricted to the simplex
-    optimizer.
+    BFGS takes the channel expectation and its exact gradient together
+    from one forward and one reverse (adjoint) sweep of the circuit.
     """
     names = ansatz.parameter_names
     if not names:
@@ -103,9 +92,6 @@ def vqe_minimize(observable: PauliSum, ansatz: Circuit,
     optimizer = optimizer.lower().replace("-", "").replace("_", "")
     if optimizer not in ("bfgs", "neldermead"):
         raise ValueError(f"unknown optimizer {optimizer!r}")
-    if n_shots and optimizer == "bfgs":
-        raise ValueError("finite-shot objectives need the gradient-free "
-                         "optimizer")
     rng = np.random.default_rng(seed)
     if x0 is None:
         x0 = rng.uniform(-math.pi, math.pi, len(names))
@@ -114,21 +100,21 @@ def vqe_minimize(observable: PauliSum, ansatz: Circuit,
         raise ValueError(f"{x0.size} initial angles for {len(names)} "
                          f"parameters")
 
-    raw = _objective(ansatz, observable, noise, n_shots, rng)
+    bfgs = optimizer == "bfgs"
+    evaluate = _objective(ansatz, observable, noise, gradient=bfgs)
     trace: list[tuple[int, float]] = []
     best = {"energy": math.inf, "x": x0.copy()}
 
-    def traced(x: np.ndarray) -> float:
-        value = raw(x)
+    def traced(x: np.ndarray):
+        value, grad = evaluate(x)
         trace.append((len(trace), value))
         if value < best["energy"]:
             best.update(energy=value, x=np.asarray(x, dtype=float).copy())
-        return value
+        return (value, grad) if bfgs else value
 
     started = time.perf_counter()
-    if optimizer == "bfgs":
-        result = minimize(traced, x0, method="BFGS",
-                          jac=_gradient(ansatz, observable, noise),
+    if bfgs:
+        result = minimize(traced, x0, method="BFGS", jac=True,
                           options={"gtol": GRADIENT_TOL,
                                    "maxiter": max_iter})
     else:

@@ -2,14 +2,19 @@
 
 Everything here works by explicit bit manipulation on full 2^n arrays so it
 stays independent of the package's tensor-contraction simulator and of the
-Jordan-Wigner encoding.  Qubit 0 is the most significant bit, mode p sits on
-qubit p.
+Jordan-Wigner encoding; the one exception is `pauli_rdm1_full`, the
+Pauli-expectation 1-RDM that the compiled table is checked against.  Qubit 0
+is the most significant bit, mode p sits on qubit p.
 """
+
+import functools
 
 import numpy as np
 
 from risbvqe.circuits import gate_matrix
 from risbvqe.embedding import bath_kernel, bath_kernel_slope
+from risbvqe.estimator import expectation
+from risbvqe.pauli import FermionOperator, jordan_wigner
 
 
 def embed_gate(n_qubits, gate, bindings=None):
@@ -77,6 +82,58 @@ def oracle_rdm1_full(psi, n_modes):
                 k = j | (1 << (n_modes - 1 - p))
                 rdm[p, q] += np.conj(psi[k]) * amp * s1 * s2
     return rdm
+
+
+def oracle_rdm1_density(rho, n_modes):
+    """Tr(rho c†_p c_q) for all spin-orbitals, straight from a density
+    matrix: the loop of `oracle_rdm1_full` with rho[i, k] in place of
+    conj(psi[k]) psi[i]."""
+    rho = np.asarray(rho)
+    rdm = np.zeros((n_modes, n_modes), dtype=complex)
+    for i in range(rho.shape[0]):
+        for q in range(n_modes):
+            if not _mode_bit(i, q, n_modes):
+                continue
+            s1 = _jw_parity(i, q, n_modes)
+            j = i & ~(1 << (n_modes - 1 - q))
+            for p in range(n_modes):
+                if _mode_bit(j, p, n_modes):
+                    continue
+                s2 = _jw_parity(j, p, n_modes)
+                k = j | (1 << (n_modes - 1 - p))
+                rdm[p, q] += rho[i, k] * s1 * s2
+    return rdm
+
+
+@functools.lru_cache(maxsize=None)
+def _hopping_parts(p, q, n_modes):
+    """Hermitian pieces h1 = c+_p c_q + h.c. and h2 = i c+_p c_q + h.c.;
+    <c+_p c_q> = (<h1> - i <h2>) / 2."""
+    hop = FermionOperator.creation(p) * FermionOperator.annihilation(q)
+    h1 = hop + hop.adjoint()
+    h2 = 1j * hop + (1j * hop).adjoint()
+    return jordan_wigner(h1, n_modes), jordan_wigner(h2, n_modes)
+
+
+@functools.lru_cache(maxsize=None)
+def _number_op(p, n_modes):
+    return jordan_wigner(FermionOperator.number(p), n_modes)
+
+
+def pauli_rdm1_full(state):
+    """<c+_p c_q> over every mode of a simulator state, entry by entry from
+    exact expectations of Jordan-Wigner-compiled number and hopping
+    operators; Hermitian by construction."""
+    n_modes = state.n_qubits
+    out = np.zeros((n_modes, n_modes), dtype=complex)
+    for p in range(n_modes):
+        out[p, p] = expectation(state, _number_op(p, n_modes))
+        for q in range(p + 1, n_modes):
+            h1, h2 = _hopping_parts(p, q, n_modes)
+            val = 0.5 * (expectation(state, h1) - 1j * expectation(state, h2))
+            out[p, q] = val
+            out[q, p] = np.conj(val)
+    return out
 
 
 def _ladder(index, mode, dagger, n):

@@ -1,5 +1,5 @@
-"""Fock-space diagonalization cross-checked against the Pauli route and
-analytic fillings."""
+"""Fock-space diagonalization cross-checked against loop oracles, the
+Pauli-expectation route and analytic fillings."""
 
 import math
 import os
@@ -18,12 +18,12 @@ from risbvqe.ed import (GroundState, SectorLabel, _ladder_table, _rdm1_table,
                         _sector_states, ed_rdm1, ed_rdm1_full, ground_state,
                         half_filling_sector, hamiltonian_matrix,
                         sector_basis, sector_of)
-from risbvqe.estimator import (measure_rdm1, measure_rdm1_full,
-                               parameter_shift_minimize)
+from risbvqe.estimator import parameter_shift_minimize
 from risbvqe.hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
 from risbvqe.simulator import QuantumState
 
-from oracles import oracle_hamiltonian_matrix, oracle_rdm1_full
+from oracles import (oracle_hamiltonian_matrix, oracle_rdm1_full,
+                     pauli_rdm1_full)
 
 RNG = np.random.default_rng(40813)
 
@@ -128,14 +128,22 @@ class TestRdm1:
         np.testing.assert_allclose(rho @ rho, rho, atol=1e-10)
 
     def test_matches_estimator_route(self):
+        # Against the Pauli-expectation route and the amplitude loop.
         emb = random_embedding(RNG)
         psi = ground_state(emb, SectorLabel(2, 0)).state
-        state = QuantumState.from_vector(psi)
-        got = ed_rdm1(psi, n_c=1).matrix
-        want = measure_rdm1(state, n_c=1).matrix
-        np.testing.assert_allclose(got, want, atol=1e-10)
-        np.testing.assert_allclose(ed_rdm1_full(psi),
-                                   measure_rdm1_full(state), atol=1e-10)
+        pauli = pauli_rdm1_full(QuantumState.from_vector(psi))
+        got = ed_rdm1_full(psi)
+        np.testing.assert_allclose(got, pauli, atol=1e-12)
+        np.testing.assert_allclose(got, oracle_rdm1_full(psi, 4), atol=1e-14)
+        np.testing.assert_allclose(ed_rdm1(psi, n_c=1).matrix,
+                                   0.5 * (pauli[:2, :2] + pauli[2:, 2:]),
+                                   atol=1e-12)
+        rho = np.outer(psi, psi.conj())
+        np.testing.assert_allclose(ed_rdm1_full(rho), got, atol=1e-14)
+
+    def test_density_matrix_must_be_square(self):
+        with pytest.raises(ValueError, match="square"):
+            ed_rdm1_full(np.zeros((4, 8)))
 
     def test_occupations_in_range(self):
         emb = random_embedding(RNG)
@@ -232,6 +240,15 @@ class TestCompiledTables:
                              capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("module", ["risbvqe.ed", "risbvqe.estimator"])
+    def test_imports_first_in_a_fresh_interpreter(self, module):
+        # estimator imports the 1-RDM kernel and Rdm1 from ed, so ed must
+        # not import estimator back.
+        src = str(Path(risbvqe.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", f"import {module}"],
+                       check=True, capture_output=True,
+                       env=dict(os.environ, PYTHONPATH=src))
 
 
 class TestNaturalOrbitalExactness:

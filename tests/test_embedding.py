@@ -307,6 +307,30 @@ class TestFindMu:
         delta, _ = qp_fill(r, lam, mu, spec)
         assert delta.channels().mean() == pytest.approx(0.5, abs=1e-8)
 
+    def test_each_mu_filled_once(self, monkeypatch):
+        from scipy.optimize import brentq
+        spec = LatticeSpec(n_c=2, u=1.0)
+        r, lam = SymMatrix(0.95, 0.6), SymMatrix(-0.3, 0.45)
+        plain = []
+
+        def gap(mu):
+            plain.append(mu)
+            return float(qp_fill(r, lam, mu, spec)[0].channels().mean()) - 0.5
+
+        # The first bracket [-2.45, 2.45] holds the root.  Plain brentq
+        # fills both ends again; find_mu's bracket search already has them.
+        want = brentq(gap, -2.45, 2.45, xtol=1e-12)
+        filled = []
+
+        def counting_fill(r, lam, mu, spec):
+            filled.append(mu)
+            return qp_fill(r, lam, mu, spec)
+
+        monkeypatch.setattr(embedding_module, "qp_fill", counting_fill)
+        assert find_mu(r, lam, spec) == want
+        assert filled[:2] == [-2.45, 2.45]
+        assert len(filled) == len(set(filled)) == len(plain)
+
     def test_lost_bracket_is_a_solver_failure(self, monkeypatch):
         # A filling that ignores mu can never cross the target.
         monkeypatch.setattr(embedding_module, "qp_fill",

@@ -1,19 +1,23 @@
 """Estimator checked against amplitude-level oracles and channel algebra."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risbvqe.circuits import Circuit, Gate, ParamRef, build_hea_nc1, \
     build_mr_nc1, build_mrep, build_product_ry
 from risbvqe.estimator import (Rdm1, expectation, fold_cnots, measure_rdm1,
-                               measure_rdm1_full, parameter_shift_minimize,
-                               rotosolve, sample_expectation, zne_linear)
+                               parameter_shift_minimize, rotosolve,
+                               zne_linear)
 from risbvqe.pauli import PauliSum
-from risbvqe.simulator import NoiseModel, QuantumState, run
+from risbvqe.simulator import NoiseModel, QuantumState, calibrate_noise, run
 
-from oracles import noisy_density, oracle_rdm1_full, word_mat
+from oracles import (noisy_density, oracle_rdm1_density, oracle_rdm1_full,
+                     pauli_rdm1_full, word_mat)
 
 RNG = np.random.default_rng(97531)
 
@@ -61,6 +65,39 @@ class TestExpectation:
             expectation(QuantumState.zero(2), PauliSum({"Z": 1.0}))
 
 
+ONE_QUBIT_KINDS = ("RX", "RY", "RZ", "X", "H")
+TWO_QUBIT_KINDS = ("CNOT", "FSIM", "RPQ")
+N_ANGLES = {"RX": 1, "RY": 1, "RZ": 1, "FSIM": 2, "RPQ": 1}
+
+
+@st.composite
+def random_states(draw):
+    """A random circuit on an n_c = 1 or 2 cluster register, run noiseless
+    on either backend, under calibrated noise, or at p = 3/4 on every gate;
+    returns the state and n_c."""
+    n_c = draw(st.sampled_from((1, 2)))
+    backend = draw(st.sampled_from(("pure", "mixed", "calibrated",
+                                    "erasing")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = 4 * n_c
+    gates = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = str(rng.choice(ONE_QUBIT_KINDS + TWO_QUBIT_KINDS))
+        if kind in ONE_QUBIT_KINDS:
+            qubits = (int(rng.integers(n)),)
+        else:
+            qubits = tuple(int(q) for q in rng.choice(n, 2, replace=False))
+        params = tuple(rng.uniform(-math.pi, math.pi, N_ANGLES.get(kind, 0)))
+        axes = (tuple(str(a) for a in rng.choice(list("XYZ"), 2))
+                if kind == "RPQ" else None)
+        gates.append(Gate(kind, qubits, params, axes=axes))
+    noise = {"pure": None, "mixed": None, "calibrated": calibrate_noise(),
+             "erasing": NoiseModel(0.75, 0.75)}[backend]
+    state = run(Circuit(n, tuple(gates)), noise=noise,
+                mixed=backend != "pure")
+    return state, n_c
+
+
 class TestRdm1:
     def test_vacuum(self):
         rdm = measure_rdm1(QuantumState.zero(4), n_c=1)
@@ -86,13 +123,36 @@ class TestRdm1:
         full = oracle_rdm1_full(state.vector(), 8)
         got_up = measure_rdm1(state, n_c=2, spin_average=False).matrix
         np.testing.assert_allclose(got_up, full[:4, :4], atol=1e-10)
-        np.testing.assert_allclose(measure_rdm1_full(state), full, atol=1e-10)
+        with warnings.catch_warnings():
+            # random angles break the spin symmetry
+            warnings.simplefilter("ignore")
+            got = measure_rdm1(state, n_c=2).matrix
+        np.testing.assert_allclose(got, 0.5 * (full[:4, :4] + full[4:, 4:]),
+                                   atol=1e-10)
 
     def test_particle_number_conserved(self):
         circ = build_mrep(2, 2)
         state = run(circ.bind(RNG.uniform(-math.pi, math.pi, circ.n_params)))
-        full = measure_rdm1_full(state)
-        assert abs(np.trace(full).real - 4.0) < 1e-9
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            total = 2.0 * measure_rdm1(state, n_c=2).trace()
+        assert abs(total - 4.0) < 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_states())
+    def test_matches_pauli_route_and_density_oracle(self, case):
+        state, n_c = case
+        m = 2 * n_c
+        references = (pauli_rdm1_full(state),
+                      oracle_rdm1_density(state.density(), state.n_qubits))
+        got_up = measure_rdm1(state, n_c, spin_average=False).matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got_mean = measure_rdm1(state, n_c).matrix
+        for full in references:
+            up, down = full[:m, :m], full[m:, m:]
+            assert np.max(np.abs(got_up - up)) <= 1e-12
+            assert np.max(np.abs(got_mean - 0.5 * (up + down))) <= 1e-12
 
     def test_spin_asymmetry_warns(self):
         state = run(Circuit(4, (Gate("X", (0,)),)))
@@ -242,6 +302,28 @@ class TestZne:
         with pytest.raises(ValueError, match="no CNOTs"):
             zne_linear(build_product_ry(2).bind([0.1, 0.2]),
                        PauliSum.identity(2), noise=None)
+
+
+def sample_expectation(state, obs, n_shots, seed=None):
+    """Finite-shot estimate: each Pauli word is sampled as an independent
+    binomial with success probability (1 + <P>)/2."""
+    if n_shots < 1:
+        raise ValueError("n_shots must be >= 1")
+    if not obs.is_hermitian():
+        raise ValueError("observable is not Hermitian")
+    rng = np.random.default_rng(seed)
+    identity = "I" * obs.n_qubits
+    total = 0.0
+    for word, coeff in obs.items():
+        if word == identity:
+            total += coeff.real
+            continue
+        exact = expectation(state, PauliSum({word: 1.0},
+                                            n_qubits=obs.n_qubits))
+        p_plus = min(1.0, max(0.0, 0.5 * (1.0 + exact)))
+        hits = rng.binomial(n_shots, p_plus)
+        total += coeff.real * (2.0 * hits / n_shots - 1.0)
+    return total
 
 
 class TestSampling:

@@ -235,12 +235,16 @@ def random_observable(n: int, n_words: int = 10) -> PauliSum:
 
 def assert_gradient_matches_oracle(circuit, obs, noise=None, x=None):
     """Adjoint gradient against central differences of <obs>, to 1e-7
-    relative to the largest component; returns the gradient."""
+    relative to the largest component, and its final state against `run`
+    bit for bit; returns the gradient."""
     names = circuit.parameter_names
     if x is None:
         x = RNG.uniform(-math.pi, math.pi, len(names))
-    got = adjoint_gradient(circuit, expectation_matrix(obs),
-                           dict(zip(names, x)), noise=noise)
+    bindings = dict(zip(names, x))
+    final, got = adjoint_gradient(circuit, expectation_matrix(obs), bindings,
+                                  noise=noise)
+    assert np.array_equal(final.tensor,
+                          run(circuit, bindings, noise=noise).tensor)
 
     def energy(y):
         return expectation(run(circuit, dict(zip(names, y)), noise=noise),
@@ -337,8 +341,8 @@ class TestAdjointGradient:
         energies = []
         for _ in range(3):
             bindings = dict(zip(names, RNG.uniform(-3, 3, len(names))))
-            grad = adjoint_gradient(circ, expectation_matrix(obs), bindings,
-                                    noise=noise)
+            _, grad = adjoint_gradient(circ, expectation_matrix(obs),
+                                       bindings, noise=noise)
             assert np.max(np.abs(grad)) < 1e-14
             energies.append(expectation(run(circ, bindings, noise=noise),
                                         obs))
@@ -346,7 +350,7 @@ class TestAdjointGradient:
 
     def test_fixed_circuit_has_empty_gradient(self):
         circ = Circuit(1, (Gate("H", (0,)),))
-        grad = adjoint_gradient(circ, np.diag([1.0, -1.0]))
+        _, grad = adjoint_gradient(circ, np.diag([1.0, -1.0]))
         assert grad.shape == (0,)
 
     def test_unbound_parameter_rejected(self):

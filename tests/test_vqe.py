@@ -13,7 +13,7 @@ from risbvqe.embedding import LatticeSpec, SymMatrix, risb_cost, risb_solve
 from risbvqe.estimator import expectation
 from risbvqe.hamiltonians import EmbeddingHamiltonian
 from risbvqe.pauli import PauliSum
-from risbvqe.simulator import calibrate_noise, run
+from risbvqe.simulator import adjoint_gradient, calibrate_noise, run
 from risbvqe.vqe import (LandscapeTable, VqeResult, landscape_scan,
                          mr_impurity_solver, multi_start, vqe_minimize)
 
@@ -104,10 +104,35 @@ class TestSingleStart:
     def test_divergent_gradient_reported(self, monkeypatch):
         import risbvqe.vqe as vqe_module
         monkeypatch.setattr(vqe_module, "adjoint_gradient",
-                            lambda *args, **kwargs: np.array([math.inf]))
+                            lambda circuit, obs, bindings, noise=None:
+                            (run(circuit, bindings), np.array([math.inf])))
         obs, ansatz = ry_probe()
         with pytest.raises(SolverFailure, match="diverged"):
             vqe_minimize(obs, ansatz, seed=1)
+
+    @pytest.mark.parametrize("noise", [None, calibrate_noise()])
+    def test_bfgs_energy_comes_from_the_gradient_sweep(self, monkeypatch,
+                                                      noise):
+        import risbvqe.vqe as vqe_module
+        sweeps = []
+
+        def recording(circuit, observable, bindings, noise=None):
+            sweeps.append(dict(bindings))
+            return adjoint_gradient(circuit, observable, bindings,
+                                    noise=noise)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("BFGS ran a separate energy sweep")
+
+        monkeypatch.setattr(vqe_module, "adjoint_gradient", recording)
+        monkeypatch.setattr(vqe_module, "run", no_run)
+        obs, ansatz = embedded_observable(), build_hea_nc1()
+        out = vqe_minimize(obs, ansatz, noise=noise, seed=5)
+        assert len(out.trace) > 10
+        assert len(sweeps) == len(out.trace)
+        for bindings, (_, energy) in zip(sweeps, out.trace):
+            assert energy == expectation(run(ansatz, bindings, noise=noise),
+                                         obs)
 
     def test_noise_lifts_the_floor(self):
         obs, ansatz = ry_probe()
@@ -116,22 +141,6 @@ class TestSingleStart:
         ideal = -(1.0 - 4.0 * noise.effective_p1 / 3.0)
         assert out.best_energy == pytest.approx(ideal, abs=1e-6)
         assert out.best_energy > -1.0
-
-
-class TestShots:
-    def test_bfgs_rejected(self):
-        obs, ansatz = ry_probe()
-        with pytest.raises(ValueError, match="shot"):
-            vqe_minimize(obs, ansatz, n_shots=100, optimizer="bfgs")
-
-    def test_sampled_objective_runs_deterministically(self):
-        obs, ansatz = ry_probe()
-        kwargs = dict(optimizer="nelder-mead", n_shots=400, seed=21,
-                      max_iter=25)
-        first = vqe_minimize(obs, ansatz, **kwargs)
-        second = vqe_minimize(obs, ansatz, **kwargs)
-        assert first.trace == second.trace
-        assert math.isfinite(first.best_energy)
 
 
 class TestMultiStart:
