@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -231,16 +231,6 @@ class Circuit:
     def count_cnots(self) -> int:
         return sum(1 for g in self.gates if g.kind == "CNOT")
 
-    def to_text(self) -> str:
-        lines = []
-        for g in self.gates:
-            bits = [g.kind if g.axes is None else f"RPQ:{g.axes[0]}{g.axes[1]}"]
-            bits += [str(q) for q in g.qubits]
-            bits += [str(p) if isinstance(p, ParamRef) else repr(float(p))
-                     for p in g.params]
-            lines.append(" ".join(bits))
-        return "\n".join(lines)
-
 
 def decompose_circuit(circuit: Circuit) -> Circuit:
     """Expand every RPQ gate into its elementary fragment."""
@@ -347,10 +337,3 @@ def build_hea_nc1() -> Circuit:
     gates += [Gate("CNOT", (q, q + 1)) for q in range(3)]
     gates += [Gate("RY", (q,), (ParamRef(f"b{q}"),)) for q in range(4)]
     return Circuit(4, tuple(gates))
-
-
-def build_product_ry(n_qubits: int) -> Circuit:
-    """Entanglement-free baseline: one RY per qubit acting on |0...0>."""
-    gates = tuple(Gate("RY", (q,), (ParamRef(f"t{q}"),))
-                  for q in range(n_qubits))
-    return Circuit(n_qubits, gates)

@@ -1,5 +1,5 @@
-"""Observable estimation: exact expectations, 1-RDM measurement,
-parameter-shift optimizers, and zero-noise extrapolation.
+"""Observable estimation: exact expectations, 1-RDM measurement and
+parameter-shift optimizers.
 
 The 1-RDM of a simulator state is read off the exact solver's compiled
 (state, p, q, final, sign) table (`ed.ed_rdm1_full`), from the amplitudes
@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .circuits import Circuit, Gate, ParamRef
+from .circuits import Circuit, ParamRef
 from .ed import Rdm1, ed_rdm1_full
 from .pauli import PauliSum, expectation_matrix
 from .simulator import NoiseModel, QuantumState, run
@@ -154,32 +154,3 @@ def rotosolve(circuit: Circuit, obs: PauliSum, n_cycles: int = 10,
             params[name] = math.remainder(theta - math.pi / 2 - shift,
                                           2.0 * math.pi)
     return params, energy(params)
-
-
-def fold_cnots(circuit: Circuit, n_foldings: int = 1) -> Circuit:
-    """Insert ``n_foldings`` identity CNOT pairs after every CNOT."""
-    gates: list[Gate] = []
-    for gate in circuit.gates:
-        gates.append(gate)
-        if gate.kind == "CNOT":
-            gates.extend([gate] * (2 * n_foldings))
-    return Circuit(circuit.n_qubits, tuple(gates), circuit.bindings)
-
-
-def zne_linear(circuit: Circuit, obs: PauliSum,
-               noise: NoiseModel | None = None,
-               n_foldings: int = 1) -> float:
-    """Two-point linear zero-noise extrapolation via CNOT-pair insertion.
-
-    Noise levels {1, 1 + n_foldings} come from replacing each CNOT with
-    2*n_foldings + 1 copies; the line through both energies is read off at
-    level 0.  Two-qubit rotations must be expanded to CNOTs beforehand.
-    """
-    if n_foldings < 1:
-        raise ValueError("need at least one folding")
-    if circuit.count_cnots() == 0:
-        raise ValueError("no CNOTs to fold")
-    e_raw = expectation(run(circuit, noise=noise), obs)
-    e_amp = expectation(run(fold_cnots(circuit, n_foldings), noise=noise),
-                        obs)
-    return e_raw + (e_raw - e_amp) / n_foldings

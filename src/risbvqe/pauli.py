@@ -167,26 +167,6 @@ class PauliSum:
         n = len(self._terms)
         return f"PauliSum(n_qubits={self.n_qubits}, n_terms={n})"
 
-    def to_text(self) -> str:
-        """Serialize as lines ``coeff_re coeff_im WORD``, word-sorted."""
-        lines = []
-        for word in sorted(self._terms):
-            c = self._terms[word]
-            lines.append(f"{c.real!r} {c.imag!r} {word}")
-        return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, text: str, n_qubits: int | None = None) -> "PauliSum":
-        terms: dict[str, complex] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            re_s, im_s, word = line.split()
-            terms[word] = terms.get(word, 0.0) + complex(float(re_s),
-                                                         float(im_s))
-        return cls(terms, n_qubits)
-
 
 def count_terms(p: PauliSum, include_identity: bool = False) -> int:
     """Number of surviving Pauli terms.

@@ -1,14 +1,21 @@
 """Exact circuit execution on small registers.
 
-Two backends share one gate set: pure state vectors (noiseless) and density
-matrices (with optional per-gate depolarizing noise).  States are stored as
-rank-n (or rank-2n) tensors with one axis per qubit; qubit 0 is axis 0 and
-the most significant bit of the flattened index.  `adjoint_gradient`
-differentiates an expectation on either backend in one reverse sweep.
+Two backends share one gate set: pure state vectors (noiseless, one gate
+matrix at a time) and density matrices (with optional per-gate depolarizing
+noise).  States are stored as rank-n (or rank-2n) tensors with one axis per
+qubit; qubit 0 is axis 0 and the most significant bit of the flattened index.
+On the density-matrix backend a gate and its channels form one 4x4 or 16x16
+superoperator, and each maximal run of consecutive gates inside one qubit
+pair is fused into one block, the product in gate order (exact; gate fusion
+as in qsim and Qiskit Aer), applied with one transpose and one matmul.
+`adjoint_gradient` differentiates an expectation on either backend in one
+reverse sweep.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -137,37 +144,75 @@ def _apply_unitary(tensor: np.ndarray, u: np.ndarray,
     return out.transpose(np.argsort(perm))
 
 
-def _depolarize(tensor: np.ndarray, qubit: int, p: float,
-                n_qubits: int) -> np.ndarray:
-    # (1-p) rho + p/3 (X rho X + Y rho Y + Z rho Z)
-    #   = (1 - 4p/3) rho + (4p/3) (I/2 o tr_q rho)
-    if p == 0.0:
-        return tensor
+def _local(u: np.ndarray, qubits: tuple[int, ...],
+           block: tuple[int, ...]) -> np.ndarray:
+    """A gate matrix on `qubits` written on the block's qubits, in order."""
+    if qubits == block:
+        return u
+    if len(qubits) == 2:  # the block lists the pair the other way round
+        return u.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    eye = np.eye(2)
+    return np.kron(u, eye) if qubits[0] == block[0] else np.kron(eye, u)
+
+
+@functools.lru_cache(maxsize=64)
+def _depolarizer(position: int, n_block: int, p: float) -> np.ndarray:
+    """(1-p) rho + p/3 (X rho X + Y rho Y + Z rho Z) on one qubit of a block,
+    as (1 - 4p/3) rho + (2p/3) sum_ij |i><j| rho |j><i|."""
     w = 4.0 * p / 3.0
-    reduced = np.trace(tensor, axis1=qubit, axis2=n_qubits + qubit)
-    out = (1.0 - w) * tensor
-    idx: list = [slice(None)] * (2 * n_qubits)
-    for b in (0, 1):
-        idx[qubit] = b
-        idx[n_qubits + qubit] = b
-        out[tuple(idx)] += (0.5 * w) * reduced
+    out = (1.0 - w) * np.eye(4 ** n_block)
+    for unit in np.eye(4).reshape(4, 2, 2):
+        a = _local(unit, (position,), tuple(range(n_block)))
+        out += (0.5 * w) * np.kron(a, a)
+    out.setflags(write=False)
     return out
 
 
-def _conjugate(tensor: np.ndarray, u: np.ndarray, qubits: tuple[int, ...],
-               n_qubits: int) -> np.ndarray:
-    """u rho u^dag on a density tensor: rows with u, columns with u*."""
-    tensor = _apply_unitary(tensor, u, qubits)
-    return _apply_unitary(tensor, u.conj(),
-                          tuple(n_qubits + q for q in qubits))
+def _transfer(gate: Gate, left: np.ndarray, block: tuple[int, ...],
+              noise: NoiseModel | None,
+              right: np.ndarray | None = None) -> np.ndarray:
+    """Superoperator rho -> D(L rho R^dag) on the block's rows then columns,
+    with D the gate's depolarizing channels (p1 for a one-qubit gate, p2 on
+    each qubit of a two-qubit gate); R = L = U gives the noisy gate."""
+    a = _local(left, gate.qubits, block)
+    b = a if right is None else _local(right, gate.qubits, block)
+    out = np.kron(a, b.conj())
+    if noise is not None:
+        p = noise.effective_p1 if len(gate.qubits) == 1 else noise.effective_p2
+        for q in gate.qubits:
+            out = _depolarizer(block.index(q), len(block), p) @ out
+    return out
 
 
-def _gate_noise(tensor: np.ndarray, gate: Gate, noise: NoiseModel,
-                n_qubits: int) -> np.ndarray:
-    p = noise.effective_p1 if len(gate.qubits) == 1 else noise.effective_p2
-    for q in gate.qubits:
-        tensor = _depolarize(tensor, q, p, n_qubits)
-    return tensor
+def _runs(gates) -> list[tuple[tuple[int, ...], list[Gate]]]:
+    """Maximal runs of consecutive gates whose qubits fit inside one pair,
+    as (qubits in first-use order, gates)."""
+    runs: list[tuple[tuple[int, ...], list[Gate]]] = []
+    for gate in gates:
+        if runs:
+            qubits, members = runs[-1]
+            joint = qubits + tuple(q for q in gate.qubits if q not in qubits)
+            if len(joint) <= 2:
+                members.append(gate)
+                runs[-1] = (joint, members)
+                continue
+        runs.append((gate.qubits, [gate]))
+    return runs
+
+
+def _fuse(gates, n_qubits: int, bindings: Mapping[str, float],
+          noise: NoiseModel | None):
+    """One block per run: (its row and column axes, gates, factors,
+    prefixes), factors[k] the superoperator of gates[k] and prefixes[k] =
+    factors[k] ... factors[0], so prefixes[-1] is the block's S."""
+    blocks = []
+    for qubits, members in _runs(gates):
+        factors = [_transfer(g, gate_matrix(g, bindings), qubits, noise)
+                   for g in members]
+        prefixes = list(itertools.accumulate(factors, lambda s, t: t @ s))
+        axes = qubits + tuple(n_qubits + q for q in qubits)
+        blocks.append((axes, members, factors, prefixes))
+    return blocks
 
 
 def apply_gate(state: QuantumState, gate: Gate,
@@ -175,18 +220,16 @@ def apply_gate(state: QuantumState, gate: Gate,
                noise: NoiseModel | None = None) -> QuantumState:
     """Unitary action followed, on the mixed backend, by one depolarizing
     channel per touched qubit (p1 for one-qubit gates, p2 per qubit of a
-    two-qubit gate)."""
+    two-qubit gate); there the gate is a block of one."""
     if noise is not None and state.kind == "pure":
         raise ValueError("noise requires the density-matrix backend")
-    u = gate_matrix(gate, bindings or {})
     n = state.n_qubits
     if state.kind == "pure":
+        u = gate_matrix(gate, bindings or {})
         return QuantumState(n, "pure",
                             _apply_unitary(state.tensor, u, gate.qubits))
-    tensor = _conjugate(state.tensor, u, gate.qubits, n)
-    if noise is not None:
-        tensor = _gate_noise(tensor, gate, noise, n)
-    return QuantumState(n, "mixed", tensor)
+    ((axes, _, _, (s,)),) = _fuse((gate,), n, bindings or {}, noise)
+    return QuantumState(n, "mixed", _apply_unitary(state.tensor, s, axes))
 
 
 def _bound(circuit: Circuit,
@@ -206,9 +249,14 @@ def run(circuit: Circuit, bindings: Mapping[str, float] | None = None,
     resolved = _bound(circuit, bindings)
     if mixed is None:
         mixed = noise is not None
-    state = QuantumState.zero(circuit.n_qubits, mixed=mixed)
-    for gate in circuit.gates:
-        state = apply_gate(state, gate, resolved, noise)
+    n = circuit.n_qubits
+    state = QuantumState.zero(n, mixed=mixed)
+    if not mixed:
+        for gate in circuit.gates:
+            state = apply_gate(state, gate, resolved)
+        return state
+    for axes, _, _, prefixes in _fuse(circuit.gates, n, resolved, noise):
+        state.tensor = _apply_unitary(state.tensor, prefixes[-1], axes)
     return state
 
 
@@ -231,41 +279,58 @@ def adjoint_gradient(circuit: Circuit, observable: np.ndarray,
     and one reverse sweep (Jones & Gacon, arXiv:2009.02823).
 
     `observable` is the dense Hermitian 2^n x 2^n matrix of O.  The forward
-    sweep keeps the state entering each parameterized gate.  The reverse
-    sweep carries lambda = O psi (pure backend) or O itself (mixed backend,
-    Heisenberg picture) back through every gate; each depolarizing channel
-    is self-adjoint, so this is exact at every allowed strength.  Once
-    lambda sits before gate k, the gate contributes
-    2 Re <lambda| U^dag dU |state entering k>, the Hilbert-Schmidt product
-    on the mixed backend.
+    sweep keeps the state entering each parameterized gate, or each block
+    holding one.  The reverse sweep carries lambda = O psi back through each
+    U^dag (pure), or O back through each block's S^dag (mixed, Heisenberg
+    picture, exact at every noise strength).  A gate then adds
+    2 Re <lambda| U^dag dU |psi>, a block Re sum(dS * M) with M the overlap
+    of lambda after it and the tensor entering it over the block's axes.
     """
     resolved = _bound(circuit, bindings)
     n = circuit.n_qubits
-    mixed = noise is not None
-    state = QuantumState.zero(n, mixed=mixed)
-    entering: list[np.ndarray] = []
-    for gate in circuit.gates:
-        if gate.param_names():
-            entering.append(state.tensor)
-        state = apply_gate(state, gate, resolved, noise)
-    observable = np.asarray(observable, dtype=complex)
-    shape = state.tensor.shape
-    if mixed:
-        lam = observable.reshape(shape)
-    else:
-        lam = (observable @ state.tensor.reshape(-1)).reshape(shape)
     index = {name: i for i, name in enumerate(circuit.parameter_names)}
     grad = np.zeros(len(index))
-    for gate in reversed(circuit.gates):
-        u_dag = gate_matrix(gate, resolved).conj().T
-        if mixed:
-            lam = _conjugate(_gate_noise(lam, gate, noise, n), u_dag,
-                             gate.qubits, n)
-        else:
+    observable = np.asarray(observable, dtype=complex)
+    if noise is None:
+        state = QuantumState.zero(n)
+        entering: list[np.ndarray] = []
+        for gate in circuit.gates:
+            if gate.param_names():
+                entering.append(state.tensor)
+            state = apply_gate(state, gate, resolved)
+        lam = (observable @ state.vector()).reshape(state.tensor.shape)
+        for gate in reversed(circuit.gates):
+            u_dag = gate_matrix(gate, resolved).conj().T
             lam = _apply_unitary(lam, u_dag, gate.qubits)
-        derivatives = gate_derivatives(gate, resolved)
-        if derivatives:
-            overlap = _overlap(lam, entering.pop(), gate.qubits)
-            for name, du in derivatives:
-                grad[index[name]] += 2.0 * np.sum((u_dag @ du) * overlap).real
-    return state, grad
+            derivatives = gate_derivatives(gate, resolved)
+            if derivatives:
+                overlap = _overlap(lam, entering.pop(), gate.qubits)
+                for name, du in derivatives:
+                    grad[index[name]] += 2.0 * np.sum((u_dag @ du)
+                                                      * overlap).real
+        return state, grad
+    blocks = _fuse(circuit.gates, n, resolved, noise)
+    rho = QuantumState.zero(n, mixed=True).tensor
+    entering = []
+    for axes, gates, _, prefixes in blocks:
+        if any(g.param_names() for g in gates):
+            entering.append(rho)
+        rho = _apply_unitary(rho, prefixes[-1], axes)
+    lam = observable.reshape(rho.shape)
+    for axes, gates, factors, prefixes in reversed(blocks):
+        qubits = axes[:len(axes) // 2]
+        if any(g.param_names() for g in gates):
+            overlap = _overlap(lam, entering.pop(), axes)
+            # dS for a slot of gate j: T_m ... T_(j+1) dT_j T_(j-1) ... T_1
+            # with dT_j = D (dU o U* + U o dU*); S^dag then moves lambda.
+            after = np.eye(len(overlap))
+            for j in range(len(gates) - 1, -1, -1):
+                u = gate_matrix(gates[j], resolved)
+                for name, du in gate_derivatives(gates[j], resolved):
+                    d_s = (_transfer(gates[j], du, qubits, noise, right=u)
+                           + _transfer(gates[j], u, qubits, noise, right=du))
+                    d_s = d_s @ prefixes[j - 1] if j else d_s
+                    grad[index[name]] += np.sum((after @ d_s) * overlap).real
+                after = after @ factors[j]
+        lam = _apply_unitary(lam, prefixes[-1].conj().T, axes)
+    return QuantumState(n, "mixed", rho), grad

@@ -4,14 +4,15 @@ Everything here works by explicit bit manipulation on full 2^n arrays so it
 stays independent of the package's tensor-contraction simulator and of the
 Jordan-Wigner encoding; the one exception is `pauli_rdm1_full`, the
 Pauli-expectation 1-RDM that the compiled table is checked against.  Qubit 0
-is the most significant bit, mode p sits on qubit p.
+is the most significant bit, mode p sits on qubit p.  `build_product_ry` is
+the entanglement-free ansatz several tests run.
 """
 
 import functools
 
 import numpy as np
 
-from risbvqe.circuits import gate_matrix
+from risbvqe.circuits import Circuit, Gate, ParamRef, gate_matrix
 from risbvqe.embedding import bath_kernel, bath_kernel_slope
 from risbvqe.estimator import expectation
 from risbvqe.pauli import FermionOperator, jordan_wigner
@@ -260,6 +261,38 @@ def noisy_density(circuit, noise, bindings=None):
             for q in g.qubits:
                 rho = depolarize_rho(rho, q, p, circuit.n_qubits)
     return rho
+
+
+def superoperator_density(circuit, noise, bindings=None):
+    """Density matrix of a circuit from one dense 4^n x 4^n superoperator
+    per gate, acting on the row-major vector of rho: U o U* for the gate,
+    then (1-p) 1 + (p/3) sum_P P o P* for each touched qubit."""
+    b = circuit.resolved_bindings(bindings)
+    n = circuit.n_qubits
+    dim = 2 ** n
+    vec = np.zeros(dim * dim, dtype=complex)
+    vec[0] = 1.0
+    for g in circuit.gates:
+        u = embed_gate(n, g, b)
+        step = np.kron(u, u.conj())
+        p = 0.0
+        if noise is not None:
+            p = noise.effective_p1 if len(g.qubits) == 1 else noise.effective_p2
+        for q in g.qubits:
+            channel = (1.0 - p) * np.eye(dim * dim, dtype=complex)
+            for ch in "XYZ":
+                op = word_mat("".join(ch if k == q else "I" for k in range(n)))
+                channel = channel + (p / 3.0) * np.kron(op, op.conj())
+            step = channel @ step
+        vec = step @ vec
+    return vec.reshape(dim, dim)
+
+
+def build_product_ry(n_qubits):
+    """Entanglement-free test ansatz: one RY per qubit acting on |0...0>."""
+    gates = tuple(Gate("RY", (q,), (ParamRef(f"t{q}"),))
+                  for q in range(n_qubits))
+    return Circuit(n_qubits, gates)
 
 
 def finite_difference_gradient(fn, x, step=1e-6):

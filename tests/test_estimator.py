@@ -9,15 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risbvqe.circuits import Circuit, Gate, ParamRef, build_hea_nc1, \
-    build_mr_nc1, build_mrep, build_product_ry
-from risbvqe.estimator import (Rdm1, expectation, fold_cnots, measure_rdm1,
-                               parameter_shift_minimize, rotosolve,
-                               zne_linear)
+    build_mr_nc1, build_mrep
+from risbvqe.estimator import (Rdm1, expectation, measure_rdm1,
+                               parameter_shift_minimize, rotosolve)
 from risbvqe.pauli import PauliSum
 from risbvqe.simulator import NoiseModel, QuantumState, calibrate_noise, run
 
-from oracles import (noisy_density, oracle_rdm1_density, oracle_rdm1_full,
-                     pauli_rdm1_full, word_mat)
+from oracles import (build_product_ry, noisy_density, oracle_rdm1_density,
+                     oracle_rdm1_full, pauli_rdm1_full, word_mat)
 
 RNG = np.random.default_rng(97531)
 
@@ -246,6 +245,35 @@ class TestRotosolve:
     def test_requires_initial_values(self):
         with pytest.raises(ValueError, match="missing"):
             rotosolve(build_product_ry(2), PauliSum.identity(2), n_cycles=1)
+
+
+def fold_cnots(circuit: Circuit, n_foldings: int = 1) -> Circuit:
+    """Insert ``n_foldings`` identity CNOT pairs after every CNOT."""
+    gates: list[Gate] = []
+    for gate in circuit.gates:
+        gates.append(gate)
+        if gate.kind == "CNOT":
+            gates.extend([gate] * (2 * n_foldings))
+    return Circuit(circuit.n_qubits, tuple(gates), circuit.bindings)
+
+
+def zne_linear(circuit: Circuit, obs: PauliSum,
+               noise: NoiseModel | None = None,
+               n_foldings: int = 1) -> float:
+    """Two-point linear zero-noise extrapolation via CNOT-pair insertion.
+
+    Noise levels {1, 1 + n_foldings} come from replacing each CNOT with
+    2*n_foldings + 1 copies; the line through both energies is read off at
+    level 0.  Two-qubit rotations must be expanded to CNOTs beforehand.
+    """
+    if n_foldings < 1:
+        raise ValueError("need at least one folding")
+    if circuit.count_cnots() == 0:
+        raise ValueError("no CNOTs to fold")
+    e_raw = expectation(run(circuit, noise=noise), obs)
+    e_amp = expectation(run(fold_cnots(circuit, n_foldings), noise=noise),
+                        obs)
+    return e_raw + (e_raw - e_amp) / n_foldings
 
 
 def bell_variant() -> Circuit:

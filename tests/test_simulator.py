@@ -5,16 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risbvqe.circuits import (Circuit, Gate, ParamRef, build_hea_nc1,
-                              build_mr_nc1,
+                              build_ldca, build_mr_nc1,
                               build_mrep, decompose_circuit)
 from risbvqe.estimator import expectation
 from risbvqe.pauli import PauliSum, expectation_matrix
-from risbvqe.simulator import (NoiseModel, QuantumState, adjoint_gradient,
-                               apply_gate, calibrate_noise, run)
+from risbvqe.simulator import (NoiseModel, QuantumState, _runs,
+                               adjoint_gradient, apply_gate, calibrate_noise,
+                               run)
 
-from oracles import dense_state, finite_difference_gradient
+from oracles import (dense_state, finite_difference_gradient, noisy_density,
+                     superoperator_density)
 
 RNG = np.random.default_rng(20240811)
 
@@ -215,6 +219,78 @@ class TestDepolarizing:
         assert abs(f_ave - (1.0 - eps)) < 1e-14
 
 
+ONE_QUBIT_KINDS = ("RX", "RY", "RZ", "X", "H")
+TWO_QUBIT_KINDS = ("CNOT", "FSIM", "RPQ")
+N_ANGLES = {"RX": 1, "RY": 1, "RZ": 1, "X": 0, "H": 0, "CNOT": 0,
+            "FSIM": 2, "RPQ": 1}
+NOISES = {"noiseless": None, "calibrated": calibrate_noise(),
+          "erasing": NoiseModel(0.75, 0.75)}
+
+
+@st.composite
+def random_circuits(draw):
+    """1-14 gates of every kind, RPQ on any of the nine axis pairs, on 1-4
+    qubits; few qubits make runs inside one pair, reversed pairs and
+    one-qubit gates on either side of a pair common."""
+    n = draw(st.integers(1, 4))
+    kinds = ONE_QUBIT_KINDS + (TWO_QUBIT_KINDS if n > 1 else ())
+    angle = st.floats(-math.pi, math.pi)
+    gates = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(kinds))
+        arity = 2 if kind in TWO_QUBIT_KINDS else 1
+        qubits = tuple(draw(st.permutations(range(n)))[:arity])
+        params = tuple(draw(angle) for _ in range(N_ANGLES[kind]))
+        axes = (draw(st.sampled_from([(a, b) for a in "XYZ" for b in "XYZ"]))
+                if kind == "RPQ" else None)
+        gates.append(Gate(kind, qubits, params, axes=axes))
+    return Circuit(n, tuple(gates))
+
+
+def assert_matches_dense_oracles(circuit, noise):
+    """The fused `run`, gate-by-gate `apply_gate` and both dense oracles
+    agree to 1e-12."""
+    want = superoperator_density(circuit, noise)
+    np.testing.assert_allclose(noisy_density(circuit, noise), want,
+                               rtol=0, atol=1e-12)
+    fused = run(circuit, noise=noise, mixed=True).density()
+    np.testing.assert_allclose(fused, want, rtol=0, atol=1e-12)
+    state = QuantumState.zero(circuit.n_qubits, mixed=True)
+    for gate in circuit.gates:
+        state = apply_gate(state, gate, noise=noise)
+    np.testing.assert_allclose(state.density(), want, rtol=0, atol=1e-12)
+
+
+class TestFusedBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(random_circuits(), st.sampled_from(sorted(NOISES)))
+    def test_matches_dense_oracles(self, circuit, noise):
+        assert_matches_dense_oracles(circuit, NOISES[noise])
+
+    @pytest.mark.parametrize("noise", sorted(NOISES))
+    def test_block_boundaries(self, noise):
+        gates = (
+            # a one-qubit gate on b, then the pair listed as (a, b) and
+            # right after as (b, a), then one-qubit gates on either qubit
+            Gate("RX", (1,), (0.3,)), Gate("FSIM", (0, 1), (0.7, -1.1)),
+            Gate("RPQ", (1, 0), (0.4,), axes=("X", "Y")),
+            Gate("RZ", (0,), (1.3,)), Gate("H", (1,)),
+            # a new pair sharing qubit 1, entered from its other qubit
+            Gate("RY", (2,), (-0.8,)), Gate("CNOT", (1, 2)),
+            Gate("RPQ", (2, 1), (0.9,), axes=("Z", "Y")),
+            Gate("X", (1,)),
+            # two one-qubit gates on different qubits share a block
+            Gate("H", (0,)), Gate("RY", (2,), (0.5,)))
+        circuit = Circuit(3, gates)
+        assert [q for q, _ in _runs(gates)] == [(1, 0), (2, 1), (0, 2)]
+        assert_matches_dense_oracles(circuit, NOISES[noise])
+
+    def test_block_counts(self):
+        assert len(_runs(build_mrep(2, 4).gates)) == 34
+        assert len(_runs(decompose_circuit(build_ldca(8, 1)).gates)) == 32
+        assert len(_runs(build_ldca(8, 1).gates)) == 32
+
+
 def all_kinds_circuit() -> Circuit:
     """Every gate kind on two qubits, with a scaled parameter slot."""
     ref = ParamRef
@@ -347,6 +423,42 @@ class TestAdjointGradient:
             energies.append(expectation(run(circ, bindings, noise=noise),
                                         obs))
         assert np.ptp(energies) < 1e-14
+
+    @pytest.mark.parametrize("expand", [False, True])
+    def test_block_of_five_rotations(self, expand):
+        # Native LDCA puts each pair's five RPQ rotations (35 gates once
+        # expanded, with RZ slots at scale -2) into one block.
+        circ = build_ldca(4, 1)
+        if expand:
+            circ = decompose_circuit(circ)
+        assert max(sum(1 for g in members if g.param_names())
+                   for _, members in _runs(circ.gates)) >= 5
+        assert_gradient_matches_oracle(circ, random_observable(4, 12),
+                                       noise=calibrate_noise())
+
+    def test_name_shared_inside_one_block(self):
+        circ = Circuit(2, (Gate("RY", (0,), (ParamRef("s"),)),
+                           Gate("RPQ", (0, 1), (ParamRef("s"),),
+                                axes=("X", "Z")),
+                           Gate("FSIM", (1, 0), (ParamRef("t"),
+                                                 ParamRef("s", 0.5))),
+                           Gate("RX", (1,), (ParamRef("t"),))))
+        assert len(_runs(circ.gates)) == 1
+        obs = random_observable(2, 6)
+        for noise in (calibrate_noise(), NoiseModel(0.3, 0.2)):
+            grad = assert_gradient_matches_oracle(circ, obs, noise=noise)
+            assert np.max(np.abs(grad)) > 1e-3
+
+    def test_scaled_slot_inside_one_block(self):
+        circ = Circuit(2, (Gate("H", (0,)),
+                           Gate("RZ", (1,), (ParamRef("c", scale=-2.0),)),
+                           Gate("CNOT", (0, 1)),
+                           Gate("RY", (1,), (ParamRef("a"),)),
+                           Gate("RZ", (0,), (ParamRef("c", scale=-2.0),))))
+        assert len(_runs(circ.gates)) == 1
+        grad = assert_gradient_matches_oracle(circ, random_observable(2, 6),
+                                              noise=calibrate_noise())
+        assert np.max(np.abs(grad)) > 1e-3
 
     def test_fixed_circuit_has_empty_gradient(self):
         circ = Circuit(1, (Gate("H", (0,)),))

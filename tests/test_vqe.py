@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from risbvqe import SolverFailure
-from risbvqe.circuits import build_hea_nc1, build_mr_nc1, build_product_ry
+from risbvqe.circuits import build_hea_nc1, build_mr_nc1
 from risbvqe.ed import SectorLabel, ground_state
 from risbvqe.embedding import LatticeSpec, SymMatrix, risb_cost, risb_solve
 from risbvqe.estimator import expectation
@@ -17,7 +17,7 @@ from risbvqe.simulator import adjoint_gradient, calibrate_noise, run
 from risbvqe.vqe import (LandscapeTable, VqeResult, landscape_scan,
                          mr_impurity_solver, multi_start, vqe_minimize)
 
-from oracles import finite_difference_gradient
+from oracles import build_product_ry, finite_difference_gradient
 
 
 def ry_probe() -> tuple[PauliSum, object]:
