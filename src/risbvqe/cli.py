@@ -81,15 +81,14 @@ from .circuits import (Circuit, build_hea_nc1, build_ldca, build_mr_nc1,
 from .ed import ground_state, half_filling_sector
 from .embedding import (LatticeSpec, SymMatrix, classical_point, eps_loc,
                         risb_sweep)
-from .noization import exact_no_basis, noize, rotate_hamiltonian, \
-    vqe_impurity_solver
+from .noization import BASIS_MODES, exact_no_basis, noize, \
+    rotate_hamiltonian, vqe_impurity_solver
 from .runio import config_hash, read_table, write_csv, write_json
 from .simulator import calibrate_noise
 from .vqe import landscape_scan, multi_start, vqe_minimize
 
 KINDS = ("vqe", "noize", "risb-sweep", "landscape", "ed-reference")
 ANSATZE = ("ed", "mr", "mrep", "ldca", "hea")
-BASES = ("original", "exact-no", "noize")
 OPTIMIZERS = ("bfgs", "nelder-mead")
 NOISE_MODES = ("off", "calibrated", "scale")
 
@@ -220,7 +219,7 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.kind:
         choose(cfg.kind, KINDS, "[run] kind")
     choose(cfg.ansatz, ANSATZE, "[ansatz] tag")
-    choose(cfg.basis, BASES, "[ansatz] basis")
+    choose(cfg.basis, BASIS_MODES, "[ansatz] basis")
     choose(cfg.optimizer, OPTIMIZERS, "[optimizer] tag")
     choose(cfg.noise_mode, NOISE_MODES, "[noise] mode")
     if cfg.n_c not in (1, 2):

@@ -217,8 +217,8 @@ def ed_rdm1_full(state: np.ndarray) -> np.ndarray:
         raise ValueError(f"density matrix of shape {state.shape} is not "
                          f"square")
     dim = state.shape[0] if density else state.size
-    m = int(round(np.log2(dim)))
-    if 2 ** m != dim:
+    m = dim.bit_length() - 1
+    if dim < 1 or 1 << m != dim:
         raise ValueError(f"state dimension {dim} is not a power of two")
     idx, p, q, final, sign = _rdm1_table(m)
     if density:

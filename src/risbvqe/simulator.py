@@ -1,15 +1,17 @@
 """Exact circuit execution on small registers.
 
-Two backends share one gate set: pure state vectors (noiseless, one gate
-matrix at a time) and density matrices (with optional per-gate depolarizing
+Two backends share one gate set and one engine: pure state vectors
+(noiseless) and density matrices (with optional per-gate depolarizing
 noise).  States are stored as rank-n (or rank-2n) tensors with one axis per
 qubit; qubit 0 is axis 0 and the most significant bit of the flattened index.
-On the density-matrix backend a gate and its channels form one 4x4 or 16x16
+`_fuse` compiles a circuit into blocks, each applied with one transpose and
+one matmul, and `run`, `apply_gate` and `adjoint_gradient` walk those
+blocks on either backend.  On a pure state a block is one gate matrix.  On
+a density matrix a gate and its channels form one 4x4 or 16x16
 superoperator, and each maximal run of consecutive gates inside one qubit
 pair is fused into one block, the product in gate order (exact; gate fusion
-as in qsim and Qiskit Aer), applied with one transpose and one matmul.
-`adjoint_gradient` differentiates an expectation on either backend in one
-reverse sweep.
+as in qsim and Qiskit Aer).  `adjoint_gradient` differentiates an
+expectation in one reverse sweep over the same blocks.
 """
 
 from __future__ import annotations
@@ -89,16 +91,16 @@ class QuantumState:
     @classmethod
     def from_vector(cls, vec) -> "QuantumState":
         vec = np.asarray(vec, dtype=complex).ravel()
-        n = int(round(math.log2(vec.size)))
-        if 2 ** n != vec.size:
+        n = vec.size.bit_length() - 1
+        if vec.size < 1 or 1 << n != vec.size:
             raise ValueError("amplitude vector length is not a power of two")
         return cls(n, "pure", vec.reshape((2,) * n))
 
     @classmethod
     def from_density(cls, rho) -> "QuantumState":
         rho = np.asarray(rho, dtype=complex)
-        n = int(round(math.log2(rho.shape[0])))
-        if rho.shape != (2 ** n, 2 ** n):
+        n = rho.shape[0].bit_length() - 1
+        if rho.shape[0] < 1 or rho.shape != (1 << n, 1 << n):
             raise ValueError("density matrix must be square power-of-two")
         return cls(n, "mixed", rho.reshape((2,) * (2 * n)))
 
@@ -201,10 +203,20 @@ def _runs(gates) -> list[tuple[tuple[int, ...], list[Gate]]]:
 
 
 def _fuse(gates, n_qubits: int, bindings: Mapping[str, float],
-          noise: NoiseModel | None):
-    """One block per run: (its row and column axes, gates, factors,
-    prefixes), factors[k] the superoperator of gates[k] and prefixes[k] =
-    factors[k] ... factors[0], so prefixes[-1] is the block's S."""
+          noise: NoiseModel | None, mixed: bool):
+    """One block per run: (its axes, gates, factors, prefixes), factors[k]
+    the action of gates[k] on the block and prefixes[k] = factors[k] ...
+    factors[0], so prefixes[-1] is the block's S.
+
+    On a density matrix a block is a run of `_runs`, its axes are the rows
+    then the columns of its qubits and a factor is D(U o U*).  On a pure
+    state a block is one gate on its own qubits and its factor is U: fusing
+    does not pay on 2^n amplitudes."""
+    if not mixed:
+        if noise is not None:
+            raise ValueError("noise requires the density-matrix backend")
+        matrices = [gate_matrix(g, bindings) for g in gates]
+        return [(g.qubits, [g], [u], [u]) for g, u in zip(gates, matrices)]
     blocks = []
     for qubits, members in _runs(gates):
         factors = [_transfer(g, gate_matrix(g, bindings), qubits, noise)
@@ -220,16 +232,11 @@ def apply_gate(state: QuantumState, gate: Gate,
                noise: NoiseModel | None = None) -> QuantumState:
     """Unitary action followed, on the mixed backend, by one depolarizing
     channel per touched qubit (p1 for one-qubit gates, p2 per qubit of a
-    two-qubit gate); there the gate is a block of one."""
-    if noise is not None and state.kind == "pure":
-        raise ValueError("noise requires the density-matrix backend")
-    n = state.n_qubits
-    if state.kind == "pure":
-        u = gate_matrix(gate, bindings or {})
-        return QuantumState(n, "pure",
-                            _apply_unitary(state.tensor, u, gate.qubits))
-    ((axes, _, _, (s,)),) = _fuse((gate,), n, bindings or {}, noise)
-    return QuantumState(n, "mixed", _apply_unitary(state.tensor, s, axes))
+    two-qubit gate); the gate is a block of one."""
+    ((axes, _, _, (s,)),) = _fuse((gate,), state.n_qubits, bindings or {},
+                                  noise, state.kind == "mixed")
+    return QuantumState(state.n_qubits, state.kind,
+                        _apply_unitary(state.tensor, s, axes))
 
 
 def _bound(circuit: Circuit,
@@ -245,17 +252,14 @@ def run(circuit: Circuit, bindings: Mapping[str, float] | None = None,
         noise: NoiseModel | None = None,
         mixed: bool | None = None) -> QuantumState:
     """Execute from |0...0>; the backend follows the noise setting unless
-    forced with `mixed`."""
+    forced with `mixed`, and noise on the pure backend raises ValueError."""
     resolved = _bound(circuit, bindings)
     if mixed is None:
         mixed = noise is not None
     n = circuit.n_qubits
     state = QuantumState.zero(n, mixed=mixed)
-    if not mixed:
-        for gate in circuit.gates:
-            state = apply_gate(state, gate, resolved)
-        return state
-    for axes, _, _, prefixes in _fuse(circuit.gates, n, resolved, noise):
+    for axes, _, _, prefixes in _fuse(circuit.gates, n, resolved, noise,
+                                      mixed):
         state.tensor = _apply_unitary(state.tensor, prefixes[-1], axes)
     return state
 
@@ -276,61 +280,56 @@ def adjoint_gradient(circuit: Circuit, observable: np.ndarray,
                      ) -> tuple[QuantumState, np.ndarray]:
     """The final state (the one `run` returns) and the exact
     d<O>/d(parameter) in `circuit.parameter_names` order, from one forward
-    and one reverse sweep (Jones & Gacon, arXiv:2009.02823).
+    and one reverse sweep over the blocks of `_fuse` (Jones & Gacon,
+    arXiv:2009.02823).
 
     `observable` is the dense Hermitian 2^n x 2^n matrix of O.  The forward
-    sweep keeps the state entering each parameterized gate, or each block
-    holding one.  The reverse sweep carries lambda = O psi back through each
-    U^dag (pure), or O back through each block's S^dag (mixed, Heisenberg
-    picture, exact at every noise strength).  A gate then adds
-    2 Re <lambda| U^dag dU |psi>, a block Re sum(dS * M) with M the overlap
-    of lambda after it and the tensor entering it over the block's axes.
+    sweep keeps the tensor entering each block that holds a parameterized
+    gate.  The reverse sweep carries lambda back through each block's
+    S^dag, starting from O psi on a pure state and from O itself on a
+    density matrix (Heisenberg picture, exact at every noise strength).  A
+    block adds w Re sum(dS * M), with M the overlap of lambda after it and
+    the tensor entering it over the block's axes, dS the derivative of its
+    S, and w = 2 for a pure state (psi enters <O> twice), 1 for a density
+    matrix.
     """
     resolved = _bound(circuit, bindings)
     n = circuit.n_qubits
+    mixed = noise is not None
     index = {name: i for i, name in enumerate(circuit.parameter_names)}
     grad = np.zeros(len(index))
     observable = np.asarray(observable, dtype=complex)
-    if noise is None:
-        state = QuantumState.zero(n)
-        entering: list[np.ndarray] = []
-        for gate in circuit.gates:
-            if gate.param_names():
-                entering.append(state.tensor)
-            state = apply_gate(state, gate, resolved)
-        lam = (observable @ state.vector()).reshape(state.tensor.shape)
-        for gate in reversed(circuit.gates):
-            u_dag = gate_matrix(gate, resolved).conj().T
-            lam = _apply_unitary(lam, u_dag, gate.qubits)
-            derivatives = gate_derivatives(gate, resolved)
-            if derivatives:
-                overlap = _overlap(lam, entering.pop(), gate.qubits)
-                for name, du in derivatives:
-                    grad[index[name]] += 2.0 * np.sum((u_dag @ du)
-                                                      * overlap).real
-        return state, grad
-    blocks = _fuse(circuit.gates, n, resolved, noise)
-    rho = QuantumState.zero(n, mixed=True).tensor
-    entering = []
+    blocks = _fuse(circuit.gates, n, resolved, noise, mixed)
+    tensor = QuantumState.zero(n, mixed=mixed).tensor
+    entering: list[np.ndarray] = []
     for axes, gates, _, prefixes in blocks:
         if any(g.param_names() for g in gates):
-            entering.append(rho)
-        rho = _apply_unitary(rho, prefixes[-1], axes)
-    lam = observable.reshape(rho.shape)
+            entering.append(tensor)
+        tensor = _apply_unitary(tensor, prefixes[-1], axes)
+    if mixed:
+        lam, weight = observable.reshape(tensor.shape), 1.0
+    else:
+        lam = (observable @ tensor.reshape(-1)).reshape(tensor.shape)
+        weight = 2.0
     for axes, gates, factors, prefixes in reversed(blocks):
-        qubits = axes[:len(axes) // 2]
         if any(g.param_names() for g in gates):
             overlap = _overlap(lam, entering.pop(), axes)
             # dS for a slot of gate j: T_m ... T_(j+1) dT_j T_(j-1) ... T_1
-            # with dT_j = D (dU o U* + U o dU*); S^dag then moves lambda.
-            after = np.eye(len(overlap))
+            # with dT_j = dU (pure) or D (dU o U* + U o dU*) (mixed).
+            after = None
             for j in range(len(gates) - 1, -1, -1):
-                u = gate_matrix(gates[j], resolved)
-                for name, du in gate_derivatives(gates[j], resolved):
-                    d_s = (_transfer(gates[j], du, qubits, noise, right=u)
-                           + _transfer(gates[j], u, qubits, noise, right=du))
+                derivatives = gate_derivatives(gates[j], resolved)
+                if mixed and derivatives:
+                    u = gate_matrix(gates[j], resolved)
+                    qubits = axes[:len(axes) // 2]
+                    derivatives = [
+                        (name, _transfer(gates[j], du, qubits, noise, right=u)
+                         + _transfer(gates[j], u, qubits, noise, right=du))
+                        for name, du in derivatives]
+                for name, d_s in derivatives:
                     d_s = d_s @ prefixes[j - 1] if j else d_s
-                    grad[index[name]] += np.sum((after @ d_s) * overlap).real
-                after = after @ factors[j]
+                    d_s = d_s if after is None else after @ d_s
+                    grad[index[name]] += weight * np.sum(d_s * overlap).real
+                after = factors[j] if after is None else after @ factors[j]
         lam = _apply_unitary(lam, prefixes[-1].conj().T, axes)
-    return QuantumState(n, "mixed", rho), grad
+    return QuantumState(n, "mixed" if mixed else "pure", tensor), grad

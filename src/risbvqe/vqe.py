@@ -10,7 +10,6 @@ at each node.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -40,9 +39,7 @@ class VqeResult:
     converged: bool
     parameter_names: tuple
     n_iter: int = 0
-    wall_seconds: float = 0.0
     start_energies: list = field(default_factory=list)
-    start_traces: list = field(default_factory=list)
 
     def bindings(self) -> dict:
         return dict(zip(self.parameter_names, self.best_params))
@@ -112,7 +109,6 @@ def vqe_minimize(observable: PauliSum, ansatz: Circuit,
             best.update(energy=value, x=np.asarray(x, dtype=float).copy())
         return (value, grad) if bfgs else value
 
-    started = time.perf_counter()
     if bfgs:
         result = minimize(traced, x0, method="BFGS", jac=True,
                           options={"gtol": GRADIENT_TOL,
@@ -124,8 +120,7 @@ def vqe_minimize(observable: PauliSum, ansatz: Circuit,
     return VqeResult(best_params=best["x"], best_energy=best["energy"],
                      trace=trace, n_starts=1,
                      converged=bool(result.success),
-                     parameter_names=names, n_iter=int(result.nit),
-                     wall_seconds=time.perf_counter() - started)
+                     parameter_names=names, n_iter=int(result.nit))
 
 
 def multi_start(observable: PauliSum, ansatz: Circuit, n_starts: int = 5,
@@ -138,18 +133,15 @@ def multi_start(observable: PauliSum, ansatz: Circuit, n_starts: int = 5,
     n_params = len(ansatz.parameter_names)
     winner: VqeResult | None = None
     energies: list[float] = []
-    traces: list[list] = []
     for index in range(n_starts):
         x0 = rng.uniform(-math.pi, math.pi, n_params)
         outcome = vqe_minimize(observable, ansatz, x0=x0,
                                seed=int(rng.integers(2 ** 63)), **kwargs)
         energies.append(outcome.best_energy)
-        traces.append(outcome.trace)
         if winner is None or outcome.best_energy < winner.best_energy:
             winner = outcome
     winner.n_starts = n_starts
     winner.start_energies = energies
-    winner.start_traces = traces
     return winner
 
 

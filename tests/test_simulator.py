@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from risbvqe.circuits import (Circuit, Gate, ParamRef, build_hea_nc1,
                               build_ldca, build_mr_nc1,
                               build_mrep, decompose_circuit)
+from risbvqe.ed import ed_rdm1_full
 from risbvqe.estimator import expectation
 from risbvqe.pauli import PauliSum, expectation_matrix
 from risbvqe.simulator import (NoiseModel, QuantumState, _runs,
@@ -103,6 +104,15 @@ class TestQuantumState:
         with pytest.raises(ValueError):
             QuantumState.from_density(np.ones((4, 2)))
 
+    @pytest.mark.parametrize("read, empty, message", [
+        (QuantumState.from_vector, [], "vector length is not a power"),
+        (QuantumState.from_density, np.zeros((0, 0)), "square power-of-two"),
+        (ed_rdm1_full, np.zeros(0), "dimension 0 is not a power of two")],
+        ids=["from_vector", "from_density", "ed_rdm1_full"])
+    def test_empty_inputs(self, read, empty, message):
+        with pytest.raises(ValueError, match=message):
+            read(empty)
+
     def test_check_flags_bad_density(self):
         rho = np.diag([0.7, 0.4]).astype(complex)
         with pytest.raises(ValueError):
@@ -142,6 +152,11 @@ class TestUnitaryAction:
         nm = NoiseModel(0.01, 0.01)
         with pytest.raises(ValueError):
             apply_gate(QuantumState.zero(1), Gate("X", (0,)), noise=nm)
+
+    def test_run_noise_requires_density(self):
+        circ = build_mr_nc1(theta=0.4)
+        with pytest.raises(ValueError, match="density-matrix backend"):
+            run(circ, noise=NoiseModel(0.01, 0.01), mixed=False)
 
 
 class TestDepolarizing:
@@ -228,13 +243,13 @@ NOISES = {"noiseless": None, "calibrated": calibrate_noise(),
 
 
 @st.composite
-def random_circuits(draw):
+def random_circuits(draw, angle=st.floats(-math.pi, math.pi)):
     """1-14 gates of every kind, RPQ on any of the nine axis pairs, on 1-4
-    qubits; few qubits make runs inside one pair, reversed pairs and
-    one-qubit gates on either side of a pair common."""
+    qubits, each angle drawn from `angle`; few qubits make runs inside one
+    pair, reversed pairs and one-qubit gates on either side of a pair
+    common."""
     n = draw(st.integers(1, 4))
     kinds = ONE_QUBIT_KINDS + (TWO_QUBIT_KINDS if n > 1 else ())
-    angle = st.floats(-math.pi, math.pi)
     gates = []
     for _ in range(draw(st.integers(1, 14))):
         kind = draw(st.sampled_from(kinds))
@@ -249,7 +264,8 @@ def random_circuits(draw):
 
 def assert_matches_dense_oracles(circuit, noise):
     """The fused `run`, gate-by-gate `apply_gate` and both dense oracles
-    agree to 1e-12."""
+    agree to 1e-12; without noise the pure backend's `run` and
+    gate-by-gate `apply_gate` also match the dense state vector."""
     want = superoperator_density(circuit, noise)
     np.testing.assert_allclose(noisy_density(circuit, noise), want,
                                rtol=0, atol=1e-12)
@@ -259,6 +275,14 @@ def assert_matches_dense_oracles(circuit, noise):
     for gate in circuit.gates:
         state = apply_gate(state, gate, noise=noise)
     np.testing.assert_allclose(state.density(), want, rtol=0, atol=1e-12)
+    if noise is None:
+        want = dense_state(circuit)
+        np.testing.assert_allclose(run(circuit).vector(), want,
+                                   rtol=0, atol=1e-12)
+        state = QuantumState.zero(circuit.n_qubits)
+        for gate in circuit.gates:
+            state = apply_gate(state, gate)
+        np.testing.assert_allclose(state.vector(), want, rtol=0, atol=1e-12)
 
 
 class TestFusedBlocks:
@@ -303,8 +327,8 @@ def all_kinds_circuit() -> Circuit:
                        Gate("CNOT", (1, 0))))
 
 
-def random_observable(n: int, n_words: int = 10) -> PauliSum:
-    words = {"".join(RNG.choice(list("IXYZ"), n)): RNG.normal()
+def random_observable(n: int, n_words: int = 10, rng=RNG) -> PauliSum:
+    words = {"".join(rng.choice(list("IXYZ"), n)): rng.normal()
              for _ in range(n_words)}
     return PauliSum(words, n)
 
@@ -343,7 +367,34 @@ ERASING_P1_CIRCUIT = Circuit(3, (
     Gate("RPQ", (1, 2), (ParamRef("t"),), axes=("Z", "X"))))
 
 
+# Named slots for random circuits: three names shared across gates, some
+# slots at scale -2 as in the RPQ expansion.
+PARAMETER_SLOTS = st.builds(ParamRef, st.sampled_from("abc"),
+                            st.sampled_from((1.0, -2.0)))
+GRADIENT_NOISES = {"pure": None, "calibrated": calibrate_noise(),
+                   "strong": NoiseModel(0.3, 0.2)}
+
+
 class TestAdjointGradient:
+    @settings(max_examples=60, deadline=None)
+    @given(random_circuits(PARAMETER_SLOTS),
+           st.sampled_from(sorted(GRADIENT_NOISES)),
+           st.integers(0, 2 ** 32 - 1))
+    def test_random_circuits(self, circuit, noise, seed):
+        # One reverse sweep serves both backends: pure blocks of one gate
+        # and fused superoperator blocks.  Central differences resolve a
+        # derivative only to about ulp(<O>) / 1e-6, which exceeds the
+        # helper's 1e-10 floor for |<O>| ~ 1 when a gradient vanishes (H
+        # then RX); sum |c| = 1/16 bounds |<O>| and keeps that under 2e-11.
+        names = circuit.parameter_names
+        assume(names)
+        rng = np.random.default_rng(seed)
+        obs = random_observable(circuit.n_qubits, 6, rng)
+        obs = obs * (1.0 / (16.0 * sum(abs(c) for c in obs.terms.values())))
+        assert_gradient_matches_oracle(
+            circuit, obs, noise=GRADIENT_NOISES[noise],
+            x=rng.uniform(-math.pi, math.pi, len(names)))
+
     def test_all_gate_kinds(self):
         for _ in range(3):
             grad = assert_gradient_matches_oracle(all_kinds_circuit(),
