@@ -12,7 +12,6 @@ Configuration is an INI file; every key is optional.  Grammar, with
 defaults:
 
     [run]
-    kind =                 ; normally left empty, the subcommand fills it
     seed = 7
 
     [lattice]
@@ -29,7 +28,8 @@ defaults:
     u_values =             ; comma list, overrides start/stop/step
 
     [ansatz]
-    tag = mrep             ; ed | mr | mrep | ldca | hea
+    tag = mrep             ; ed | mr | mrep | ldca | hea (mr and hea need
+                           ; n_c = 1, mrep needs n_c = 2)
     layers = 4             ; mrep depth
     cycles = 1             ; ldca depth
     basis = exact-no       ; original | exact-no | noize
@@ -105,7 +105,6 @@ class ConfigError(Exception):
 class RunConfig:
     """Flat, fully-typed view of one experiment configuration."""
 
-    kind: str = ""
     seed: int = 7
     n_c: int = 1
     t: float = -0.25
@@ -142,7 +141,6 @@ class RunConfig:
 
 # (section, key, config field, value type)
 SCHEMA = (
-    ("run", "kind", "kind", str),
     ("run", "seed", "seed", int),
     ("lattice", "n_c", "n_c", int),
     ("lattice", "t", "t", float),
@@ -216,8 +214,6 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"{where} must be one of "
                               f"{', '.join(allowed)}; got {value!r}")
 
-    if cfg.kind:
-        choose(cfg.kind, KINDS, "[run] kind")
     choose(cfg.ansatz, ANSATZE, "[ansatz] tag")
     choose(cfg.basis, BASIS_MODES, "[ansatz] basis")
     choose(cfg.optimizer, OPTIMIZERS, "[optimizer] tag")
@@ -240,10 +236,9 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def serialize_config(cfg: RunConfig, for_hash: bool = False) -> str:
-    """Canonical INI text; `for_hash` drops the command name and output
-    naming, which do not influence computed values."""
-    skip = {("run", "kind"), ("output", "dir"),
-            ("output", "label")} if for_hash else set()
+    """Canonical INI text; `for_hash` drops the output naming, which does
+    not influence computed values."""
+    skip = {("output", "dir"), ("output", "label")} if for_hash else set()
     lines: list[str] = []
     current = None
     for section, key, field, _ in SCHEMA:
@@ -298,6 +293,9 @@ def build_ansatz(cfg: RunConfig) -> Circuit | None:
     if cfg.ansatz in ("mr", "hea") and cfg.n_c != 1:
         raise ConfigError(f"the {cfg.ansatz} ansatz covers only the "
                           "single-site cluster")
+    if cfg.ansatz == "mrep" and cfg.n_c != 2:
+        raise ConfigError("the mrep ansatz covers only the two-site "
+                          "cluster; set [lattice] n_c = 2")
     if cfg.ansatz == "mr":
         return build_mr_nc1()
     if cfg.ansatz == "hea":
@@ -567,7 +565,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if not path.exists():
             raise ConfigError(f"configuration file {path} not found")
         text = path.read_text(encoding="utf-8")
-    cfg = replace(parse_config(text), kind=args.kind)
+    cfg = parse_config(text)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.out:

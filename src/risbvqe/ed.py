@@ -1,19 +1,19 @@
 """Exact diagonalization of small fermionic clusters, and the package's
 one-particle density-matrix kernel.
 
-The matrix is assembled directly in the occupation-number basis with
-explicit sign bookkeeping, sharing nothing with the Jordan-Wigner
-compilation, so the two constructions can cross-check each other.  Mode p
-sits on bit p counted from the most significant end of the basis index,
-matching the qubit layout used elsewhere.
+Matrices are assembled in the occupation-number basis from
+`pauli.ladder_table`, the table the Jordan-Wigner map reads too; the
+independent cross-checks live in the test oracles.  Mode p sits on bit p
+counted from the most significant end of the basis index, matching the
+qubit layout used elsewhere.
 
 The bookkeeping depends only on structure, never on coefficients: each
-fermion term's (row, col, sign) ladder table is compiled once per (term,
-mode count, sector), and the 1-RDM's (state, p, q, final, sign) table once
-per mode count.  A new Hamiltonian or state then costs one fancy-index
-update per term, or one accumulation over the table.  The same 1-RDM table
-serves exact eigenstates and simulator states alike: an amplitude vector or
-a density matrix goes through `ed_rdm1_full`.
+fermion term's (row, col, sign) table is restricted to a sector once per
+(term, mode count, sector), and the 1-RDM's (state, p, q, final, sign) table
+is assembled once per mode count.  A new Hamiltonian or state then costs one
+fancy-index update per term, or one accumulation over the table.  The same
+1-RDM table serves exact eigenstates and simulator states alike: an
+amplitude vector or a density matrix goes through `ed_rdm1_full`.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
+from .pauli import LADDER_CACHE_SIZE, MODE_CAP, ladder_table
 
-MODE_CAP = 12
 DEGENERACY_RTOL = 1e-9
-LADDER_CACHE_SIZE = 1 << 14
 SECTOR_CACHE_SIZE = 64
 AMPLITUDE_FLOOR = 1e-16
 OCC_TOL = 1e-8
@@ -50,24 +49,6 @@ def _orbital(ham) -> OrbitalHamiltonian:
     if isinstance(ham, EmbeddingHamiltonian):
         return ham.orbital()
     return ham
-
-
-def _occ(index: int, mode: int, n_modes: int) -> int:
-    return (index >> (n_modes - 1 - mode)) & 1
-
-
-def _parity_sign(index: int, mode: int, n_modes: int) -> int:
-    # Fermionic sign from occupied modes preceding `mode` (the higher bits).
-    return -1 if bin(index >> (n_modes - mode)).count("1") % 2 else 1
-
-
-def _apply_ladder(index: int, mode: int, dagger: bool,
-                  n_modes: int) -> tuple[int, int] | None:
-    occupied = _occ(index, mode, n_modes)
-    if dagger == bool(occupied):
-        return None
-    sign = _parity_sign(index, mode, n_modes)
-    return index ^ (1 << (n_modes - 1 - mode)), sign
 
 
 def _frozen(values) -> np.ndarray:
@@ -101,26 +82,19 @@ def sector_basis(n_modes: int, sector: SectorLabel | None) -> list[int]:
 def _ladder_table(ops: tuple, n_modes: int, sector: SectorLabel | None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonzero entries (row, col, sign) of one operator string's matrix
-    over the sector basis, in column order."""
-    basis = sector_basis(n_modes, sector)
-    position = {idx: col for col, idx in enumerate(basis)}
-    rows, cols, signs = [], [], []
-    for col, start in enumerate(basis):
-        state, sign = start, 1
-        for mode, dagger in reversed(ops):
-            step = _apply_ladder(state, mode, dagger, n_modes)
-            if step is None:
-                break
-            state, s = step
-            sign *= s
-        else:
-            row = position.get(state)
-            if row is None:
-                raise ValueError("term leaves the requested sector")
-            rows.append(row)
-            cols.append(col)
-            signs.append(sign)
-    return _frozen(rows), _frozen(cols), _frozen(signs)
+    over the sector basis, in column order: the kernel's table restricted
+    to the sector."""
+    row, col, sign = ladder_table(ops, n_modes)
+    if sector is None:
+        return row, col, sign
+    states = _sector_states(n_modes, sector)
+    position = np.full(1 << n_modes, -1, dtype=np.intp)
+    position[states] = np.arange(states.size)
+    keep = position[col] >= 0
+    rows = position[row[keep]]
+    if np.any(rows < 0):
+        raise ValueError("term leaves the requested sector")
+    return _frozen(rows), _frozen(position[col[keep]]), _frozen(sign[keep])
 
 
 def hamiltonian_matrix(ham, sector: SectorLabel | None = None) -> np.ndarray:
@@ -160,22 +134,16 @@ def ground_state(ham, sector: SectorLabel | None = None) -> GroundState:
 @lru_cache(maxsize=SECTOR_CACHE_SIZE)
 def _rdm1_table(n_modes: int) -> tuple[np.ndarray, ...]:
     """Every nonzero c+_p c_q |idx> = sign |final>, ordered by idx, then q,
-    then p."""
-    entries = []
-    for idx in range(2 ** n_modes):
+    then p: the kernel's c+_p c_q tables side by side."""
+    parts = []
+    for p in range(n_modes):
         for q in range(n_modes):
-            step = _apply_ladder(idx, q, dagger=False, n_modes=n_modes)
-            if step is None:
-                continue
-            mid, s1 = step
-            for p in range(n_modes):
-                step2 = _apply_ladder(mid, p, dagger=True, n_modes=n_modes)
-                if step2 is None:
-                    continue
-                final, s2 = step2
-                entries.append((idx, p, q, final, s1 * s2))
-    table = np.array(entries, dtype=np.intp).reshape(-1, 5)
-    return tuple(_frozen(column) for column in table.T)
+            final, idx, sign = ladder_table(((p, True), (q, False)), n_modes)
+            parts.append((idx, np.full(idx.size, p), np.full(idx.size, q),
+                          final, sign))
+    table = [np.concatenate(column) for column in zip(*parts)]
+    order = np.lexsort((table[1], table[2], table[0]))
+    return tuple(_frozen(column[order]) for column in table)
 
 
 @dataclass

@@ -28,6 +28,11 @@ FILLING_TOL = 1e-8
 MOTT_CLAMP = 1e-3
 SYM_FORM_TOL = 1e-8
 BAND_CACHE_SIZE = 16
+# Nelder-Mead on (R, lambda): initial simplex edge and stopping tolerances.
+SIMPLEX_STEP = 0.02
+SIMPLEX_XATOL = 1e-8
+SIMPLEX_FATOL = 1e-12
+WARM_STEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -426,8 +431,7 @@ def _unpack(x: np.ndarray, n_channels: int) -> tuple[SymMatrix, SymMatrix]:
 
 def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
                start: tuple[SymMatrix, SymMatrix] | None = None,
-               max_iter: int = 100, simplex_step: float = 0.02,
-               xatol: float = 1e-8, fatol: float = 1e-12) -> RisbOutput:
+               max_iter: int = 100) -> RisbOutput:
     """Nelder-Mead minimization of the self-consistency cost over the
     symmetry-reduced (R, lambda) degrees of freedom."""
     if start is None:
@@ -447,11 +451,12 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
             best.update(cost=report.cost, report=report, x=x.copy())
         return report.cost
 
-    simplex = np.vstack([x0] + [x0 + simplex_step * e
+    simplex = np.vstack([x0] + [x0 + SIMPLEX_STEP * e
                                 for e in np.eye(x0.size)])
     result = minimize(objective, x0, method="Nelder-Mead",
-                      options={"maxiter": max_iter, "xatol": xatol,
-                               "fatol": fatol,
+                      options={"maxiter": max_iter,
+                               "xatol": SIMPLEX_XATOL,
+                               "fatol": SIMPLEX_FATOL,
                                "initial_simplex": simplex})
     if not math.isfinite(best["cost"]):
         raise SolverFailure(f"cost never became finite over "
@@ -479,15 +484,15 @@ class SweepPoint:
     output: RisbOutput
 
 
-def _reference_start(reference: Sequence[SweepPoint] | Mapping, u: float,
-                     warm_step: float) -> tuple[SymMatrix, SymMatrix]:
+def _reference_start(reference: Sequence[SweepPoint] | Mapping,
+                     u: float) -> tuple[SymMatrix, SymMatrix]:
     if isinstance(reference, Mapping):
         entries = [(float(k), v) for k, v in reference.items()]
     else:
         entries = [(p.u, (p.output.r, p.output.lam)) for p in reference]
     if not entries:
         raise ValueError("classical reference table is empty")
-    target = u - warm_step
+    target = u - WARM_STEP
     _, value = min(entries, key=lambda item: abs(item[0] - target))
     return value
 
@@ -495,8 +500,7 @@ def _reference_start(reference: Sequence[SweepPoint] | Mapping, u: float,
 def risb_sweep(spec: LatticeSpec, u_values,
                impurity_solver: Callable | None = None, *,
                reference: Sequence[SweepPoint] | Mapping | None = None,
-               max_iter: int = 100, warm_step: float = 0.05,
-               **solve_kwargs) -> list[SweepPoint]:
+               max_iter: int = 100) -> list[SweepPoint]:
     """Solve the self-consistency along an interaction grid.
 
     With the exact cluster solver each point warm-starts from the previous
@@ -515,9 +519,9 @@ def risb_sweep(spec: LatticeSpec, u_values,
             if reference is None:
                 raise ValueError("a classical reference table is required "
                                  "to warm-start a quantum-solver sweep")
-            start = _reference_start(reference, float(u), warm_step)
+            start = _reference_start(reference, float(u))
         out = risb_solve(spec_u, impurity_solver, start=start,
-                         max_iter=max_iter, **solve_kwargs)
+                         max_iter=max_iter)
         prev = (out.r, out.lam)
         points.append(SweepPoint(u=float(u), output=out))
     return points

@@ -216,7 +216,6 @@ def vqe_impurity_solver(ansatz: Circuit, *, basis: str = "exact-no",
                         noise: NoiseModel | None = None, n_starts: int = 3,
                         seed: int | None = None, optimizer: str = "bfgs",
                         max_iter: int = 10_000, x0=None,
-                        warm_start: bool = True,
                         n_steps: int = 3) -> Callable:
     """Cluster solver that prepares the ground state variationally.
 
@@ -252,7 +251,7 @@ def vqe_impurity_solver(ansatz: Circuit, *, basis: str = "exact-no",
         target = orb if rotation is None else rotate_hamiltonian(orb,
                                                                  rotation)
         observable = target.to_pauli()
-        if warm_start and memo["params"] is not None:
+        if memo["params"] is not None:
             fit = vqe_minimize(observable, ansatz, optimizer=optimizer,
                                noise=noise, seed=run_seed,
                                max_iter=max_iter, x0=memo["params"])

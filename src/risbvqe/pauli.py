@@ -1,9 +1,14 @@
-"""Pauli-string algebra, fermionic operators, and the Jordan-Wigner map.
+"""Pauli sums, fermionic operators, and the package's one fermion kernel.
 
 A Pauli word is a plain string over the alphabet ``IXYZ``; position ``i`` in
 the word addresses qubit ``i``, and qubit 0 is the leftmost (most
 significant) factor of every Kronecker product.  Fermionic modes map
 one-to-one onto qubits in the same order.
+
+`ladder_table` gives the (row, col, sign) entries of a ladder-operator
+string over all Fock states.  The Jordan-Wigner map reads it here, and `ed`
+reads it for the exact-diagonalization and 1-RDM tables, so the fermionic
+sign convention is written once.
 
 Conventions used throughout the package:
 
@@ -26,41 +31,13 @@ import numpy as np
 # term-count checks rely on this single knob.
 PRUNE_TOL = 1e-12
 
-# Dense materialization refuses registers larger than this by default.
-MATRIX_QUBIT_CAP = 12
+# Every O(2^n) table (ladder tables, dense matrices, ED) refuses registers
+# of more modes (qubits) than this.
+MODE_CAP = 12
+LADDER_CACHE_SIZE = 1 << 14
 
-# Single-qubit products (a, b) -> (phase, a*b).
-_MUL = {
-    ("I", "I"): (1.0, "I"),
-    ("I", "X"): (1.0, "X"),
-    ("I", "Y"): (1.0, "Y"),
-    ("I", "Z"): (1.0, "Z"),
-    ("X", "I"): (1.0, "X"),
-    ("Y", "I"): (1.0, "Y"),
-    ("Z", "I"): (1.0, "Z"),
-    ("X", "X"): (1.0, "I"),
-    ("Y", "Y"): (1.0, "I"),
-    ("Z", "Z"): (1.0, "I"),
-    ("X", "Y"): (1.0j, "Z"),
-    ("Y", "X"): (-1.0j, "Z"),
-    ("Y", "Z"): (1.0j, "X"),
-    ("Z", "Y"): (-1.0j, "X"),
-    ("Z", "X"): (1.0j, "Y"),
-    ("X", "Z"): (-1.0j, "Y"),
-}
-
-
-def pauli_product(a: str, b: str) -> tuple[complex, str]:
-    """Multiply two Pauli words: matrix(a) @ matrix(b) = phase * matrix(c)."""
-    if len(a) != len(b):
-        raise ValueError(f"word lengths differ: {len(a)} vs {len(b)}")
-    phase = 1.0 + 0.0j
-    out = []
-    for ca, cb in zip(a, b):
-        ph, c = _MUL[ca, cb]
-        phase *= ph
-        out.append(c)
-    return phase, "".join(out)
+# (-i)^k for k = popcount(x & z) mod 4, the phase of word (x, z).
+_PHASES = (1, -1j, -1, 1j)
 
 
 class PauliSum:
@@ -107,9 +84,6 @@ class PauliSum:
     def items(self) -> Iterator[tuple[str, complex]]:
         return iter(self._terms.items())
 
-    def coefficient(self, word: str) -> complex:
-        return self._terms.get(word, 0.0 + 0.0j)
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -138,19 +112,10 @@ class PauliSum:
         return PauliSum({w: scalar * c for w, c in self._terms.items()},
                         self.n_qubits)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.__rmul__(other)
-        if not isinstance(other, PauliSum):
-            return NotImplemented
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("register size mismatch")
-        merged: dict[str, complex] = {}
-        for wa, ca in self._terms.items():
-            for wb, cb in other._terms.items():
-                phase, wc = pauli_product(wa, wb)
-                merged[wc] = merged.get(wc, 0.0) + phase * ca * cb
-        return PauliSum(merged, self.n_qubits)
+    def __mul__(self, scalar):
+        if isinstance(scalar, (int, float, complex)):
+            return self.__rmul__(scalar)
+        return NotImplemented
 
     def adjoint(self) -> "PauliSum":
         return PauliSum({w: np.conj(c) for w, c in self._terms.items()},
@@ -190,27 +155,30 @@ def _masks(word: str) -> tuple[int, int, int]:
     return x, z, word.count("Y")
 
 
-def expectation_matrix(p: PauliSum, n_qubits: int | None = None,
-                       cap: int = MATRIX_QUBIT_CAP) -> np.ndarray:
+def _parities(n_bits: int) -> np.ndarray:
+    """Parity of the set bits of every index below 2^n_bits."""
+    index = np.arange(1 << n_bits, dtype=np.intp)
+    parity = np.zeros_like(index)
+    for bit in range(n_bits):
+        parity ^= (index >> bit) & 1
+    return parity
+
+
+def expectation_matrix(p: PauliSum) -> np.ndarray:
     """Materialize a PauliSum as a dense 2^n x 2^n matrix.
 
     A word maps basis state j to i^(#Y) (-1)^popcount(j & z_mask) times
     basis state j ^ x_mask (Y = iXZ), so each word fills one permutation
     pattern of entries; words sharing an x_mask share the pattern.
     """
-    if n_qubits is None:
-        n_qubits = p.n_qubits
-    if n_qubits != p.n_qubits:
-        raise ValueError("register size mismatch")
-    if n_qubits > cap:
-        raise ValueError(f"{n_qubits} qubits exceeds the dense cap {cap}")
+    n_qubits = p.n_qubits
+    if n_qubits > MODE_CAP:
+        raise ValueError(f"{n_qubits} qubits exceeds the dense cap {MODE_CAP}")
     if p._matrix is not None:
         return p._matrix
     dim = 2 ** n_qubits
     cols = np.arange(dim)
-    parity = np.zeros(dim, dtype=np.int64)
-    for bit in range(n_qubits):
-        parity ^= (cols >> bit) & 1
+    parity = _parities(n_qubits)
     by_x: dict[int, np.ndarray] = {}
     for word, coeff in p._terms.items():
         x, z, n_y = _masks(word)
@@ -251,10 +219,6 @@ class FermionOperator:
     def number(cls, mode: int, coeff: complex = 1.0) -> "FermionOperator":
         return cls([(coeff, ((mode, True), (mode, False)))])
 
-    @classmethod
-    def constant(cls, value: complex) -> "FermionOperator":
-        return cls([(value, ())])
-
     def __add__(self, other: "FermionOperator") -> "FermionOperator":
         return FermionOperator(self.terms + other.terms)
 
@@ -281,26 +245,92 @@ class FermionOperator:
         return max((m for _, ops in self.terms for m, _ in ops), default=-1)
 
 
-@functools.lru_cache(maxsize=512)
-def _ladder_image(mode: int, dagger: bool, n_modes: int) -> PauliSum:
-    # c†_j carries the Z string on all earlier modes; (X - iY)/2 raises
-    # |0> to |1> so |1> means occupied.
-    head = "Z" * mode
-    tail = "I" * (n_modes - mode - 1)
-    y_coeff = -0.5j if dagger else 0.5j
-    return PauliSum({head + "X" + tail: 0.5, head + "Y" + tail: y_coeff},
-                    n_modes)
+@functools.lru_cache(maxsize=LADDER_CACHE_SIZE)
+def ladder_table(ops: tuple, n_modes: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries (row, col, sign) of the matrix of the ladder string
+    ``ops`` over all 2^n_modes Fock states, in column order; read-only.
+
+    This is the package's one statement of the sign convention: the string
+    acts right to left, mode p is bit p counted from the most significant
+    end of the basis index, and c_p or c+_p picks up (-1) to the number of
+    occupied modes before p.
+    """
+    if n_modes > MODE_CAP:
+        raise ValueError(f"{n_modes} modes exceeds the dense cap {MODE_CAP}")
+    parity = _parities(n_modes)
+    col = np.arange(1 << n_modes, dtype=np.intp)
+    row, sign = col, np.ones_like(col)
+    for mode, dagger in reversed(ops):
+        bit = 1 << (n_modes - 1 - mode)
+        keep = ((row & bit) == 0) == dagger
+        row, col = row[keep] ^ bit, col[keep]
+        sign = sign[keep] * (1 - 2 * parity[row >> (n_modes - mode)])
+    for array in (row, col, sign):
+        array.flags.writeable = False
+    return row, col, sign
+
+
+def _walsh_hadamard(values: np.ndarray, n_bits: int) -> np.ndarray:
+    """out[z] = sum_j (-1)^popcount(j & z) values[j], by n butterflies.
+
+    Each pass transforms the top index bit and rotates it to the bottom,
+    so after n passes every bit is back in place.
+    """
+    for _ in range(n_bits):
+        half = values.reshape(2, -1)
+        values = np.stack((half[0] + half[1], half[0] - half[1]),
+                          axis=1).ravel()
+    return values
+
+
+def _word(x: int, z: int, n_qubits: int) -> str:
+    return "".join("IXZY"[(x >> s & 1) | (z >> s & 1) << 1]
+                   for s in range(n_qubits - 1, -1, -1))
 
 
 def jordan_wigner(op: FermionOperator, n_modes: int) -> PauliSum:
-    """Qubit image of a fermionic operator; like terms merged, zeros pruned."""
+    """Qubit image of a fermionic operator; like terms merged, zeros pruned.
+
+    A term c M, with M from `ladder_table`, puts c Tr(P+ M) / 2^n on the
+    word P of masks (x, z).  Every entry of M flips the same bits
+    x = row ^ col, so the trace is (-i)^popcount(x & z) times the
+    Walsh-Hadamard transform of the signs over the columns, at z.  Terms
+    are added in order, dropping words with |c| <= PRUNE_TOL after each.
+
+    Within a term, words keep the order of the string-product expansion
+    (single-mode images (X -/+ iY)/2 behind their Z strings, multiplied
+    left to right, X before Y): the all-X word first, then Y flipped on at
+    the last operator of each mode, earliest mode first.
+    """
     if op.max_mode() >= n_modes:
         raise ValueError(f"mode index {op.max_mode()} out of range "
                          f"for {n_modes} modes")
-    total = PauliSum.zero(n_modes)
+    dim = 1 << n_modes
+    total: dict[str, complex] = {}
     for coeff, ops in op.terms:
-        acc = PauliSum.identity(n_modes, coeff)
-        for mode, dagger in ops:
-            acc = acc * _ladder_image(mode, dagger, n_modes)
-        total = total + acc
-    return total
+        row, col, sign = ladder_table(ops, n_modes)
+        if not row.size:
+            continue
+        signs = np.zeros(dim, dtype=np.intp)
+        signs[col] = sign
+        k = _walsh_hadamard(signs, n_modes)
+        x, z = int(row[0] ^ col[0]), 0
+        for mode, _ in ops:
+            z ^= dim - (dim >> mode)  # the Z string on modes < mode
+        zs, last_first = [z], dict.fromkeys(m for m, _ in reversed(ops))
+        for mode in reversed(last_first):
+            flip = 1 << (n_modes - 1 - mode)
+            zs = [z ^ f for z in zs for f in (0, flip)]
+        for z in zs:
+            value = (coeff * (int(k[z]) / dim)
+                     * _PHASES[(x & z).bit_count() % 4])
+            if abs(value) <= PRUNE_TOL:
+                continue
+            word = _word(x, z, n_modes)
+            value = total.get(word, 0.0) + value
+            if abs(value) <= PRUNE_TOL:
+                del total[word]
+            else:
+                total[word] = value
+    return PauliSum(total, n_modes)

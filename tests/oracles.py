@@ -1,11 +1,15 @@
 """Brute-force dense oracles shared across the test suite.
 
-Everything here works by explicit bit manipulation on full 2^n arrays so it
-stays independent of the package's tensor-contraction simulator and of the
-Jordan-Wigner encoding; the one exception is `pauli_rdm1_full`, the
-Pauli-expectation 1-RDM that the compiled table is checked against.  Qubit 0
-is the most significant bit, mode p sits on qubit p.  `build_product_ry` is
-the entanglement-free ansatz several tests run.
+Everything here works by explicit bit manipulation on full 2^n arrays, or by
+Pauli-string algebra, so it stays independent of the package's
+tensor-contraction simulator and of its ladder-table kernel; the one
+exception is `pauli_rdm1_full`, the Pauli-expectation 1-RDM that the
+compiled table is checked against.  `oracle_jordan_wigner` is the
+string-product Jordan-Wigner map (single-qubit product table `_MUL`), and
+the Fock-space loops (`_ladder`, `oracle_hamiltonian_matrix`,
+`oracle_rdm1_full`) keep their own sign bookkeeping.  Qubit 0 is the most
+significant bit, mode p sits on qubit p.  `build_product_ry` is the
+entanglement-free ansatz several tests run.
 """
 
 import functools
@@ -15,7 +19,78 @@ import numpy as np
 from risbvqe.circuits import Circuit, Gate, ParamRef, gate_matrix
 from risbvqe.embedding import bath_kernel, bath_kernel_slope
 from risbvqe.estimator import expectation
-from risbvqe.pauli import FermionOperator, jordan_wigner
+from risbvqe.pauli import FermionOperator, PauliSum, jordan_wigner
+
+
+# Single-qubit products (a, b) -> (phase, a*b).
+_MUL = {
+    ("I", "I"): (1.0, "I"),
+    ("I", "X"): (1.0, "X"),
+    ("I", "Y"): (1.0, "Y"),
+    ("I", "Z"): (1.0, "Z"),
+    ("X", "I"): (1.0, "X"),
+    ("Y", "I"): (1.0, "Y"),
+    ("Z", "I"): (1.0, "Z"),
+    ("X", "X"): (1.0, "I"),
+    ("Y", "Y"): (1.0, "I"),
+    ("Z", "Z"): (1.0, "I"),
+    ("X", "Y"): (1.0j, "Z"),
+    ("Y", "X"): (-1.0j, "Z"),
+    ("Y", "Z"): (1.0j, "X"),
+    ("Z", "Y"): (-1.0j, "X"),
+    ("Z", "X"): (1.0j, "Y"),
+    ("X", "Z"): (-1.0j, "Y"),
+}
+
+
+def pauli_product(a, b):
+    """Multiply two Pauli words: matrix(a) @ matrix(b) = phase * matrix(c)."""
+    if len(a) != len(b):
+        raise ValueError(f"word lengths differ: {len(a)} vs {len(b)}")
+    phase = 1.0 + 0.0j
+    out = []
+    for ca, cb in zip(a, b):
+        ph, c = _MUL[ca, cb]
+        phase *= ph
+        out.append(c)
+    return phase, "".join(out)
+
+
+def pauli_sum_product(a, b):
+    """PauliSum a @ b, word by word through `pauli_product`."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError("register size mismatch")
+    merged = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            phase, wc = pauli_product(wa, wb)
+            merged[wc] = merged.get(wc, 0.0) + phase * ca * cb
+    return PauliSum(merged, a.n_qubits)
+
+
+def _ladder_image(mode, dagger, n_modes):
+    # c+_j carries the Z string on all earlier modes; (X - iY)/2 raises
+    # |0> to |1> so |1> means occupied.
+    head = "Z" * mode
+    tail = "I" * (n_modes - mode - 1)
+    y_coeff = -0.5j if dagger else 0.5j
+    return PauliSum({head + "X" + tail: 0.5, head + "Y" + tail: y_coeff},
+                    n_modes)
+
+
+def oracle_jordan_wigner(op, n_modes):
+    """Jordan-Wigner by string products: each term is the product of its
+    ladder images, and the terms are summed one PauliSum at a time."""
+    if op.max_mode() >= n_modes:
+        raise ValueError(f"mode index {op.max_mode()} out of range "
+                         f"for {n_modes} modes")
+    total = PauliSum.zero(n_modes)
+    for coeff, ops in op.terms:
+        acc = PauliSum.identity(n_modes, coeff)
+        for mode, dagger in ops:
+            acc = pauli_sum_product(acc, _ladder_image(mode, dagger, n_modes))
+        total = total + acc
+    return total
 
 
 def embed_gate(n_qubits, gate, bindings=None):

@@ -65,11 +65,13 @@ class TestConfig:
             parse_config("[noise]\nscale = 1.5\n")
 
     def test_hash_ignores_command_and_naming(self):
+        # The subcommand is not part of the configuration at all.
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config("[run]\nkind = vqe\n")
         base = RunConfig()
         from dataclasses import replace
-        assert run_hash(replace(base, kind="vqe", label="a", out_dir="x")) \
-            == run_hash(replace(base, kind="ed-reference", label="b",
-                                out_dir="y"))
+        assert run_hash(replace(base, label="a", out_dir="x")) \
+            == run_hash(replace(base, label="b", out_dir="y"))
         assert run_hash(replace(base, u=1.5)) != run_hash(base)
 
 
@@ -120,6 +122,16 @@ class TestExitCodes:
     def test_vqe_rejects_noize_basis(self, tmp_path):
         cfg = write_cfg(tmp_path, "[ansatz]\nbasis = noize\n")
         assert main(["vqe", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("command", ["vqe", "noize"])
+    def test_default_config_is_a_config_error(self, tmp_path, command,
+                                              capsys):
+        # The defaults pair the mrep ansatz with n_c = 1, and mrep is
+        # built for the two-site cluster only.
+        cfg = write_cfg(tmp_path, "")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "mrep ansatz covers only the two-site" in \
+            capsys.readouterr().err
 
     def test_noize_rejects_two_determinant_circuit(self, tmp_path):
         # its 1-RDM is diagonal at every angle, so the iteration stalls

@@ -20,6 +20,7 @@ from risbvqe.ed import (GroundState, SectorLabel, _ladder_table, _rdm1_table,
                         sector_basis, sector_of)
 from risbvqe.estimator import parameter_shift_minimize
 from risbvqe.hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
+from risbvqe.pauli import ladder_table
 from risbvqe.simulator import QuantumState
 
 from oracles import (oracle_hamiltonian_matrix, oracle_rdm1_full,
@@ -215,6 +216,7 @@ class TestCompiledTables:
         hamiltonian_matrix(emb, sector)
         _, ops = emb.orbital().to_fermion_operator().terms[-1]
         arrays = (_ladder_table(ops, 4, sector) + _rdm1_table(4)
+                  + ladder_table(ops, 4)
                   + (_sector_states(4, sector), _sector_states(4, None)))
         for array in arrays:
             assert array.size
@@ -231,9 +233,10 @@ class TestCompiledTables:
     def test_import_fills_no_cache(self):
         # Table building belongs to the first solve, not to start-up.
         code = ("import risbvqe.cli\n"
-                "from risbvqe import ed, embedding\n"
+                "from risbvqe import ed, embedding, pauli\n"
                 "caches = (ed._sector_states, ed._ladder_table,\n"
-                "          ed._rdm1_table, embedding._bands)\n"
+                "          ed._rdm1_table, embedding._bands,\n"
+                "          pauli.ladder_table)\n"
                 "print(sum(c.cache_info().currsize for c in caches))\n")
         src = str(Path(risbvqe.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], check=True,

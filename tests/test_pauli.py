@@ -1,5 +1,6 @@
-"""Pauli algebra and Jordan-Wigner tests, all checked against dense matrix
-oracles built independently with numpy kron products."""
+"""Pauli algebra and Jordan-Wigner tests, checked against dense matrix
+oracles built independently with numpy kron products and against the
+string-product Jordan-Wigner map of the test oracles."""
 
 import numpy as np
 import pytest
@@ -7,14 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risbvqe.pauli import (
+    MODE_CAP,
     PRUNE_TOL,
     FermionOperator,
     PauliSum,
     count_terms,
     expectation_matrix,
     jordan_wigner,
-    pauli_product,
+    ladder_table,
 )
+
+from oracles import oracle_jordan_wigner, pauli_product, pauli_sum_product
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -121,7 +125,7 @@ class TestPauliSum:
                           for _ in range(3)}, 2)
             assert np.allclose(oracle_sum_matrix(a + b),
                                oracle_sum_matrix(a) + oracle_sum_matrix(b))
-            assert np.allclose(oracle_sum_matrix(a * b),
+            assert np.allclose(oracle_sum_matrix(pauli_sum_product(a, b)),
                                oracle_sum_matrix(a) @ oracle_sum_matrix(b))
             assert np.allclose(oracle_sum_matrix(2.5j * a),
                                2.5j * oracle_sum_matrix(a))
@@ -156,7 +160,7 @@ class TestPauliSum:
 
     def test_expectation_matrix_cap(self):
         with pytest.raises(ValueError):
-            expectation_matrix(PauliSum.identity(13))
+            expectation_matrix(PauliSum.identity(MODE_CAP + 1))
 
     def test_count_terms_excludes_identity_by_default(self):
         p = PauliSum({"II": 0.7, "XI": 1.0, "ZZ": -0.2})
@@ -237,3 +241,73 @@ class TestJordanWigner:
     def test_prune_tolerance_is_tight(self):
         # The published term counts assume this exact knob.
         assert PRUNE_TOL == 1e-12
+
+
+# Coefficients from O(1) down to a few PRUNE_TOL: a term's words carry
+# c / 2^(touched modes), so small ones fall on either side of the cut.
+# Parts below 1e-200 are drawn as 0: in the subnormal range the string
+# route's repeated halving rounds differently from one scaling by 2^-d
+# (see test_subnormal_parts_round_once).
+parts = st.floats(-1.0, 1.0).map(lambda v: v if abs(v) > 1e-200 else 0.0)
+coefficients = st.builds(
+    lambda re, im, scale: complex(re, im) * scale, parts, parts,
+    st.sampled_from((10.0, 1.0, 1e-3, 64 * PRUNE_TOL, 16 * PRUNE_TOL,
+                     4 * PRUNE_TOL, 2 * PRUNE_TOL, PRUNE_TOL)))
+
+
+@st.composite
+def fermion_operators(draw):
+    """(operator, n_modes): up to 6 modes, terms drawn from a small pool of
+    ladder strings (empty, repeated modes, up to 4 operators) so that equal
+    strings recur with other coefficients, opposite ones included."""
+    n = draw(st.integers(1, 6))
+    ladder = st.tuples(st.integers(0, n - 1), st.booleans())
+    pool = draw(st.lists(st.lists(ladder, max_size=4).map(tuple),
+                         min_size=1, max_size=4))
+    terms = []
+    for _ in range(draw(st.integers(0, 8))):
+        coeff, ops = draw(coefficients), draw(st.sampled_from(pool))
+        terms.append((coeff, ops))
+        if draw(st.booleans()):
+            terms.append((-coeff, ops))
+    return FermionOperator(terms), n
+
+
+class TestLadderKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(fermion_operators())
+    def test_jordan_wigner_matches_string_oracle(self, case):
+        op, n = case
+        got, want = jordan_wigner(op, n), oracle_jordan_wigner(op, n)
+        assert got == want
+        # Same word order too, so dense sums accumulate identically.
+        assert list(got.items()) == list(want.items())
+
+    def test_subnormal_parts_round_once(self):
+        # c_0 c_1 c+_1 spreads c over four words of weight c / 4.  The
+        # kernel scales once, so a subnormal part is c.imag / 4 correctly
+        # rounded; the oracle's products of halves may round it twice.
+        coeff = complex(1e-3, 1.1125369292535e-311)
+        op = FermionOperator([(coeff, ((0, False), (1, False), (1, True)))])
+        got = jordan_wigner(op, 2)
+        want = oracle_jordan_wigner(op, 2)
+        assert list(got.terms) == list(want.terms)
+        for word, value in got.items():
+            assert {abs(value.real), abs(value.imag)} == \
+                {coeff.real / 4, coeff.imag / 4}
+            assert abs(value - want.terms[word]) <= 2 * 5e-324
+
+    def test_cap_raises_instead_of_allocating(self):
+        op = FermionOperator.creation(0)
+        with pytest.raises(ValueError, match="dense cap"):
+            jordan_wigner(op, MODE_CAP + 1)
+        with pytest.raises(ValueError, match="dense cap"):
+            ladder_table(((0, True),), MODE_CAP + 1)
+        assert len(jordan_wigner(op, MODE_CAP)) == 2
+
+    def test_table_entries_example(self):
+        # c+_2 c_0 on three modes: c_0 sees no modes before it, c+_2 sees
+        # mode 1, which is occupied only in the second column.
+        row, col, sign = ladder_table(((2, True), (0, False)), 3)
+        assert (row.tolist(), col.tolist(), sign.tolist()) == \
+            ([0b001, 0b011], [0b100, 0b110], [1, -1])
