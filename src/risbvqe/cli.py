@@ -39,7 +39,9 @@ defaults:
     n_starts = 3
     max_iter = 10000       ; circuit-optimizer iteration cap
     noize_steps = 3
-    risb_max_iter = 100    ; outer self-consistency iteration cap
+    risb_max_iter = 100    ; self-consistency cap: root-search evaluations
+                           ; with the exact solver, Nelder-Mead iterations
+                           ; with a circuit solver or on the fallback
 
     [noise]
     mode = off             ; off | calibrated | scale
@@ -94,7 +96,8 @@ NOISE_MODES = ("off", "calibrated", "scale")
 
 SWEEP_COLUMNS = ("U", "Z_plus", "Z_minus", "lambda_tilde_plus",
                  "lambda_tilde_minus", "cost_final", "n_iter",
-                 "solver_tag", "noise_tag")
+                 "solver_tag", "noise_tag", "converged", "clamped",
+                 "n_eval")
 
 
 class ConfigError(Exception):
@@ -337,9 +340,10 @@ def _write_sweep_artifacts(cfg: RunConfig, points, solver_tag: str,
         spec_u = lattice_spec(cfg, u=point.u)
         z = point.output.z
         lt = point.output.lambda_tilde(spec_u)
+        out_u = point.output
         rows.append((point.u, z.plus, z.minus, lt.plus, lt.minus,
-                     point.output.cost, point.output.n_iter, solver_tag,
-                     ntag))
+                     out_u.cost, out_u.n_iter, solver_tag, ntag,
+                     out_u.converged, out_u.clamped, len(out_u.cost_trace)))
         trace_path = out / (f"{cfg.label}_trace_{solver_tag}_{ntag}"
                             f"_u{point.u:g}.csv")
         # cost_trace rows are already (step, cost) pairs

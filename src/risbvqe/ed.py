@@ -74,10 +74,6 @@ def _sector_states(n_modes: int, sector: SectorLabel | None) -> np.ndarray:
                     if sector_of(i, n_modes) == sector])
 
 
-def sector_basis(n_modes: int, sector: SectorLabel | None) -> list[int]:
-    return _sector_states(n_modes, sector).tolist()
-
-
 @lru_cache(maxsize=LADDER_CACHE_SIZE)
 def _ladder_table(ops: tuple, n_modes: int, sector: SectorLabel | None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq, minimize, root
 from scipy.special import expit, polygamma
 
 from . import SolverFailure
@@ -33,6 +33,8 @@ SIMPLEX_STEP = 0.02
 SIMPLEX_XATOL = 1e-8
 SIMPLEX_FATOL = 1e-12
 WARM_STEP = 0.05
+# A fixed point is reached when the residual norm falls below this.
+FIXED_POINT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -399,7 +401,8 @@ def risb_cost(r: SymMatrix, lam: SymMatrix, spec: LatticeSpec,
 
 @dataclass
 class RisbOutput:
-    """Converged (or best-seen) self-consistency point."""
+    """Best-seen self-consistency point; `converged` says whether its cost
+    is below FIXED_POINT_TOL."""
 
     r: SymMatrix
     lam: SymMatrix
@@ -429,11 +432,26 @@ def _unpack(x: np.ndarray, n_channels: int) -> tuple[SymMatrix, SymMatrix]:
             SymMatrix.from_channels(x[n_channels:]))
 
 
+class _LeaveRoot(Exception):
+    """The root search reached a point where the residual cannot vanish."""
+
+
 def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
                start: tuple[SymMatrix, SymMatrix] | None = None,
                max_iter: int = 100) -> RisbOutput:
-    """Nelder-Mead minimization of the self-consistency cost over the
-    symmetry-reduced (R, lambda) degrees of freedom."""
+    """Solve the self-consistency over the symmetry-reduced (R, lambda).
+
+    With the exact cluster solver, MINPACK's hybrid Powell method first
+    looks for the root of the 2 n_ch residuals (f1, f2) with at most
+    `max_iter` evaluations, and its root is accepted when it succeeds with
+    a best cost below FIXED_POINT_TOL.  Otherwise (it fails, a cost is not
+    finite, or a point is clamped on the Mott side, where the residual
+    cannot vanish), and from the outset for circuit solvers, whose capped
+    VQE is too rough for a finite-difference Jacobian, Nelder-Mead
+    minimizes the cost from `start` with `max_iter` iterations.  `n_iter`
+    counts the root search's evaluations or Nelder-Mead's iterations;
+    `cost_trace` holds every evaluation of both phases.
+    """
     if start is None:
         one = SymMatrix(1.0) if spec.n_c == 1 else SymMatrix(1.0, 1.0)
         zero = one.map(lambda c: 0.0 * c)
@@ -443,21 +461,40 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
     trace: list[tuple[int, float]] = []
     best: dict = {"cost": math.inf, "report": None, "x": x0}
 
-    def objective(x: np.ndarray) -> float:
+    def evaluate(x: np.ndarray) -> CostReport:
         r, lam = _unpack(x, n_ch)
         report = risb_cost(r, lam, spec, impurity_solver)
         trace.append((len(trace), report.cost))
         if report.cost < best["cost"]:
             best.update(cost=report.cost, report=report, x=x.copy())
-        return report.cost
+        return report
 
-    simplex = np.vstack([x0] + [x0 + SIMPLEX_STEP * e
-                                for e in np.eye(x0.size)])
-    result = minimize(objective, x0, method="Nelder-Mead",
-                      options={"maxiter": max_iter,
-                               "xatol": SIMPLEX_XATOL,
-                               "fatol": SIMPLEX_FATOL,
-                               "initial_simplex": simplex})
+    def residual(x: np.ndarray) -> np.ndarray:
+        report = evaluate(x)
+        if report.clamped or not math.isfinite(report.cost):
+            raise _LeaveRoot
+        return np.concatenate([report.f1.channels(), report.f2.channels()])
+
+    n_iter = None
+    if impurity_solver is None or impurity_solver is ed_impurity_solver:
+        try:
+            found = root(residual, x0, method="hybr",
+                         options={"maxfev": max_iter})
+        except _LeaveRoot:
+            pass
+        else:
+            if found.success and best["cost"] < FIXED_POINT_TOL:
+                n_iter = int(found.nfev)
+    if n_iter is None:
+        simplex = np.vstack([x0] + [x0 + SIMPLEX_STEP * e
+                                    for e in np.eye(x0.size)])
+        result = minimize(lambda x: evaluate(x).cost, x0,
+                          method="Nelder-Mead",
+                          options={"maxiter": max_iter,
+                                   "xatol": SIMPLEX_XATOL,
+                                   "fatol": SIMPLEX_FATOL,
+                                   "initial_simplex": simplex})
+        n_iter = int(result.nit)
     if not math.isfinite(best["cost"]):
         raise SolverFailure(f"cost never became finite over "
                             f"{len(trace)} evaluations")
@@ -465,9 +502,8 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
     report = best["report"]
     return RisbOutput(r=r, lam=lam, mu=report.mu, cost=best["cost"],
                       cost_trace=trace,
-                      converged=bool(result.success)
-                      and math.isfinite(best["cost"]),
-                      n_iter=int(result.nit), clamped=report.clamped)
+                      converged=best["cost"] < FIXED_POINT_TOL,
+                      n_iter=n_iter, clamped=report.clamped)
 
 
 def noninteracting_start(spec: LatticeSpec) -> tuple[SymMatrix, SymMatrix]:
@@ -504,9 +540,11 @@ def risb_sweep(spec: LatticeSpec, u_values,
     """Solve the self-consistency along an interaction grid.
 
     With the exact cluster solver each point warm-starts from the previous
-    solution, anchored at the U = 0 fixed point.  A quantum solver instead
-    warm-starts every point from the classical reference entry nearest to
-    U minus one grid step, so errors do not compound along the sweep.
+    solution, anchored at the U = 0 fixed point, and is solved as a root
+    problem (see risb_solve).  A quantum solver instead warm-starts every
+    point from the classical reference entry nearest to U minus one grid
+    step, so errors do not compound along the sweep, and minimizes the cost
+    with Nelder-Mead.  `max_iter` is risb_solve's cap at every point.
     """
     points: list[SweepPoint] = []
     prev: tuple[SymMatrix, SymMatrix] | None = None
@@ -531,8 +569,10 @@ def classical_point(spec: LatticeSpec, *, step: float = 0.05,
                     max_iter: int = 400) -> tuple[RisbOutput, CostReport]:
     """Converged exact-solver solution at spec.u, chained up from U = 0.
 
-    Returns the solution together with one closing cost evaluation, whose
-    report carries the self-consistent cluster Hamiltonian and mu.
+    Every grid point is a root search capped at `max_iter` evaluations,
+    with Nelder-Mead as risb_solve's fallback.  Returns the solution
+    together with one closing cost evaluation, whose report carries the
+    self-consistent cluster Hamiltonian and mu.
     """
     grid = list(np.arange(0.0, spec.u + step / 2, step))
     if not grid or grid[-1] < spec.u - 1e-12:

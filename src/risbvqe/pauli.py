@@ -69,14 +69,6 @@ class PauliSum:
         self._matrix: np.ndarray | None = None
         self._max_imag: float | None = None
 
-    @classmethod
-    def zero(cls, n_qubits: int) -> "PauliSum":
-        return cls({}, n_qubits)
-
-    @classmethod
-    def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
-        return cls({"I" * n_qubits: coeff}, n_qubits)
-
     @property
     def terms(self) -> dict[str, complex]:
         return dict(self._terms)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-ARTIFACT_VERSION = "1"
+ARTIFACT_VERSION = "2"
 
 
 def config_hash(text: str) -> str:

@@ -9,7 +9,8 @@ string-product Jordan-Wigner map (single-qubit product table `_MUL`), and
 the Fock-space loops (`_ladder`, `oracle_hamiltonian_matrix`,
 `oracle_rdm1_full`) keep their own sign bookkeeping.  Qubit 0 is the most
 significant bit, mode p sits on qubit p.  `build_product_ry` is the
-entanglement-free ansatz several tests run.
+entanglement-free ansatz several tests run; `pauli_zero` and
+`pauli_identity` build the empty and identity sums.
 """
 
 import functools
@@ -41,6 +42,16 @@ _MUL = {
     ("Z", "X"): (1.0j, "Y"),
     ("X", "Z"): (-1.0j, "Y"),
 }
+
+
+def pauli_zero(n_qubits):
+    """The empty sum on `n_qubits`."""
+    return PauliSum({}, n_qubits)
+
+
+def pauli_identity(n_qubits, coeff=1.0):
+    """`coeff` times the identity word on `n_qubits`."""
+    return PauliSum({"I" * n_qubits: coeff}, n_qubits)
 
 
 def pauli_product(a, b):
@@ -84,9 +95,9 @@ def oracle_jordan_wigner(op, n_modes):
     if op.max_mode() >= n_modes:
         raise ValueError(f"mode index {op.max_mode()} out of range "
                          f"for {n_modes} modes")
-    total = PauliSum.zero(n_modes)
+    total = pauli_zero(n_modes)
     for coeff, ops in op.terms:
-        acc = PauliSum.identity(n_modes, coeff)
+        acc = pauli_identity(n_modes, coeff)
         for mode, dagger in ops:
             acc = pauli_sum_product(acc, _ladder_image(mode, dagger, n_modes))
         total = total + acc

@@ -181,10 +181,18 @@ class TestClassicalSweepCommand:
         zs = [r["Z_plus"] for r in rows]
         assert zs == sorted(zs, reverse=True)
         assert rows[1]["solver_tag"] == "ed"
+        # Twelve evaluations do not reach the U = 0.2 root from U = 0; the
+        # column says so.
+        assert [r["converged"] for r in rows] == ["True", "False", "True"]
+        for row in rows:
+            assert row["converged"] == str(row["cost_final"] < 1e-9)
+            assert row["clamped"] == "False"
         for u in ("0", "0.2", "0.4"):
             trace = read_table(out / f"run_trace_ed_off_u{u}.csv")
             assert trace and set(trace[0]) == {"step", "cost"}
             assert [r["step"] for r in trace] == list(range(len(trace)))
+            assert [r["n_eval"] for r in rows
+                    if r["U"] == float(u)] == [len(trace)]
             assert all(isinstance(r["cost"], float) and r["cost"] >= 0.0
                        for r in trace)
 
@@ -213,7 +221,7 @@ class TestClassicalSweepCommand:
         head = (tmp_path / "r" / "run_sweep_ed_off.csv").read_text()
         lines = head.splitlines()
         assert lines[0].startswith("# config = ")
-        assert lines[1] == "# artifact_version = 1"
+        assert lines[1] == "# artifact_version = 2"
 
 
 class TestQuantumSweepCommand:
@@ -268,6 +276,31 @@ classical_table = {table}
         # lambda recovers lambda-tilde shifted by the half-filled level
         assert lam.plus == pytest.approx(0.2, abs=5e-3)
 
+    def test_version_one_table_still_loads(self, tmp_path):
+        # A two-site table written before the converged, clamped and
+        # n_eval columns existed.
+        old = tmp_path / "v1.csv"
+        old.write_text(
+            "# config = 5f1bc3afeb50\n# artifact_version = 1\n"
+            "U,Z_plus,Z_minus,lambda_tilde_plus,lambda_tilde_minus,"
+            "cost_final,n_iter,solver_tag,noise_tag\n"
+            "0,1,1,0,0,7.7e-16,230,ed,off\n"
+            "0.2,0.99779164422288646,0.99703800076070104,"
+            "0.19639526070669872,0.20178404991531756,1.4e-12,243,ed,off\n")
+        from dataclasses import replace
+        cfg = replace(parse_config("[lattice]\nn_c = 2\n"),
+                      classical_table=str(old))
+        loaded = load_reference(cfg)
+        assert set(loaded) == {0.0, 0.2}
+        r, lam = loaded[0.2]
+        np.testing.assert_allclose(r.channels() ** 2,
+                                   [0.99779164422288646, 0.99703800076070104],
+                                   rtol=0, atol=1e-15)
+        # lambda = lambda~ + eps_loc(mu = U/2), channel band means -/+ |t|.
+        np.testing.assert_allclose(
+            lam.channels(), [0.19639526070669872 - 0.25 - 0.1,
+                             0.20178404991531756 + 0.25 - 0.1], atol=1e-12)
+
     def test_malformed_reference_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("# config = x\nU,Z_plus\n0.2,1.0\n")
@@ -308,7 +341,7 @@ n_starts = 2
         record = summary["runs"][0]
         assert record["rel_error"] < 1e-8
         assert len(record["energies"]) == 2
-        assert summary["artifact_version"] == "1"
+        assert summary["artifact_version"] == "2"
 
     def test_seed_flag_renames_traces(self, tmp_path):
         cfg = write_cfg(tmp_path, self.CFG)

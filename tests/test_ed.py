@@ -16,15 +16,14 @@ import risbvqe
 from risbvqe.circuits import build_mr_nc1
 from risbvqe.ed import (GroundState, SectorLabel, _ladder_table, _rdm1_table,
                         _sector_states, ed_rdm1, ed_rdm1_full, ground_state,
-                        half_filling_sector, hamiltonian_matrix,
-                        sector_basis, sector_of)
+                        half_filling_sector, hamiltonian_matrix, sector_of)
 from risbvqe.estimator import parameter_shift_minimize
 from risbvqe.hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
 from risbvqe.pauli import ladder_table
 from risbvqe.simulator import QuantumState
 
 from oracles import (oracle_hamiltonian_matrix, oracle_rdm1_full,
-                     pauli_rdm1_full)
+                     oracle_sector_basis, pauli_rdm1_full)
 
 RNG = np.random.default_rng(40813)
 
@@ -43,14 +42,14 @@ class TestSectors:
         assert sector_of(0b0001, 4) == SectorLabel(1, -1)
 
     def test_basis_sizes(self):
-        assert len(sector_basis(4, SectorLabel(2, 0))) == 4
-        assert len(sector_basis(8, half_filling_sector(2))) == 36
-        assert len(sector_basis(4, None)) == 16
+        assert _sector_states(4, SectorLabel(2, 0)).size == 4
+        assert _sector_states(8, half_filling_sector(2)).size == 36
+        assert _sector_states(4, None).size == 16
 
     def test_impossible_sector(self):
         for _ in range(2):
             with pytest.raises(ValueError):
-                sector_basis(4, SectorLabel(9, 0))
+                _sector_states(4, SectorLabel(9, 0))
 
     def test_term_leaving_the_sector_raises(self):
         # c+_0 c_2 moves an up electron into a down mode.
@@ -223,12 +222,12 @@ class TestCompiledTables:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 7
 
-    def test_sector_basis_is_a_fresh_list(self):
-        first = sector_basis(4, SectorLabel(2, 0))
-        assert first == [5, 6, 9, 10]
-        first.append(99)
-        second = sector_basis(4, SectorLabel(2, 0))
-        assert second == [5, 6, 9, 10] and second is not first
+    def test_sector_states_match_oracle(self):
+        assert _sector_states(4, SectorLabel(2, 0)).tolist() == [5, 6, 9, 10]
+        for n_modes, sector in ((4, SectorLabel(1, -1)),
+                                (8, half_filling_sector(2)), (4, None)):
+            assert (_sector_states(n_modes, sector).tolist()
+                    == oracle_sector_basis(n_modes, sector))
 
     def test_import_fills_no_cache(self):
         # Table building belongs to the first solve, not to start-up.

@@ -6,16 +6,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.special import expit
 
 import risbvqe.embedding as embedding_module
 from risbvqe import SolverFailure
-from risbvqe.embedding import (CostReport, LatticeSpec, SymMatrix,
-                               bath_kernel, bath_kernel_slope,
+from risbvqe.embedding import (FIXED_POINT_TOL, CostReport, LatticeSpec,
+                               SymMatrix, bath_kernel, bath_kernel_slope,
                                build_embedding_hamiltonian, dispersion,
                                ed_impurity_solver, eps_loc, fermi, find_mu,
                                lambda_c, matsubara_fermi, qp_fill,
-                               risb_cost, risb_solve, solve_d, sym_project)
+                               risb_cost, risb_solve, risb_sweep, solve_d,
+                               sym_project)
 
 from oracles import matrix_lambda_c, single_site_z
 
@@ -460,3 +462,80 @@ class TestSolve:
         risb_solve(spec, impurity_solver=counting_solver,
                    start=(SymMatrix(0.9), SymMatrix(0.5)), max_iter=5)
         assert calls and all(u == 1.0 for u in calls)
+
+
+def counting_cost(monkeypatch) -> list:
+    """Route risb_solve's cost calls through a recorder of (R, lambda)."""
+    points = []
+
+    def recorded(r, lam, spec, impurity_solver=None):
+        points.append(np.concatenate([r.channels(), lam.channels()]))
+        return risb_cost(r, lam, spec, impurity_solver)
+
+    monkeypatch.setattr(embedding_module, "risb_cost", recorded)
+    return points
+
+
+class TestRootPath:
+    def test_classical_grid_reaches_fixed_point(self, monkeypatch):
+        # The benchmark's classical sweep: n_c = 2, warm-started from U = 0.
+        calls = counting_cost(monkeypatch)
+        points = risb_sweep(LatticeSpec(n_c=2, u=0.0),
+                            [0.0, 0.05, 0.1, 0.15, 0.2], max_iter=400)
+        for point in points:
+            out = point.output
+            assert out.cost < FIXED_POINT_TOL
+            assert out.converged and not out.clamped
+            assert out.n_iter == len(out.cost_trace)
+        # 8 evaluations at U = 0 and 13 at each later point.
+        assert len(calls) <= 60
+
+    @pytest.mark.parametrize("u", [0.5, 2.0, 3.0])
+    def test_single_site_matches_scalar_oracle(self, u):
+        spec = LatticeSpec(n_c=1, u=u)
+        out = risb_solve(spec, start=(SymMatrix(0.85),
+                                      SymMatrix(0.5 * u + 0.05)))
+        assert out.converged
+        assert out.z.plus == pytest.approx(single_site_z(u), abs=1e-6)
+
+    def test_mott_start_falls_back_to_nelder_mead(self):
+        # The root search drives R onto the clamp, where the residual
+        # cannot vanish; Nelder-Mead then restarts from the same start.
+        spec = LatticeSpec(n_c=1, u=5.0)
+        out = risb_solve(spec, start=(SymMatrix(0.1), SymMatrix(2.5)),
+                         max_iter=200)
+        costs = [c for _, c in out.cost_trace]
+        assert costs[0] in costs[1:]
+        assert out.clamped
+        assert not out.converged
+        assert out.cost > FIXED_POINT_TOL
+
+    def test_wrapped_solver_keeps_nelder_mead(self, monkeypatch):
+        calls = counting_cost(monkeypatch)
+        spec = LatticeSpec(n_c=1, u=1.0)
+        x0 = np.array([0.9, 0.5])
+
+        def wrapped(emb):
+            return ed_impurity_solver(emb)
+
+        out = risb_solve(spec, impurity_solver=wrapped,
+                         start=(SymMatrix(x0[0]), SymMatrix(x0[1])),
+                         max_iter=40)
+        plain = []
+
+        def cost(x):
+            plain.append(x.copy())
+            return risb_cost(SymMatrix(x[0]), SymMatrix(x[1]), spec).cost
+
+        simplex = np.vstack([x0] + [x0 + embedding_module.SIMPLEX_STEP * e
+                                    for e in np.eye(2)])
+        result = minimize(cost, x0, method="Nelder-Mead",
+                          options={"maxiter": 40,
+                                   "xatol": embedding_module.SIMPLEX_XATOL,
+                                   "fatol": embedding_module.SIMPLEX_FATOL,
+                                   "initial_simplex": simplex})
+        # Nelder-Mead's own evaluation count for this start and cap.
+        assert len(calls) == len(plain) == 77
+        np.testing.assert_array_equal(np.array(calls), np.array(plain))
+        assert out.n_iter == result.nit
+        assert out.converged == (out.cost < FIXED_POINT_TOL)

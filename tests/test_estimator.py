@@ -16,7 +16,8 @@ from risbvqe.pauli import PauliSum
 from risbvqe.simulator import NoiseModel, QuantumState, calibrate_noise, run
 
 from oracles import (build_product_ry, noisy_density, oracle_rdm1_density,
-                     oracle_rdm1_full, pauli_rdm1_full, word_mat)
+                     oracle_rdm1_full, pauli_identity, pauli_rdm1_full,
+                     word_mat)
 
 RNG = np.random.default_rng(97531)
 
@@ -205,7 +206,7 @@ class TestParameterShift:
 
     def test_rejects_multiple_parameters(self):
         with pytest.raises(ValueError):
-            parameter_shift_minimize(build_hea_nc1(), PauliSum.identity(4))
+            parameter_shift_minimize(build_hea_nc1(), pauli_identity(4))
 
 
 class TestRotosolve:
@@ -233,18 +234,18 @@ class TestRotosolve:
     def test_rejects_two_qubit_rotation_params(self):
         circ = build_mrep(2, 1).bind(np.zeros(16))
         with pytest.raises(ValueError, match="FSIM"):
-            rotosolve(circ, PauliSum.identity(8), n_cycles=1)
+            rotosolve(circ, pauli_identity(8), n_cycles=1)
 
     def test_rejects_shared_parameter(self):
         shared = (Gate("RY", (0,), (ParamRef("t"),)),
                   Gate("RY", (1,), (ParamRef("t"),)))
         with pytest.raises(ValueError, match="several gates"):
             rotosolve(Circuit(2, shared, {"t": 0.0}),
-                      PauliSum.identity(2), n_cycles=1)
+                      pauli_identity(2), n_cycles=1)
 
     def test_requires_initial_values(self):
         with pytest.raises(ValueError, match="missing"):
-            rotosolve(build_product_ry(2), PauliSum.identity(2), n_cycles=1)
+            rotosolve(build_product_ry(2), pauli_identity(2), n_cycles=1)
 
 
 def fold_cnots(circuit: Circuit, n_foldings: int = 1) -> Circuit:
@@ -329,7 +330,7 @@ class TestZne:
     def test_requires_cnots(self):
         with pytest.raises(ValueError, match="no CNOTs"):
             zne_linear(build_product_ry(2).bind([0.1, 0.2]),
-                       PauliSum.identity(2), noise=None)
+                       pauli_identity(2), noise=None)
 
 
 def sample_expectation(state, obs, n_shots, seed=None):
@@ -375,7 +376,7 @@ class TestSampling:
 
     def test_identity_passes_through(self):
         val = sample_expectation(QuantumState.zero(2),
-                                 PauliSum.identity(2, 0.37), n_shots=1,
+                                 pauli_identity(2, 0.37), n_shots=1,
                                  seed=1)
         assert abs(val - 0.37) < 1e-15
 

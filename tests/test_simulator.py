@@ -333,10 +333,21 @@ def random_observable(n: int, n_words: int = 10, rng=RNG) -> PauliSum:
     return PauliSum(words, n)
 
 
+FD_STEP = 1e-6
+# Ulps of |<obs>| that one pair of central-difference evaluations may
+# differ by through rounding alone.
+FD_ROUNDING_ULPS = 4
+
+
 def assert_gradient_matches_oracle(circuit, obs, noise=None, x=None):
     """Adjoint gradient against central differences of <obs>, to 1e-7
     relative to the largest component, and its final state against `run`
-    bit for bit; returns the gradient."""
+    bit for bit; returns the gradient.
+
+    Below that, the bound is the difference's rounding floor, a few
+    ulp(<obs>) / step, with |<obs>| at most the sum of |coefficients|: a
+    vanishing gradient of an O(1) observable reads about 1e-10, not 0.
+    """
     names = circuit.parameter_names
     if x is None:
         x = RNG.uniform(-math.pi, math.pi, len(names))
@@ -350,10 +361,12 @@ def assert_gradient_matches_oracle(circuit, obs, noise=None, x=None):
         return expectation(run(circuit, dict(zip(names, y)), noise=noise),
                            obs)
 
-    want = finite_difference_gradient(energy, x)
+    want = finite_difference_gradient(energy, x, step=FD_STEP)
     assert got.shape == (len(names),)
-    scale = max(np.max(np.abs(want)), 1e-3)
-    assert np.max(np.abs(got - want)) <= 1e-7 * scale
+    bound = sum(abs(coeff) for _, coeff in obs.items())
+    floor = FD_ROUNDING_ULPS * np.spacing(bound) / FD_STEP
+    err = np.max(np.abs(got - want))
+    assert err <= max(1e-7 * np.max(np.abs(want)), floor)
     return got
 
 
@@ -474,6 +487,17 @@ class TestAdjointGradient:
             energies.append(expectation(run(circ, bindings, noise=noise),
                                         obs))
         assert np.ptp(energies) < 1e-14
+
+    @pytest.mark.parametrize("a", [1.5, 2.1])
+    def test_vanishing_gradient_of_unit_observable(self, a):
+        # RX leaves |+> alone, so d<X>/da = 0 exactly while <X> ~ 1: the
+        # central difference reads one rounding step, about 1.1e-10.
+        circ = Circuit(1, (Gate("H", (0,)),
+                           Gate("RX", (0,), (ParamRef("a"),))))
+        grad = assert_gradient_matches_oracle(
+            circ, PauliSum({"X": 1.0}), noise=calibrate_noise(),
+            x=np.array([a]))
+        assert abs(grad[0]) < 1e-15
 
     @pytest.mark.parametrize("expand", [False, True])
     def test_block_of_five_rotations(self, expand):
