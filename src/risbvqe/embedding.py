@@ -26,7 +26,6 @@ from .hamiltonians import EmbeddingHamiltonian
 
 FILLING_TOL = 1e-8
 MOTT_CLAMP = 1e-3
-SYM_FORM_TOL = 1e-8
 BAND_CACHE_SIZE = 16
 # Nelder-Mead on (R, lambda): initial simplex edge and stopping tolerances.
 SIMPLEX_STEP = 0.02
@@ -97,20 +96,6 @@ class SymMatrix:
         if values.size == 2:
             return cls(float(values[0]), float(values[1]))
         raise ValueError("one or two channel values expected")
-
-    @classmethod
-    def from_matrix(cls, m, tol: float = SYM_FORM_TOL) -> "SymMatrix":
-        m = np.asarray(m, dtype=float)
-        if m.shape == (1, 1):
-            return cls(float(m[0, 0]))
-        if m.shape != (2, 2):
-            raise ValueError(f"expected 1x1 or 2x2 matrix, got {m.shape}")
-        if abs(m[0, 0] - m[1, 1]) > tol or abs(m[0, 1] - m[1, 0]) > tol:
-            raise ValueError(f"matrix deviates from [[a,b],[b,a]] form by "
-                             f"more than {tol}")
-        a = 0.5 * (m[0, 0] + m[1, 1])
-        b = 0.5 * (m[0, 1] + m[1, 0])
-        return cls(a + b, a - b)
 
     def to_matrix(self) -> np.ndarray:
         if self.minus is None:
@@ -412,6 +397,7 @@ class RisbOutput:
     converged: bool
     n_iter: int
     clamped: bool = False
+    report: CostReport | None = None
 
     @property
     def z(self) -> SymMatrix:
@@ -448,9 +434,11 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
     finite, or a point is clamped on the Mott side, where the residual
     cannot vanish), and from the outset for circuit solvers, whose capped
     VQE is too rough for a finite-difference Jacobian, Nelder-Mead
-    minimizes the cost from `start` with `max_iter` iterations.  `n_iter`
-    counts the root search's evaluations or Nelder-Mead's iterations;
-    `cost_trace` holds every evaluation of both phases.
+    minimizes the cost from `start` with `max_iter` iterations.  A start
+    whose cost is already below FIXED_POINT_TOL is returned after that one
+    evaluation.  `n_iter` counts the root search's evaluations or
+    Nelder-Mead's iterations; `cost_trace` holds every evaluation of both
+    phases, and `report` is the best point's CostReport.
     """
     if start is None:
         one = SymMatrix(1.0) if spec.n_c == 1 else SymMatrix(1.0, 1.0)
@@ -470,21 +458,25 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
         return report
 
     def residual(x: np.ndarray) -> np.ndarray:
-        report = evaluate(x)
+        # hybr's first call is at x0, which `first` already evaluated
+        report = first.pop() if first else evaluate(x)
         if report.clamped or not math.isfinite(report.cost):
             raise _LeaveRoot
         return np.concatenate([report.f1.channels(), report.f2.channels()])
 
     n_iter = None
     if impurity_solver is None or impurity_solver is ed_impurity_solver:
+        first = [evaluate(x0)]
         try:
-            found = root(residual, x0, method="hybr",
-                         options={"maxfev": max_iter})
+            if first[0].cost < FIXED_POINT_TOL:  # the start is the root
+                n_iter = 1
+            else:
+                found = root(residual, x0, method="hybr",
+                             options={"maxfev": max_iter})
+                if found.success and best["cost"] < FIXED_POINT_TOL:
+                    n_iter = int(found.nfev)
         except _LeaveRoot:
             pass
-        else:
-            if found.success and best["cost"] < FIXED_POINT_TOL:
-                n_iter = int(found.nfev)
     if n_iter is None:
         simplex = np.vstack([x0] + [x0 + SIMPLEX_STEP * e
                                     for e in np.eye(x0.size)])
@@ -503,7 +495,7 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
     return RisbOutput(r=r, lam=lam, mu=report.mu, cost=best["cost"],
                       cost_trace=trace,
                       converged=best["cost"] < FIXED_POINT_TOL,
-                      n_iter=n_iter, clamped=report.clamped)
+                      n_iter=n_iter, clamped=report.clamped, report=report)
 
 
 def noninteracting_start(spec: LatticeSpec) -> tuple[SymMatrix, SymMatrix]:
@@ -570,13 +562,12 @@ def classical_point(spec: LatticeSpec, *, step: float = 0.05,
     """Converged exact-solver solution at spec.u, chained up from U = 0.
 
     Every grid point is a root search capped at `max_iter` evaluations,
-    with Nelder-Mead as risb_solve's fallback.  Returns the solution
-    together with one closing cost evaluation, whose report carries the
-    self-consistent cluster Hamiltonian and mu.
+    with Nelder-Mead as risb_solve's fallback.  The grid ends at spec.u
+    exactly.  Returns the solution together with the cost report of its
+    best point, which carries the self-consistent cluster Hamiltonian and
+    mu.
     """
-    grid = list(np.arange(0.0, spec.u + step / 2, step))
-    if not grid or grid[-1] < spec.u - 1e-12:
-        grid.append(spec.u)
-    points = risb_sweep(spec, grid, max_iter=max_iter)
-    out = points[-1].output
-    return out, risb_cost(out.r, out.lam, spec)
+    grid = [u for u in np.arange(0.0, spec.u + step / 2, step)
+            if u < spec.u - 1e-12] + [spec.u]
+    out = risb_sweep(spec, grid, max_iter=max_iter)[-1].output
+    return out, out.report

@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuits import Circuit, ParamRef
 from .ed import Rdm1, ed_rdm1_full
-from .pauli import PauliSum, expectation_matrix
+from .pauli import PauliSum, expectation_matrix, pauli_tensor
 from .simulator import NoiseModel, QuantumState, run
 
 IMAG_TOL = 1e-9
@@ -31,14 +31,12 @@ def expectation(state: QuantumState, obs: PauliSum) -> float:
                          f"{state.n_qubits}")
     if not obs.is_hermitian():
         raise ValueError("observable is not Hermitian")
-    mat = expectation_matrix(obs)
     if state.kind == "pure":
         vec = state.tensor.reshape(-1)
-        value = complex(np.vdot(vec, mat @ vec))
-    else:
-        dim = 2 ** state.n_qubits
-        rho = state.tensor.reshape(dim, dim)
-        value = complex(np.einsum("ij,ji->", rho, mat))
+        value = complex(np.vdot(vec, expectation_matrix(obs) @ vec))
+    else:  # tr(rho O) = sum_P x_P o_P
+        value = complex(np.dot(pauli_tensor(obs).reshape(-1),
+                               state.tensor.reshape(-1)))
     if abs(value.imag) > IMAG_TOL * max(1.0, abs(value.real)):
         raise ValueError(f"expectation has imaginary residue {value.imag}")
     return value.real
@@ -52,9 +50,8 @@ def measure_rdm1(state: QuantumState, n_c: int,
     if state.n_qubits != 4 * n_c:
         raise ValueError(f"state has {state.n_qubits} qubits, expected "
                          f"{4 * n_c}")
-    dim = 2 ** state.n_qubits
-    shape = (dim,) if state.kind == "pure" else (dim, dim)
-    full = ed_rdm1_full(state.tensor.reshape(shape))
+    full = ed_rdm1_full(state.tensor.reshape(-1) if state.kind == "pure"
+                        else state.density())
     up = full[:2 * n_c, :2 * n_c]
     if not spin_average:
         return Rdm1(up)

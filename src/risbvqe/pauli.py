@@ -46,7 +46,7 @@ class PauliSum:
     Immutable after construction; zero terms are pruned at `PRUNE_TOL`.
     """
 
-    __slots__ = ("n_qubits", "_terms", "_matrix", "_max_imag")
+    __slots__ = ("n_qubits", "_terms", "_matrix", "_tensor", "_max_imag")
 
     def __init__(self, terms: Mapping[str, complex] | None = None,
                  n_qubits: int | None = None):
@@ -67,6 +67,7 @@ class PauliSum:
         self.n_qubits = int(n_qubits)
         self._terms = merged
         self._matrix: np.ndarray | None = None
+        self._tensor: np.ndarray | None = None
         self._max_imag: float | None = None
 
     @property
@@ -183,6 +184,16 @@ def expectation_matrix(p: PauliSum) -> np.ndarray:
     m.setflags(write=False)
     p._matrix = m
     return m
+
+
+def pauli_tensor(p: PauliSum) -> np.ndarray:
+    """The coefficients on a (4,)*n grid in I, X, Y, Z order, built once."""
+    if p._tensor is None:
+        p._tensor = np.zeros((4,) * p.n_qubits, dtype=complex)
+        for word, coeff in p._terms.items():
+            p._tensor[tuple(map("IXYZ".index, word))] = coeff
+        p._tensor.setflags(write=False)
+    return p._tensor
 
 
 class FermionOperator:

@@ -10,7 +10,8 @@ the Fock-space loops (`_ladder`, `oracle_hamiltonian_matrix`,
 `oracle_rdm1_full`) keep their own sign bookkeeping.  Qubit 0 is the most
 significant bit, mode p sits on qubit p.  `build_product_ry` is the
 entanglement-free ansatz several tests run; `pauli_zero` and
-`pauli_identity` build the empty and identity sums.
+`pauli_identity` build the empty and identity sums, and `sym_from_matrix`
+reads a symmetry-adapted matrix back into its channels.
 """
 
 import functools
@@ -18,7 +19,7 @@ import functools
 import numpy as np
 
 from risbvqe.circuits import Circuit, Gate, ParamRef, gate_matrix
-from risbvqe.embedding import bath_kernel, bath_kernel_slope
+from risbvqe.embedding import SymMatrix, bath_kernel, bath_kernel_slope
 from risbvqe.estimator import expectation
 from risbvqe.pauli import FermionOperator, PauliSum, jordan_wigner
 
@@ -372,6 +373,22 @@ def superoperator_density(circuit, noise, bindings=None):
             step = channel @ step
         vec = step @ vec
     return vec.reshape(dim, dim)
+
+
+def sym_from_matrix(m, tol=1e-8):
+    """SymMatrix of a 1x1 matrix or of a 2x2 matrix of [[a, b], [b, a]]
+    form within `tol`; any other matrix raises ValueError."""
+    m = np.asarray(m, dtype=float)
+    if m.shape == (1, 1):
+        return SymMatrix(float(m[0, 0]))
+    if m.shape != (2, 2):
+        raise ValueError(f"expected 1x1 or 2x2 matrix, got {m.shape}")
+    if abs(m[0, 0] - m[1, 1]) > tol or abs(m[0, 1] - m[1, 0]) > tol:
+        raise ValueError(f"matrix deviates from [[a,b],[b,a]] form by "
+                         f"more than {tol}")
+    a = 0.5 * (m[0, 0] + m[1, 1])
+    b = 0.5 * (m[0, 1] + m[1, 0])
+    return SymMatrix(a + b, a - b)
 
 
 def build_product_ry(n_qubits):

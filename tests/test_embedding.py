@@ -13,13 +13,14 @@ import risbvqe.embedding as embedding_module
 from risbvqe import SolverFailure
 from risbvqe.embedding import (FIXED_POINT_TOL, CostReport, LatticeSpec,
                                SymMatrix, bath_kernel, bath_kernel_slope,
-                               build_embedding_hamiltonian, dispersion,
-                               ed_impurity_solver, eps_loc, fermi, find_mu,
-                               lambda_c, matsubara_fermi, qp_fill,
+                               build_embedding_hamiltonian, classical_point,
+                               dispersion, ed_impurity_solver, eps_loc,
+                               fermi, find_mu, lambda_c, matsubara_fermi,
+                               noninteracting_start, qp_fill,
                                risb_cost, risb_solve, risb_sweep, solve_d,
                                sym_project)
 
-from oracles import matrix_lambda_c, single_site_z
+from oracles import matrix_lambda_c, single_site_z, sym_from_matrix
 
 HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -34,13 +35,13 @@ def site_channels(m) -> np.ndarray:
 class TestSymMatrix:
     def test_round_trip_two_site(self):
         m = np.array([[0.4, -0.1], [-0.1, 0.4]])
-        sym = SymMatrix.from_matrix(m)
+        sym = sym_from_matrix(m)
         assert sym.plus == pytest.approx(0.3)
         assert sym.minus == pytest.approx(0.5)
         np.testing.assert_allclose(sym.to_matrix(), m, atol=1e-15)
 
     def test_single_site(self):
-        sym = SymMatrix.from_matrix([[0.7]])
+        sym = sym_from_matrix([[0.7]])
         assert sym.minus is None
         assert sym.n_channels == 1
         np.testing.assert_allclose(sym.to_matrix(), [[0.7]])
@@ -48,9 +49,9 @@ class TestSymMatrix:
 
     def test_rejects_asymmetric_form(self):
         with pytest.raises(ValueError, match="form"):
-            SymMatrix.from_matrix([[0.4, 0.1], [0.1, 0.6]])
+            sym_from_matrix([[0.4, 0.1], [0.1, 0.6]])
         with pytest.raises(ValueError, match="form"):
-            SymMatrix.from_matrix([[0.4, 0.1], [0.3, 0.4]])
+            sym_from_matrix([[0.4, 0.1], [0.3, 0.4]])
 
     def test_projection_averages(self):
         sym = sym_project([[1.0, 2.0], [4.0, 1.0]])
@@ -487,8 +488,50 @@ class TestRootPath:
             assert out.cost < FIXED_POINT_TOL
             assert out.converged and not out.clamped
             assert out.n_iter == len(out.cost_trace)
-        # 8 evaluations at U = 0 and 13 at each later point.
-        assert len(calls) <= 60
+        # 1 evaluation at U = 0 and 13 at each later point.
+        assert [len(p.output.cost_trace) for p in points] == [1] + [13] * 4
+        assert len(calls) <= 53
+
+    def test_start_at_fixed_point_skips_root_search(self, monkeypatch):
+        calls = counting_cost(monkeypatch)
+        spec = LatticeSpec(n_c=2, u=0.0)
+        start = noninteracting_start(spec)
+        out = risb_solve(spec, start=start, max_iter=400)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.concatenate(
+            [start[0].channels(), start[1].channels()]))
+        assert out.n_iter == len(out.cost_trace) == 1
+        assert out.converged and out.cost < FIXED_POINT_TOL
+
+    @pytest.mark.parametrize("n_c, u", [(1, 0.15), (2, 0.05)])
+    def test_classical_point_returns_its_best_report(self, monkeypatch,
+                                                     n_c, u):
+        # The report is the one risb_solve kept, not a closing re-solve;
+        # 0.15 is not a multiple of the 0.05 step in floating point.
+        calls = counting_cost(monkeypatch)
+        sweeps = []
+
+        def recorded_sweep(*args, **kwargs):
+            sweeps.append(risb_sweep(*args, **kwargs))
+            return sweeps[-1]
+
+        monkeypatch.setattr(embedding_module, "risb_sweep", recorded_sweep)
+        spec = LatticeSpec(n_c=n_c, u=u)
+        out, report = classical_point(spec)
+        (points,) = sweeps
+        assert points[-1].u == u and points[-1].output is out
+        assert len(calls) == sum(len(p.output.cost_trace) for p in points)
+        assert out.report is report
+        fresh = risb_cost(out.r, out.lam, spec)
+        assert report.cost == fresh.cost == out.cost
+        assert report.mu == fresh.mu and report.clamped == fresh.clamped
+        for name in ("f1", "f2", "delta", "d", "lam_c"):
+            np.testing.assert_array_equal(getattr(report, name).channels(),
+                                          getattr(fresh, name).channels())
+        np.testing.assert_array_equal(report.rdm, fresh.rdm)
+        for name in ("n_c", "u_int", "d_mix", "lambda_c", "mu", "t_intra"):
+            np.testing.assert_array_equal(getattr(report.emb, name),
+                                          getattr(fresh.emb, name))
 
     @pytest.mark.parametrize("u", [0.5, 2.0, 3.0])
     def test_single_site_matches_scalar_oracle(self, u):

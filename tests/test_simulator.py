@@ -14,12 +14,12 @@ from risbvqe.circuits import (Circuit, Gate, ParamRef, build_hea_nc1,
 from risbvqe.ed import ed_rdm1_full
 from risbvqe.estimator import expectation
 from risbvqe.pauli import PauliSum, expectation_matrix
-from risbvqe.simulator import (NoiseModel, QuantumState, _runs,
+from risbvqe.simulator import (NoiseModel, QuantumState, _runs, _transfer,
                                adjoint_gradient, apply_gate, calibrate_noise,
                                run)
 
 from oracles import (dense_state, finite_difference_gradient, noisy_density,
-                     superoperator_density)
+                     superoperator_density, word_mat)
 
 RNG = np.random.default_rng(20240811)
 
@@ -238,8 +238,8 @@ ONE_QUBIT_KINDS = ("RX", "RY", "RZ", "X", "H")
 TWO_QUBIT_KINDS = ("CNOT", "FSIM", "RPQ")
 N_ANGLES = {"RX": 1, "RY": 1, "RZ": 1, "X": 0, "H": 0, "CNOT": 0,
             "FSIM": 2, "RPQ": 1}
-NOISES = {"noiseless": None, "calibrated": calibrate_noise(),
-          "erasing": NoiseModel(0.75, 0.75)}
+NOISES = {"noiseless": None, "zero": NoiseModel(0.0, 0.0),
+          "calibrated": calibrate_noise(), "erasing": NoiseModel(0.75, 0.75)}
 
 
 @st.composite
@@ -309,10 +309,93 @@ class TestFusedBlocks:
         assert [q for q, _ in _runs(gates)] == [(1, 0), (2, 1), (0, 2)]
         assert_matches_dense_oracles(circuit, NOISES[noise])
 
+    @settings(max_examples=40, deadline=None)
+    @given(random_circuits(),
+           st.sampled_from((0.0, 0.75)) | st.floats(0.0, 0.75),
+           st.sampled_from((0.0, 0.75)) | st.floats(0.0, 0.75))
+    def test_any_channel_strengths(self, circuit, p1, p2):
+        assert_matches_dense_oracles(circuit, NoiseModel(p1, p2))
+
     def test_block_counts(self):
         assert len(_runs(build_mrep(2, 4).gates)) == 34
         assert len(_runs(decompose_circuit(build_ldca(8, 1)).gates)) == 32
         assert len(_runs(build_ldca(8, 1).gates)) == 32
+
+
+def random_density(n: int, rng=RNG) -> np.ndarray:
+    """A full-rank density matrix with complex off-diagonal entries."""
+    a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n,
+                                                               2 ** n))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def assert_pauli_tensor(state: QuantumState):
+    assert state.kind == "mixed"
+    assert state.tensor.dtype == np.float64
+    assert state.tensor.shape == (4,) * state.n_qubits
+
+
+class TestPauliBasis:
+    """The mixed backend holds x_P = tr(P rho) in I, X, Y, Z order."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_density_round_trip(self, n):
+        rho = random_density(n)
+        state = QuantumState.from_density(rho)
+        assert_pauli_tensor(state)
+        np.testing.assert_allclose(state.density(), rho, rtol=0, atol=1e-15)
+        for index in np.ndindex(*state.tensor.shape):
+            word = "".join("IXYZ"[i] for i in index)
+            want = np.trace(word_mat(word) @ rho)
+            assert abs(state.tensor[index] - want) < 1e-14
+
+    def test_known_coefficients(self):
+        zero = QuantumState.zero(3, mixed=True)
+        assert_pauli_tensor(zero)
+        for index in np.ndindex(*zero.tensor.shape):
+            assert zero.tensor[index] == (set(index) <= {0, 3})
+        mixed = QuantumState.from_density(np.eye(8) / 8)
+        want = np.zeros((4,) * 3)
+        want[0, 0, 0] = 1.0
+        np.testing.assert_array_equal(mixed.tensor, want)
+
+    def test_rejects_non_hermitian_density(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            QuantumState.from_density([[0.5, 0.5], [0.0, 0.5]])
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_circuits(), st.sampled_from(sorted(NOISES)))
+    def test_every_mixed_path_returns_pauli_tensor(self, circuit, noise):
+        noise = NOISES[noise]
+        assert_pauli_tensor(run(circuit, noise=noise, mixed=True))
+        gate = circuit.gates[0]
+        start = QuantumState.zero(circuit.n_qubits, mixed=True)
+        assert_pauli_tensor(apply_gate(start, gate, noise=noise))
+        if noise is not None:
+            dim = 2 ** circuit.n_qubits
+            final, _ = adjoint_gradient(circuit, np.eye(dim), noise=noise)
+            assert_pauli_tensor(final)
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.75])
+    def test_depolarizer_is_diagonal(self, p):
+        gate = Gate("RZ", (1,), (0.0,))
+        got = _transfer(gate, np.eye(2), (0, 1), NoiseModel(p, 0.0))
+        f = 1.0 - 4.0 * p / 3.0
+        np.testing.assert_allclose(got, np.diag(np.kron(np.ones(4),
+                                                        [1.0, f, f, f])),
+                                   rtol=0, atol=1e-15)
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_circuits(), st.sampled_from(sorted(NOISES)),
+           st.integers(0, 2 ** 32 - 1))
+    def test_expectation_matches_trace(self, circuit, noise, seed):
+        obs = random_observable(circuit.n_qubits, 8,
+                                np.random.default_rng(seed))
+        state = run(circuit, noise=NOISES[noise], mixed=True)
+        rho = superoperator_density(circuit, NOISES[noise])
+        want = np.trace(rho @ expectation_matrix(obs)).real
+        assert abs(expectation(state, obs) - want) < 1e-12
 
 
 def all_kinds_circuit() -> Circuit:
@@ -384,7 +467,8 @@ ERASING_P1_CIRCUIT = Circuit(3, (
 # slots at scale -2 as in the RPQ expansion.
 PARAMETER_SLOTS = st.builds(ParamRef, st.sampled_from("abc"),
                             st.sampled_from((1.0, -2.0)))
-GRADIENT_NOISES = {"pure": None, "calibrated": calibrate_noise(),
+GRADIENT_NOISES = {"pure": None, "zero": NoiseModel(0.0, 0.0),
+                   "calibrated": calibrate_noise(),
                    "strong": NoiseModel(0.3, 0.2)}
 
 
