@@ -75,40 +75,53 @@ def _resolve(slot, bindings: Mapping[str, float]) -> float:
     return float(slot)
 
 
+# Every gate matrix is sum_k f_k(angles) A_k over a few fixed A_k: a one-
+# qubit rotation cos(t/2) 1 + sin(t/2) (-i sigma), RPQ cos(t) 1 +
+# sin(t) (i P o Q) (as (P o Q)^2 = 1) and FSIM |00><00| + cos(t) (|01><01|
+# + |10><10|) + sin(t) (-i) (|01><10| + |10><01|) + e^{-i phi} |11><11|.
+_FIXED = {"X": _PAULI["X"],
+          "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+          "CNOT": np.eye(4, dtype=complex)[[0, 1, 3, 2]]}
+_SWAP = np.eye(4)[[0, 2, 1, 3]] - np.diag([1, 0, 0, 1])  # |01><10| + h.c.
+_PARTS = {("FSIM", None): (np.diag([1, 0, 0, 0]), np.diag([0, 1, 1, 0]),
+                           -1j * _SWAP, np.diag([0, 0, 0, 1]))}
+_PARTS.update({(k, None): (np.eye(2), -1j * _PAULI[k[1]])
+               for k in ("RX", "RY", "RZ")})
+_PARTS.update({("RPQ", (a, b)): (np.eye(4), 1j * np.kron(_PAULI[a], _PAULI[b]))
+               for a in "XYZ" for b in "XYZ"})
+_PARTS = {key: np.array(parts, dtype=complex).reshape(len(parts), -1)
+          for key, parts in _PARTS.items()}
+
+
+def gate_stack(kind: str, angles, axes: tuple[str, str] | None = None,
+               slot: int | None = None) -> np.ndarray:
+    """The matrices of one gate kind at each row of `angles` (m, its number
+    of angles), or with `slot` their derivatives in that angle, as an
+    (m, d, d) complex stack: the (m, K) coefficients f_k times the A_k
+    (`_PARTS`, flattened)."""
+    if kind in _FIXED:
+        return np.broadcast_to(_FIXED[kind],
+                               (len(angles), *_FIXED[kind].shape))
+    angles = np.asarray(angles, dtype=float)
+    half = kind in ("RX", "RY", "RZ")
+    theta = angles[:, 0] / 2.0 if half else angles[:, 0]
+    f = [np.cos(theta), np.sin(theta)]
+    if slot == 0:  # d/dt (cos, sin) = (-sin, cos), times 1/2 for t/2
+        f = [-f[1] / 2.0, f[0] / 2.0] if half else [-f[1], f[0]]
+    if kind == "FSIM":
+        phase, zero = np.exp(-1j * angles[:, 1]), np.zeros(len(angles))
+        f = ([zero, *f, zero] if slot == 0 else
+             [zero, zero, zero, -1j * phase] if slot == 1 else
+             [zero + 1.0, *f, phase])
+    d = 2 if half else 4
+    return (np.array(f).T @ _PARTS[kind, axes]).reshape(-1, d, d)
+
+
 def gate_matrix(gate: Gate, bindings: Mapping[str, float] | None = None
                 ) -> np.ndarray:
     """Dense 2x2 or 4x4 unitary of a gate with all parameters resolved."""
-    bindings = bindings or {}
-    kind = gate.kind
-    if kind == "X":
-        return _PAULI["X"]
-    if kind == "H":
-        return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    if kind == "CNOT":
-        return np.array([[1, 0, 0, 0], [0, 1, 0, 0],
-                         [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    if kind in ("RX", "RY", "RZ"):
-        theta = _resolve(gate.params[0], bindings)
-        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        if kind == "RX":
-            return np.array([[c, -1j * s], [-1j * s, c]])
-        if kind == "RY":
-            return np.array([[c, -s], [s, c]], dtype=complex)
-        return np.array([[c - 1j * s, 0], [0, c + 1j * s]])
-    if kind == "FSIM":
-        theta = _resolve(gate.params[0], bindings)
-        phi = _resolve(gate.params[1], bindings)
-        c, s = math.cos(theta), math.sin(theta)
-        return np.array([[1, 0, 0, 0],
-                         [0, c, -1j * s, 0],
-                         [0, -1j * s, c, 0],
-                         [0, 0, 0, np.exp(-1j * phi)]])
-    if kind == "RPQ":
-        theta = _resolve(gate.params[0], bindings)
-        pq = np.kron(_PAULI[gate.axes[0]], _PAULI[gate.axes[1]])
-        # (P o Q)^2 = 1, so the exponential closes on two terms.
-        return math.cos(theta) * np.eye(4) + 1j * math.sin(theta) * pq
-    raise AssertionError(kind)
+    angles = [[_resolve(slot, bindings or {}) for slot in gate.params]]
+    return gate_stack(gate.kind, angles, gate.axes)[0]
 
 
 def gate_derivatives(gate: Gate, bindings: Mapping[str, float] | None = None
@@ -118,36 +131,11 @@ def gate_derivatives(gate: Gate, bindings: Mapping[str, float] | None = None
     The slot's scale enters by the chain rule; a name on two slots of one
     gate appears twice, and callers sum the contributions.
     """
-    bindings = bindings or {}
-    return [(slot.name, slot.scale * _slot_derivative(gate, index, bindings))
-            for index, slot in enumerate(gate.params)
+    angles = [[_resolve(slot, bindings or {}) for slot in gate.params]]
+    return [(slot.name,
+             slot.scale * gate_stack(gate.kind, angles, gate.axes, i)[0])
+            for i, slot in enumerate(gate.params)
             if isinstance(slot, ParamRef)]
-
-
-def _slot_derivative(gate: Gate, index: int,
-                     bindings: Mapping[str, float]) -> np.ndarray:
-    """Closed-form derivative of gate_matrix in the angle of one slot."""
-    kind = gate.kind
-    theta = _resolve(gate.params[index], bindings)
-    if kind in ("RX", "RY", "RZ"):
-        c, s = 0.5 * math.cos(theta / 2.0), 0.5 * math.sin(theta / 2.0)
-        if kind == "RX":
-            return np.array([[-s, -1j * c], [-1j * c, -s]])
-        if kind == "RY":
-            return np.array([[-s, -c], [c, -s]], dtype=complex)
-        return np.array([[-s - 1j * c, 0], [0, -s + 1j * c]])
-    if kind == "FSIM":
-        d = np.zeros((4, 4), dtype=complex)
-        if index == 0:
-            d[1, 1] = d[2, 2] = -math.sin(theta)
-            d[1, 2] = d[2, 1] = -1j * math.cos(theta)
-        else:
-            d[3, 3] = -1j * np.exp(-1j * theta)
-        return d
-    if kind == "RPQ":
-        pq = np.kron(_PAULI[gate.axes[0]], _PAULI[gate.axes[1]])
-        return -math.sin(theta) * np.eye(4) + 1j * math.cos(theta) * pq
-    raise AssertionError(kind)
 
 
 # Basis changes bringing e^{i theta Z o Z} to e^{i theta P o Q}: the fragment

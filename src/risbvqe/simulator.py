@@ -4,15 +4,15 @@ Two backends share one gate set and one engine: pure state vectors
 (noiseless) and density matrices (with optional per-gate depolarizing
 noise), held as their real Pauli coefficients x_P = tr(P rho) (the
 Pauli-transfer-matrix basis, Greenbaum, arXiv:1509.02921).  Qubit 0 is
-axis 0 and the most significant bit of the flattened index.  `_fuse`
-compiles a circuit into blocks, each one matmul on the block's qubit axes,
-and `run`, `apply_gate` and `adjoint_gradient` walk those blocks on either
-backend.  On a pure state a block is one gate matrix.  On a density matrix
-a gate and its channels form one real 4x4 or 16x16 transfer matrix, and
-each maximal run of consecutive gates inside one qubit pair is fused into
-one block, the product in gate order (exact; gate fusion as in qsim and
-Qiskit Aer).  `adjoint_gradient` differentiates an expectation in one
-reverse sweep over the same blocks.
+axis 0 and the most significant bit of the flattened index.  `_compile`
+turns a circuit's structure into blocks once per (gates, backend, noise),
+`_fuse` fills in a call's angles with one `gate_stack` per gate kind, and
+`run`, `apply_gate` and `adjoint_gradient` walk those blocks.  A pure
+block is one gate, applied in place as flat[idx] = U flat[idx] through a
+cached gather index.  On a density matrix a gate and its channels form one
+real 4x4 or 16x16 transfer matrix, and each maximal run of consecutive
+gates inside one qubit pair is one block, the product in gate order
+(exact; gate fusion as in qsim and Qiskit Aer).
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .circuits import _PAULI, Circuit, Gate, gate_derivatives, gate_matrix
+from .circuits import (_PAULI, Circuit, Gate, gate_derivatives, gate_matrix,
+                       gate_stack)
+from .pauli import PauliSum, expectation_matrix, pauli_tensor
 
 
 @dataclass(frozen=True)
@@ -163,10 +165,10 @@ def _flatten(tensor: np.ndarray, axes: tuple[int, ...]):
 
 def _apply_unitary(tensor: np.ndarray, u: np.ndarray,
                    axes: tuple[int, ...]) -> np.ndarray:
-    """`u` on `axes`.  A Pauli tensor (axes of 4) on adjacent axes in order
-    is viewed as (before, block, after) and takes one batched matmul with
-    no transpose.  Otherwise `axes` are brought to the front, contracted
-    with one matmul and moved back; pure states always take this route."""
+    """`u` on `axes` of a Pauli tensor (axes of 4).  On adjacent axes in
+    order it is viewed as (before, block, after) and takes one batched
+    matmul with no transpose.  Otherwise `axes` are brought to the front,
+    contracted with one matmul and moved back."""
     first = axes[0]
     if tensor.shape[0] == 4 and axes == tuple(range(first, first + len(axes))):
         x = tensor.reshape(4 ** first, len(u), -1)
@@ -222,15 +224,6 @@ def _transfer(gate: Gate, left: np.ndarray, block: tuple[int, ...],
     return out
 
 
-@functools.lru_cache(maxsize=1024)
-def _fixed_transfer(gate: Gate, block: tuple[int, ...],
-                    noise: NoiseModel | None) -> np.ndarray:
-    """`_transfer` of a gate without named parameters, built once."""
-    out = _transfer(gate, gate_matrix(gate), block, noise)
-    out.setflags(write=False)
-    return out
-
-
 def _runs(gates) -> list[tuple[tuple[int, ...], list[Gate]]]:
     """Maximal runs of consecutive gates whose qubits fit inside one pair,
     as (qubits in first-use order, gates)."""
@@ -247,29 +240,97 @@ def _runs(gates) -> list[tuple[tuple[int, ...], list[Gate]]]:
     return runs
 
 
-def _fuse(gates, bindings: Mapping[str, float], noise: NoiseModel | None,
-          mixed: bool):
-    """One block per run: (its qubits, gates, factors, prefixes), factors[k]
-    the action of gates[k] on the block and prefixes[k] = factors[k] ...
-    factors[0], so prefixes[-1] is the block's S.
+class _Block(NamedTuple):
+    qubits: tuple[int, ...]
+    gates: tuple[Gate, ...]
+    positions: range         # of its gates in the circuit
+    idx: np.ndarray | None   # pure states: flat[idx] is `_flatten`'s matrix
+    tuned: bool              # holds a gate with a named slot
 
-    On the Pauli coefficients of a density matrix a block is a run of
-    `_runs` and a factor is the gate's noisy Pauli transfer matrix, real
-    4x4 or 16x16.  On a pure state a block is one gate on its own qubits
-    and its factor is U: fusing does not pay on 2^n amplitudes."""
-    if not mixed:
-        if noise is not None:
-            raise ValueError("noise requires the density-matrix backend")
-        matrices = [gate_matrix(g, bindings) for g in gates]
-        return [(g.qubits, [g], [u], [u]) for g, u in zip(gates, matrices)]
-    blocks = []
-    for qubits, members in _runs(gates):
-        factors = [_transfer(g, gate_matrix(g, bindings), qubits, noise)
-                   if g.param_names() else _fixed_transfer(g, qubits, noise)
-                   for g in members]
-        prefixes = list(itertools.accumulate(factors, lambda s, t: t @ s))
-        blocks.append((qubits, members, factors, prefixes))
-    return blocks
+
+@functools.lru_cache(maxsize=64)
+def _compile(n: int, gates: tuple[Gate, ...], mixed: bool,
+             noise: NoiseModel | None):
+    """The angle-free part of `_fuse`, built once per (gates, backend,
+    noise): (blocks, each gate's factor if it has no named slot, kinds),
+    its arrays read-only.  A kind (kind, axes, positions, name index,
+    scale) gathers the gates with named slots, with (m, slots) tables; a
+    numeric slot has index len(names) and its angle as scale."""
+    if noise is not None and not mixed:
+        raise ValueError("noise requires the density-matrix backend")
+    blocks, where, index = [], [], {}  # one gather index per qubit tuple
+    for qubits, members in (_runs(gates) if mixed else
+                            [(g.qubits, [g]) for g in gates]):
+        if not mixed and qubits not in index:
+            index[qubits] = _flatten(np.arange(
+                2 ** n, dtype=np.intp).reshape((2,) * n), qubits)[0]
+        blocks.append(_Block(qubits, tuple(members), range(
+            len(where), len(where) + len(members)), index.get(qubits),
+            any(g.param_names() for g in members)))
+        where += [qubits] * len(members)
+    fixed = tuple(None if g.param_names() else
+                  _transfer(g, gate_matrix(g), q, noise) if mixed else
+                  gate_matrix(g).copy() for g, q in zip(gates, where))
+    groups: dict[tuple, list[int]] = {}
+    for p, g in enumerate(gates):
+        if g.param_names():
+            groups.setdefault((g.kind, g.axes), []).append(p)
+    names = {name: i for i, name in enumerate(dict.fromkeys(
+        name for g in gates for name in g.param_names()))}
+    kinds = [(kind, axes, np.array(ps), np.array(
+        [[names.get(getattr(s, "name", None), len(names))
+          for s in gates[p].params] for p in ps]), np.array(
+        [[getattr(s, "scale", s) for s in gates[p].params] for p in ps],
+        dtype=float)) for (kind, axes), ps in groups.items()]
+    for array in [*index.values(), *(f for f in fixed if f is not None),
+                  *(a for k in kinds for a in k[2:])]:
+        array.setflags(write=False)
+    return tuple(blocks), fixed, tuple(kinds)
+
+
+def _fuse(circuit: Circuit, bindings: Mapping[str, float], mixed: bool,
+          noise: NoiseModel | None):
+    """(each kind with its (m, slots) angles, and per block (block,
+    factors, prefixes)), factors[k] the action of the block's gates[k] and
+    prefixes[k] = factors[k] ... factors[0], so prefixes[-1] is its S."""
+    blocks, fixed, kinds = _compile(circuit.n_qubits, circuit.gates, mixed,
+                                    noise)
+    names = circuit.parameter_names
+    missing = [name for name in names if name not in bindings]
+    if missing:
+        raise ValueError(f"unbound parameters: {missing}")
+    values = np.array([bindings[name] for name in names] + [1.0])
+    angles = [scale * values[index] for *_, index, scale in kinds]
+    factors = list(fixed)
+    for (kind, axes, positions, _, _), a in zip(kinds, angles):
+        for p, u in zip(positions.tolist(), gate_stack(kind, a, axes)):
+            factors[p] = u
+    fused = []
+    for block in blocks:
+        own = factors[block.positions.start:block.positions.stop]
+        if mixed:
+            own = [f if fixed[p] is not None else
+                   _transfer(g, f, block.qubits, noise)
+                   for g, p, f in zip(block.gates, block.positions, own)]
+        fused.append((block, own, own if len(own) == 1 else list(
+            itertools.accumulate(own, lambda s, t: t @ s))))
+    return list(zip(kinds, angles)), fused
+
+
+def _act(tensor: np.ndarray, s: np.ndarray, block: _Block,
+         kept: dict | None = None) -> np.ndarray:
+    """`s` on the block's qubits, in place through the gather index on a
+    pure state; `kept` stores the entering tensor's `_flatten` matrix."""
+    if block.idx is None:
+        if kept is not None:
+            kept[block.positions.start] = _flatten(tensor, block.qubits)[0]
+        return _apply_unitary(tensor, s, block.qubits)
+    flat = tensor.reshape(-1)
+    rows = flat[block.idx]
+    if kept is not None:
+        kept[block.positions.start] = rows
+    flat[block.idx] = s @ rows
+    return tensor
 
 
 def apply_gate(state: QuantumState, gate: Gate,
@@ -278,19 +339,11 @@ def apply_gate(state: QuantumState, gate: Gate,
     """Unitary action followed, on the mixed backend, by one depolarizing
     channel per touched qubit (p1 for one-qubit gates, p2 per qubit of a
     two-qubit gate); the gate is a block of one."""
-    ((axes, _, _, (s,)),) = _fuse((gate,), bindings or {}, noise,
-                                  state.kind == "mixed")
+    _, ((block, _, (s,)),) = _fuse(Circuit(state.n_qubits, (gate,)),
+                                   bindings or {}, state.kind == "mixed",
+                                   noise)
     return QuantumState(state.n_qubits, state.kind,
-                        _apply_unitary(state.tensor, s, axes))
-
-
-def _bound(circuit: Circuit,
-           bindings: Mapping[str, float] | None) -> dict[str, float]:
-    resolved = circuit.resolved_bindings(bindings)
-    missing = [p for p in circuit.parameter_names if p not in resolved]
-    if missing:
-        raise ValueError(f"unbound parameters: {missing}")
-    return resolved
+                        _act(state.tensor.copy(), s, block))
 
 
 def run(circuit: Circuit, bindings: Mapping[str, float] | None = None,
@@ -298,16 +351,17 @@ def run(circuit: Circuit, bindings: Mapping[str, float] | None = None,
         mixed: bool | None = None) -> QuantumState:
     """Execute from |0...0>; the backend follows the noise setting unless
     forced with `mixed`, and noise on the pure backend raises ValueError."""
-    resolved = _bound(circuit, bindings)
     if mixed is None:
         mixed = noise is not None
+    _, fused = _fuse(circuit, circuit.resolved_bindings(bindings), mixed,
+                     noise)
     state = QuantumState.zero(circuit.n_qubits, mixed=mixed)
-    for axes, _, _, prefixes in _fuse(circuit.gates, resolved, noise, mixed):
-        state.tensor = _apply_unitary(state.tensor, prefixes[-1], axes)
+    for block, _, prefixes in fused:
+        state.tensor = _act(state.tensor, prefixes[-1], block)
     return state
 
 
-def adjoint_gradient(circuit: Circuit, observable: np.ndarray,
+def adjoint_gradient(circuit: Circuit, observable: PauliSum,
                      bindings: Mapping[str, float] | None = None,
                      noise: NoiseModel | None = None
                      ) -> tuple[QuantumState, np.ndarray]:
@@ -316,54 +370,53 @@ def adjoint_gradient(circuit: Circuit, observable: np.ndarray,
     and one reverse sweep over the blocks of `_fuse` (Jones & Gacon,
     arXiv:2009.02823).
 
-    `observable` is the dense Hermitian 2^n x 2^n matrix of O.  The forward
-    sweep keeps the tensor entering each block that holds a parameterized
-    gate.  The reverse sweep carries lambda back through each block's
-    S^dag, starting from O psi on a pure state and from tr(P O) / 2^n on a
-    density matrix (Heisenberg picture, exact at every noise strength).  A
-    block adds w Re sum(dS * M), with M the overlap of lambda after it and
-    the tensor entering it over the block's axes, dS the derivative of its
-    S, and w = 2 for a pure state (psi enters <O> twice), 1 for a density
-    matrix.
+    Lambda runs back through each block's S^dag from O psi (the cached
+    `expectation_matrix`) on a pure state and from tr(P O) / 2^n
+    (`pauli_tensor`) on a density matrix.  A block adds w Re sum(dS * M),
+    M the overlap of lambda after it and the tensor entering it over its
+    axes, dS the derivative of its S, w = 2 for a pure state (psi enters
+    <O> twice), 1 for a density matrix; on a pure state, one contraction
+    and one scatter-add per gate kind.
     """
-    resolved = _bound(circuit, bindings)
-    n = circuit.n_qubits
-    mixed = noise is not None
-    index = {name: i for i, name in enumerate(circuit.parameter_names)}
-    grad = np.zeros(len(index))
-    observable = np.asarray(observable, dtype=complex)
-    blocks = _fuse(circuit.gates, resolved, noise, mixed)
+    n, mixed = circuit.n_qubits, noise is not None
+    resolved = circuit.resolved_bindings(bindings)
+    kinds, fused = _fuse(circuit, resolved, mixed, noise)
+    grad = np.zeros(circuit.n_params + 1)  # the last for numeric slots
     tensor = QuantumState.zero(n, mixed=mixed).tensor
-    entering: list[np.ndarray] = []
-    for axes, gates, _, prefixes in blocks:
-        if any(g.param_names() for g in gates):
-            entering.append(_flatten(tensor, axes)[0])
-        tensor = _apply_unitary(tensor, prefixes[-1], axes)
-    if mixed:
-        lam, weight = _pauli_coefficients(observable).real / 2 ** n, 1.0
-    else:
-        lam = (observable @ tensor.reshape(-1)).reshape(tensor.shape)
-        weight = 2.0
-    for axes, gates, factors, prefixes in reversed(blocks):
-        if any(g.param_names() for g in gates):
+    entering, leaving = {}, {}
+    for block, _, prefixes in fused:
+        tensor = _act(tensor, prefixes[-1], block,
+                      entering if block.tuned else None)
+    lam = pauli_tensor(observable).real if mixed else (expectation_matrix(
+        observable) @ tensor.reshape(-1)).reshape(tensor.shape)
+    for block, factors, prefixes in reversed(fused):
+        lam = _act(lam, prefixes[-1].conj().T, block,
+                   leaving if block.tuned else None)
+        if block.tuned and mixed:
             # M[i, j] = sum over the other axes of conj(lam[i]) entering[j]
-            overlap = _flatten(lam, axes)[0].conj() @ entering.pop().T
-            # dS for a slot of gate j: T_m ... T_(j+1) dT_j T_(j-1) ... T_1
-            # with dT_j = dU (pure) or D (dU o U* + U o dU*) (mixed), whose
-            # two terms have the same real transfer matrix.
-            after = None
+            p = block.positions.start
+            overlap = leaving.pop(p).conj() @ entering.pop(p).T
+            # dS of gate j: T_m ... dT_j ... T_1, dT_j = D (dU o U* + U o
+            # dU*), whose two terms have the same real transfer matrix
+            gates, after = block.gates, None
             for j in range(len(gates) - 1, -1, -1):
-                derivatives = gate_derivatives(gates[j], resolved)
-                if mixed and derivatives:
-                    u = gate_matrix(gates[j], resolved)
-                    derivatives = [
-                        (name, 2.0 * _transfer(gates[j], du, axes, noise,
-                                               right=u))
-                        for name, du in derivatives]
-                for name, d_s in derivatives:
+                u = gate_matrix(gates[j], resolved)
+                for name, du in gate_derivatives(gates[j], resolved):
+                    d_s = 2.0 * _transfer(gates[j], du, block.qubits, noise,
+                                          right=u)
                     d_s = d_s @ prefixes[j - 1] if j else d_s
                     d_s = d_s if after is None else after @ d_s
-                    grad[index[name]] += weight * np.sum(d_s * overlap).real
+                    grad[circuit.parameter_names.index(name)] += np.sum(
+                        d_s * overlap).real
                 after = factors[j] if after is None else after @ factors[j]
-        lam = _apply_unitary(lam, prefixes[-1].conj().T, axes)
-    return QuantumState(n, "mixed" if mixed else "pure", tensor), grad
+    for (kind, axes, positions, index, scale), a in [] if mixed else kinds:
+        positions = positions.tolist()  # M as above, one per gate
+        m = np.conj([leaving[p] for p in positions]) @ np.array(
+            [entering[p] for p in positions]).transpose(0, 2, 1)
+        du = np.array([gate_stack(kind, a, axes, slot)
+                       for slot in range(a.shape[1])])
+        terms = (scale.T[:, :, None, None] * du * m).reshape(
+            *a.shape[::-1], -1).sum(-1).real
+        grad += 2.0 * np.bincount(index.T.ravel(), terms.ravel(),
+                                  minlength=len(grad))
+    return QuantumState(n, "mixed" if mixed else "pure", tensor), grad[:-1]

@@ -22,7 +22,7 @@ from .circuits import Circuit, build_mr_nc1
 from .ed import ed_rdm1, ground_state, half_filling_sector
 from .embedding import LatticeSpec, SymMatrix, risb_cost
 from .estimator import expectation, measure_rdm1, parameter_shift_minimize
-from .pauli import PauliSum, expectation_matrix
+from .pauli import PauliSum
 from .simulator import NoiseModel, adjoint_gradient, run
 
 GRADIENT_TOL = 1e-8
@@ -56,9 +56,8 @@ def _objective(circuit: Circuit, observable: PauliSum,
         bindings = dict(zip(names, x))
         grad = None
         if gradient:
-            state, grad = adjoint_gradient(
-                circuit, expectation_matrix(observable), bindings,
-                noise=noise)
+            state, grad = adjoint_gradient(circuit, observable, bindings,
+                                           noise=noise)
             if not np.all(np.isfinite(grad)):
                 bad = grad[~np.isfinite(grad)][0]
                 raise SolverFailure(f"objective gradient diverged to {bad}")

@@ -19,6 +19,7 @@ from risbvqe.circuits import (
     decompose_rpq,
     gate_derivatives,
     gate_matrix,
+    gate_stack,
 )
 
 from oracles import (build_product_ry, dense_state, dense_unitary,
@@ -108,6 +109,41 @@ class TestGateDerivatives:
     def test_fixed_gates_have_none(self):
         assert gate_derivatives(Gate("CNOT", (0, 1))) == []
         assert gate_derivatives(Gate("RY", (0,), (0.4,))) == []
+
+
+KIND_AXES = ([(k, None) for k in ("RX", "RY", "RZ", "X", "H", "CNOT", "FSIM")]
+             + [("RPQ", (a, b)) for a in "XYZ" for b in "XYZ"])
+
+
+class TestGateStack:
+    """`gate_stack` builds a whole kind at once; `gate_matrix` and
+    `gate_derivatives` are its batch of one."""
+
+    @pytest.mark.parametrize("kind, axes", KIND_AXES)
+    def test_rows_equal_single_gates(self, kind, axes):
+        rng = np.random.default_rng(7)
+        n_angles = {"FSIM": 2, "X": 0, "H": 0, "CNOT": 0}.get(kind, 1)
+        angles = rng.uniform(-7, 7, (5, n_angles))
+        qubits = (0,) if kind in ("RX", "RY", "RZ", "X", "H") else (0, 1)
+        stack = gate_stack(kind, angles, axes)
+        assert stack.shape == (5, 2 ** len(qubits), 2 ** len(qubits))
+        assert stack.dtype == complex
+        for row, m in zip(angles, stack):
+            names = [f"p{i}" for i in range(n_angles)]
+            gate = Gate(kind, qubits, tuple(ParamRef(n, 2.0) for n in names),
+                        axes=axes)
+            values = dict(zip(names, row / 2.0))
+            np.testing.assert_array_equal(gate_matrix(gate, values), m)
+            for slot, (name, d) in enumerate(gate_derivatives(gate, values)):
+                assert name == names[slot]
+                np.testing.assert_array_equal(
+                    d, 2.0 * gate_stack(kind, [row], axes, slot)[0])
+
+    def test_numeric_and_named_slots_agree(self):
+        gate = Gate("FSIM", (0, 1), (ParamRef("t", -2.0), 0.3))
+        numeric = Gate("FSIM", (0, 1), (-2.0 * 0.7, 0.3))
+        np.testing.assert_array_equal(gate_matrix(gate, {"t": 0.7}),
+                                      gate_matrix(numeric))
 
 
 class TestDecomposeRpq:

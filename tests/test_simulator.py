@@ -8,15 +8,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from risbvqe.circuits import (Circuit, Gate, ParamRef, build_hea_nc1,
-                              build_ldca, build_mr_nc1,
+from risbvqe.circuits import (VALID_KINDS, Circuit, Gate, ParamRef,
+                              build_hea_nc1, build_ldca, build_mr_nc1,
                               build_mrep, decompose_circuit)
 from risbvqe.ed import ed_rdm1_full
 from risbvqe.estimator import expectation
 from risbvqe.pauli import PauliSum, expectation_matrix
-from risbvqe.simulator import (NoiseModel, QuantumState, _runs, _transfer,
-                               adjoint_gradient, apply_gate, calibrate_noise,
-                               run)
+from risbvqe.simulator import (NoiseModel, QuantumState, _compile, _runs,
+                               _transfer, adjoint_gradient, apply_gate,
+                               calibrate_noise, run)
+from risbvqe.vqe import vqe_minimize
 
 from oracles import (dense_state, finite_difference_gradient, noisy_density,
                      superoperator_density, word_mat)
@@ -129,6 +130,20 @@ class TestUnitaryAction:
         before = start.tensor.copy()
         apply_gate(start, Gate("H", (0,)))
         np.testing.assert_array_equal(start.tensor, before)
+        # the pure backend scatters in place, but into its own copy
+        psi = RNG.normal(size=4) + 1j * RNG.normal(size=4)
+        start = QuantumState.from_vector(psi / np.linalg.norm(psi))
+        before = start.tensor.copy()
+        for gate in all_kinds_circuit().gates:
+            out = apply_gate(start, gate, {n: 0.4 for n in "abcdef"})
+            assert not np.shares_memory(out.tensor, start.tensor)
+            np.testing.assert_array_equal(start.tensor, before)
+        # a run's state is its own: writing to it changes no later run
+        circ = build_mr_nc1(theta=0.9)
+        first = run(circ)
+        want = first.tensor.copy()
+        first.tensor[...] = 0.0
+        np.testing.assert_array_equal(run(circ).tensor, want)
 
     def test_statevector_matches_dense(self):
         circ = build_mr_nc1(theta=1.234)
@@ -373,8 +388,8 @@ class TestPauliBasis:
         start = QuantumState.zero(circuit.n_qubits, mixed=True)
         assert_pauli_tensor(apply_gate(start, gate, noise=noise))
         if noise is not None:
-            dim = 2 ** circuit.n_qubits
-            final, _ = adjoint_gradient(circuit, np.eye(dim), noise=noise)
+            identity = PauliSum({"I" * circuit.n_qubits: 1.0})
+            final, _ = adjoint_gradient(circuit, identity, noise=noise)
             assert_pauli_tensor(final)
 
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.75])
@@ -435,8 +450,7 @@ def assert_gradient_matches_oracle(circuit, obs, noise=None, x=None):
     if x is None:
         x = RNG.uniform(-math.pi, math.pi, len(names))
     bindings = dict(zip(names, x))
-    final, got = adjoint_gradient(circuit, expectation_matrix(obs), bindings,
-                                  noise=noise)
+    final, got = adjoint_gradient(circuit, obs, bindings, noise=noise)
     assert np.array_equal(final.tensor,
                           run(circuit, bindings, noise=noise).tensor)
 
@@ -565,8 +579,7 @@ class TestAdjointGradient:
         energies = []
         for _ in range(3):
             bindings = dict(zip(names, RNG.uniform(-3, 3, len(names))))
-            _, grad = adjoint_gradient(circ, expectation_matrix(obs),
-                                       bindings, noise=noise)
+            _, grad = adjoint_gradient(circ, obs, bindings, noise=noise)
             assert np.max(np.abs(grad)) < 1e-14
             energies.append(expectation(run(circ, bindings, noise=noise),
                                         obs))
@@ -621,10 +634,124 @@ class TestAdjointGradient:
 
     def test_fixed_circuit_has_empty_gradient(self):
         circ = Circuit(1, (Gate("H", (0,)),))
-        _, grad = adjoint_gradient(circ, np.diag([1.0, -1.0]))
+        _, grad = adjoint_gradient(circ, PauliSum({"Z": 1.0}))
         assert grad.shape == (0,)
 
     def test_unbound_parameter_rejected(self):
         circ = build_hea_nc1()
         with pytest.raises(ValueError, match="unbound"):
-            adjoint_gradient(circ, np.eye(16), {"a0": 0.1})
+            adjoint_gradient(circ, PauliSum({"IIII": 1.0}), {"a0": 0.1})
+
+
+# Numeric angles and named slots in one circuit: names shared across gates,
+# some slots at scale -2.
+NUMERIC_OR_NAMED = st.floats(-math.pi, math.pi) | PARAMETER_SLOTS
+
+
+class TestCompiledPurePath:
+    """The pure backend's compiled gather route against the dense oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_circuits(NUMERIC_OR_NAMED), st.integers(0, 2 ** 32 - 1))
+    def test_matches_oracles(self, circuit, seed):
+        rng = np.random.default_rng(seed)
+        names = circuit.parameter_names
+        x = rng.uniform(-math.pi, math.pi, len(names))
+        bindings = dict(zip(names, x))
+        want = dense_state(circuit, bindings)
+        np.testing.assert_allclose(run(circuit, bindings).vector(), want,
+                                   rtol=0, atol=1e-12)
+        state = QuantumState.zero(circuit.n_qubits)
+        for gate in circuit.gates:
+            before = state.tensor.copy()
+            after = apply_gate(state, gate, bindings)
+            np.testing.assert_array_equal(state.tensor, before)
+            state = after
+        np.testing.assert_allclose(state.vector(), want, rtol=0, atol=1e-12)
+        if names:  # sum |c| = 1/16 as in TestAdjointGradient
+            obs = random_observable(circuit.n_qubits, 6, rng)
+            obs = obs * (1.0 / (16.0 * sum(abs(c)
+                                           for c in obs.terms.values())))
+            assert_gradient_matches_oracle(circuit, obs, x=x)
+
+    def test_every_kind_with_numeric_scaled_and_shared_slots(self):
+        ref = ParamRef
+        circ = Circuit(3, (
+            Gate("H", (2,)), Gate("X", (0,)),
+            Gate("RX", (1,), (ref("a"),)), Gate("RY", (2,), (0.3,)),
+            Gate("RZ", (0,), (ref("a", scale=-2.0),)),
+            Gate("FSIM", (2, 0), (ref("b"), 0.8)),
+            Gate("RPQ", (1, 2), (ref("b", scale=0.5),), axes=("Y", "Z")),
+            Gate("CNOT", (2, 1)), Gate("FSIM", (0, 1), (-0.4, ref("c"))),
+            Gate("RPQ", (0, 2), (1.1,), axes=("X", "X"))))
+        assert {g.kind for g in circ.gates} == VALID_KINDS
+        bindings = {"a": 0.7, "b": -1.3, "c": 2.2}
+        np.testing.assert_allclose(run(circ, bindings).vector(),
+                                   dense_state(circ, bindings),
+                                   rtol=0, atol=1e-12)
+        grad = assert_gradient_matches_oracle(
+            circ, random_observable(3, 10), x=np.array([0.7, -1.3, 2.2]))
+        assert np.min(np.abs(grad)) > 1e-6
+
+
+class TestCompileCache:
+    """One compile per (gates, backend, noise); the numbers come per call."""
+
+    def test_results_follow_bind_and_call_bindings(self):
+        circ = build_mrep(2, 1)
+        names = circ.parameter_names
+        obs = random_observable(8, 12)
+        for _ in range(2):
+            x = RNG.uniform(-math.pi, math.pi, len(names))
+            bindings = dict(zip(names, x))
+            np.testing.assert_allclose(run(circ, bindings).vector(),
+                                       dense_state(circ, bindings),
+                                       rtol=0, atol=1e-12)
+            assert_gradient_matches_oracle(circ, obs, x=x)
+        # defaults held in Circuit.bindings, some overridden per call
+        bound = circ.bind(RNG.uniform(-math.pi, math.pi, len(names)))
+        np.testing.assert_allclose(run(bound).vector(), dense_state(bound),
+                                   rtol=0, atol=1e-12)
+        override = {names[0]: 0.25, names[-1]: -1.5}
+        np.testing.assert_allclose(run(bound, override).vector(),
+                                   dense_state(bound, override),
+                                   rtol=0, atol=1e-12)
+        final, grad = adjoint_gradient(bound, obs, override)
+        assert np.array_equal(final.tensor, run(bound, override).tensor)
+        values = {**bound.bindings, **override}
+        again = adjoint_gradient(circ, obs, values)[1]
+        np.testing.assert_array_equal(grad, again)
+        rebound = bound.bind(override)
+        np.testing.assert_array_equal(run(rebound).tensor,
+                                      run(bound, override).tensor)
+
+    @pytest.mark.parametrize("noise", [None, calibrate_noise()])
+    def test_one_compile_per_vqe_start(self, noise):
+        circ = build_hea_nc1()
+        obs = PauliSum({"ZIII": 1.0, "IXXI": 0.5, "IIYY": -0.3})
+        _compile.cache_clear()
+        out = vqe_minimize(obs, circ, noise=noise, seed=3, max_iter=5)
+        info = _compile.cache_info()
+        assert info.misses == 1
+        assert info.hits == len(out.trace) - 1
+
+    @pytest.mark.parametrize("mixed, noise",
+                             [(False, None), (True, None),
+                              (True, calibrate_noise())])
+    def test_cached_arrays_are_read_only(self, mixed, noise):
+        # numeric RY gates and CNOTs are fixed, RZ slots at scale -2 named
+        circ = decompose_circuit(build_ldca(4, 1))
+        blocks, fixed, kinds = _compile(circ.n_qubits, circ.gates, mixed,
+                                        noise)
+        arrays = [f for f in fixed if f is not None]
+        arrays += [a for kind in kinds for a in kind[2:]]
+        arrays += [b.idx for b in blocks if b.idx is not None]
+        assert len(arrays) > len(kinds) * 3
+        assert all(b.idx is None for b in blocks) == mixed
+        # one gather index per qubit tuple, shared by its blocks
+        assert len({id(b.idx) for b in blocks if b.idx is not None}) == (
+            0 if mixed else len({b.qubits for b in blocks}))
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0

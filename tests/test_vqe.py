@@ -134,6 +134,23 @@ class TestSingleStart:
             assert energy == expectation(run(ansatz, bindings, noise=noise),
                                          obs)
 
+    def test_noisy_bfgs_reads_the_pauli_coefficients(self, monkeypatch):
+        # The mixed sweep starts from the observable's cached coefficient
+        # tensor: no dense matrix is built or converted back on any step.
+        import risbvqe.simulator as simulator_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense observable round trip")
+
+        monkeypatch.setattr(simulator_module, "_pauli_coefficients",
+                            forbidden)
+        monkeypatch.setattr(simulator_module, "expectation_matrix", forbidden)
+        obs, ansatz = embedded_observable(), build_hea_nc1()
+        out = vqe_minimize(obs, ansatz, noise=calibrate_noise(), seed=5,
+                           max_iter=20)
+        assert len(out.trace) > 10
+        assert obs._matrix is None
+
     def test_noise_lifts_the_floor(self):
         obs, ansatz = ry_probe()
         noise = calibrate_noise()
