@@ -66,15 +66,6 @@ class Gate:
         return [p.name for p in self.params if isinstance(p, ParamRef)]
 
 
-def _resolve(slot, bindings: Mapping[str, float]) -> float:
-    if isinstance(slot, ParamRef):
-        try:
-            return slot.scale * bindings[slot.name]
-        except KeyError:
-            raise ValueError(f"unbound parameter {slot.name!r}") from None
-    return float(slot)
-
-
 # Every gate matrix is sum_k f_k(angles) A_k over a few fixed A_k: a one-
 # qubit rotation cos(t/2) 1 + sin(t/2) (-i sigma), RPQ cos(t) 1 +
 # sin(t) (i P o Q) (as (P o Q)^2 = 1) and FSIM |00><00| + cos(t) (|01><01|
@@ -115,27 +106,6 @@ def gate_stack(kind: str, angles, axes: tuple[str, str] | None = None,
              [zero + 1.0, *f, phase])
     d = 2 if half else 4
     return (np.array(f).T @ _PARTS[kind, axes]).reshape(-1, d, d)
-
-
-def gate_matrix(gate: Gate, bindings: Mapping[str, float] | None = None
-                ) -> np.ndarray:
-    """Dense 2x2 or 4x4 unitary of a gate with all parameters resolved."""
-    angles = [[_resolve(slot, bindings or {}) for slot in gate.params]]
-    return gate_stack(gate.kind, angles, gate.axes)[0]
-
-
-def gate_derivatives(gate: Gate, bindings: Mapping[str, float] | None = None
-                     ) -> list[tuple[str, np.ndarray]]:
-    """(name, d gate_matrix / d name) for every named slot of the gate.
-
-    The slot's scale enters by the chain rule; a name on two slots of one
-    gate appears twice, and callers sum the contributions.
-    """
-    angles = [[_resolve(slot, bindings or {}) for slot in gate.params]]
-    return [(slot.name,
-             slot.scale * gate_stack(gate.kind, angles, gate.axes, i)[0])
-            for i, slot in enumerate(gate.params)
-            if isinstance(slot, ParamRef)]
 
 
 # Basis changes bringing e^{i theta Z o Z} to e^{i theta P o Q}: the fragment

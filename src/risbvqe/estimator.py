@@ -18,7 +18,7 @@ import numpy as np
 from .circuits import Circuit, ParamRef
 from .ed import Rdm1, ed_rdm1_full
 from .pauli import PauliSum, expectation_matrix, pauli_tensor
-from .simulator import NoiseModel, QuantumState, run
+from .simulator import NoiseModel, QuantumState, check_observable, run
 
 IMAG_TOL = 1e-9
 SPIN_ASYMMETRY_TOL = 1e-6
@@ -26,11 +26,7 @@ SPIN_ASYMMETRY_TOL = 1e-6
 
 def expectation(state: QuantumState, obs: PauliSum) -> float:
     """Exact <O> on either backend; tiny imaginary residue is discarded."""
-    if obs.n_qubits != state.n_qubits:
-        raise ValueError(f"observable on {obs.n_qubits} qubits, state on "
-                         f"{state.n_qubits}")
-    if not obs.is_hermitian():
-        raise ValueError("observable is not Hermitian")
+    check_observable(obs, state.n_qubits)
     if state.kind == "pure":
         vec = state.tensor.reshape(-1)
         value = complex(np.vdot(vec, expectation_matrix(obs) @ vec))

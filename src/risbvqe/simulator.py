@@ -10,9 +10,12 @@ turns a circuit's structure into blocks once per (gates, backend, noise),
 `run`, `apply_gate` and `adjoint_gradient` walk those blocks.  A pure
 block is one gate, applied in place as flat[idx] = U flat[idx] through a
 cached gather index.  On a density matrix a gate and its channels form one
-real 4x4 or 16x16 transfer matrix, and each maximal run of consecutive
-gates inside one qubit pair is one block, the product in gate order
-(exact; gate fusion as in qsim and Qiskit Aer).
+real 4x4 or 16x16 transfer matrix, built per kind in the gates' own frame
+(`_ptm`) and placed into its block (`_local`), and each maximal run of
+consecutive gates inside one qubit pair is one block, the product in gate
+order (exact; gate fusion as in qsim and Qiskit Aer).  The adjoint
+gradient ends, on both backends, in one stacked contraction and one
+scatter-add per gate kind.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .circuits import (_PAULI, Circuit, Gate, gate_derivatives, gate_matrix,
-                       gate_stack)
+from .circuits import _PAULI, Circuit, Gate, gate_stack
 from .pauli import PauliSum, expectation_matrix, pauli_tensor
 
 
@@ -145,6 +147,16 @@ class QuantumState:
 _BASIS = np.array([np.eye(2), _PAULI["X"], _PAULI["Y"], _PAULI["Z"]])
 
 
+def check_observable(obs: PauliSum, n_qubits: int) -> None:
+    """Raise ValueError unless `obs` is a Hermitian observable on
+    `n_qubits` qubits."""
+    if obs.n_qubits != n_qubits:
+        raise ValueError(f"observable on {obs.n_qubits} qubits, state on "
+                         f"{n_qubits}")
+    if not obs.is_hermitian():
+        raise ValueError("observable is not Hermitian")
+
+
 def _pauli_coefficients(matrix: np.ndarray) -> np.ndarray:
     """tr(P M) for every Pauli word P, as a complex (4,)*n tensor."""
     n = matrix.shape[0].bit_length() - 1
@@ -184,43 +196,48 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(d, d)
 
 
-def _local(u: np.ndarray, qubits: tuple[int, ...],
-           block: tuple[int, ...]) -> np.ndarray:
-    """A gate matrix on `qubits` written on the block's qubits, in order."""
+def _local(t: np.ndarray, qubits: tuple[int, ...], block: tuple[int, ...],
+           adjoint: bool = False) -> np.ndarray:
+    """A gate's transfer matrix on `qubits` written on the block's qubits,
+    in order: a reversed pair swaps its two Pauli indices, and a one-qubit
+    gate in a pair takes a kron with the identity on the other qubit.  With
+    `adjoint`, the map back, sum(_local(t) * m) = sum(t * _local(m, ...,
+    adjoint=True)): the same swap, or the trace over the other qubit."""
     if qubits == block:
-        return u
-    if len(qubits) == 2:  # the block lists the pair the other way round
-        return u.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    eye = np.eye(2)
-    return _kron(u, eye) if qubits[0] == block[0] else _kron(eye, u)
+        return t
+    if len(qubits) == 2:
+        return t.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
+    first, eye = qubits[0] == block[0], np.eye(4)
+    if adjoint:
+        return np.einsum("ikjk->ij" if first else "kikj->ij",
+                         t.reshape(4, 4, 4, 4))
+    return _kron(t, eye) if first else _kron(eye, t)
 
 
-# Pauli words on a block of k = 1, 2 qubits as (rows, cols), with
+# Pauli words on a gate of d = 2, 4 levels as (rows, cols), with
 # rows[p, (b, a)] = P_p[a, b] and cols[(c, d), q] = P_q[c, d], so that
 # rows (L o R*) cols = [tr(P_p L P_q R^dag)].
-_WORDS = {k: (w.transpose(0, 2, 1).reshape(4 ** k, -1),
-              w.reshape(4 ** k, -1).T.copy())
+_WORDS = {2 ** k: (w.transpose(0, 2, 1).reshape(4 ** k, -1),
+                   w.reshape(4 ** k, -1).T.copy())
           for k, w in ((1, _BASIS), (2, np.einsum(
               "aij,bkl->abikjl", _BASIS, _BASIS).reshape(16, 4, 4)))}
 
 
-def _transfer(gate: Gate, left: np.ndarray, block: tuple[int, ...],
-              noise: NoiseModel | None,
-              right: np.ndarray | None = None) -> np.ndarray:
-    """Pauli transfer matrix of rho -> D(L rho R^dag) on the block's qubits,
-    Re tr(P_p L P_q R^dag) / 2^k over its k-qubit Pauli words, with D the
-    gate's depolarizing channels (p1 for a one-qubit gate, p2 on each qubit
-    of a two-qubit gate), each a row scale (1, f, f, f) with f = 1 - 4p/3
-    on its qubit's Pauli index; R = L = U gives the noisy gate."""
-    a = _local(left, gate.qubits, block)
-    b = a if right is None else _local(right, gate.qubits, block)
-    rows, cols = _WORDS[len(block)]
-    out = (rows @ _kron(a, b.conj()) @ cols).real / len(a)
+def _ptm(left: np.ndarray, right: np.ndarray,
+         noise: NoiseModel | None) -> np.ndarray:
+    """Pauli transfer matrices of rho -> D(L rho R^dag) for (m, d, d)
+    stacks L, R on a gate's own qubits, Re tr(P_p L P_q R^dag) / d over its
+    Pauli words, with D the gate's depolarizing channels (p1 for a one-qubit
+    gate, p2 on each qubit of a pair), each a row scale (1, f, f, f) with
+    f = 1 - 4p/3 on its qubit's Pauli index; R = L = U gives noisy gates."""
+    m, d = left.shape[:2]
+    rows, cols = _WORDS[d]
+    kron = left[:, :, None, :, None] * right.conj()[:, None, :, None, :]
+    out = (rows @ kron.reshape(m, d * d, d * d) @ cols).real / d
     if noise is not None:
-        p = noise.effective_p1 if len(gate.qubits) == 1 else noise.effective_p2
+        p = noise.effective_p1 if d == 2 else noise.effective_p2
         f = np.array([1.0] + [1.0 - 4.0 * p / 3.0] * 3)
-        scales = [f if q in gate.qubits else np.ones(4) for q in block]
-        out *= functools.reduce(np.multiply.outer, scales).reshape(-1, 1)
+        out *= (f if d == 2 else np.multiply.outer(f, f).ravel())[:, None]
     return out
 
 
@@ -245,7 +262,7 @@ class _Block(NamedTuple):
     gates: tuple[Gate, ...]
     positions: range         # of its gates in the circuit
     idx: np.ndarray | None   # pure states: flat[idx] is `_flatten`'s matrix
-    tuned: bool              # holds a gate with a named slot
+    tuned: tuple[int, ...]   # offsets of its gates with a named slot
 
 
 @functools.lru_cache(maxsize=64)
@@ -266,11 +283,16 @@ def _compile(n: int, gates: tuple[Gate, ...], mixed: bool,
                 2 ** n, dtype=np.intp).reshape((2,) * n), qubits)[0]
         blocks.append(_Block(qubits, tuple(members), range(
             len(where), len(where) + len(members)), index.get(qubits),
-            any(g.param_names() for g in members)))
+            tuple(j for j, g in enumerate(members) if g.param_names())))
         where += [qubits] * len(members)
-    fixed = tuple(None if g.param_names() else
-                  _transfer(g, gate_matrix(g), q, noise) if mixed else
-                  gate_matrix(g).copy() for g, q in zip(gates, where))
+
+    def factor(gate, block_qubits):  # a batch of one
+        u = gate_stack(gate.kind, [gate.params], gate.axes)
+        return (_local(_ptm(u, u, noise)[0], gate.qubits, block_qubits)
+                if mixed else u[0].copy())
+
+    fixed = tuple(None if g.param_names() else factor(g, q)
+                  for g, q in zip(gates, where))
     groups: dict[tuple, list[int]] = {}
     for p, g in enumerate(gates):
         if g.param_names():
@@ -303,15 +325,15 @@ def _fuse(circuit: Circuit, bindings: Mapping[str, float], mixed: bool,
     angles = [scale * values[index] for *_, index, scale in kinds]
     factors = list(fixed)
     for (kind, axes, positions, _, _), a in zip(kinds, angles):
-        for p, u in zip(positions.tolist(), gate_stack(kind, a, axes)):
-            factors[p] = u
+        u = gate_stack(kind, a, axes)
+        for p, f in zip(positions.tolist(), _ptm(u, u, noise) if mixed
+                        else u):
+            factors[p] = f
     fused = []
     for block in blocks:
         own = factors[block.positions.start:block.positions.stop]
-        if mixed:
-            own = [f if fixed[p] is not None else
-                   _transfer(g, f, block.qubits, noise)
-                   for g, p, f in zip(block.gates, block.positions, own)]
+        for j in block.tuned if mixed else ():
+            own[j] = _local(own[j], block.gates[j].qubits, block.qubits)
         fused.append((block, own, own if len(own) == 1 else list(
             itertools.accumulate(own, lambda s, t: t @ s))))
     return list(zip(kinds, angles)), fused
@@ -372,18 +394,23 @@ def adjoint_gradient(circuit: Circuit, observable: PauliSum,
 
     Lambda runs back through each block's S^dag from O psi (the cached
     `expectation_matrix`) on a pure state and from tr(P O) / 2^n
-    (`pauli_tensor`) on a density matrix.  A block adds w Re sum(dS * M),
-    M the overlap of lambda after it and the tensor entering it over its
-    axes, dS the derivative of its S, w = 2 for a pure state (psi enters
-    <O> twice), 1 for a density matrix; on a pure state, one contraction
-    and one scatter-add per gate kind.
+    (`pauli_tensor`) on a density matrix.  M, the overlap of lambda after
+    a block and the tensor entering it over its axes, gives <O> =
+    sum(S * M).  Each gate with a named slot takes its share in its own
+    frame: after^T M prefix^T for the block's gates after and before it,
+    mapped back through `_local`.  Per gate kind, one stacked contraction
+    with the derivatives dU (pure) or the transfer matrices of
+    rho -> D(dU rho U^dag) (density matrix) and one scatter-add give
+    the gradient; the weight is 2 on both, as psi enters <O> twice and
+    D(dU rho U^dag) and D(U rho dU^dag) have the same transfer matrix.
     """
     n, mixed = circuit.n_qubits, noise is not None
-    resolved = circuit.resolved_bindings(bindings)
-    kinds, fused = _fuse(circuit, resolved, mixed, noise)
+    check_observable(observable, n)
+    kinds, fused = _fuse(circuit, circuit.resolved_bindings(bindings), mixed,
+                         noise)
     grad = np.zeros(circuit.n_params + 1)  # the last for numeric slots
     tensor = QuantumState.zero(n, mixed=mixed).tensor
-    entering, leaving = {}, {}
+    entering, leaving, framed = {}, {}, {}
     for block, _, prefixes in fused:
         tensor = _act(tensor, prefixes[-1], block,
                       entering if block.tuned else None)
@@ -393,29 +420,26 @@ def adjoint_gradient(circuit: Circuit, observable: PauliSum,
         lam = _act(lam, prefixes[-1].conj().T, block,
                    leaving if block.tuned else None)
         if block.tuned and mixed:
-            # M[i, j] = sum over the other axes of conj(lam[i]) entering[j]
             p = block.positions.start
-            overlap = leaving.pop(p).conj() @ entering.pop(p).T
-            # dS of gate j: T_m ... dT_j ... T_1, dT_j = D (dU o U* + U o
-            # dU*), whose two terms have the same real transfer matrix
-            gates, after = block.gates, None
-            for j in range(len(gates) - 1, -1, -1):
-                u = gate_matrix(gates[j], resolved)
-                for name, du in gate_derivatives(gates[j], resolved):
-                    d_s = 2.0 * _transfer(gates[j], du, block.qubits, noise,
-                                          right=u)
-                    d_s = d_s @ prefixes[j - 1] if j else d_s
-                    d_s = d_s if after is None else after @ d_s
-                    grad[circuit.parameter_names.index(name)] += np.sum(
-                        d_s * overlap).real
-                after = factors[j] if after is None else after @ factors[j]
-    for (kind, axes, positions, index, scale), a in [] if mixed else kinds:
-        positions = positions.tolist()  # M as above, one per gate
-        m = np.conj([leaving[p] for p in positions]) @ np.array(
+            # M, then after^T M as j passes each gate
+            overlap = leaving.pop(p) @ entering.pop(p).T
+            for j in range(len(factors) - 1, block.tuned[0] - 1, -1):
+                if j in block.tuned:
+                    framed[p + j] = _local(
+                        overlap @ prefixes[j - 1].T if j else overlap,
+                        block.gates[j].qubits, block.qubits, adjoint=True)
+                if j > block.tuned[0]:
+                    overlap = factors[j].T @ overlap
+    for (kind, axes, positions, index, scale), a in kinds:
+        positions = positions.tolist()  # one overlap per gate, stacked
+        m = np.array([framed[p] for p in positions]) if mixed else np.conj(
+            [leaving[p] for p in positions]) @ np.array(
             [entering[p] for p in positions]).transpose(0, 2, 1)
-        du = np.array([gate_stack(kind, a, axes, slot)
-                       for slot in range(a.shape[1])])
-        terms = (scale.T[:, :, None, None] * du * m).reshape(
+        du = [gate_stack(kind, a, axes, slot) for slot in range(a.shape[1])]
+        if mixed:
+            u = gate_stack(kind, a, axes)
+            du = [_ptm(d, u, noise) for d in du]
+        terms = (scale.T[:, :, None, None] * np.array(du) * m).reshape(
             *a.shape[::-1], -1).sum(-1).real
         grad += 2.0 * np.bincount(index.T.ravel(), terms.ravel(),
                                   minlength=len(grad))

@@ -2,23 +2,28 @@
 
 Everything here works by explicit bit manipulation on full 2^n arrays, or by
 Pauli-string algebra, so it stays independent of the package's
-tensor-contraction simulator and of its ladder-table kernel; the one
-exception is `pauli_rdm1_full`, the Pauli-expectation 1-RDM that the
-compiled table is checked against.  `oracle_jordan_wigner` is the
-string-product Jordan-Wigner map (single-qubit product table `_MUL`), and
-the Fock-space loops (`_ladder`, `oracle_hamiltonian_matrix`,
-`oracle_rdm1_full`) keep their own sign bookkeeping.  Qubit 0 is the most
-significant bit, mode p sits on qubit p.  `build_product_ry` is the
-entanglement-free ansatz several tests run; `pauli_zero` and
-`pauli_identity` build the empty and identity sums, and `sym_from_matrix`
-reads a symmetry-adapted matrix back into its channels.
+tensor-contraction simulator and of its ladder-table kernel; the
+exceptions are `pauli_rdm1_full`, the Pauli-expectation 1-RDM that the
+compiled table is checked against, and `gate_matrix` and
+`gate_derivatives`, the batch of one of `circuits.gate_stack`.
+`oracle_transfer` builds a noisy gate's Pauli transfer matrix, or its
+derivative, from explicit traces over Pauli words.
+`oracle_jordan_wigner` is the string-product Jordan-Wigner map
+(single-qubit product table `_MUL`), and the Fock-space loops (`_ladder`,
+`oracle_hamiltonian_matrix`, `oracle_rdm1_full`) keep their own sign
+bookkeeping.  Qubit 0 is the most significant bit, mode p sits on qubit
+p.  `build_product_ry` is the entanglement-free ansatz several tests
+run; `pauli_zero` and `pauli_identity` build the empty and identity
+sums, and `sym_from_matrix` reads a symmetry-adapted matrix back into its
+channels.
 """
 
 import functools
+import itertools
 
 import numpy as np
 
-from risbvqe.circuits import Circuit, Gate, ParamRef, gate_matrix
+from risbvqe.circuits import Circuit, Gate, ParamRef, gate_stack
 from risbvqe.embedding import SymMatrix, bath_kernel, bath_kernel_slope
 from risbvqe.estimator import expectation
 from risbvqe.pauli import FermionOperator, PauliSum, jordan_wigner
@@ -105,13 +110,54 @@ def oracle_jordan_wigner(op, n_modes):
     return total
 
 
+# Every gate kind, RPQ with each of its nine axis pairs.
+KIND_AXES = ([(k, None) for k in ("RX", "RY", "RZ", "X", "H", "CNOT", "FSIM")]
+             + [("RPQ", (a, b)) for a in "XYZ" for b in "XYZ"])
+
+
+def _resolve(slot, bindings):
+    if isinstance(slot, ParamRef):
+        try:
+            return slot.scale * bindings[slot.name]
+        except KeyError:
+            raise ValueError(f"unbound parameter {slot.name!r}") from None
+    return float(slot)
+
+
+def gate_matrix(gate, bindings=None):
+    """Dense 2x2 or 4x4 unitary of a gate with all parameters resolved:
+    `gate_stack`'s batch of one."""
+    angles = [[_resolve(slot, bindings or {}) for slot in gate.params]]
+    return gate_stack(gate.kind, angles, gate.axes)[0]
+
+
+def gate_derivatives(gate, bindings=None):
+    """(name, d gate_matrix / d name) for every named slot of the gate, one
+    `gate_stack` derivative each.
+
+    The slot's scale enters by the chain rule; a name on two slots of one
+    gate appears twice, and callers sum the contributions.
+    """
+    angles = [[_resolve(slot, bindings or {}) for slot in gate.params]]
+    return [(slot.name,
+             slot.scale * gate_stack(gate.kind, angles, gate.axes, i)[0])
+            for i, slot in enumerate(gate.params)
+            if isinstance(slot, ParamRef)]
+
+
 def embed_gate(n_qubits, gate, bindings=None):
     """Full 2^n unitary of a single gate."""
-    u = gate_matrix(gate, bindings or {})
+    return embed_matrix(n_qubits, gate.qubits,
+                        gate_matrix(gate, bindings or {}))
+
+
+def embed_matrix(n_qubits, qubits, u):
+    """A 2x2 or 4x4 matrix on `qubits` (in the listed order) as a full
+    2^n matrix, bit by bit."""
     dim = 2 ** n_qubits
     full = np.zeros((dim, dim), dtype=complex)
-    if len(gate.qubits) == 1:
-        (q,) = gate.qubits
+    if len(qubits) == 1:
+        (q,) = qubits
         shift = n_qubits - 1 - q
         for col in range(dim):
             b = (col >> shift) & 1
@@ -119,7 +165,7 @@ def embed_gate(n_qubits, gate, bindings=None):
             for nb in (0, 1):
                 full[base | (nb << shift), col] += u[nb, b]
     else:
-        qa, qb = gate.qubits
+        qa, qb = qubits
         sa, sb = n_qubits - 1 - qa, n_qubits - 1 - qb
         for col in range(dim):
             ba, bb = (col >> sa) & 1, (col >> sb) & 1
@@ -331,6 +377,53 @@ def depolarize_rho(rho, qubit, p, n_qubits):
         op = word_mat("".join(ch if q == qubit else "I"
                               for q in range(n_qubits)))
         out = out + (p / 3.0) * (op @ rho @ op)
+    return out
+
+
+# Generators G with dU / d(angle) = -i G U, slot by slot, on the gate's own
+# qubits: RX, RY, RZ are exp(-i t sigma / 2), RPQ is exp(i t P o Q), and
+# FSIM is exp(-i theta (|01><10| + |10><01|)) exp(-i phi |11><11|).
+def _generator(gate, slot):
+    if gate.kind in ("RX", "RY", "RZ"):
+        return PAULI_1Q[gate.kind[1]] / 2.0
+    if gate.kind == "RPQ":
+        return -np.kron(PAULI_1Q[gate.axes[0]], PAULI_1Q[gate.axes[1]])
+    hop = np.zeros((4, 4), dtype=complex)
+    if slot == 0:
+        hop[1, 2] = hop[2, 1] = 1.0
+    else:
+        hop[3, 3] = 1.0
+    return hop
+
+
+def oracle_transfer(gate, bindings, block, noise, slot=None):
+    """Pauli transfer matrix of the noisy gate on the block's qubits (in
+    the listed order), entry by entry: tr(P_p E(P_q)) / 2^k over the
+    block's k-qubit Pauli words, E(rho) = D(U rho U^dag) with D the gate's
+    depolarizing channels (p1 for one qubit, p2 on each qubit of a pair).
+    With `slot`, its derivative in that angle: D(dU rho U^dag + U rho
+    dU^dag), dU = -i G U from the slot's generator."""
+    k = len(block)
+    local = tuple(block.index(q) for q in gate.qubits)
+    u = gate_matrix(gate, bindings)
+    du = None if slot is None else embed_matrix(
+        k, local, -1j * _generator(gate, slot) @ u)
+    u = embed_matrix(k, local, u)
+    p = 0.0
+    if noise is not None:
+        p = noise.effective_p1 if len(local) == 1 else noise.effective_p2
+    words = [word_mat("".join(w)) for w in itertools.product("IXYZ",
+                                                              repeat=k)]
+    out = np.zeros((len(words), len(words)))
+    for col, q_word in enumerate(words):
+        if du is None:
+            image = u @ q_word @ u.conj().T
+        else:
+            image = du @ q_word @ u.conj().T + u @ q_word @ du.conj().T
+        for q in local:
+            image = depolarize_rho(image, q, p, k)
+        for row, p_word in enumerate(words):
+            out[row, col] = np.trace(p_word @ image).real / 2 ** k
     return out
 
 

@@ -17,12 +17,11 @@ from risbvqe.circuits import (
     build_mrep,
     decompose_circuit,
     decompose_rpq,
-    gate_derivatives,
-    gate_matrix,
     gate_stack,
 )
 
-from oracles import (build_product_ry, dense_state, dense_unitary,
+from oracles import (KIND_AXES, build_product_ry, dense_state,
+                     dense_unitary, gate_derivatives, gate_matrix,
                      oracle_rdm1_full, partial_trace)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -109,10 +108,6 @@ class TestGateDerivatives:
     def test_fixed_gates_have_none(self):
         assert gate_derivatives(Gate("CNOT", (0, 1))) == []
         assert gate_derivatives(Gate("RY", (0,), (0.4,))) == []
-
-
-KIND_AXES = ([(k, None) for k in ("RX", "RY", "RZ", "X", "H", "CNOT", "FSIM")]
-             + [("RPQ", (a, b)) for a in "XYZ" for b in "XYZ"])
 
 
 class TestGateStack:

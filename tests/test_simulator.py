@@ -10,17 +10,18 @@ from hypothesis import strategies as st
 
 from risbvqe.circuits import (VALID_KINDS, Circuit, Gate, ParamRef,
                               build_hea_nc1, build_ldca, build_mr_nc1,
-                              build_mrep, decompose_circuit)
+                              build_mrep, decompose_circuit, gate_stack)
 from risbvqe.ed import ed_rdm1_full
 from risbvqe.estimator import expectation
 from risbvqe.pauli import PauliSum, expectation_matrix
-from risbvqe.simulator import (NoiseModel, QuantumState, _compile, _runs,
-                               _transfer, adjoint_gradient, apply_gate,
+from risbvqe.simulator import (NoiseModel, QuantumState, _compile, _local,
+                               _ptm, _runs, adjoint_gradient, apply_gate,
                                calibrate_noise, run)
 from risbvqe.vqe import vqe_minimize
 
-from oracles import (dense_state, finite_difference_gradient, noisy_density,
-                     superoperator_density, word_mat)
+from oracles import (KIND_AXES, dense_state, finite_difference_gradient,
+                     noisy_density, oracle_transfer, superoperator_density,
+                     word_mat)
 
 RNG = np.random.default_rng(20240811)
 
@@ -394,8 +395,8 @@ class TestPauliBasis:
 
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.75])
     def test_depolarizer_is_diagonal(self, p):
-        gate = Gate("RZ", (1,), (0.0,))
-        got = _transfer(gate, np.eye(2), (0, 1), NoiseModel(p, 0.0))
+        eye = np.eye(2)[None]
+        got = _local(_ptm(eye, eye, NoiseModel(p, 0.0))[0], (1,), (0, 1))
         f = 1.0 - 4.0 * p / 3.0
         np.testing.assert_allclose(got, np.diag(np.kron(np.ones(4),
                                                         [1.0, f, f, f])),
@@ -411,6 +412,45 @@ class TestPauliBasis:
         rho = superoperator_density(circuit, NOISES[noise])
         want = np.trace(rho @ expectation_matrix(obs)).real
         assert abs(expectation(state, obs) - want) < 1e-12
+
+
+# (gate qubits, block qubits) of each placement of a one-qubit gate and of
+# a pair.
+PLACEMENTS = {1: {"alone": ((0,), (0,)), "padded-right": ((0,), (0, 1)),
+                  "padded-left": ((1,), (0, 1))},
+              2: {"in-order": ((0, 1), (0, 1)),
+                  "reversed": ((1, 0), (0, 1))}}
+TRANSFER_NOISES = {"noiseless": None, "calibrated": calibrate_noise(),
+                   "erasing": NoiseModel(0.75, 0.75)}
+
+
+class TestTransferMatrices:
+    """`_ptm` stacks in the gate's frame, placed into a block by `_local`,
+    against explicit traces over Pauli words."""
+
+    @pytest.mark.parametrize("kind, axes, qubits, block", [
+        pytest.param(kind, axes, qubits, block,
+                     id=f"{kind}{''.join(axes or ())}-{name}")
+        for kind, axes in KIND_AXES
+        for name, (qubits, block) in PLACEMENTS[
+            2 if kind in ("CNOT", "FSIM", "RPQ") else 1].items()])
+    @pytest.mark.parametrize("noise", sorted(TRANSFER_NOISES))
+    @settings(max_examples=3, deadline=None)
+    @given(st.tuples(st.floats(-7, 7), st.floats(-7, 7)))
+    def test_values_and_slot_derivatives(self, kind, axes, qubits, block,
+                                         noise, angles):
+        noise = TRANSFER_NOISES[noise]
+        angles = angles[:{"FSIM": 2, "X": 0, "H": 0, "CNOT": 0}.get(kind, 1)]
+        gate = Gate(kind, qubits, angles, axes=axes)
+        u = gate_stack(kind, [angles], axes)
+        got = _local(_ptm(u, u, noise)[0], qubits, block)
+        want = oracle_transfer(gate, {}, block, noise)
+        assert np.max(np.abs(got - want)) < 1e-14
+        for slot in range(len(angles)):
+            du = gate_stack(kind, [angles], axes, slot)
+            got = 2.0 * _local(_ptm(du, u, noise)[0], qubits, block)
+            want = oracle_transfer(gate, {}, block, noise, slot)
+            assert np.max(np.abs(got - want)) < 1e-14
 
 
 def all_kinds_circuit() -> Circuit:
@@ -631,6 +671,45 @@ class TestAdjointGradient:
         grad = assert_gradient_matches_oracle(circ, random_observable(2, 6),
                                               noise=calibrate_noise())
         assert np.max(np.abs(grad)) > 1e-3
+
+    def test_placements_in_density_matrix_blocks(self):
+        # Two blocks, each shared by several kinds: in (0, 1) an RY padded
+        # on the right, an RX padded on the left, an FSIM in order and a
+        # reversed RPQ; in (2, 1) a reversed FSIM, then an RZ and an RY
+        # padded on either side.
+        ref = ParamRef
+        circ = Circuit(3, (
+            Gate("RY", (0,), (ref("a"),)),
+            Gate("RX", (1,), (ref("b"),)),
+            Gate("FSIM", (0, 1), (ref("c"), ref("d"))),
+            Gate("RPQ", (1, 0), (ref("e"),), axes=("X", "Y")),
+            Gate("H", (2,)),
+            Gate("FSIM", (1, 2), (ref("f"), ref("a", -2.0))),
+            Gate("RZ", (2,), (ref("g"),)),
+            Gate("RY", (1,), (ref("h"),))))
+        assert [q for q, _ in _runs(circ.gates)] == [(0, 1), (2, 1)]
+        obs = PauliSum({"XYZ": 0.6, "ZXY": -0.4, "YZX": 0.5, "XXI": 0.3,
+                        "IYY": -0.7, "ZIZ": 0.2, "YIX": 0.4})
+        x = np.linspace(-2.5, 2.9, 8)
+        for noise in (calibrate_noise(), NoiseModel(0.3, 0.2)):
+            grad = assert_gradient_matches_oracle(circ, obs, noise=noise, x=x)
+            assert np.min(np.abs(grad)) > 1e-4
+
+    @pytest.mark.parametrize("noise", [None, calibrate_noise()])
+    def test_rejects_non_hermitian_observable(self, noise):
+        circ = ERASING_P1_CIRCUIT
+        bindings = dict.fromkeys(circ.parameter_names, 0.3)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            adjoint_gradient(circ, PauliSum({"XYI": 1j}), bindings,
+                             noise=noise)
+
+    @pytest.mark.parametrize("noise", [None, calibrate_noise()])
+    def test_rejects_observable_on_another_register(self, noise):
+        circ = ERASING_P1_CIRCUIT
+        bindings = dict.fromkeys(circ.parameter_names, 0.3)
+        with pytest.raises(ValueError, match="on 2 qubits, state on 3"):
+            adjoint_gradient(circ, PauliSum({"ZZ": 1.0}), bindings,
+                             noise=noise)
 
     def test_fixed_circuit_has_empty_gradient(self):
         circ = Circuit(1, (Gate("H", (0,)),))
