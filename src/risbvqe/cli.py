@@ -1,66 +1,6 @@
-"""Batch experiment driver.
-
-Commands
-    vqe           multi-start ground-state searches on the self-consistent
-                  cluster Hamiltonian, one trace file per seed
-    noize         iterative basis-update run plus an exact-NO reference
-    risb-sweep    self-consistency along a U grid (exact or circuit solver)
-    landscape     cost over an (R, lambda) grid for the single-site problem
-    ed-reference  classical sweep used as the warm-start table
-
-Configuration is an INI file; every key is optional.  Grammar, with
-defaults:
-
-    [run]
-    seed = 7
-
-    [lattice]
-    n_c = 1                ; cluster size, 1 or 2
-    t = -0.25              ; hopping
-    u = 1.0                ; interaction for single-point commands
-    mesh = 0               ; k-points per axis, 0 = cluster-size default
-    beta = 0.0             ; inverse temperature, 0 = cluster-size default
-
-    [sweep]
-    u_start = 0.05
-    u_stop = 3.0
-    u_step = 0.05
-    u_values =             ; comma list, overrides start/stop/step
-
-    [ansatz]
-    tag = mrep             ; ed | mr | mrep | ldca | hea (mr and hea need
-                           ; n_c = 1, mrep needs n_c = 2)
-    layers = 4             ; mrep depth
-    cycles = 1             ; ldca depth
-    basis = exact-no       ; original | exact-no | noize
-
-    [optimizer]
-    tag = bfgs             ; bfgs | nelder-mead
-    n_starts = 3
-    max_iter = 10000       ; circuit-optimizer iteration cap
-    noize_steps = 3
-    risb_max_iter = 100    ; self-consistency cap: root-search evaluations
-                           ; with the exact solver, Nelder-Mead iterations
-                           ; with a circuit solver or on the fallback
-
-    [noise]
-    mode = off             ; off | calibrated | scale
-    scale = 1.0            ; fraction of the calibrated level in scale mode
-    eps1 = 0.0016          ; one-qubit benchmarking error rate
-    eps2 = 0.006           ; two-qubit benchmarking error rate
-
-    [landscape]
-    r_start = 0.8
-    r_stop = 1.2
-    r_num = 5
-    lam_start = 0.01
-    lam_stop = 0.09
-    lam_num = 5
-
-    [output]
-    dir = runs
-    label = run
-    classical_table =      ; sweep CSV warm-starting circuit-solver sweeps
+"""Batch experiment driver: one subcommand per `cmd_*` function in
+`COMMANDS`, each reading an INI configuration whose keys are the fields of
+`RunConfig`.  README.md ("Config grammar") lists every key with its default.
 
 Exit codes: 0 success, 2 configuration error, 3 a solver did not converge
 (`SolverFailure`); any other exception propagates with its traceback.
@@ -72,7 +12,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,10 +26,9 @@ from .embedding import (LatticeSpec, SymMatrix, classical_point, eps_loc,
 from .noization import BASIS_MODES, exact_no_basis, noize, \
     rotate_hamiltonian, vqe_impurity_solver
 from .runio import config_hash, read_table, write_csv, write_json
-from .simulator import calibrate_noise
+from .simulator import NoiseModel, calibrate_noise
 from .vqe import landscape_scan, multi_start, vqe_minimize
 
-KINDS = ("vqe", "noize", "risb-sweep", "landscape", "ed-reference")
 ANSATZE = ("ed", "mr", "mrep", "ldca", "hea")
 OPTIMIZERS = ("bfgs", "nelder-mead")
 NOISE_MODES = ("off", "calibrated", "scale")
@@ -104,79 +43,56 @@ class ConfigError(Exception):
     """Rejected configuration; the driver maps it to exit code 2."""
 
 
+def _key(section: str, default, key: str = "", choices: tuple = ()):
+    """A config field read from `[section] key` (the field name when `key`
+    is empty), typed by its default and limited to `choices` if given."""
+    return field(default=default, metadata={
+        "section": section, "key": key, "choices": choices})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat, fully-typed view of one experiment configuration."""
+    """Flat, fully-typed view of one experiment configuration; the field
+    order is the order of the canonical INI text."""
 
-    seed: int = 7
-    n_c: int = 1
-    t: float = -0.25
-    u: float = 1.0
-    mesh: int = 0
-    beta: float = 0.0
-    u_start: float = 0.05
-    u_stop: float = 3.0
-    u_step: float = 0.05
-    u_values: str = ""
-    ansatz: str = "mrep"
-    layers: int = 4
-    cycles: int = 1
-    basis: str = "exact-no"
-    optimizer: str = "bfgs"
-    n_starts: int = 3
-    max_iter: int = 10_000
-    noize_steps: int = 3
-    risb_max_iter: int = 100
-    noise_mode: str = "off"
-    noise_scale: float = 1.0
-    eps1: float = 0.0016
-    eps2: float = 0.006
-    r_start: float = 0.8
-    r_stop: float = 1.2
-    r_num: int = 5
-    lam_start: float = 0.01
-    lam_stop: float = 0.09
-    lam_num: int = 5
-    out_dir: str = "runs"
-    label: str = "run"
-    classical_table: str = ""
+    seed: int = _key("run", 7)
+    n_c: int = _key("lattice", 1)
+    t: float = _key("lattice", -0.25)
+    u: float = _key("lattice", 1.0)
+    mesh: int = _key("lattice", 0)
+    beta: float = _key("lattice", 0.0)
+    u_start: float = _key("sweep", 0.05)
+    u_stop: float = _key("sweep", 3.0)
+    u_step: float = _key("sweep", 0.05)
+    u_values: str = _key("sweep", "")
+    ansatz: str = _key("ansatz", "mrep", "tag", ANSATZE)
+    layers: int = _key("ansatz", 4)
+    cycles: int = _key("ansatz", 1)
+    basis: str = _key("ansatz", "exact-no", choices=BASIS_MODES)
+    optimizer: str = _key("optimizer", "bfgs", "tag", OPTIMIZERS)
+    n_starts: int = _key("optimizer", 3)
+    max_iter: int = _key("optimizer", 10_000)
+    noize_steps: int = _key("optimizer", 3)
+    risb_max_iter: int = _key("optimizer", 100)
+    noise_mode: str = _key("noise", "off", "mode", NOISE_MODES)
+    noise_scale: float = _key("noise", 1.0, "scale")
+    eps1: float = _key("noise", 0.0016)
+    eps2: float = _key("noise", 0.006)
+    r_start: float = _key("landscape", 0.8)
+    r_stop: float = _key("landscape", 1.2)
+    r_num: int = _key("landscape", 5)
+    lam_start: float = _key("landscape", 0.01)
+    lam_stop: float = _key("landscape", 0.09)
+    lam_num: int = _key("landscape", 5)
+    out_dir: str = _key("output", "runs", "dir")
+    label: str = _key("output", "run")
+    classical_table: str = _key("output", "")
 
 
-# (section, key, config field, value type)
-SCHEMA = (
-    ("run", "seed", "seed", int),
-    ("lattice", "n_c", "n_c", int),
-    ("lattice", "t", "t", float),
-    ("lattice", "u", "u", float),
-    ("lattice", "mesh", "mesh", int),
-    ("lattice", "beta", "beta", float),
-    ("sweep", "u_start", "u_start", float),
-    ("sweep", "u_stop", "u_stop", float),
-    ("sweep", "u_step", "u_step", float),
-    ("sweep", "u_values", "u_values", str),
-    ("ansatz", "tag", "ansatz", str),
-    ("ansatz", "layers", "layers", int),
-    ("ansatz", "cycles", "cycles", int),
-    ("ansatz", "basis", "basis", str),
-    ("optimizer", "tag", "optimizer", str),
-    ("optimizer", "n_starts", "n_starts", int),
-    ("optimizer", "max_iter", "max_iter", int),
-    ("optimizer", "noize_steps", "noize_steps", int),
-    ("optimizer", "risb_max_iter", "risb_max_iter", int),
-    ("noise", "mode", "noise_mode", str),
-    ("noise", "scale", "noise_scale", float),
-    ("noise", "eps1", "eps1", float),
-    ("noise", "eps2", "eps2", float),
-    ("landscape", "r_start", "r_start", float),
-    ("landscape", "r_stop", "r_stop", float),
-    ("landscape", "r_num", "r_num", int),
-    ("landscape", "lam_start", "lam_start", float),
-    ("landscape", "lam_stop", "lam_stop", float),
-    ("landscape", "lam_num", "lam_num", int),
-    ("output", "dir", "out_dir", str),
-    ("output", "label", "label", str),
-    ("output", "classical_table", "classical_table", str),
-)
+def _grammar():
+    """(section, key, field) of every config key, in INI order."""
+    return [(f.metadata["section"], f.metadata["key"] or f.name, f)
+            for f in fields(RunConfig)]
 
 
 def parse_config(text: str) -> RunConfig:
@@ -185,8 +101,9 @@ def parse_config(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed configuration: {exc}") from exc
-    known = {(section, key) for section, key, _, _ in SCHEMA}
-    sections = {section for section, _, _, _ in SCHEMA}
+    grammar = _grammar()
+    known = {(section, key) for section, key, _ in grammar}
+    sections = {section for section, _ in known}
     for section in parser.sections():
         if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
@@ -194,15 +111,16 @@ def parse_config(text: str) -> RunConfig:
             if (section, key) not in known:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
     values: dict = {}
-    for section, key, field, kind in SCHEMA:
+    for section, key, f in grammar:
         if not parser.has_option(section, key):
             continue
         raw = parser.get(section, key)
+        kind = type(f.default)
         if kind is str:
-            values[field] = raw.strip()
+            values[f.name] = raw.strip()
             continue
         try:
-            values[field] = kind(raw)
+            values[f.name] = kind(raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: expected "
                               f"{kind.__name__}, got {raw!r}") from exc
@@ -212,15 +130,15 @@ def parse_config(text: str) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    def choose(value, allowed, where):
-        if value not in allowed:
-            raise ConfigError(f"{where} must be one of "
+    for section, key, f in _grammar():
+        value, allowed = getattr(cfg, f.name), f.metadata["choices"]
+        if allowed and value not in allowed:
+            raise ConfigError(f"[{section}] {key} must be one of "
                               f"{', '.join(allowed)}; got {value!r}")
-
-    choose(cfg.ansatz, ANSATZE, "[ansatz] tag")
-    choose(cfg.basis, BASIS_MODES, "[ansatz] basis")
-    choose(cfg.optimizer, OPTIMIZERS, "[optimizer] tag")
-    choose(cfg.noise_mode, NOISE_MODES, "[noise] mode")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key} must be finite")
+    if cfg.seed < 0:
+        raise ConfigError("[run] seed must be nonnegative")
     if cfg.n_c not in (1, 2):
         raise ConfigError("[lattice] n_c must be 1 or 2")
     if cfg.mesh < 0 or cfg.beta < 0:
@@ -244,7 +162,7 @@ def serialize_config(cfg: RunConfig, for_hash: bool = False) -> str:
     skip = {("output", "dir"), ("output", "label")} if for_hash else set()
     lines: list[str] = []
     current = None
-    for section, key, field, _ in SCHEMA:
+    for section, key, f in _grammar():
         if (section, key) in skip:
             continue
         if section != current:
@@ -252,7 +170,7 @@ def serialize_config(cfg: RunConfig, for_hash: bool = False) -> str:
                 lines.append("")
             lines.append(f"[{section}]")
             current = section
-        value = getattr(cfg, field)
+        value = getattr(cfg, f.name)
         if isinstance(value, float):
             value = "%.17g" % value
         lines.append(f"{key} = {value}")
@@ -272,7 +190,9 @@ def lattice_spec(cfg: RunConfig, u: float | None = None) -> LatticeSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def build_noise(cfg: RunConfig):
+def build_noise(cfg: RunConfig) -> NoiseModel | None:
+    """The run's noise model, None when noise is off; every command builds
+    it here, so an invalid rate is a ConfigError everywhere."""
     if cfg.noise_mode == "off":
         return None
     try:
@@ -321,6 +241,8 @@ def u_grid(cfg: RunConfig) -> list[float]:
                                           cfg.u_step)]
     if not us:
         raise ConfigError("the U grid is empty")
+    if not all(math.isfinite(u) for u in us):
+        raise ConfigError("[sweep] u_values must be finite")
     return us
 
 
@@ -407,11 +329,13 @@ def load_reference(cfg: RunConfig) -> dict:
 
 
 def cmd_ed_reference(cfg: RunConfig) -> int:
+    """exact-solver sweep along the U grid; the warm-start table"""
     run_classical_sweep(cfg)
     return 0
 
 
 def cmd_risb_sweep(cfg: RunConfig) -> int:
+    """self-consistency along the U grid (exact or circuit solver)"""
     if cfg.ansatz == "ed":
         run_classical_sweep(cfg)
         return 0
@@ -432,6 +356,8 @@ def cmd_risb_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_vqe(cfg: RunConfig) -> int:
+    """multi-start ground-state searches on the self-consistent cluster
+    Hamiltonian, one trace file per seed"""
     if cfg.basis == "noize":
         raise ConfigError("iterative basis updates belong to the noize "
                           "command; pick original or exact-no here")
@@ -471,6 +397,7 @@ def cmd_vqe(cfg: RunConfig) -> int:
 
 
 def cmd_noize(cfg: RunConfig) -> int:
+    """iterative basis-update run plus an exact-NO reference"""
     if cfg.ansatz == "mr":
         # a superposition of two determinants that differ by a double
         # excitation has a diagonal 1-RDM at every angle, so the measured
@@ -501,17 +428,15 @@ def cmd_noize(cfg: RunConfig) -> int:
 
 
 def cmd_landscape(cfg: RunConfig) -> int:
+    """cost over an (R, lambda) grid for the single-site problem"""
     if cfg.n_c != 1:
         raise ConfigError("landscape scans cover the single-site pipeline")
     r_values = np.linspace(cfg.r_start, cfg.r_stop, cfg.r_num)
     lam_values = np.linspace(cfg.lam_start, cfg.lam_stop, cfg.lam_num)
-    if cfg.noise_mode == "off":
-        scales, base = (0.0,), None
-    else:
-        scales = (cfg.noise_scale if cfg.noise_mode == "scale" else 1.0,)
-        base = calibrate_noise(cfg.eps1, cfg.eps2)
+    noise = build_noise(cfg)
+    scales = (0.0,) if noise is None else (noise.scale,)
     table = landscape_scan(lattice_spec(cfg), r_values, lam_values,
-                           noise_scales=scales, base_noise=base)
+                           noise_scales=scales, base_noise=noise)
     rows = []
     for s, scale in enumerate(table.noise_scales):
         for i, r in enumerate(table.r_values):
@@ -550,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Slave-boson embedding experiments with circuit-based "
                     "cluster solvers")
     subparsers = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
-        sub = subparsers.add_parser(kind)
+    for kind, command in COMMANDS.items():
+        sub = subparsers.add_parser(kind, help=command.__doc__)
         sub.add_argument("--config", metavar="PATH",
                          help="INI configuration file")
         sub.add_argument("--seed", type=int, metavar="N")

@@ -1,5 +1,7 @@
+import configparser
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +28,80 @@ risb_max_iter = 12
 """
 
 
+# Every key away from its default, with floats that print exactly under
+# %.17g, so the canonical text is this text.
+EVERY_KEY = """\
+[run]
+seed = 11
+
+[lattice]
+n_c = 2
+t = -0.375
+u = 1.25
+mesh = 12
+beta = 50.5
+
+[sweep]
+u_start = 0.125
+u_stop = 2.5
+u_step = 0.125
+u_values = 0.25, 0.5
+
+[ansatz]
+tag = ldca
+layers = 2
+cycles = 3
+basis = noize
+
+[optimizer]
+tag = nelder-mead
+n_starts = 5
+max_iter = 500
+noize_steps = 4
+risb_max_iter = 60
+
+[noise]
+mode = scale
+scale = 0.375
+eps1 = 0.00390625
+eps2 = 0.0078125
+
+[landscape]
+r_start = 0.75
+r_stop = 1.125
+r_num = 3
+lam_start = 0.015625
+lam_stop = 0.0625
+lam_num = 4
+
+[output]
+dir = elsewhere
+label = fig5
+classical_table = table.csv
+"""
+
+
 def write_cfg(tmp_path: Path, text: str, name: str = "cfg.ini") -> str:
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def readme_grammar() -> str:
+    """The README's config-grammar block with its `;` comments removed."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("### Config grammar", 1)[1]
+    block = block.split("```ini\n", 1)[1].split("```", 1)[0]
+    return "\n".join(line.split(";", 1)[0].rstrip()
+                     for line in block.splitlines()) + "\n"
+
+
+def ini_keys(text: str) -> list[tuple[str, str]]:
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    return [(section, key) for section in parser.sections()
+            for key in parser[section]]
 
 
 class TestConfig:
@@ -58,6 +130,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="tag must be one of"):
             parse_config("[ansatz]\ntag = uccsd\n")
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("ansatz", "basis", "natural"), ("optimizer", "tag", "adam"),
+        ("noise", "mode", "loud")])
+    def test_every_choice_key_is_checked(self, section, key, value):
+        with pytest.raises(ConfigError,
+                           match=rf"\[{section}\] {key} must be one of"):
+            parse_config(f"[{section}]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("lattice", "u", "nan"), ("sweep", "u_stop", "inf"),
+        ("noise", "eps2", "-inf")])
+    def test_non_finite_float_rejected(self, section, key, value):
+        with pytest.raises(ConfigError,
+                           match=rf"\[{section}\] {key} must be finite"):
+            parse_config(f"[{section}]\n{key} = {value}\n")
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            parse_config("[run]\nseed = -1\n")
+
     def test_bad_ranges(self):
         with pytest.raises(ConfigError, match="u_step"):
             parse_config("[sweep]\nu_step = 0\n")
@@ -73,6 +165,23 @@ class TestConfig:
         assert run_hash(replace(base, label="a", out_dir="x")) \
             == run_hash(replace(base, label="b", out_dir="y"))
         assert run_hash(replace(base, u=1.5)) != run_hash(base)
+
+
+class TestGrammar:
+    def test_default_hash(self):
+        assert run_hash(RunConfig()) == "4c54f1397b65"
+
+    def test_every_key_keeps_its_text_and_hash(self):
+        cfg = parse_config(EVERY_KEY)
+        assert all(getattr(cfg, f.name) != f.default
+                   for f in fields(RunConfig))
+        assert serialize_config(cfg) == EVERY_KEY
+        assert run_hash(cfg) == "f4bd3d00a625"
+
+    def test_readme_block_is_the_default_grammar(self):
+        text = readme_grammar()
+        assert parse_config(text) == RunConfig()
+        assert ini_keys(text) == ini_keys(serialize_config(RunConfig()))
 
 
 class TestFlagsAndGrid:
@@ -100,6 +209,12 @@ class TestFlagsAndGrid:
     def test_explicit_values_override(self):
         cfg = parse_config("[sweep]\nu_values = 0.05, 1, 2\n")
         assert u_grid(cfg) == [0.05, 1.0, 2.0]
+
+    @pytest.mark.parametrize("values", ["nan", "0.2, inf"])
+    def test_non_finite_values_rejected(self, values):
+        cfg = parse_config(f"[sweep]\nu_values = {values}\n")
+        with pytest.raises(ConfigError, match="must be finite"):
+            u_grid(cfg)
 
     def test_empty_grid_is_usage_error(self):
         cfg = parse_config("[sweep]\nu_start = 1.0\nu_stop = 0.5\n")
@@ -161,6 +276,29 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, ED_SWEEP)
         with pytest.raises(ValueError, match="index out of range"):
             main(["ed-reference", "--config", cfg, "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["vqe", "noize", "risb-sweep"])
+    def test_negative_seed(self, tmp_path, capsys, command, where):
+        text = "[ansatz]\ntag = hea\n"
+        if where == "config":
+            text = "[run]\nseed = -1\n" + text
+        argv = [command, "--config", write_cfg(tmp_path, text),
+                "--out", str(tmp_path / "out")]
+        if where == "flag":
+            argv += ["--seed", "-1"]
+        assert main(argv) == 2
+        assert "error: [run] seed must be nonnegative" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_landscape_rejects_invalid_noise_rate(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "[noise]\nmode = calibrated\n"
+                                  "eps2 = 1.0\n")
+        assert main(["landscape", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_landscape_needs_single_site(self, tmp_path):
         cfg = write_cfg(tmp_path, "[lattice]\nn_c = 2\n")
@@ -405,6 +543,29 @@ lam_num = 1
         rows = read_table(out / "run_landscape_off.csv")
         assert len(rows) == 1
         assert rows[0]["cost"] < 1e-2
+
+    @pytest.mark.parametrize("flag, scale", [("calibrated", 1.0),
+                                             ("scale=0.5", 0.5)])
+    def test_noise_scale_column(self, tmp_path, flag, scale):
+        cfg = write_cfg(tmp_path, """\
+[lattice]
+n_c = 1
+u = 0.1
+
+[landscape]
+r_start = 1.0
+r_stop = 1.0
+r_num = 1
+lam_start = 0.05
+lam_stop = 0.05
+lam_num = 1
+""")
+        out = tmp_path / "l"
+        assert main(["landscape", "--config", cfg, "--out", str(out),
+                     "--noise", flag]) == 0
+        tag = "calibrated" if scale == 1.0 else "scale0.5"
+        rows = read_table(out / f"run_landscape_{tag}.csv")
+        assert [row["scale"] for row in rows] == [scale]
 
     def test_minimum_sits_at_self_consistent_node(self, tmp_path):
         cfg = write_cfg(tmp_path, """\
