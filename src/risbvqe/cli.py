@@ -308,22 +308,25 @@ def load_reference(cfg: RunConfig) -> dict:
         try:
             u = float(row["U"])
             z_plus = max(float(row["Z_plus"]), 0.0)
-            z_minus = row["Z_minus"]
+            z_minus = float(row["Z_minus"])
             lt_plus = float(row["lambda_tilde_plus"])
-            lt_minus = row["lambda_tilde_minus"]
+            lt_minus = float(row["lambda_tilde_minus"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed reference table {path}: "
                               f"{exc}") from exc
+        # A single-site table writes nan into the minus channel.
+        n_channels = 1 if math.isnan(z_minus) else 2
+        if n_channels != cfg.n_c:
+            raise ConfigError(f"reference table {path} holds {n_channels} "
+                              f"channel(s) at U = {u:g}, but [lattice] "
+                              f"n_c = {cfg.n_c}")
         local = eps_loc(lattice_spec(cfg, u=u), 0.5 * u)
-        if cfg.n_c == 1 or (isinstance(z_minus, float)
-                            and math.isnan(z_minus)):
+        if cfg.n_c == 1:
             r = SymMatrix(math.sqrt(z_plus))
             lam = SymMatrix(lt_plus + local.plus)
         else:
-            r = SymMatrix(math.sqrt(z_plus),
-                          math.sqrt(max(float(z_minus), 0.0)))
-            lam = SymMatrix(lt_plus + local.plus,
-                            float(lt_minus) + local.minus)
+            r = SymMatrix(math.sqrt(z_plus), math.sqrt(max(z_minus, 0.0)))
+            lam = SymMatrix(lt_plus + local.plus, lt_minus + local.minus)
         mapping[u] = (r, lam)
     return mapping
 

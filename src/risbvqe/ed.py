@@ -13,11 +13,16 @@ fermion term's (row, col, sign) table is restricted to a sector once per
 is assembled once per mode count.  A new Hamiltonian or state then costs one
 fancy-index update per term, or one accumulation over the table.  The same
 1-RDM table serves exact eigenstates and simulator states alike: an
-amplitude vector or a density matrix goes through `ed_rdm1_full`.
+amplitude vector or a density matrix goes through `ed_rdm1_full`, and
+`ed_rdm1` is the one place that splits its result into spin blocks.
+
+The natural-orbital basis of a 1-RDM (`diagonalize_rdm`, `exact_no_basis`)
+lives here too, beside the kernel it diagonalizes.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -31,6 +36,9 @@ DEGENERACY_RTOL = 1e-9
 SECTOR_CACHE_SIZE = 64
 AMPLITUDE_FLOOR = 1e-16
 OCC_TOL = 1e-8
+OCC_DEGENERACY_TOL = 1e-10
+UNITARY_TOL = 1e-10
+HERMITICITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,10 +53,17 @@ def half_filling_sector(n_c: int) -> SectorLabel:
     return SectorLabel(n_particles=2 * n_c, sz_twice=0)
 
 
-def _orbital(ham) -> OrbitalHamiltonian:
+def as_orbital(ham, n_c: int | None = None
+               ) -> tuple[OrbitalHamiltonian, int]:
+    """Coefficient view of a cluster Hamiltonian with its cluster size: an
+    `EmbeddingHamiltonian` carries its own n_c, a bare `OrbitalHamiltonian`
+    needs it given."""
     if isinstance(ham, EmbeddingHamiltonian):
-        return ham.orbital()
-    return ham
+        return ham.orbital(), ham.n_c
+    if n_c is None:
+        raise ValueError("n_c is required for a bare coefficient "
+                         "Hamiltonian")
+    return ham, n_c
 
 
 def _frozen(values) -> np.ndarray:
@@ -95,7 +110,7 @@ def _ladder_table(ops: tuple, n_modes: int, sector: SectorLabel | None
 
 def hamiltonian_matrix(ham, sector: SectorLabel | None = None) -> np.ndarray:
     """Dense Hamiltonian over the (sector-restricted) Fock basis."""
-    orb = _orbital(ham)
+    orb = ham.orbital() if isinstance(ham, EmbeddingHamiltonian) else ham
     m = orb.n_modes
     if m > MODE_CAP:
         raise ValueError(f"{m} modes exceeds the dense cap {MODE_CAP}")
@@ -115,9 +130,8 @@ class GroundState(NamedTuple):
 
 def ground_state(ham, sector: SectorLabel | None = None) -> GroundState:
     """Lowest eigenpair, embedded back into the full 2^m amplitude space."""
-    orb = _orbital(ham)
-    m = orb.n_modes
-    matrix = hamiltonian_matrix(orb, sector)
+    m = ham.n_modes
+    matrix = hamiltonian_matrix(ham, sector)
     vals, vecs = np.linalg.eigh(matrix)
     e0 = float(vals[0])
     tol = DEGENERACY_RTOL * max(1.0, abs(e0))
@@ -144,9 +158,14 @@ def _rdm1_table(n_modes: int) -> tuple[np.ndarray, ...]:
 
 @dataclass
 class Rdm1:
-    """One-particle reduced density matrix block (impurity+bath combined)."""
+    """One-particle reduced density matrix block (impurity+bath combined).
+
+    `spin_gap` is max|up - down| over the two spin blocks of the state it
+    was read from: what a spin average removes.
+    """
 
     matrix: np.ndarray
+    spin_gap: float = 0.0
     _occupations: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -205,14 +224,110 @@ def ed_rdm1_full(state: np.ndarray) -> np.ndarray:
 
 
 def ed_rdm1(psi: np.ndarray, n_c: int, spin_average: bool = True) -> Rdm1:
-    """Per-spin 1-RDM of an embedded-cluster eigenstate (amplitudes or
-    density matrix, as `ed_rdm1_full` takes them)."""
+    """Per-spin 1-RDM of an embedded-cluster state (amplitudes or density
+    matrix, as `ed_rdm1_full` takes them): the spin-up block, or the mean
+    of both blocks.  Modes are spin-major: up block first, down second;
+    each block lists the n_c impurity orbitals then the n_c bath orbitals.
+    """
     full = ed_rdm1_full(psi)
     if full.shape[0] != 4 * n_c:
         raise ValueError(f"state covers {full.shape[0]} modes, expected "
                          f"{4 * n_c}")
     up = full[:2 * n_c, :2 * n_c]
-    if not spin_average:
-        return Rdm1(up)
     down = full[2 * n_c:, 2 * n_c:]
-    return Rdm1(0.5 * (up + down))
+    gap = float(np.max(np.abs(up - down)))
+    return Rdm1(0.5 * (up + down) if spin_average else up, gap)
+
+
+@dataclass(frozen=True)
+class BasisRotation:
+    """Unitary single-particle rotation with its occupation spectrum."""
+
+    v: np.ndarray
+    step: int = 0
+    occupations: np.ndarray | None = None
+
+    def __post_init__(self):
+        v = np.asarray(self.v)
+        object.__setattr__(self, "v", v)
+        gram = v.conj().T @ v
+        if not np.allclose(gram, np.eye(v.shape[1]), atol=UNITARY_TOL):
+            raise ValueError("rotation is not unitary")
+
+    @property
+    def dim(self) -> int:
+        return self.v.shape[0]
+
+
+def _gauge_fix(vecs: np.ndarray) -> np.ndarray:
+    """Make the largest-magnitude component of each column real-positive."""
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        pivot = int(np.argmax(np.abs(out[:, j])))
+        value = out[pivot, j]
+        if abs(value) > 0.0:
+            out[:, j] = out[:, j] * (abs(value) / value)
+    if np.iscomplexobj(out) and np.allclose(out.imag, 0.0, atol=1e-14):
+        out = out.real
+    return out
+
+
+def _column_key(col: np.ndarray) -> tuple:
+    return tuple(np.round(np.concatenate([col.real, np.imag(col) + 0.0]),
+                          9))
+
+
+def diagonalize_rdm(rdm, h: np.ndarray | None = None,
+                    step: int = 0) -> BasisRotation:
+    """Occupation eigenbasis of a Hermitian 1-RDM, columns descending.
+
+    Gauge: each column's largest component is made real-positive; exact
+    ties order lexicographically.  Within a degenerate occupation block
+    the basis is further rotated to diagonalize the projected one-body
+    matrix `h` when one is supplied, pinning a canonical representative.
+    """
+    m = np.asarray(rdm.matrix if isinstance(rdm, Rdm1) else rdm)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("density matrix must be square")
+    if not np.allclose(m, m.conj().T, atol=HERMITICITY_TOL):
+        raise ValueError("density matrix is not Hermitian")
+    m = 0.5 * (m + m.conj().T)
+    occ, vecs = np.linalg.eigh(m)
+    occ, vecs = occ[::-1], vecs[:, ::-1]
+
+    start = 0
+    while start < occ.size:
+        stop = start + 1
+        while (stop < occ.size
+               and abs(occ[stop] - occ[start]) < OCC_DEGENERACY_TOL):
+            stop += 1
+        if stop - start > 1:
+            block = vecs[:, start:stop]
+            if h is not None:
+                projected = block.conj().T @ np.asarray(h) @ block
+                _, mixer = np.linalg.eigh(0.5 * (projected
+                                                 + projected.conj().T))
+                block = block @ mixer
+            block = _gauge_fix(block)
+            order = sorted(range(block.shape[1]),
+                           key=lambda j: _column_key(block[:, j]))
+            vecs[:, start:stop] = block[:, order]
+        start = stop
+    vecs = _gauge_fix(vecs)
+    return BasisRotation(v=vecs, step=step, occupations=occ)
+
+
+def exact_no_basis(ham, n_c: int | None = None) -> BasisRotation:
+    """Natural orbitals of the exact half-filled ground state.
+
+    Reference basis for comparisons: the state's per-spin 1-RDM becomes
+    diagonal.  A degenerate ground state makes the basis non-unique and is
+    flagged with a warning.
+    """
+    orb, n_c = as_orbital(ham, n_c)
+    gs = ground_state(orb, half_filling_sector(n_c))
+    if gs.degeneracy > 1:
+        warnings.warn(f"ground state is {gs.degeneracy}-fold degenerate; "
+                      f"natural orbitals are not unique")
+    rdm = ed_rdm1(gs.state, n_c)
+    return diagonalize_rdm(rdm, h=orb.h[:2 * n_c, :2 * n_c])

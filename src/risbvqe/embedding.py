@@ -320,10 +320,10 @@ def build_embedding_hamiltonian(spec: LatticeSpec, d: SymMatrix,
                                 t_intra=t_intra)
 
 
-def ed_impurity_solver(emb: EmbeddingHamiltonian):
+def ed_impurity_solver(emb: EmbeddingHamiltonian) -> np.ndarray:
     """Exact cluster solver: half-filled, spin-zero ground-state 1-RDM."""
     gs = ground_state(emb, half_filling_sector(emb.n_c))
-    return ed_rdm1(gs.state, emb.n_c)
+    return ed_rdm1(gs.state, emb.n_c).matrix
 
 
 @dataclass
@@ -347,7 +347,8 @@ def risb_cost(r: SymMatrix, lam: SymMatrix, spec: LatticeSpec,
     Pipeline: adjust mu -> k-sums -> (D, lambda_c) -> cluster ground state
     -> compare the measured bath-hole and impurity-bath blocks against the
     quasiparticle predictions.  The composite cost is the Frobenius norm of
-    the stacked channel residuals.
+    the stacked channel residuals.  `impurity_solver(emb)` returns the
+    cluster's per-spin 1-RDM as an array.
     """
     if impurity_solver is None:
         impurity_solver = ed_impurity_solver
@@ -368,8 +369,7 @@ def risb_cost(r: SymMatrix, lam: SymMatrix, spec: LatticeSpec,
     except ValueError:
         return CostReport(cost=math.inf, clamped=clamped)
     emb = build_embedding_hamiltonian(spec, d, lam_c, mu)
-    rdm_obj = impurity_solver(emb)
-    rdm = np.asarray(getattr(rdm_obj, "matrix", rdm_obj))
+    rdm = impurity_solver(emb)
     n = spec.n_c
     bath_hole = np.eye(n) - rdm[n:, n:].real
     mixing = rdm[:n, n:].real

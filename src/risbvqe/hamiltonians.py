@@ -12,7 +12,7 @@ spin the n_c impurity orbitals precede the n_c bath orbitals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,10 +96,6 @@ class OrbitalHamiltonian:
             self._pauli = jordan_wigner(self.to_fermion_operator(),
                                         self.n_modes)
         return self._pauli
-
-    def matrix(self) -> np.ndarray:
-        from .pauli import expectation_matrix
-        return expectation_matrix(self.to_pauli())
 
 
 @dataclass(frozen=True)

@@ -9,101 +9,21 @@ natural orbitals, where low-depth multireference circuits become accurate.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .circuits import Circuit, build_hea_nc1
-from .ed import (Rdm1, ed_rdm1, ed_rdm1_full, ground_state,
-                 half_filling_sector)
-from .estimator import measure_rdm1, rotosolve
+# The natural-orbital basis lives beside the 1-RDM kernel in `ed`; its
+# names are re-exported here, where the iteration that uses them lives.
+from .ed import (BasisRotation, Rdm1, as_orbital, diagonalize_rdm,
+                 ed_rdm1_full, exact_no_basis)
+from .estimator import circuit_rdm1, measure_rdm1, rotosolve
 from .hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
 from .pauli import count_terms
 from .simulator import NoiseModel, calibrate_noise, run
 from .vqe import VqeResult, multi_start, vqe_minimize
-
-DEGENERACY_TOL = 1e-10
-UNITARY_TOL = 1e-10
-HERMITICITY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class BasisRotation:
-    """Unitary single-particle rotation with its occupation spectrum."""
-
-    v: np.ndarray
-    step: int = 0
-    occupations: np.ndarray | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.v)
-        object.__setattr__(self, "v", v)
-        gram = v.conj().T @ v
-        if not np.allclose(gram, np.eye(v.shape[1]), atol=UNITARY_TOL):
-            raise ValueError("rotation is not unitary")
-
-    @property
-    def dim(self) -> int:
-        return self.v.shape[0]
-
-
-def _gauge_fix(vecs: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each column real-positive."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        pivot = int(np.argmax(np.abs(out[:, j])))
-        value = out[pivot, j]
-        if abs(value) > 0.0:
-            out[:, j] = out[:, j] * (abs(value) / value)
-    if np.iscomplexobj(out) and np.allclose(out.imag, 0.0, atol=1e-14):
-        out = out.real
-    return out
-
-
-def _column_key(col: np.ndarray) -> tuple:
-    return tuple(np.round(np.concatenate([col.real, np.imag(col) + 0.0]),
-                          9))
-
-
-def diagonalize_rdm(rdm, h: np.ndarray | None = None,
-                    step: int = 0) -> BasisRotation:
-    """Occupation eigenbasis of a Hermitian 1-RDM, columns descending.
-
-    Gauge: each column's largest component is made real-positive; exact
-    ties order lexicographically.  Within a degenerate occupation block
-    the basis is further rotated to diagonalize the projected one-body
-    matrix `h` when one is supplied, pinning a canonical representative.
-    """
-    m = np.asarray(rdm.matrix if isinstance(rdm, Rdm1) else rdm)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("density matrix must be square")
-    if not np.allclose(m, m.conj().T, atol=HERMITICITY_TOL):
-        raise ValueError("density matrix is not Hermitian")
-    m = 0.5 * (m + m.conj().T)
-    occ, vecs = np.linalg.eigh(m)
-    occ, vecs = occ[::-1], vecs[:, ::-1]
-
-    start = 0
-    while start < occ.size:
-        stop = start + 1
-        while stop < occ.size and abs(occ[stop] - occ[start]) < DEGENERACY_TOL:
-            stop += 1
-        if stop - start > 1:
-            block = vecs[:, start:stop]
-            if h is not None:
-                projected = block.conj().T @ np.asarray(h) @ block
-                _, mixer = np.linalg.eigh(0.5 * (projected
-                                                 + projected.conj().T))
-                block = block @ mixer
-            block = _gauge_fix(block)
-            order = sorted(range(block.shape[1]),
-                           key=lambda j: _column_key(block[:, j]))
-            vecs[:, start:stop] = block[:, order]
-        start = stop
-    vecs = _gauge_fix(vecs)
-    return BasisRotation(v=vecs, step=step, occupations=occ)
 
 
 def rotate_hamiltonian(ham: OrbitalHamiltonian,
@@ -119,31 +39,6 @@ def rotate_hamiltonian(ham: OrbitalHamiltonian,
 def offdiagonal_norm(m: np.ndarray) -> float:
     m = np.asarray(m)
     return float(np.linalg.norm(m - np.diag(np.diag(m))))
-
-
-def _as_orbital(ham, n_c: int | None) -> tuple[OrbitalHamiltonian, int]:
-    if isinstance(ham, EmbeddingHamiltonian):
-        return ham.orbital(), ham.n_c
-    if n_c is None:
-        raise ValueError("n_c is required for a bare coefficient "
-                         "Hamiltonian")
-    return ham, n_c
-
-
-def exact_no_basis(ham, n_c: int | None = None) -> BasisRotation:
-    """Natural orbitals of the exact half-filled ground state.
-
-    Reference basis for comparisons: the state's per-spin 1-RDM becomes
-    diagonal.  A degenerate ground state makes the basis non-unique and is
-    flagged with a warning.
-    """
-    orb, n_c = _as_orbital(ham, n_c)
-    gs = ground_state(orb, half_filling_sector(n_c))
-    if gs.degeneracy > 1:
-        warnings.warn(f"ground state is {gs.degeneracy}-fold degenerate; "
-                      f"natural orbitals are not unique")
-    rdm = ed_rdm1(gs.state, n_c)
-    return diagonalize_rdm(rdm, h=orb.h[:2 * n_c, :2 * n_c])
 
 
 @dataclass
@@ -177,7 +72,7 @@ def noize(ham, ansatz: Circuit | None = None, n_steps: int = 3,
         raise ValueError("n_steps must be >= 1")
     if solve is None and ansatz is None:
         raise ValueError("either an ansatz or a solve callable is needed")
-    orb, n_c = _as_orbital(ham, n_c)
+    orb, n_c = as_orbital(ham, n_c)
     rng = np.random.default_rng(seed)
     v_tot = np.eye(2 * n_c)
     reports: list[dict] = []
@@ -260,15 +155,8 @@ def vqe_impurity_solver(ansatz: Circuit, *, basis: str = "exact-no",
                               seed=run_seed, optimizer=optimizer,
                               noise=noise, max_iter=max_iter)
         memo["params"] = np.asarray(fit.best_params, dtype=float)
-        state = run(ansatz, bindings=fit.bindings(), noise=noise)
-        with warnings.catch_warnings():
-            # Unequal gate counts on the two spin registers make channel
-            # noise slightly spin-asymmetric; averaging is intended here.
-            warnings.filterwarnings("ignore", message="spin blocks")
-            rdm = measure_rdm1(state, emb.n_c).matrix
-        if rotation is not None:
-            rdm = rotation.v @ rdm @ rotation.v.conj().T
-        return rdm
+        return circuit_rdm1(ansatz, fit.bindings(), emb.n_c, noise=noise,
+                            basis=None if rotation is None else rotation.v)
 
     return solver
 

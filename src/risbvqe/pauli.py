@@ -274,19 +274,6 @@ def ladder_table(ops: tuple, n_modes: int
     return row, col, sign
 
 
-def _walsh_hadamard(values: np.ndarray, n_bits: int) -> np.ndarray:
-    """out[z] = sum_j (-1)^popcount(j & z) values[j], by n butterflies.
-
-    Each pass transforms the top index bit and rotates it to the bottom,
-    so after n passes every bit is back in place.
-    """
-    for _ in range(n_bits):
-        half = values.reshape(2, -1)
-        values = np.stack((half[0] + half[1], half[0] - half[1]),
-                          axis=1).ravel()
-    return values
-
-
 def _word(x: int, z: int, n_qubits: int) -> str:
     return "".join("IXZY"[(x >> s & 1) | (z >> s & 1) << 1]
                    for s in range(n_qubits - 1, -1, -1))
@@ -297,9 +284,11 @@ def jordan_wigner(op: FermionOperator, n_modes: int) -> PauliSum:
 
     A term c M, with M from `ladder_table`, puts c Tr(P+ M) / 2^n on the
     word P of masks (x, z).  Every entry of M flips the same bits
-    x = row ^ col, so the trace is (-i)^popcount(x & z) times the
-    Walsh-Hadamard transform of the signs over the columns, at z.  Terms
-    are added in order, dropping words with |c| <= PRUNE_TOL after each.
+    x = row ^ col, so the trace is (-i)^popcount(x & z) times the integer
+    sum of sign (-1)^popcount(col & z) over M's entries.  A term of k
+    distinct modes reaches only 2^k z-masks, so the sum is taken at those
+    alone.  Terms are added in order, dropping words with |c| <= PRUNE_TOL
+    after each.
 
     Within a term, words keep the order of the string-product expansion
     (single-mode images (X -/+ iY)/2 behind their Z strings, multiplied
@@ -310,14 +299,12 @@ def jordan_wigner(op: FermionOperator, n_modes: int) -> PauliSum:
         raise ValueError(f"mode index {op.max_mode()} out of range "
                          f"for {n_modes} modes")
     dim = 1 << n_modes
+    parity = _parities(n_modes)
     total: dict[str, complex] = {}
     for coeff, ops in op.terms:
         row, col, sign = ladder_table(ops, n_modes)
         if not row.size:
             continue
-        signs = np.zeros(dim, dtype=np.intp)
-        signs[col] = sign
-        k = _walsh_hadamard(signs, n_modes)
         x, z = int(row[0] ^ col[0]), 0
         for mode, _ in ops:
             z ^= dim - (dim >> mode)  # the Z string on modes < mode
@@ -325,8 +312,9 @@ def jordan_wigner(op: FermionOperator, n_modes: int) -> PauliSum:
         for mode in reversed(last_first):
             flip = 1 << (n_modes - 1 - mode)
             zs = [z ^ f for z in zs for f in (0, flip)]
-        for z in zs:
-            value = (coeff * (int(k[z]) / dim)
+        sums = (1 - 2 * parity[col[:, None] & np.array(zs)]).T @ sign
+        for z, k in zip(zs, sums.tolist()):
+            value = (coeff * (k / dim)
                      * _PHASES[(x & z).bit_count() % 4])
             if abs(value) <= PRUNE_TOL:
                 continue

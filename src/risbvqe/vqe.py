@@ -10,7 +10,6 @@ at each node.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -19,9 +18,9 @@ from scipy.optimize import minimize
 
 from . import SolverFailure
 from .circuits import Circuit, build_mr_nc1
-from .ed import ed_rdm1, ground_state, half_filling_sector
+from .ed import exact_no_basis
 from .embedding import LatticeSpec, SymMatrix, risb_cost
-from .estimator import expectation, measure_rdm1, parameter_shift_minimize
+from .estimator import circuit_rdm1, expectation, parameter_shift_minimize
 from .pauli import PauliSum
 from .simulator import NoiseModel, adjoint_gradient, run
 
@@ -156,19 +155,12 @@ def mr_impurity_solver(noise: NoiseModel | None = None) -> Callable:
     circuit = build_mr_nc1()
 
     def solve(emb) -> np.ndarray:
-        gs = ground_state(emb, half_filling_sector(emb.n_c))
-        _, vecs = np.linalg.eigh(ed_rdm1(gs.state, emb.n_c).matrix)
-        basis = vecs[:, ::-1]
+        basis = exact_no_basis(emb).v
         rotated = emb.orbital().rotate(basis)
         fit = parameter_shift_minimize(circuit, rotated.to_pauli(),
                                        noise=noise)
-        state = run(circuit, {"theta": fit.theta}, noise=noise)
-        with warnings.catch_warnings():
-            # Unequal gate counts on the two spin registers make channel
-            # noise slightly spin-asymmetric; averaging is intended here.
-            warnings.filterwarnings("ignore", message="spin blocks")
-            rdm = measure_rdm1(state, emb.n_c).matrix
-        return basis @ rdm @ basis.conj().T
+        return circuit_rdm1(circuit, {"theta": fit.theta}, emb.n_c,
+                            noise=noise, basis=basis)
 
     return solve
 

@@ -439,6 +439,29 @@ classical_table = {table}
             lam.channels(), [0.19639526070669872 - 0.25 - 0.1,
                              0.20178404991531756 + 0.25 - 0.1], atol=1e-12)
 
+    @pytest.mark.parametrize("n_c, table_minus, tag", [
+        (2, "nan", "mrep"),  # a single-site table under a two-site sweep
+        (1, "0.5", "mr"),    # a two-site table under a single-site sweep
+    ])
+    def test_reference_with_other_channel_count_rejected(
+            self, tmp_path, capsys, n_c, table_minus, tag):
+        table = tmp_path / "table.csv"
+        table.write_text(
+            "# config = x\n# artifact_version = 2\n"
+            "U,Z_plus,Z_minus,lambda_tilde_plus,lambda_tilde_minus,"
+            "cost_final,n_iter,solver_tag,noise_tag,converged,clamped,"
+            "n_eval\n"
+            f"0.2,0.99,{table_minus},0.2,{table_minus},1e-12,40,ed,off,"
+            f"True,False,80\n")
+        cfg = write_cfg(tmp_path, f"[lattice]\nn_c = {n_c}\n\n"
+                                  f"[sweep]\nu_values = 0.2\n\n"
+                                  f"[ansatz]\ntag = {tag}\n\n"
+                                  f"[output]\nclassical_table = {table}\n")
+        assert main(["risb-sweep", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"but [lattice] n_c = {n_c}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_reference_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("# config = x\nU,Z_plus\n0.2,1.0\n")

@@ -1,8 +1,10 @@
 """Fock-space diagonalization cross-checked against loop oracles, the
 Pauli-expectation route and analytic fillings."""
 
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,14 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import risbvqe
-from risbvqe.circuits import build_mr_nc1
+from risbvqe.circuits import build_mr_nc1, build_mrep
 from risbvqe.ed import (GroundState, SectorLabel, _ladder_table, _rdm1_table,
                         _sector_states, ed_rdm1, ed_rdm1_full, ground_state,
                         half_filling_sector, hamiltonian_matrix, sector_of)
 from risbvqe.estimator import parameter_shift_minimize
 from risbvqe.hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
-from risbvqe.pauli import ladder_table
-from risbvqe.simulator import QuantumState
+from risbvqe.pauli import expectation_matrix, ladder_table
+from risbvqe.simulator import QuantumState, run
 
 from oracles import (oracle_hamiltonian_matrix, oracle_rdm1_full,
                      oracle_sector_basis, pauli_rdm1_full)
@@ -75,7 +77,8 @@ class TestGroundState:
         for _ in range(6):
             emb = random_embedding(RNG)
             via_fock = np.sort(np.linalg.eigvalsh(hamiltonian_matrix(emb)))
-            via_pauli = np.sort(np.linalg.eigvalsh(emb.orbital().matrix()))
+            via_pauli = np.sort(np.linalg.eigvalsh(
+                expectation_matrix(emb.to_pauli())))
             np.testing.assert_allclose(via_fock, via_pauli, atol=1e-9)
 
     def test_free_fermion_energy(self):
@@ -150,6 +153,30 @@ class TestRdm1:
         rdm = ed_rdm1(ground_state(emb).state, n_c=1)
         assert rdm.occupations.min() >= -1e-10
         assert rdm.occupations.max() <= 1 + 1e-10
+
+    def test_spin_gap_of_a_spin_mixing_circuit(self):
+        # mrep's odd fSim pair joins an up and a down orbital, so a random
+        # binding moves weight between the S_z sectors.
+        circuit = build_mrep(2, 4)
+        rng = np.random.default_rng(3)
+        state = run(circuit.bind(rng.uniform(-math.pi, math.pi,
+                                             circuit.n_params)))
+        full = ed_rdm1_full(state.vector())
+        want = np.max(np.abs(full[:4, :4] - full[4:, 4:]))
+        assert want > 1e-2
+        for spin_average in (True, False):
+            rdm = ed_rdm1(state.vector(), n_c=2, spin_average=spin_average)
+            assert rdm.spin_gap == want
+
+    def test_spin_gap_of_a_ground_state(self):
+        for n_c in (1, 2):
+            emb = EmbeddingHamiltonian(
+                n_c=n_c, u_int=RNG.uniform(0, 3),
+                d_mix=RNG.uniform(-1, 1, (n_c, n_c)),
+                lambda_c=np.diag(RNG.uniform(-1, 1, n_c)),
+                mu=RNG.uniform(-1, 1))
+            psi = ground_state(emb, half_filling_sector(n_c)).state
+            assert ed_rdm1(psi, n_c).spin_gap <= 1e-12
 
 
 def random_unitary(rng, dim) -> np.ndarray:
@@ -242,6 +269,26 @@ class TestCompiledTables:
                              capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.strip() == "0"
+
+    def test_every_module_imports_on_its_own(self):
+        # Guards against import cycles: each module is imported into an
+        # empty risbvqe namespace, and the loaded modules are put back.
+        names = [f"risbvqe.{info.name}"
+                 for info in pkgutil.iter_modules(risbvqe.__path__)]
+        loaded = {k: v for k, v in sys.modules.items()
+                  if k == "risbvqe" or k.startswith("risbvqe.")}
+        try:
+            for name in names:
+                for key in [k for k in sys.modules
+                            if k == "risbvqe" or k.startswith("risbvqe.")]:
+                    del sys.modules[key]
+                importlib.import_module(name)
+        finally:
+            for key in [k for k in sys.modules
+                        if k == "risbvqe" or k.startswith("risbvqe.")]:
+                del sys.modules[key]
+            sys.modules.update(loaded)
+        assert "risbvqe.ed" in names and len(names) >= 12
 
     @pytest.mark.parametrize("module", ["risbvqe.ed", "risbvqe.estimator"])
     def test_imports_first_in_a_fresh_interpreter(self, module):

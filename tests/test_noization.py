@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from risbvqe.circuits import build_hea_nc1
-from risbvqe.ed import ed_rdm1, ground_state, half_filling_sector
+from risbvqe.ed import (ed_rdm1, ground_state, half_filling_sector,
+                        hamiltonian_matrix)
 from risbvqe.estimator import Rdm1
 from risbvqe.hamiltonians import EmbeddingHamiltonian
 from risbvqe.noization import (BasisRotation, NoizeResult,
@@ -103,9 +104,9 @@ class TestRotateHamiltonian:
         orb = generic_cluster().orbital()
         perm = BasisRotation(np.array([[0.0, 1.0], [1.0, 0.0]]))
         rotated = rotate_hamiltonian(orb, perm)
-        np.testing.assert_allclose(np.linalg.eigvalsh(rotated.matrix()),
-                                   np.linalg.eigvalsh(orb.matrix()),
-                                   atol=1e-9)
+        np.testing.assert_allclose(
+            np.linalg.eigvalsh(hamiltonian_matrix(rotated)),
+            np.linalg.eigvalsh(hamiltonian_matrix(orb)), atol=1e-9)
 
     def test_dimension_mismatch(self):
         orb = generic_cluster().orbital()
