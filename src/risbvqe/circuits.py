@@ -1,9 +1,9 @@
 """Gates, parameterized circuits, and ansatz builders.
 
-Circuits are immutable; binding parameters returns a new view.  Qubit 0 is
-the leftmost (most significant) tensor factor, matching `pauli`.  Two-qubit
-gate matrices are indexed by ``|q_first q_second>`` in the order the qubits
-are listed on the gate.
+A circuit is its gates: it holds no angles, and every run takes them as a
+bindings mapping.  Qubit 0 is the leftmost (most significant) tensor
+factor, matching `pauli`.  Two-qubit gate matrices are indexed by
+``|q_first q_second>`` in the order the qubits are listed on the gate.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -139,16 +138,18 @@ def decompose_rpq(gate: Gate) -> tuple[Gate, ...]:
 
 @dataclass(frozen=True)
 class Circuit:
+    """Gates on `n_qubits` qubits.  `compiled` is the simulator's memo of
+    its blocks per (backend, noise), outside equality, hashing and repr."""
     n_qubits: int
     gates: tuple[Gate, ...]
-    bindings: Mapping[str, float] = field(default_factory=dict)
+    compiled: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         for g in self.gates:
             if any(q < 0 or q >= self.n_qubits for q in g.qubits):
                 raise ValueError(f"gate {g.kind} addresses qubit outside "
                                  f"register of size {self.n_qubits}")
-        object.__setattr__(self, "bindings", dict(self.bindings))
 
     @functools.cached_property
     def parameter_names(self) -> tuple[str, ...]:
@@ -162,26 +163,6 @@ class Circuit:
     @property
     def n_params(self) -> int:
         return len(self.parameter_names)
-
-    def bind(self, values) -> "Circuit":
-        """Attach parameter values; accepts a mapping or a flat vector."""
-        if not isinstance(values, Mapping):
-            names = self.parameter_names
-            vec = np.asarray(values, dtype=float).ravel()
-            if vec.size != len(names):
-                raise ValueError(f"expected {len(names)} values, "
-                                 f"got {vec.size}")
-            values = dict(zip(names, vec))
-        merged = dict(self.bindings)
-        merged.update({k: float(v) for k, v in values.items()})
-        return Circuit(self.n_qubits, self.gates, merged)
-
-    def resolved_bindings(self, extra: Mapping[str, float] | None = None
-                          ) -> dict[str, float]:
-        merged = dict(self.bindings)
-        if extra:
-            merged.update(extra)
-        return merged
 
     def count_gates(self) -> int:
         return len(self.gates)
@@ -198,7 +179,7 @@ def decompose_circuit(circuit: Circuit) -> Circuit:
             gates.extend(decompose_rpq(g))
         else:
             gates.append(g)
-    return Circuit(circuit.n_qubits, tuple(gates), circuit.bindings)
+    return Circuit(circuit.n_qubits, tuple(gates))
 
 
 def _mr_fragment(imp_up: int, bath_up: int, imp_dn: int, bath_dn: int,

@@ -53,17 +53,14 @@ def half_filling_sector(n_c: int) -> SectorLabel:
     return SectorLabel(n_particles=2 * n_c, sz_twice=0)
 
 
-def as_orbital(ham, n_c: int | None = None
-               ) -> tuple[OrbitalHamiltonian, int]:
-    """Coefficient view of a cluster Hamiltonian with its cluster size: an
-    `EmbeddingHamiltonian` carries its own n_c, a bare `OrbitalHamiltonian`
-    needs it given."""
-    if isinstance(ham, EmbeddingHamiltonian):
-        return ham.orbital(), ham.n_c
-    if n_c is None:
-        raise ValueError("n_c is required for a bare coefficient "
-                         "Hamiltonian")
-    return ham, n_c
+def as_orbital(ham) -> tuple[OrbitalHamiltonian, int]:
+    """Coefficient view of a cluster Hamiltonian with its cluster size n_c,
+    read off its 4 n_c spin-major modes."""
+    orb = ham.orbital() if isinstance(ham, EmbeddingHamiltonian) else ham
+    n_c, rem = divmod(orb.n_modes, 4)
+    if rem:
+        raise ValueError(f"a cluster has 4 n_c modes, not {orb.n_modes}")
+    return orb, n_c
 
 
 def _frozen(values) -> np.ndarray:
@@ -277,7 +274,7 @@ def _column_key(col: np.ndarray) -> tuple:
                           9))
 
 
-def diagonalize_rdm(rdm, h: np.ndarray | None = None,
+def diagonalize_rdm(rdm: np.ndarray, h: np.ndarray | None = None,
                     step: int = 0) -> BasisRotation:
     """Occupation eigenbasis of a Hermitian 1-RDM, columns descending.
 
@@ -286,7 +283,7 @@ def diagonalize_rdm(rdm, h: np.ndarray | None = None,
     the basis is further rotated to diagonalize the projected one-body
     matrix `h` when one is supplied, pinning a canonical representative.
     """
-    m = np.asarray(rdm.matrix if isinstance(rdm, Rdm1) else rdm)
+    m = np.asarray(rdm)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("density matrix must be square")
     if not np.allclose(m, m.conj().T, atol=HERMITICITY_TOL):
@@ -317,17 +314,17 @@ def diagonalize_rdm(rdm, h: np.ndarray | None = None,
     return BasisRotation(v=vecs, step=step, occupations=occ)
 
 
-def exact_no_basis(ham, n_c: int | None = None) -> BasisRotation:
+def exact_no_basis(ham) -> BasisRotation:
     """Natural orbitals of the exact half-filled ground state.
 
     Reference basis for comparisons: the state's per-spin 1-RDM becomes
     diagonal.  A degenerate ground state makes the basis non-unique and is
     flagged with a warning.
     """
-    orb, n_c = as_orbital(ham, n_c)
+    orb, n_c = as_orbital(ham)
     gs = ground_state(orb, half_filling_sector(n_c))
     if gs.degeneracy > 1:
         warnings.warn(f"ground state is {gs.degeneracy}-fold degenerate; "
                       f"natural orbitals are not unique")
-    rdm = ed_rdm1(gs.state, n_c)
+    rdm = ed_rdm1(gs.state, n_c).matrix
     return diagonalize_rdm(rdm, h=orb.h[:2 * n_c, :2 * n_c])

@@ -326,6 +326,11 @@ def ed_impurity_solver(emb: EmbeddingHamiltonian) -> np.ndarray:
     return ed_rdm1(gs.state, emb.n_c).matrix
 
 
+def _is_exact(impurity_solver: Callable | None) -> bool:
+    """Whether a solver argument means the exact cluster solver."""
+    return impurity_solver is None or impurity_solver is ed_impurity_solver
+
+
 @dataclass
 class CostReport:
     cost: float
@@ -465,7 +470,7 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
         return np.concatenate([report.f1.channels(), report.f2.channels()])
 
     n_iter = None
-    if impurity_solver is None or impurity_solver is ed_impurity_solver:
+    if _is_exact(impurity_solver):
         first = [evaluate(x0)]
         try:
             if first[0].cost < FIXED_POINT_TOL:  # the start is the root
@@ -542,7 +547,7 @@ def risb_sweep(spec: LatticeSpec, u_values,
     prev: tuple[SymMatrix, SymMatrix] | None = None
     for u in u_values:
         spec_u = replace(spec, u=float(u))
-        if impurity_solver is None:
+        if _is_exact(impurity_solver):
             start = prev if prev is not None else noninteracting_start(
                 spec_u)
         else:

@@ -131,20 +131,19 @@ def _check_rotosolve_support(circuit: Circuit) -> None:
         raise ValueError(f"parameters appear in several gates: {shared}")
 
 
-def rotosolve(circuit: Circuit, obs: PauliSum, n_cycles: int = 10,
-              noise: NoiseModel | None = None) -> tuple[dict[str, float], float]:
-    """Sequential per-parameter analytic minimization.
-
-    pre: the circuit is fully bound (its bindings seed the sweep) and every
-    parameter is a plain rotation angle.  Noiseless sweeps are monotone
-    non-increasing in energy.
+def rotosolve(circuit: Circuit, obs: PauliSum, init: Mapping[str, float],
+              n_cycles: int = 10, noise: NoiseModel | None = None
+              ) -> tuple[dict[str, float], float]:
+    """Sequential per-parameter analytic minimization from the angles
+    `init`, for a circuit whose every parameter is a plain rotation angle.
+    Noiseless sweeps are monotone non-increasing in energy.
     """
     _check_rotosolve_support(circuit)
     names = circuit.parameter_names
-    params = circuit.resolved_bindings()
-    missing = [n for n in names if n not in params]
+    missing = [n for n in names if n not in init]
     if missing:
         raise ValueError(f"rotosolve needs initial values; missing {missing}")
+    params = {name: float(init[name]) for name in names}
     energy = _energy_closure(circuit, obs, noise)
     for _ in range(n_cycles):
         for name in names:

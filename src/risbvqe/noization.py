@@ -17,8 +17,8 @@ import numpy as np
 from .circuits import Circuit, build_hea_nc1
 # The natural-orbital basis lives beside the 1-RDM kernel in `ed`; its
 # names are re-exported here, where the iteration that uses them lives.
-from .ed import (BasisRotation, Rdm1, as_orbital, diagonalize_rdm,
-                 ed_rdm1_full, exact_no_basis)
+from .ed import (BasisRotation, as_orbital, diagonalize_rdm, ed_rdm1_full,
+                 exact_no_basis)
 from .estimator import circuit_rdm1, measure_rdm1, rotosolve
 from .hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
 from .pauli import count_terms
@@ -56,23 +56,25 @@ class NoizeResult:
 
 
 def noize(ham, ansatz: Circuit | None = None, n_steps: int = 3,
-          n_c: int | None = None, n_starts: int = 5,
-          seed: int | None = None, noise: NoiseModel | None = None,
-          optimizer: str = "bfgs", max_iter: int = 10_000,
-          solve: Callable | None = None) -> NoizeResult:
+          n_starts: int = 5, seed: int | None = None,
+          noise: NoiseModel | None = None, optimizer: str = "bfgs",
+          max_iter: int = 10_000, solve: Callable | None = None
+          ) -> NoizeResult:
     """Alternate solving and basis rotation for `n_steps` rounds.
 
     The default solver is best-of-`n_starts` VQE on the given ansatz; a
-    custom `solve(orbital) -> (energy, rdm)` callable replaces it (for
-    exact-solver baselines).  Reports carry, per step, the energy in the
-    basis that was solved, the occupation spectrum, the residual 1-RDM
-    off-diagonal norm, and the Pauli term count.
+    custom `solve(orbital) -> (energy, rdm)` callable, with the per-spin
+    1-RDM as an array, replaces it (for exact-solver baselines).  The
+    cluster size is read off the Hamiltonian's 4 n_c modes.  Reports
+    carry, per step, the energy in the basis that was solved, the
+    occupation spectrum, the residual 1-RDM off-diagonal norm, and the
+    Pauli term count.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if solve is None and ansatz is None:
         raise ValueError("either an ansatz or a solve callable is needed")
-    orb, n_c = as_orbital(ham, n_c)
+    orb, n_c = as_orbital(ham)
     rng = np.random.default_rng(seed)
     v_tot = np.eye(2 * n_c)
     reports: list[dict] = []
@@ -87,15 +89,14 @@ def noize(ham, ansatz: Circuit | None = None, n_steps: int = 3,
                                max_iter=max_iter)
             state = run(ansatz, last.bindings(), noise=noise)
             energy = last.best_energy
-            rdm = measure_rdm1(state, n_c)
-        matrix = np.asarray(rdm.matrix if isinstance(rdm, Rdm1) else rdm)
-        rotation = diagonalize_rdm(matrix, h=orb.h[:2 * n_c, :2 * n_c],
+            rdm = measure_rdm1(state, n_c).matrix
+        rotation = diagonalize_rdm(rdm, h=orb.h[:2 * n_c, :2 * n_c],
                                    step=step)
         reports.append({
             "step": step,
             "energy": float(energy),
             "occupations": [float(n) for n in rotation.occupations],
-            "offdiag_norm": offdiagonal_norm(matrix),
+            "offdiag_norm": offdiagonal_norm(rdm),
             "n_terms": count_terms(orb.to_pauli()),
         })
         orb = orb.rotate(rotation.v)
@@ -136,9 +137,8 @@ def vqe_impurity_solver(ansatz: Circuit, *, basis: str = "exact-no",
         run_seed = int(rng.integers(2 ** 63))
         if basis == "noize":
             result = noize(orb, ansatz=ansatz, n_steps=n_steps,
-                           n_c=emb.n_c, n_starts=n_starts, seed=run_seed,
-                           noise=noise, optimizer=optimizer,
-                           max_iter=max_iter)
+                           n_starts=n_starts, seed=run_seed, noise=noise,
+                           optimizer=optimizer, max_iter=max_iter)
             occ = np.asarray(result.reports[-1]["occupations"], dtype=float)
             v = result.basis.v
             return v @ np.diag(occ) @ v.conj().T
@@ -182,7 +182,7 @@ def determine_fixed_no_basis(seed: int = 202, n_starts: int = 5,
     best: tuple[dict, float] | None = None
     for _ in range(n_starts):
         init = dict(zip(names, rng.uniform(-math.pi, math.pi, len(names))))
-        params, energy = rotosolve(ansatz.bind(init), observable,
+        params, energy = rotosolve(ansatz, observable, init,
                                    n_cycles=n_cycles, noise=noise)
         if best is None or energy < best[1]:
             best = (params, energy)

@@ -5,22 +5,22 @@ Two backends share one gate set and one engine: pure state vectors
 noise), held as their real Pauli coefficients x_P = tr(P rho) (the
 Pauli-transfer-matrix basis, Greenbaum, arXiv:1509.02921).  Qubit 0 is
 axis 0 and the most significant bit of the flattened index.  `_compile`
-turns a circuit's structure into blocks once per (gates, backend, noise),
-`_fuse` fills in a call's angles with one `gate_stack` per gate kind, and
-`run`, `apply_gate` and `adjoint_gradient` walk those blocks.  A pure
-block is one gate, applied in place as flat[idx] = U flat[idx] through a
-cached gather index.  On a density matrix a gate and its channels form one
-real 4x4 or 16x16 transfer matrix, built per kind in the gates' own frame
-(`_ptm`) and placed into its block (`_local`), and each maximal run of
-consecutive gates inside one qubit pair is one block, the product in gate
-order (exact; gate fusion as in qsim and Qiskit Aer).  The adjoint
+turns a circuit's structure into blocks once per circuit and noise model,
+held in `Circuit.compiled`, `_fuse` fills in the angles of a call's
+bindings with one `gate_stack` per gate kind, and `run`, `apply_gate` and
+`adjoint_gradient` walk those blocks.  A pure block is one gate, applied
+in place as flat[idx] = U flat[idx] through a cached gather index.  On a
+density matrix a gate and its channels form one real 4x4 or 16x16
+transfer matrix, built per kind in the gates' own frame (`_ptm`) and
+placed into its block (`_local`), and each maximal run of consecutive
+gates inside one qubit pair is one block, the product in gate order
+(exact; gate fusion as in qsim and Qiskit Aer).  The adjoint
 gradient ends, on both backends, in one stacked contraction and one
 scatter-add per gate kind.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -265,16 +265,16 @@ class _Block(NamedTuple):
     tuned: tuple[int, ...]   # offsets of its gates with a named slot
 
 
-@functools.lru_cache(maxsize=64)
-def _compile(n: int, gates: tuple[Gate, ...], mixed: bool,
-             noise: NoiseModel | None):
-    """The angle-free part of `_fuse`, built once per (gates, backend,
-    noise): (blocks, each gate's factor if it has no named slot, kinds),
-    its arrays read-only.  A kind (kind, axes, positions, name index,
-    scale) gathers the gates with named slots, with (m, slots) tables; a
-    numeric slot has index len(names) and its angle as scale."""
+def _compile(circuit: Circuit, mixed: bool, noise: NoiseModel | None):
+    """The angle-free part of `_fuse`, which `_fuse` keeps in
+    `circuit.compiled` per (backend, noise): (blocks, each gate's factor if
+    it has no named slot, kinds), its arrays read-only.  A kind (kind, axes,
+    positions, name index, scale) gathers the gates with named slots, with
+    (m, slots) tables; a numeric slot has index len(names) and its angle as
+    scale."""
     if noise is not None and not mixed:
         raise ValueError("noise requires the density-matrix backend")
+    n, gates = circuit.n_qubits, circuit.gates
     blocks, where, index = [], [], {}  # one gather index per qubit tuple
     for qubits, members in (_runs(gates) if mixed else
                             [(g.qubits, [g]) for g in gates]):
@@ -297,8 +297,7 @@ def _compile(n: int, gates: tuple[Gate, ...], mixed: bool,
     for p, g in enumerate(gates):
         if g.param_names():
             groups.setdefault((g.kind, g.axes), []).append(p)
-    names = {name: i for i, name in enumerate(dict.fromkeys(
-        name for g in gates for name in g.param_names()))}
+    names = {name: i for i, name in enumerate(circuit.parameter_names)}
     kinds = [(kind, axes, np.array(ps), np.array(
         [[names.get(getattr(s, "name", None), len(names))
           for s in gates[p].params] for p in ps]), np.array(
@@ -310,14 +309,16 @@ def _compile(n: int, gates: tuple[Gate, ...], mixed: bool,
     return tuple(blocks), fixed, tuple(kinds)
 
 
-def _fuse(circuit: Circuit, bindings: Mapping[str, float], mixed: bool,
-          noise: NoiseModel | None):
+def _fuse(circuit: Circuit, bindings: Mapping[str, float] | None,
+          mixed: bool, noise: NoiseModel | None):
     """(each kind with its (m, slots) angles, and per block (block,
     factors, prefixes)), factors[k] the action of the block's gates[k] and
     prefixes[k] = factors[k] ... factors[0], so prefixes[-1] is its S."""
-    blocks, fixed, kinds = _compile(circuit.n_qubits, circuit.gates, mixed,
-                                    noise)
-    names = circuit.parameter_names
+    key = mixed, noise
+    if key not in circuit.compiled:
+        circuit.compiled[key] = _compile(circuit, mixed, noise)
+    blocks, fixed, kinds = circuit.compiled[key]
+    names, bindings = circuit.parameter_names, bindings or {}
     missing = [name for name in names if name not in bindings]
     if missing:
         raise ValueError(f"unbound parameters: {missing}")
@@ -362,8 +363,7 @@ def apply_gate(state: QuantumState, gate: Gate,
     channel per touched qubit (p1 for one-qubit gates, p2 per qubit of a
     two-qubit gate); the gate is a block of one."""
     _, ((block, _, (s,)),) = _fuse(Circuit(state.n_qubits, (gate,)),
-                                   bindings or {}, state.kind == "mixed",
-                                   noise)
+                                   bindings, state.kind == "mixed", noise)
     return QuantumState(state.n_qubits, state.kind,
                         _act(state.tensor.copy(), s, block))
 
@@ -375,8 +375,7 @@ def run(circuit: Circuit, bindings: Mapping[str, float] | None = None,
     forced with `mixed`, and noise on the pure backend raises ValueError."""
     if mixed is None:
         mixed = noise is not None
-    _, fused = _fuse(circuit, circuit.resolved_bindings(bindings), mixed,
-                     noise)
+    _, fused = _fuse(circuit, bindings, mixed, noise)
     state = QuantumState.zero(circuit.n_qubits, mixed=mixed)
     for block, _, prefixes in fused:
         state.tensor = _act(state.tensor, prefixes[-1], block)
@@ -406,8 +405,7 @@ def adjoint_gradient(circuit: Circuit, observable: PauliSum,
     """
     n, mixed = circuit.n_qubits, noise is not None
     check_observable(observable, n)
-    kinds, fused = _fuse(circuit, circuit.resolved_bindings(bindings), mixed,
-                         noise)
+    kinds, fused = _fuse(circuit, bindings, mixed, noise)
     grad = np.zeros(circuit.n_params + 1)  # the last for numeric slots
     tensor = QuantumState.zero(n, mixed=mixed).tensor
     entering, leaving, framed = {}, {}, {}

@@ -177,10 +177,9 @@ def embed_matrix(n_qubits, qubits, u):
 
 
 def dense_unitary(circuit, bindings=None):
-    b = circuit.resolved_bindings(bindings)
     u = np.eye(2 ** circuit.n_qubits, dtype=complex)
     for g in circuit.gates:
-        u = embed_gate(circuit.n_qubits, g, b) @ u
+        u = embed_gate(circuit.n_qubits, g, bindings) @ u
     return u
 
 
@@ -429,12 +428,11 @@ def oracle_transfer(gate, bindings, block, noise, slot=None):
 
 def noisy_density(circuit, noise, bindings=None):
     """Density-matrix evolution with per-gate depolarizing channels."""
-    b = circuit.resolved_bindings(bindings)
     dim = 2 ** circuit.n_qubits
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
     for g in circuit.gates:
-        u = embed_gate(circuit.n_qubits, g, b)
+        u = embed_gate(circuit.n_qubits, g, bindings)
         rho = u @ rho @ u.conj().T
         if noise is not None:
             p = noise.effective_p1 if len(g.qubits) == 1 else noise.effective_p2
@@ -447,13 +445,12 @@ def superoperator_density(circuit, noise, bindings=None):
     """Density matrix of a circuit from one dense 4^n x 4^n superoperator
     per gate, acting on the row-major vector of rho: U o U* for the gate,
     then (1-p) 1 + (p/3) sum_P P o P* for each touched qubit."""
-    b = circuit.resolved_bindings(bindings)
     n = circuit.n_qubits
     dim = 2 ** n
     vec = np.zeros(dim * dim, dtype=complex)
     vec[0] = 1.0
     for g in circuit.gates:
-        u = embed_gate(n, g, b)
+        u = embed_gate(n, g, bindings)
         step = np.kron(u, u.conj())
         p = 0.0
         if noise is not None:
@@ -489,6 +486,13 @@ def build_product_ry(n_qubits):
     gates = tuple(Gate("RY", (q,), (ParamRef(f"t{q}"),))
                   for q in range(n_qubits))
     return Circuit(n_qubits, gates)
+
+
+def random_bindings(circuit, rng):
+    """Uniform angles in [-pi, pi) for the parameters of `circuit`, drawn
+    as one vector in `parameter_names` order."""
+    names = circuit.parameter_names
+    return dict(zip(names, rng.uniform(-np.pi, np.pi, len(names))))
 
 
 def finite_difference_gradient(fn, x, step=1e-6):

@@ -22,7 +22,7 @@ from risbvqe.circuits import (
 
 from oracles import (KIND_AXES, build_product_ry, dense_state,
                      dense_unitary, gate_derivatives, gate_matrix,
-                     oracle_rdm1_full, partial_trace)
+                     oracle_rdm1_full, partial_trace, random_bindings)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -191,15 +191,14 @@ class TestMrCircuit:
 
     @pytest.mark.parametrize("n0", [0.0, 1.0, 0.3])
     def test_one_rdm_postcondition(self, n0):
-        c = build_mr_nc1().bind({"theta": mr_theta(n0)})
-        psi = dense_state(c)
+        psi = dense_state(build_mr_nc1(), {"theta": mr_theta(n0)})
         rdm = oracle_rdm1_full(psi, 4)
         # mode order (imp_up, bath_up, imp_dn, bath_dn)
         assert np.allclose(rdm, np.diag([n0, 1 - n0, n0, 1 - n0]), atol=1e-10)
 
     def test_two_determinant_amplitudes(self):
         n0 = 0.3
-        psi = dense_state(build_mr_nc1().bind({"theta": mr_theta(n0)}))
+        psi = dense_state(build_mr_nc1(), {"theta": mr_theta(n0)})
         idx_imp = 0b1010  # both impurity orbitals filled
         idx_bath = 0b0101
         assert abs(psi[idx_imp] - math.sqrt(n0)) < 1e-12
@@ -223,11 +222,11 @@ class TestMrep:
         vals = {name: 0.0 for name in c.parameter_names}
         vals["prep_0"] = mr_theta(0.3)
         vals["prep_1"] = mr_theta(0.8)
-        psi = dense_state(c.bind(vals))
+        psi = dense_state(c, vals)
         for quad, n0 in (((0, 2, 4, 6), 0.3), ((1, 3, 5, 7), 0.8)):
             rho = partial_trace(psi, quad, 8)
             assert abs(np.trace(rho @ rho) - 1.0) < 1e-10  # pure marginal
-            mr = dense_state(build_mr_nc1().bind({"theta": mr_theta(n0)}))
+            mr = dense_state(build_mr_nc1(), {"theta": mr_theta(n0)})
             overlap = mr.conj() @ rho @ mr
             assert abs(overlap - 1.0) < 1e-10
 
@@ -235,7 +234,7 @@ class TestMrep:
         rng = np.random.default_rng(4)
         c = build_mrep(2, 1)
         vals = {name: rng.uniform(-np.pi, np.pi) for name in c.parameter_names}
-        psi = dense_state(c.bind(vals))
+        psi = dense_state(c, vals)
         occ = np.array([bin(i).count("1") for i in range(256)])
         weights = np.abs(psi) ** 2
         assert abs(weights @ (occ == 4) - 1.0) < 1e-10
@@ -243,7 +242,7 @@ class TestMrep:
     def test_unitary(self):
         c = build_mrep(2, 4)
         rng = np.random.default_rng(5)
-        u = dense_unitary(c.bind(rng.uniform(-np.pi, np.pi, c.n_params)))
+        u = dense_unitary(c, random_bindings(c, rng))
         assert np.max(np.abs(u.conj().T @ u - np.eye(256))) < 1e-12
 
 
@@ -263,7 +262,7 @@ class TestLdca:
 
     def test_zero_angles_prepare_reference(self):
         c = build_ldca(8, 1)
-        psi = dense_state(c.bind(np.zeros(c.n_params)))
+        psi = dense_state(c, dict.fromkeys(c.parameter_names, 0.0))
         ref = 0b11000011  # impurity-up and bath-down occupied
         want = np.zeros(256, dtype=complex)
         want[ref] = 1.0
@@ -272,9 +271,9 @@ class TestLdca:
     def test_decomposed_circuit_matches_native(self):
         rng = np.random.default_rng(6)
         c = build_ldca(4, 1)
-        vals = rng.uniform(-np.pi, np.pi, c.n_params)
-        u_native = dense_unitary(c.bind(vals))
-        u_flat = dense_unitary(decompose_circuit(c).bind(vals))
+        vals = random_bindings(c, rng)
+        u_native = dense_unitary(c, vals)
+        u_flat = dense_unitary(decompose_circuit(c), vals)
         assert np.max(np.abs(u_native - u_flat)) < 1e-9
 
 
@@ -286,7 +285,7 @@ class TestBaselines:
 
     def test_hea_zero_angles_reference(self):
         c = build_hea_nc1()
-        psi = dense_state(c.bind(np.zeros(8)))
+        psi = dense_state(c, dict.fromkeys(c.parameter_names, 0.0))
         want = np.zeros(16, dtype=complex)
         want[0b1001] = 1.0
         assert np.allclose(psi, want)
@@ -295,31 +294,20 @@ class TestBaselines:
         c = build_product_ry(4)
         assert c.n_params == 4
         assert all(len(g.qubits) == 1 for g in c.gates)
-        psi = dense_state(c.bind(np.zeros(4)))
+        psi = dense_state(c, dict.fromkeys(c.parameter_names, 0.0))
         assert abs(psi[0] - 1.0) < 1e-12
-        psi_k = dense_state(c.bind({"t0": 0.0, "t1": 0.0, "t2": math.pi,
-                                    "t3": 0.0}))
+        psi_k = dense_state(c, {"t0": 0.0, "t1": 0.0, "t2": math.pi,
+                                "t3": 0.0})
         assert abs(abs(psi_k[0b0010]) - 1.0) < 1e-12
 
 
 class TestCircuitPlumbing:
-    def test_bind_with_vector_and_mapping(self):
-        c = build_product_ry(2)
-        assert c.bind([0.1, 0.2]).bindings == c.bind({"t0": 0.1,
-                                                      "t1": 0.2}).bindings
-
     def test_parameter_names_computed_once(self):
         c = build_mrep(2, 1)
         names = c.parameter_names
         assert c.parameter_names is names
         assert names[:2] == ("prep_0", "prep_1") and len(names) == 16
-        bound = c.bind(np.zeros(16))
-        assert bound.parameter_names == names
-        assert bound == Circuit(c.n_qubits, c.gates, bound.bindings)
-
-    def test_bind_wrong_length(self):
-        with pytest.raises(ValueError):
-            build_product_ry(2).bind([0.1])
+        assert Circuit(c.n_qubits, c.gates).parameter_names == names
 
     def test_gate_validation(self):
         with pytest.raises(ValueError):
@@ -338,6 +326,6 @@ class TestCircuitPlumbing:
         rng = np.random.default_rng(8)
         for c in (build_mr_nc1(), build_hea_nc1(), build_product_ry(4),
                   build_ldca(4, 1)):
-            u = dense_unitary(c.bind(rng.uniform(-np.pi, np.pi, c.n_params)))
+            u = dense_unitary(c, random_bindings(c, rng))
             dim = 2 ** c.n_qubits
             assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-12

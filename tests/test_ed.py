@@ -2,7 +2,6 @@
 Pauli-expectation route and analytic fillings."""
 
 import importlib
-import math
 import os
 import pkgutil
 import subprocess
@@ -25,7 +24,7 @@ from risbvqe.pauli import expectation_matrix, ladder_table
 from risbvqe.simulator import QuantumState, run
 
 from oracles import (oracle_hamiltonian_matrix, oracle_rdm1_full,
-                     oracle_sector_basis, pauli_rdm1_full)
+                     oracle_sector_basis, pauli_rdm1_full, random_bindings)
 
 RNG = np.random.default_rng(40813)
 
@@ -159,8 +158,7 @@ class TestRdm1:
         # binding moves weight between the S_z sectors.
         circuit = build_mrep(2, 4)
         rng = np.random.default_rng(3)
-        state = run(circuit.bind(rng.uniform(-math.pi, math.pi,
-                                             circuit.n_params)))
+        state = run(circuit, random_bindings(circuit, rng))
         full = ed_rdm1_full(state.vector())
         want = np.max(np.abs(full[:4, :4] - full[4:, 4:]))
         assert want > 1e-2

@@ -492,6 +492,21 @@ class TestRootPath:
         assert [len(p.output.cost_trace) for p in points] == [1] + [13] * 4
         assert len(calls) <= 53
 
+    def test_explicit_exact_solver_sweeps_as_the_default(self):
+        # Passing the exact solver by name needs no reference table and
+        # takes the default's warm-started root path, point for point.
+        spec, grid = LatticeSpec(n_c=1, u=0.0), [0.0, 0.1]
+        default = risb_sweep(spec, grid)
+        named = risb_sweep(spec, grid, ed_impurity_solver)
+        assert [p.u for p in named] == [p.u for p in default] == grid
+        for ours, theirs in zip(named, default):
+            a, b = ours.output, theirs.output
+            assert a.cost == b.cost and a.n_iter == b.n_iter
+            assert a.cost_trace == b.cost_trace
+            for name in ("r", "lam"):
+                np.testing.assert_array_equal(getattr(a, name).channels(),
+                                              getattr(b, name).channels())
+
     def test_start_at_fixed_point_skips_root_search(self, monkeypatch):
         calls = counting_cost(monkeypatch)
         spec = LatticeSpec(n_c=2, u=0.0)

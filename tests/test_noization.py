@@ -10,8 +10,7 @@ import pytest
 from risbvqe.circuits import build_hea_nc1
 from risbvqe.ed import (ed_rdm1, ground_state, half_filling_sector,
                         hamiltonian_matrix)
-from risbvqe.estimator import Rdm1
-from risbvqe.hamiltonians import EmbeddingHamiltonian
+from risbvqe.hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
 from risbvqe.noization import (BasisRotation, NoizeResult,
                                determine_fixed_no_basis, diagonalize_rdm,
                                exact_no_basis, noize, offdiagonal_norm,
@@ -29,7 +28,7 @@ def generic_cluster(u: float = 1.4) -> EmbeddingHamiltonian:
 
 def ed_solve(orb):
     gs = ground_state(orb, half_filling_sector(1))
-    return gs.energy, ed_rdm1(gs.state, 1)
+    return gs.energy, ed_rdm1(gs.state, 1).matrix
 
 
 class TestDiagonalizeRdm:
@@ -75,10 +74,6 @@ class TestDiagonalizeRdm:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             diagonalize_rdm(np.array([[0.5, 0.2], [0.1, 0.5]]))
-
-    def test_accepts_rdm_wrapper(self):
-        basis = diagonalize_rdm(Rdm1(np.diag([0.2, 0.9])))
-        np.testing.assert_allclose(basis.occupations, [0.9, 0.2])
 
     def test_degenerate_block_diagonalizes_projected_h(self):
         h = np.array([[0.2, 0.05], [0.05, -0.1]])
@@ -154,14 +149,14 @@ class TestNoize:
     def test_exact_solver_fixed_point(self):
         emb = generic_cluster()
         orb_no = rotate_hamiltonian(emb.orbital(), exact_no_basis(emb))
-        result = noize(orb_no, n_c=1, n_steps=2, solve=ed_solve)
+        result = noize(orb_no, n_steps=2, solve=ed_solve)
         assert result.reports[0]["offdiag_norm"] < 1e-6
         np.testing.assert_allclose(result.basis.v, np.eye(2), atol=1e-6)
 
     def test_exact_solver_converges_in_one_step(self):
         emb = generic_cluster()
         gs_energy = ground_state(emb, half_filling_sector(1)).energy
-        result = noize(emb.orbital(), n_c=1, n_steps=3, solve=ed_solve)
+        result = noize(emb.orbital(), n_steps=3, solve=ed_solve)
         for report in result.reports:
             assert report["energy"] == pytest.approx(gs_energy, abs=1e-10)
         assert result.reports[0]["offdiag_norm"] > 1e-3
@@ -198,8 +193,11 @@ class TestNoize:
             noize(emb, ansatz=build_hea_nc1(), n_steps=0)
         with pytest.raises(ValueError, match="ansatz"):
             noize(emb, n_steps=1)
-        with pytest.raises(ValueError, match="n_c"):
-            noize(emb.orbital(), ansatz=build_hea_nc1(), n_steps=1)
+        with pytest.raises(ValueError, match="4 n_c modes, not 6"):
+            noize(OrbitalHamiltonian(np.eye(6)), ansatz=build_hea_nc1(),
+                  n_steps=1)
+        with pytest.raises(ValueError, match="4 n_c modes, not 2"):
+            exact_no_basis(OrbitalHamiltonian(np.eye(2)))
 
 
 class TestTermInflation:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from risbvqe import simulator
 from risbvqe.circuits import (VALID_KINDS, Circuit, Gate, ParamRef,
                               build_hea_nc1, build_ldca, build_mr_nc1,
                               build_mrep, decompose_circuit, gate_stack)
@@ -20,8 +21,8 @@ from risbvqe.simulator import (NoiseModel, QuantumState, _compile, _local,
 from risbvqe.vqe import vqe_minimize
 
 from oracles import (KIND_AXES, dense_state, finite_difference_gradient,
-                     noisy_density, oracle_transfer, superoperator_density,
-                     word_mat)
+                     noisy_density, oracle_transfer, random_bindings,
+                     superoperator_density, word_mat)
 
 RNG = np.random.default_rng(20240811)
 
@@ -153,10 +154,9 @@ class TestUnitaryAction:
 
     def test_density_matches_statevector(self):
         circ = build_mrep(2, 2)
-        values = RNG.uniform(-math.pi, math.pi, circ.n_params)
-        bound = circ.bind(values)
-        psi = run(bound).vector()
-        rho = run(bound, mixed=True).density()
+        values = random_bindings(circ, RNG)
+        psi = run(circ, values).vector()
+        rho = run(circ, values, mixed=True).density()
         np.testing.assert_allclose(rho, np.outer(psi, psi.conj()), atol=1e-10)
 
     def test_unbound_parameter_raises(self):
@@ -222,9 +222,11 @@ class TestDepolarizing:
         assert state.kind == "mixed"
 
     def test_zero_scale_equals_noiseless(self):
-        circ = build_hea_nc1().bind(RNG.uniform(-1, 1, 8))
-        quiet = run(circ, noise=calibrate_noise().scaled(0.0)).density()
-        clean = run(circ, mixed=True).density()
+        circ = build_hea_nc1()
+        values = dict(zip(circ.parameter_names, RNG.uniform(-1, 1, 8)))
+        quiet = run(circ, values,
+                    noise=calibrate_noise().scaled(0.0)).density()
+        clean = run(circ, values, mixed=True).density()
         np.testing.assert_allclose(quiet, clean, atol=1e-14)
 
     def test_average_gate_fidelity(self):
@@ -774,9 +776,10 @@ class TestCompiledPurePath:
 
 
 class TestCompileCache:
-    """One compile per (gates, backend, noise); the numbers come per call."""
+    """One compile per circuit and (backend, noise), held on the circuit;
+    the numbers come from each call's bindings."""
 
-    def test_results_follow_bind_and_call_bindings(self):
+    def test_results_follow_call_bindings(self):
         circ = build_mrep(2, 1)
         names = circ.parameter_names
         obs = random_observable(8, 12)
@@ -787,32 +790,49 @@ class TestCompileCache:
                                        dense_state(circ, bindings),
                                        rtol=0, atol=1e-12)
             assert_gradient_matches_oracle(circ, obs, x=x)
-        # defaults held in Circuit.bindings, some overridden per call
-        bound = circ.bind(RNG.uniform(-math.pi, math.pi, len(names)))
-        np.testing.assert_allclose(run(bound).vector(), dense_state(bound),
-                                   rtol=0, atol=1e-12)
-        override = {names[0]: 0.25, names[-1]: -1.5}
-        np.testing.assert_allclose(run(bound, override).vector(),
-                                   dense_state(bound, override),
-                                   rtol=0, atol=1e-12)
-        final, grad = adjoint_gradient(bound, obs, override)
-        assert np.array_equal(final.tensor, run(bound, override).tensor)
-        values = {**bound.bindings, **override}
-        again = adjoint_gradient(circ, obs, values)[1]
+        final, grad = adjoint_gradient(circ, obs, bindings)
+        assert np.array_equal(final.tensor, run(circ, bindings).tensor)
+        # extra names are ignored, a missing one raises
+        again = adjoint_gradient(circ, obs, {**bindings, "unused": 1.0})[1]
         np.testing.assert_array_equal(grad, again)
-        rebound = bound.bind(override)
-        np.testing.assert_array_equal(run(rebound).tensor,
-                                      run(bound, override).tensor)
+        with pytest.raises(ValueError, match="unbound"):
+            run(circ, {name: bindings[name] for name in names[1:]})
+
+    @staticmethod
+    def count_compiles(monkeypatch) -> list:
+        calls = []
+
+        def counted(circuit, mixed, noise):
+            calls.append(circuit)
+            return _compile(circuit, mixed, noise)
+
+        monkeypatch.setattr(simulator, "_compile", counted)
+        return calls
 
     @pytest.mark.parametrize("noise", [None, calibrate_noise()])
-    def test_one_compile_per_vqe_start(self, noise):
+    def test_one_compile_per_vqe_start(self, noise, monkeypatch):
         circ = build_hea_nc1()
         obs = PauliSum({"ZIII": 1.0, "IXXI": 0.5, "IIYY": -0.3})
-        _compile.cache_clear()
+        calls = self.count_compiles(monkeypatch)
         out = vqe_minimize(obs, circ, noise=noise, seed=3, max_iter=5)
-        info = _compile.cache_info()
-        assert info.misses == 1
-        assert info.hits == len(out.trace) - 1
+        assert len(out.trace) > 1
+        assert calls == [circ]
+        # a second start on the same circuit compiles nothing
+        vqe_minimize(obs, circ, noise=noise, seed=4, max_iter=5)
+        assert calls == [circ]
+
+    def test_equal_circuits_keep_their_own_blocks(self, monkeypatch):
+        first, second = build_hea_nc1(), build_hea_nc1()
+        values = dict.fromkeys(first.parameter_names, 0.3)
+        calls = self.count_compiles(monkeypatch)
+        run(first, values)
+        run(second, values)
+        run(first, values)
+        assert [id(c) for c in calls] == [id(first), id(second)]
+        assert first.compiled[False, None] is not second.compiled[False, None]
+        # the memo is outside equality, hashing and repr
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == repr(Circuit(first.n_qubits, first.gates))
 
     @pytest.mark.parametrize("mixed, noise",
                              [(False, None), (True, None),
@@ -820,8 +840,7 @@ class TestCompileCache:
     def test_cached_arrays_are_read_only(self, mixed, noise):
         # numeric RY gates and CNOTs are fixed, RZ slots at scale -2 named
         circ = decompose_circuit(build_ldca(4, 1))
-        blocks, fixed, kinds = _compile(circ.n_qubits, circ.gates, mixed,
-                                        noise)
+        blocks, fixed, kinds = _compile(circ, mixed, noise)
         arrays = [f for f in fixed if f is not None]
         arrays += [a for kind in kinds for a in kind[2:]]
         arrays += [b.idx for b in blocks if b.idx is not None]
