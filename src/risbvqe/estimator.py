@@ -18,8 +18,9 @@ import numpy as np
 
 from .circuits import Circuit, ParamRef
 from .ed import Rdm1, ed_rdm1
-from .pauli import PauliSum, expectation_matrix, pauli_tensor
-from .simulator import NoiseModel, QuantumState, check_observable, run
+from .pauli import PauliSum
+from .simulator import (NoiseModel, QuantumState, _observe,
+                        check_observable, run)
 
 IMAG_TOL = 1e-9
 SPIN_ASYMMETRY_TOL = 1e-6
@@ -28,12 +29,7 @@ SPIN_ASYMMETRY_TOL = 1e-6
 def expectation(state: QuantumState, obs: PauliSum) -> float:
     """Exact <O> on either backend; tiny imaginary residue is discarded."""
     check_observable(obs, state.n_qubits)
-    if state.kind == "pure":
-        vec = state.tensor.reshape(-1)
-        value = complex(np.vdot(vec, expectation_matrix(obs) @ vec))
-    else:  # tr(rho O) = sum_P x_P o_P
-        value = complex(np.dot(pauli_tensor(obs).reshape(-1),
-                               state.tensor.reshape(-1)))
+    value = _observe(state.tensor, obs, state.kind == "mixed")[0]
     if abs(value.imag) > IMAG_TOL * max(1.0, abs(value.real)):
         raise ValueError(f"expectation has imaginary residue {value.imag}")
     return value.real

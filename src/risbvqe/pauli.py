@@ -187,11 +187,12 @@ def expectation_matrix(p: PauliSum) -> np.ndarray:
 
 
 def pauli_tensor(p: PauliSum) -> np.ndarray:
-    """The coefficients on a (4,)*n grid in I, X, Y, Z order, built once."""
+    """The real parts of the coefficients, all of a Hermitian sum's, on a
+    (4,)*n grid in I, X, Y, Z order, built once."""
     if p._tensor is None:
-        p._tensor = np.zeros((4,) * p.n_qubits, dtype=complex)
+        p._tensor = np.zeros((4,) * p.n_qubits)
         for word, coeff in p._terms.items():
-            p._tensor[tuple(map("IXYZ".index, word))] = coeff
+            p._tensor[tuple(map("IXYZ".index, word))] = coeff.real
         p._tensor.setflags(write=False)
     return p._tensor
 

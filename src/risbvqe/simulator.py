@@ -14,9 +14,15 @@ density matrix a gate and its channels form one real 4x4 or 16x16
 transfer matrix, built per kind in the gates' own frame (`_ptm`) and
 placed into its block (`_local`), and each maximal run of consecutive
 gates inside one qubit pair is one block, the product in gate order
-(exact; gate fusion as in qsim and Qiskit Aer).  The adjoint
-gradient ends, on both backends, in one stacked contraction and one
-scatter-add per gate kind.
+(exact; gate fusion as in qsim and Qiskit Aer).  A run starts from
+|0...0> as n one-qubit factors: the compiled `_plan` runs the leading
+blocks whose factors do not yet span the register on those factors (a
+block that joins two merges them by one outer product), and the register
+tensor is formed once, in qubit order, at the first block that would join
+them all (mrep's first fSim, after its two preparations), or at the end.
+The adjoint gradient's reverse sweep runs on the whole register and ends,
+on both backends, in one stacked contraction and one scatter-add per gate
+kind.
 """
 
 from __future__ import annotations
@@ -86,13 +92,9 @@ class QuantumState:
 
     @classmethod
     def zero(cls, n_qubits: int, mixed: bool = False) -> "QuantumState":
-        if mixed:  # |0><0| = (I + Z) / 2 on every qubit
-            x = np.zeros((4,) * n_qubits)
-            x[np.ix_(*[[0, 3]] * n_qubits)] = 1.0
-            return cls(n_qubits, "mixed", x)
-        psi = np.zeros((2,) * n_qubits, dtype=complex)
-        psi[(0,) * n_qubits] = 1.0
-        return cls(n_qubits, "pure", psi)
+        start = _frame({q: (q,) for q in range(n_qubits)}, set(), n_qubits,
+                       mixed)
+        return cls(n_qubits, "mixed" if mixed else "pure", _join([], start))
 
     @classmethod
     def from_vector(cls, vec) -> "QuantumState":
@@ -257,6 +259,77 @@ def _runs(gates) -> list[tuple[tuple[int, ...], list[Gate]]]:
     return runs
 
 
+class _Step(NamedTuple):
+    """A leading block on the factors: the factor at `merge` (if any) joins
+    the one at `slot` by an outer product, then the block acts on `axes`."""
+    slot: int
+    merge: int | None
+    axes: tuple[int, ...]
+    idx: np.ndarray | None  # pure states: the gather index on the factor
+    frame: tuple | None     # a tuned block's entering factors, for `_join`
+
+
+# |0><0| on one qubit: an amplitude pair, or its I, X, Y, Z coefficients.
+_ZERO = {False: np.array([1.0, 0.0], dtype=complex),
+         True: np.array([1.0, 0.0, 0.0, 1.0])}
+
+
+def _frame(factors: dict, live: set, n: int, mixed: bool) -> tuple:
+    """How `_join` reads the factors (slot: its qubits in axis order): per
+    factor in `live`, its transpose to qubit order and register-shaped
+    view; the others are still one-qubit |0>, kept as one read-only
+    register-shaped product."""
+    zero = _ZERO[mixed]
+    views, rest = [], np.ones((1,) * n, dtype=zero.dtype)
+    for slot, qubits in factors.items():
+        shape = tuple(len(zero) if q in qubits else 1 for q in range(n))
+        if slot in live:
+            views.append((slot, tuple(np.argsort(qubits)), shape))
+        else:
+            rest = rest * zero.reshape(shape)
+    return tuple(views), rest
+
+
+def _join(parts: list, frame: tuple) -> np.ndarray:
+    """The register tensor from its factors, a new C-contiguous array (a
+    pure state is written in place through its flat view), axes in qubit
+    order."""
+    views, rest = frame
+    out = rest
+    for slot, perm, shape in views:
+        out = np.multiply(out, parts[slot].transpose(perm).reshape(shape),
+                          order="C")
+    return out.copy() if out is rest else out
+
+
+def _plan(blocks, n: int, mixed: bool):
+    """(steps, frame): the leading blocks whose factors do not yet span the
+    register, each a `_Step`, starting from n one-qubit factors, and the
+    factors' frame at the first block that would join them all (or at the
+    end)."""
+    factors, owner = {q: (q,) for q in range(n)}, list(range(n))
+    steps, live = [], set()  # live: the factors a step acted on
+    for block in blocks:
+        slot, merge = owner[block.qubits[0]], owner[block.qubits[-1]]
+        merge = None if merge == slot else merge
+        qubits = factors[slot] + (factors[merge] if merge is not None else ())
+        if len(qubits) == n:
+            break
+        if merge is not None:
+            del factors[merge]
+            live.discard(merge)
+            for q in qubits:
+                owner[q] = slot
+        factors[slot] = qubits
+        live.add(slot)
+        axes, k = tuple(map(qubits.index, block.qubits)), len(qubits)
+        idx = None if mixed else _flatten(
+            np.arange(2 ** k).reshape((2,) * k), axes)[0]
+        steps.append(_Step(slot, merge, axes, idx, _frame(
+            factors, live, n, mixed) if block.tuned else None))
+    return tuple(steps), _frame(factors, live, n, mixed)
+
+
 class _Block(NamedTuple):
     qubits: tuple[int, ...]
     gates: tuple[Gate, ...]
@@ -268,10 +341,10 @@ class _Block(NamedTuple):
 def _compile(circuit: Circuit, mixed: bool, noise: NoiseModel | None):
     """The angle-free part of `_fuse`, which `_fuse` keeps in
     `circuit.compiled` per (backend, noise): (blocks, each gate's factor if
-    it has no named slot, kinds), its arrays read-only.  A kind (kind, axes,
-    positions, name index, scale) gathers the gates with named slots, with
-    (m, slots) tables; a numeric slot has index len(names) and its angle as
-    scale."""
+    it has no named slot, kinds, `_plan`), its arrays read-only.  A kind
+    (kind, axes, positions, name index, scale) gathers the gates with named
+    slots, with (m, slots) tables; a numeric slot has index len(names) and
+    its angle as scale."""
     if noise is not None and not mixed:
         raise ValueError("noise requires the density-matrix backend")
     n, gates = circuit.n_qubits, circuit.gates
@@ -303,21 +376,25 @@ def _compile(circuit: Circuit, mixed: bool, noise: NoiseModel | None):
           for s in gates[p].params] for p in ps]), np.array(
         [[getattr(s, "scale", s) for s in gates[p].params] for p in ps],
         dtype=float)) for (kind, axes), ps in groups.items()]
+    plan = _plan(blocks, n, mixed)
     for array in [*index.values(), *(f for f in fixed if f is not None),
-                  *(a for k in kinds for a in k[2:])]:
+                  *(a for k in kinds for a in k[2:]),
+                  *(s.idx for s in plan[0] if s.idx is not None),
+                  *(f[1] for f in (plan[1], *(s.frame for s in plan[0]))
+                    if f is not None)]:
         array.setflags(write=False)
-    return tuple(blocks), fixed, tuple(kinds)
+    return tuple(blocks), fixed, tuple(kinds), plan
 
 
 def _fuse(circuit: Circuit, bindings: Mapping[str, float] | None,
           mixed: bool, noise: NoiseModel | None):
-    """(each kind with its (m, slots) angles, and per block (block,
-    factors, prefixes)), factors[k] the action of the block's gates[k] and
+    """(each kind with its (m, slots) angles, per block (block, factors,
+    prefixes), `_plan`), factors[k] the action of the block's gates[k] and
     prefixes[k] = factors[k] ... factors[0], so prefixes[-1] is its S."""
     key = mixed, noise
     if key not in circuit.compiled:
         circuit.compiled[key] = _compile(circuit, mixed, noise)
-    blocks, fixed, kinds = circuit.compiled[key]
+    blocks, fixed, kinds, plan = circuit.compiled[key]
     names, bindings = circuit.parameter_names, bindings or {}
     missing = [name for name in names if name not in bindings]
     if missing:
@@ -337,23 +414,65 @@ def _fuse(circuit: Circuit, bindings: Mapping[str, float] | None,
             own[j] = _local(own[j], block.gates[j].qubits, block.qubits)
         fused.append((block, own, own if len(own) == 1 else list(
             itertools.accumulate(own, lambda s, t: t @ s))))
-    return list(zip(kinds, angles)), fused
+    return list(zip(kinds, angles)), fused, plan
 
 
-def _act(tensor: np.ndarray, s: np.ndarray, block: _Block,
-         kept: dict | None = None) -> np.ndarray:
-    """`s` on the block's qubits, in place through the gather index on a
-    pure state; `kept` stores the entering tensor's `_flatten` matrix."""
-    if block.idx is None:
+def _act(tensor: np.ndarray, s: np.ndarray, axes: tuple[int, ...],
+         idx: np.ndarray | None, kept: dict | None = None,
+         key: int = 0) -> np.ndarray:
+    """`s` on `axes`, in place through the gather index `idx` if given;
+    kept[key] stores the entering tensor's `_flatten` matrix."""
+    if idx is None:
         if kept is not None:
-            kept[block.positions.start] = _flatten(tensor, block.qubits)[0]
-        return _apply_unitary(tensor, s, block.qubits)
+            kept[key] = _flatten(tensor, axes)[0]
+        return _apply_unitary(tensor, s, axes)
     flat = tensor.reshape(-1)
-    rows = flat[block.idx]
+    rows = flat[idx]
     if kept is not None:
-        kept[block.positions.start] = rows
-    flat[block.idx] = s @ rows
+        kept[key] = rows
+    flat[idx] = s @ rows
     return tensor
+
+
+def _forward(n: int, fused: list, plan: tuple, mixed: bool,
+             entering: dict | None = None) -> np.ndarray:
+    """The final tensor of `_plan`'s walk from n one-qubit factors;
+    `entering` keeps each tuned block's entering matrix, as `_act` does, in
+    the register's frame (a step's from its factors joined for it)."""
+    steps, frame = plan
+    parts = list(np.tile(_ZERO[mixed], (n, 1)))
+    for (block, _, prefixes), step in zip(fused, steps):
+        if step.merge is not None:
+            parts[step.slot] = np.multiply.outer(parts[step.slot],
+                                                 parts[step.merge])
+            parts[step.merge] = None
+        if entering is not None and block.tuned:
+            full = _join(parts, step.frame)
+            entering[block.positions.start] = (
+                _flatten(full, block.qubits)[0] if mixed
+                else full.reshape(-1)[block.idx])
+        parts[step.slot] = _act(parts[step.slot], prefixes[-1], step.axes,
+                                step.idx)
+    tensor = _join(parts, frame)
+    for block, _, prefixes in fused[len(steps):]:
+        tensor = _act(tensor, prefixes[-1], block.qubits, block.idx,
+                      entering if block.tuned else None,
+                      block.positions.start)
+    return tensor
+
+
+def _observe(tensor: np.ndarray, observable: PauliSum,
+             mixed: bool) -> tuple[complex, np.ndarray]:
+    """(<O>, lambda): sum_P x_P o_P and the coefficients o_P
+    (`pauli_tensor`) on a density matrix, <psi|O psi> and O psi on a pure
+    state; `expectation` and the adjoint sweep share it, so their <O>
+    agree bit for bit."""
+    if mixed:
+        lam = pauli_tensor(observable)
+        return complex(np.dot(lam.reshape(-1), tensor.reshape(-1))), lam
+    psi = tensor.reshape(-1)
+    lam = expectation_matrix(observable) @ psi
+    return complex(np.vdot(psi, lam)), lam.reshape(tensor.shape)
 
 
 def apply_gate(state: QuantumState, gate: Gate,
@@ -362,10 +481,10 @@ def apply_gate(state: QuantumState, gate: Gate,
     """Unitary action followed, on the mixed backend, by one depolarizing
     channel per touched qubit (p1 for one-qubit gates, p2 per qubit of a
     two-qubit gate); the gate is a block of one."""
-    _, ((block, _, (s,)),) = _fuse(Circuit(state.n_qubits, (gate,)),
-                                   bindings, state.kind == "mixed", noise)
-    return QuantumState(state.n_qubits, state.kind,
-                        _act(state.tensor.copy(), s, block))
+    _, ((block, _, (s,)),), _ = _fuse(Circuit(state.n_qubits, (gate,)),
+                                      bindings, state.kind == "mixed", noise)
+    return QuantumState(state.n_qubits, state.kind, _act(
+        state.tensor.copy(), s, block.qubits, block.idx))
 
 
 def run(circuit: Circuit, bindings: Mapping[str, float] | None = None,
@@ -375,48 +494,41 @@ def run(circuit: Circuit, bindings: Mapping[str, float] | None = None,
     forced with `mixed`, and noise on the pure backend raises ValueError."""
     if mixed is None:
         mixed = noise is not None
-    _, fused = _fuse(circuit, bindings, mixed, noise)
-    state = QuantumState.zero(circuit.n_qubits, mixed=mixed)
-    for block, _, prefixes in fused:
-        state.tensor = _act(state.tensor, prefixes[-1], block)
-    return state
+    _, fused, plan = _fuse(circuit, bindings, mixed, noise)
+    return QuantumState(circuit.n_qubits, "mixed" if mixed else "pure",
+                        _forward(circuit.n_qubits, fused, plan, mixed))
 
 
 def adjoint_gradient(circuit: Circuit, observable: PauliSum,
                      bindings: Mapping[str, float] | None = None,
                      noise: NoiseModel | None = None
-                     ) -> tuple[QuantumState, np.ndarray]:
-    """The final state (the one `run` returns) and the exact
-    d<O>/d(parameter) in `circuit.parameter_names` order, from one forward
-    and one reverse sweep over the blocks of `_fuse` (Jones & Gacon,
-    arXiv:2009.02823).
+                     ) -> tuple[QuantumState, float, np.ndarray]:
+    """The final state (the one `run` returns), <O> there (`expectation`'s
+    value) and the exact d<O>/d(parameter) in `circuit.parameter_names`
+    order, from one forward and one reverse sweep over the blocks of
+    `_fuse` (Jones & Gacon, arXiv:2009.02823).
 
-    Lambda runs back through each block's S^dag from O psi (the cached
-    `expectation_matrix`) on a pure state and from tr(P O) / 2^n
-    (`pauli_tensor`) on a density matrix.  M, the overlap of lambda after
-    a block and the tensor entering it over its axes, gives <O> =
-    sum(S * M).  Each gate with a named slot takes its share in its own
-    frame: after^T M prefix^T for the block's gates after and before it,
-    mapped back through `_local`.  Per gate kind, one stacked contraction
-    with the derivatives dU (pure) or the transfer matrices of
-    rho -> D(dU rho U^dag) (density matrix) and one scatter-add give
-    the gradient; the weight is 2 on both, as psi enters <O> twice and
-    D(dU rho U^dag) and D(U rho dU^dag) have the same transfer matrix.
+    Lambda runs back through each block's S^dag from `_observe`'s O psi
+    or tr(P O) / 2^n.  M, the overlap of lambda after a block and the
+    tensor entering it over its axes, gives <O> = sum(S * M).  Each gate
+    with a named slot takes its share in its own frame: after^T M
+    prefix^T for the block's gates after and before it, mapped back
+    through `_local`.  Per gate kind, one stacked contraction with the
+    derivatives dU (pure) or the transfer matrices of rho -> D(dU rho
+    U^dag) (density matrix) and one scatter-add give the gradient; the
+    weight is 2 on both, as psi enters <O> twice and D(dU rho U^dag) and
+    D(U rho dU^dag) have the same transfer matrix.
     """
     n, mixed = circuit.n_qubits, noise is not None
     check_observable(observable, n)
-    kinds, fused = _fuse(circuit, bindings, mixed, noise)
+    kinds, fused, plan = _fuse(circuit, bindings, mixed, noise)
     grad = np.zeros(circuit.n_params + 1)  # the last for numeric slots
-    tensor = QuantumState.zero(n, mixed=mixed).tensor
     entering, leaving, framed = {}, {}, {}
-    for block, _, prefixes in fused:
-        tensor = _act(tensor, prefixes[-1], block,
-                      entering if block.tuned else None)
-    lam = pauli_tensor(observable).real if mixed else (expectation_matrix(
-        observable) @ tensor.reshape(-1)).reshape(tensor.shape)
+    tensor = _forward(n, fused, plan, mixed, entering)
+    energy, lam = _observe(tensor, observable, mixed)
     for block, factors, prefixes in reversed(fused):
-        lam = _act(lam, prefixes[-1].conj().T, block,
-                   leaving if block.tuned else None)
+        lam = _act(lam, prefixes[-1].conj().T, block.qubits, block.idx,
+                   leaving if block.tuned else None, block.positions.start)
         if block.tuned and mixed:
             p = block.positions.start
             # M, then after^T M as j passes each gate
@@ -441,4 +553,5 @@ def adjoint_gradient(circuit: Circuit, observable: PauliSum,
             *a.shape[::-1], -1).sum(-1).real
         grad += 2.0 * np.bincount(index.T.ravel(), terms.ravel(),
                                   minlength=len(grad))
-    return QuantumState(n, "mixed" if mixed else "pure", tensor), grad[:-1]
+    return (QuantumState(n, "mixed" if mixed else "pure", tensor),
+            energy.real, grad[:-1])

@@ -46,23 +46,24 @@ class VqeResult:
 
 def _objective(circuit: Circuit, observable: PauliSum,
                noise: NoiseModel | None, gradient: bool) -> Callable:
-    """x -> (<O>, d<O>/dx) from one adjoint sweep, or (<O>, None) from one
-    `run`; the energy is read off the final state either way, so both give
-    the same value bit for bit."""
+    """x -> (<O>, d<O>/dx) from one adjoint sweep, whose lambda starts as
+    O psi and gives <O> too, or (<O>, None) from one `run` and
+    `expectation`; both read <O> off the final state with the same
+    arithmetic, so they give the same value bit for bit."""
     names = circuit.parameter_names
 
     def evaluate(x: np.ndarray) -> tuple[float, np.ndarray | None]:
         bindings = dict(zip(names, x))
         grad = None
         if gradient:
-            state, grad = adjoint_gradient(circuit, observable, bindings,
-                                           noise=noise)
+            _, value, grad = adjoint_gradient(circuit, observable, bindings,
+                                              noise=noise)
             if not np.all(np.isfinite(grad)):
                 bad = grad[~np.isfinite(grad)][0]
                 raise SolverFailure(f"objective gradient diverged to {bad}")
         else:
-            state = run(circuit, bindings, noise=noise)
-        value = expectation(state, observable)
+            value = expectation(run(circuit, bindings, noise=noise),
+                                observable)
         if not math.isfinite(value):
             raise SolverFailure(f"objective diverged to {value}")
         return value, grad

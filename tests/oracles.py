@@ -7,7 +7,9 @@ exceptions are `pauli_rdm1_full`, the Pauli-expectation 1-RDM that the
 compiled table is checked against, and `gate_matrix` and
 `gate_derivatives`, the batch of one of `circuits.gate_stack`.
 `oracle_transfer` builds a noisy gate's Pauli transfer matrix, or its
-derivative, from explicit traces over Pauli words.
+derivative, from explicit traces over Pauli words.  `full_register_walk`
+and `unfactored` do read the simulator's compiled blocks: they check its
+product-state start against every block applied to the whole register.
 `oracle_jordan_wigner` is the string-product Jordan-Wigner map
 (single-qubit product table `_MUL`), and the Fock-space loops (`_ladder`,
 `oracle_hamiltonian_matrix`, `oracle_rdm1_full`) keep their own sign
@@ -23,6 +25,7 @@ import itertools
 
 import numpy as np
 
+from risbvqe import simulator
 from risbvqe.circuits import Circuit, Gate, ParamRef, gate_stack
 from risbvqe.embedding import SymMatrix, bath_kernel, bath_kernel_slope
 from risbvqe.estimator import expectation
@@ -463,6 +466,29 @@ def superoperator_density(circuit, noise, bindings=None):
             step = channel @ step
         vec = step @ vec
     return vec.reshape(dim, dim)
+
+
+def full_register_walk(circuit, bindings=None, noise=None, mixed=False):
+    """The final tensor of `simulator._fuse`'s blocks applied one by one to
+    the whole |0...0> register tensor, with no product-state start."""
+    _, fused, _ = simulator._fuse(circuit, bindings, mixed, noise)
+    tensor = simulator.QuantumState.zero(circuit.n_qubits, mixed).tensor
+    for block, _, prefixes in fused:
+        tensor = simulator._act(tensor, prefixes[-1], block.qubits,
+                                block.idx)
+    return tensor
+
+
+def unfactored(circuit, mixed, noise=None):
+    """A copy of `circuit` whose compiled plan has no factored steps: its
+    `run` and `adjoint_gradient` start from the whole |0...0> register
+    and walk every block on it."""
+    n = circuit.n_qubits
+    copy = Circuit(n, circuit.gates)
+    blocks, fixed, kinds, _ = simulator._compile(copy, mixed, noise)
+    start = simulator._frame({q: (q,) for q in range(n)}, set(), n, mixed)
+    copy.compiled[mixed, noise] = blocks, fixed, kinds, ((), start)
+    return copy
 
 
 def sym_from_matrix(m, tol=1e-8):

@@ -21,8 +21,9 @@ from risbvqe.simulator import (NoiseModel, QuantumState, _compile, _local,
 from risbvqe.vqe import vqe_minimize
 
 from oracles import (KIND_AXES, dense_state, finite_difference_gradient,
-                     noisy_density, oracle_transfer, random_bindings,
-                     superoperator_density, word_mat)
+                     full_register_walk, noisy_density, oracle_transfer,
+                     random_bindings, superoperator_density, unfactored,
+                     word_mat)
 
 RNG = np.random.default_rng(20240811)
 
@@ -392,7 +393,7 @@ class TestPauliBasis:
         assert_pauli_tensor(apply_gate(start, gate, noise=noise))
         if noise is not None:
             identity = PauliSum({"I" * circuit.n_qubits: 1.0})
-            final, _ = adjoint_gradient(circuit, identity, noise=noise)
+            final, _, _ = adjoint_gradient(circuit, identity, noise=noise)
             assert_pauli_tensor(final)
 
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.75])
@@ -492,7 +493,7 @@ def assert_gradient_matches_oracle(circuit, obs, noise=None, x=None):
     if x is None:
         x = RNG.uniform(-math.pi, math.pi, len(names))
     bindings = dict(zip(names, x))
-    final, got = adjoint_gradient(circuit, obs, bindings, noise=noise)
+    final, _, got = adjoint_gradient(circuit, obs, bindings, noise=noise)
     assert np.array_equal(final.tensor,
                           run(circuit, bindings, noise=noise).tensor)
 
@@ -621,7 +622,7 @@ class TestAdjointGradient:
         energies = []
         for _ in range(3):
             bindings = dict(zip(names, RNG.uniform(-3, 3, len(names))))
-            _, grad = adjoint_gradient(circ, obs, bindings, noise=noise)
+            _, _, grad = adjoint_gradient(circ, obs, bindings, noise=noise)
             assert np.max(np.abs(grad)) < 1e-14
             energies.append(expectation(run(circ, bindings, noise=noise),
                                         obs))
@@ -715,13 +716,23 @@ class TestAdjointGradient:
 
     def test_fixed_circuit_has_empty_gradient(self):
         circ = Circuit(1, (Gate("H", (0,)),))
-        _, grad = adjoint_gradient(circ, PauliSum({"Z": 1.0}))
+        _, _, grad = adjoint_gradient(circ, PauliSum({"Z": 1.0}))
         assert grad.shape == (0,)
 
     def test_unbound_parameter_rejected(self):
         circ = build_hea_nc1()
         with pytest.raises(ValueError, match="unbound"):
             adjoint_gradient(circ, PauliSum({"IIII": 1.0}), {"a0": 0.1})
+
+    @pytest.mark.parametrize("noise", [None, calibrate_noise()])
+    def test_energy_is_the_expectation_of_the_final_state(self, noise):
+        # lambda starts as O psi, so the sweep's <O> is `expectation`'s
+        # arithmetic on the same final state, bit for bit
+        for circ in (build_mrep(2, 1), all_kinds_circuit()):
+            obs = random_observable(circ.n_qubits, 12)
+            final, energy, _ = adjoint_gradient(
+                circ, obs, random_bindings(circ, RNG), noise=noise)
+            assert energy == expectation(final, obs)
 
 
 # Numeric angles and named slots in one circuit: names shared across gates,
@@ -790,10 +801,10 @@ class TestCompileCache:
                                        dense_state(circ, bindings),
                                        rtol=0, atol=1e-12)
             assert_gradient_matches_oracle(circ, obs, x=x)
-        final, grad = adjoint_gradient(circ, obs, bindings)
+        final, _, grad = adjoint_gradient(circ, obs, bindings)
         assert np.array_equal(final.tensor, run(circ, bindings).tensor)
         # extra names are ignored, a missing one raises
-        again = adjoint_gradient(circ, obs, {**bindings, "unused": 1.0})[1]
+        again = adjoint_gradient(circ, obs, {**bindings, "unused": 1.0})[2]
         np.testing.assert_array_equal(grad, again)
         with pytest.raises(ValueError, match="unbound"):
             run(circ, {name: bindings[name] for name in names[1:]})
@@ -840,10 +851,11 @@ class TestCompileCache:
     def test_cached_arrays_are_read_only(self, mixed, noise):
         # numeric RY gates and CNOTs are fixed, RZ slots at scale -2 named
         circ = decompose_circuit(build_ldca(4, 1))
-        blocks, fixed, kinds = _compile(circ, mixed, noise)
+        blocks, fixed, kinds, (steps, _) = _compile(circ, mixed, noise)
         arrays = [f for f in fixed if f is not None]
         arrays += [a for kind in kinds for a in kind[2:]]
         arrays += [b.idx for b in blocks if b.idx is not None]
+        arrays += [s.idx for s in steps if s.idx is not None]
         assert len(arrays) > len(kinds) * 3
         assert all(b.idx is None for b in blocks) == mixed
         # one gather index per qubit tuple, shared by its blocks
@@ -853,3 +865,79 @@ class TestCompileCache:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 0
+
+
+def one_qubit_gates() -> Circuit:
+    """One-qubit gates only, qubit 2 untouched: no block joins factors."""
+    ref = ParamRef
+    return Circuit(5, (Gate("RY", (0,), (ref("a"),)), Gate("H", (1,)),
+                       Gate("RX", (3,), (ref("b"),)),
+                       Gate("RZ", (0,), (ref("c", scale=-2.0),)),
+                       Gate("X", (4,)), Gate("RY", (3,), (0.4,)),
+                       Gate("RX", (1,), (ref("a"),))))
+
+
+FACTORED = {"mrep(2,4)": build_mrep(2, 4), "mrep(2,1)": build_mrep(2, 1),
+            "ldca(8,1)": build_ldca(8, 1),
+            "decomposed ldca(8,1)": decompose_circuit(build_ldca(8, 1)),
+            "hea_nc1": build_hea_nc1(), "one-qubit gates": one_qubit_gates()}
+
+
+def assert_matches_full_register_walk(circuit, noise, mixed, rng):
+    """`run` and `adjoint_gradient` from the factored start against every
+    block walked on the whole register: final states, <O> and gradients
+    to 1e-14; the two final states agree bit for bit."""
+    bindings = random_bindings(circuit, rng)
+    got = run(circuit, bindings, noise=noise, mixed=mixed)
+    np.testing.assert_allclose(
+        got.tensor, full_register_walk(circuit, bindings, noise, mixed),
+        rtol=0, atol=1e-14)
+    if not circuit.parameter_names or mixed != (noise is not None):
+        return
+    obs = random_observable(circuit.n_qubits, 12, rng)
+    obs = obs * (1.0 / sum(abs(c) for c in obs.terms.values()))
+    final, energy, grad = adjoint_gradient(circuit, obs, bindings, noise)
+    assert np.array_equal(final.tensor, got.tensor)
+    _, want_energy, want = adjoint_gradient(
+        unfactored(circuit, mixed, noise), obs, bindings, noise)
+    assert abs(energy - want_energy) <= 1e-14
+    np.testing.assert_allclose(grad, want, rtol=0, atol=1e-14)
+
+
+class TestFactoredStart:
+    """A run starts from n one-qubit factors and forms the register at
+    the first block that would join them all."""
+
+    @pytest.mark.parametrize("noise", [None, calibrate_noise()],
+                             ids=["pure", "calibrated"])
+    @pytest.mark.parametrize("name", sorted(FACTORED))
+    def test_matches_full_register_walk(self, name, noise):
+        assert_matches_full_register_walk(FACTORED[name], noise,
+                                          noise is not None, RNG)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_circuits(NUMERIC_OR_NAMED),
+           st.sampled_from(sorted(NOISES)), st.integers(0, 2 ** 32 - 1))
+    def test_random_circuits(self, circuit, noise, seed):
+        rng = np.random.default_rng(seed)
+        noise = NOISES[noise]
+        assert_matches_full_register_walk(circuit, noise, True, rng)
+        if noise is None:
+            assert_matches_full_register_walk(circuit, None, False, rng)
+
+    @pytest.mark.parametrize("noise, factored", [
+        (calibrate_noise(), [2, 3, 4] * 2),   # six fused preparation blocks
+        (None, [1, 2, 1, 3, 1, 4] * 2)])      # twelve preparation gates
+    def test_mrep_preparation_runs_on_factors(self, noise, factored,
+                                              monkeypatch):
+        passes, act = [], simulator._act
+
+        def counted(tensor, *args, **kwargs):
+            passes.append(tensor.ndim)
+            return act(tensor, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_act", counted)
+        circ = build_mrep(2, 4)
+        run(circ, random_bindings(circ, RNG), noise=noise)
+        # the register forms at the first fSim, (0, 1): 28 full passes
+        assert passes == factored + [8] * 28

@@ -94,18 +94,25 @@ class TestSingleStart:
             vqe_minimize(PauliSum({"Z": 1.0}), fixed, optimizer="bfgs")
 
     def test_divergent_objective_reported(self, monkeypatch):
+        # Nelder-Mead reads <O> from `expectation`, BFGS from the sweep.
         import risbvqe.vqe as vqe_module
         monkeypatch.setattr(vqe_module, "expectation",
                             lambda state, obs: math.nan)
+        monkeypatch.setattr(vqe_module, "adjoint_gradient",
+                            lambda circuit, obs, bindings, noise=None:
+                            (run(circuit, bindings), math.nan,
+                             np.zeros(circuit.n_params)))
         obs, ansatz = ry_probe()
-        with pytest.raises(SolverFailure, match="diverged"):
-            vqe_minimize(obs, ansatz, seed=1)
+        for optimizer in ("bfgs", "nelder-mead"):
+            with pytest.raises(SolverFailure, match="diverged"):
+                vqe_minimize(obs, ansatz, optimizer=optimizer, seed=1)
 
     def test_divergent_gradient_reported(self, monkeypatch):
         import risbvqe.vqe as vqe_module
         monkeypatch.setattr(vqe_module, "adjoint_gradient",
                             lambda circuit, obs, bindings, noise=None:
-                            (run(circuit, bindings), np.array([math.inf])))
+                            (run(circuit, bindings), 0.0,
+                             np.array([math.inf])))
         obs, ansatz = ry_probe()
         with pytest.raises(SolverFailure, match="diverged"):
             vqe_minimize(obs, ansatz, seed=1)
