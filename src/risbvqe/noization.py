@@ -30,9 +30,6 @@ def rotate_hamiltonian(ham: OrbitalHamiltonian,
                        rotation: BasisRotation) -> OrbitalHamiltonian:
     """Transform all coefficients into the rotated basis, applying the
     same rotation to both spin blocks when given a per-spin matrix."""
-    if rotation.dim not in (ham.n_modes // 2, ham.n_modes):
-        raise ValueError(f"rotation dimension {rotation.dim} does not "
-                         f"match {ham.n_modes} modes")
     return ham.rotate(rotation.v)
 
 

@@ -14,15 +14,15 @@ density matrix a gate and its channels form one real 4x4 or 16x16
 transfer matrix, built per kind in the gates' own frame (`_ptm`) and
 placed into its block (`_local`), and each maximal run of consecutive
 gates inside one qubit pair is one block, the product in gate order
-(exact; gate fusion as in qsim and Qiskit Aer).  A run starts from
-|0...0> as n one-qubit factors: the compiled `_plan` runs the leading
-blocks whose factors do not yet span the register on those factors (a
+(exact; gate fusion as in qsim and Qiskit Aer).  A pure run walks every
+block on a copy of the compiled |0...0> register.  The factored start is
+the density matrix's: from n one-qubit factors, the compiled `_plan` runs
+the leading blocks whose factors do not yet span the register on them (a
 block that joins two merges them by one outer product), and the register
 tensor is formed once, in qubit order, at the first block that would join
 them all (mrep's first fSim, after its two preparations), or at the end.
 The adjoint gradient's reverse sweep runs on the whole register and ends,
-on both backends, in one stacked contraction and one scatter-add per gate
-kind.
+on both backends, in one stacked contraction and one scatter-add per kind.
 """
 
 from __future__ import annotations
@@ -89,12 +89,6 @@ class QuantumState:
         self.n_qubits = n_qubits
         self.kind = kind
         self.tensor = tensor
-
-    @classmethod
-    def zero(cls, n_qubits: int, mixed: bool = False) -> "QuantumState":
-        start = _frame({q: (q,) for q in range(n_qubits)}, set(), n_qubits,
-                       mixed)
-        return cls(n_qubits, "mixed" if mixed else "pure", _join([], start))
 
     @classmethod
     def from_vector(cls, vec) -> "QuantumState":
@@ -265,28 +259,25 @@ class _Step(NamedTuple):
     slot: int
     merge: int | None
     axes: tuple[int, ...]
-    idx: np.ndarray | None  # pure states: the gather index on the factor
     frame: tuple | None     # a tuned block's entering factors, for `_join`
 
 
-# |0><0| on one qubit: an amplitude pair, or its I, X, Y, Z coefficients.
-_ZERO = {False: np.array([1.0, 0.0], dtype=complex),
-         True: np.array([1.0, 0.0, 0.0, 1.0])}
+# |0><0| on one qubit as its I, X, Y, Z coefficients.
+_ZERO = np.array([1.0, 0.0, 0.0, 1.0])
 
 
-def _frame(factors: dict, live: set, n: int, mixed: bool) -> tuple:
-    """How `_join` reads the factors (slot: its qubits in axis order): per
-    factor in `live`, its transpose to qubit order and register-shaped
-    view; the others are still one-qubit |0>, kept as one read-only
-    register-shaped product."""
-    zero = _ZERO[mixed]
-    views, rest = [], np.ones((1,) * n, dtype=zero.dtype)
+def _frame(factors: dict, live: set, n: int) -> tuple:
+    """How `_join` reads the Pauli factors (slot: its qubits in axis
+    order): per factor in `live`, its transpose to qubit order and
+    register-shaped view; the others are still one-qubit |0>, kept as one
+    read-only register-shaped product."""
+    views, rest = [], np.ones((1,) * n)
     for slot, qubits in factors.items():
-        shape = tuple(len(zero) if q in qubits else 1 for q in range(n))
+        shape = tuple(4 if q in qubits else 1 for q in range(n))
         if slot in live:
             views.append((slot, tuple(np.argsort(qubits)), shape))
         else:
-            rest = rest * zero.reshape(shape)
+            rest = rest * _ZERO.reshape(shape)
     return tuple(views), rest
 
 
@@ -302,11 +293,10 @@ def _join(parts: list, frame: tuple) -> np.ndarray:
     return out.copy() if out is rest else out
 
 
-def _plan(blocks, n: int, mixed: bool):
-    """(steps, frame): the leading blocks whose factors do not yet span the
-    register, each a `_Step`, starting from n one-qubit factors, and the
-    factors' frame at the first block that would join them all (or at the
-    end)."""
+def _plan(blocks, n: int):
+    """(steps, frame) on Pauli factors: the leading blocks whose factors do
+    not yet span the register, each a `_Step`, from n one-qubit factors, and
+    the factors' frame at the first block that would join them all."""
     factors, owner = {q: (q,) for q in range(n)}, list(range(n))
     steps, live = [], set()  # live: the factors a step acted on
     for block in blocks:
@@ -322,12 +312,9 @@ def _plan(blocks, n: int, mixed: bool):
                 owner[q] = slot
         factors[slot] = qubits
         live.add(slot)
-        axes, k = tuple(map(qubits.index, block.qubits)), len(qubits)
-        idx = None if mixed else _flatten(
-            np.arange(2 ** k).reshape((2,) * k), axes)[0]
-        steps.append(_Step(slot, merge, axes, idx, _frame(
-            factors, live, n, mixed) if block.tuned else None))
-    return tuple(steps), _frame(factors, live, n, mixed)
+        steps.append(_Step(slot, merge, tuple(map(qubits.index, block.qubits)),
+                           _frame(factors, live, n) if block.tuned else None))
+    return tuple(steps), _frame(factors, live, n)
 
 
 class _Block(NamedTuple):
@@ -341,7 +328,7 @@ class _Block(NamedTuple):
 def _compile(circuit: Circuit, mixed: bool, noise: NoiseModel | None):
     """The angle-free part of `_fuse`, which `_fuse` keeps in
     `circuit.compiled` per (backend, noise): (blocks, each gate's factor if
-    it has no named slot, kinds, `_plan`), its arrays read-only.  A kind
+    it has no named slot, kinds, plan), its arrays read-only.  A kind
     (kind, axes, positions, name index, scale) gathers the gates with named
     slots, with (m, slots) tables; a numeric slot has index len(names) and
     its angle as scale."""
@@ -376,10 +363,10 @@ def _compile(circuit: Circuit, mixed: bool, noise: NoiseModel | None):
           for s in gates[p].params] for p in ps]), np.array(
         [[getattr(s, "scale", s) for s in gates[p].params] for p in ps],
         dtype=float)) for (kind, axes), ps in groups.items()]
-    plan = _plan(blocks, n, mixed)
+    plan = _plan(blocks, n) if mixed else ((), ((), np.eye(  # no steps,
+        1, 2 ** n, dtype=complex).reshape((2,) * n)))  # the |0...0> register
     for array in [*index.values(), *(f for f in fixed if f is not None),
                   *(a for k in kinds for a in k[2:]),
-                  *(s.idx for s in plan[0] if s.idx is not None),
                   *(f[1] for f in (plan[1], *(s.frame for s in plan[0]))
                     if f is not None)]:
         array.setflags(write=False)
@@ -434,25 +421,24 @@ def _act(tensor: np.ndarray, s: np.ndarray, axes: tuple[int, ...],
     return tensor
 
 
-def _forward(n: int, fused: list, plan: tuple, mixed: bool,
+def _forward(n: int, fused: list, plan: tuple,
              entering: dict | None = None) -> np.ndarray:
-    """The final tensor of `_plan`'s walk from n one-qubit factors;
-    `entering` keeps each tuned block's entering matrix, as `_act` does, in
-    the register's frame (a step's from its factors joined for it)."""
+    """The final tensor of the plan's steps on n one-qubit Pauli factors,
+    then of the other blocks on the register; `entering` keeps each tuned
+    block's entering matrix, as `_act` does, in the register's frame (a
+    step's from its factors joined for it)."""
     steps, frame = plan
-    parts = list(np.tile(_ZERO[mixed], (n, 1)))
+    parts = list(np.tile(_ZERO, (n, 1)))
     for (block, _, prefixes), step in zip(fused, steps):
         if step.merge is not None:
             parts[step.slot] = np.multiply.outer(parts[step.slot],
                                                  parts[step.merge])
             parts[step.merge] = None
         if entering is not None and block.tuned:
-            full = _join(parts, step.frame)
-            entering[block.positions.start] = (
-                _flatten(full, block.qubits)[0] if mixed
-                else full.reshape(-1)[block.idx])
-        parts[step.slot] = _act(parts[step.slot], prefixes[-1], step.axes,
-                                step.idx)
+            entering[block.positions.start] = _flatten(
+                _join(parts, step.frame), block.qubits)[0]
+        parts[step.slot] = _apply_unitary(parts[step.slot], prefixes[-1],
+                                          step.axes)
     tensor = _join(parts, frame)
     for block, _, prefixes in fused[len(steps):]:
         tensor = _act(tensor, prefixes[-1], block.qubits, block.idx,
@@ -496,7 +482,7 @@ def run(circuit: Circuit, bindings: Mapping[str, float] | None = None,
         mixed = noise is not None
     _, fused, plan = _fuse(circuit, bindings, mixed, noise)
     return QuantumState(circuit.n_qubits, "mixed" if mixed else "pure",
-                        _forward(circuit.n_qubits, fused, plan, mixed))
+                        _forward(circuit.n_qubits, fused, plan))
 
 
 def adjoint_gradient(circuit: Circuit, observable: PauliSum,
@@ -524,7 +510,7 @@ def adjoint_gradient(circuit: Circuit, observable: PauliSum,
     kinds, fused, plan = _fuse(circuit, bindings, mixed, noise)
     grad = np.zeros(circuit.n_params + 1)  # the last for numeric slots
     entering, leaving, framed = {}, {}, {}
-    tensor = _forward(n, fused, plan, mixed, entering)
+    tensor = _forward(n, fused, plan, entering)
     energy, lam = _observe(tensor, observable, mixed)
     for block, factors, prefixes in reversed(fused):
         lam = _act(lam, prefixes[-1].conj().T, block.qubits, block.idx,

@@ -17,7 +17,7 @@ bookkeeping.  Qubit 0 is the most significant bit, mode p sits on qubit
 p.  `build_product_ry` is the entanglement-free ansatz several tests
 run; `pauli_zero` and `pauli_identity` build the empty and identity
 sums, and `sym_from_matrix` reads a symmetry-adapted matrix back into its
-channels.
+channels.  `zero_state` builds |0...0> on either backend.
 """
 
 import functools
@@ -468,11 +468,24 @@ def superoperator_density(circuit, noise, bindings=None):
     return vec.reshape(dim, dim)
 
 
+def zero_state(n_qubits, mixed=False):
+    """|0...0> on `n_qubits`: one amplitude set to 1, or the outer product
+    of |0><0|'s Pauli coefficients (1, 0, 0, 1) on each qubit."""
+    if not mixed:
+        tensor = np.zeros((2,) * n_qubits, dtype=complex)
+        tensor[(0,) * n_qubits] = 1.0
+        return simulator.QuantumState(n_qubits, "pure", tensor)
+    tensor = functools.reduce(np.multiply.outer,
+                              [np.array([1.0, 0.0, 0.0, 1.0])] * n_qubits,
+                              np.ones(()))
+    return simulator.QuantumState(n_qubits, "mixed", tensor)
+
+
 def full_register_walk(circuit, bindings=None, noise=None, mixed=False):
     """The final tensor of `simulator._fuse`'s blocks applied one by one to
     the whole |0...0> register tensor, with no product-state start."""
     _, fused, _ = simulator._fuse(circuit, bindings, mixed, noise)
-    tensor = simulator.QuantumState.zero(circuit.n_qubits, mixed).tensor
+    tensor = zero_state(circuit.n_qubits, mixed).tensor
     for block, _, prefixes in fused:
         tensor = simulator._act(tensor, prefixes[-1], block.qubits,
                                 block.idx)
@@ -482,12 +495,13 @@ def full_register_walk(circuit, bindings=None, noise=None, mixed=False):
 def unfactored(circuit, mixed, noise=None):
     """A copy of `circuit` whose compiled plan has no factored steps: its
     `run` and `adjoint_gradient` start from the whole |0...0> register
-    and walk every block on it."""
+    and walk every block on it.  A pure plan has none already."""
     n = circuit.n_qubits
     copy = Circuit(n, circuit.gates)
-    blocks, fixed, kinds, _ = simulator._compile(copy, mixed, noise)
-    start = simulator._frame({q: (q,) for q in range(n)}, set(), n, mixed)
-    copy.compiled[mixed, noise] = blocks, fixed, kinds, ((), start)
+    blocks, fixed, kinds, plan = simulator._compile(copy, mixed, noise)
+    if mixed:
+        plan = (), simulator._frame({q: (q,) for q in range(n)}, set(), n)
+    copy.compiled[mixed, noise] = blocks, fixed, kinds, plan
     return copy
 
 

@@ -17,7 +17,7 @@ from risbvqe.simulator import NoiseModel, QuantumState, calibrate_noise, run
 
 from oracles import (build_product_ry, noisy_density, oracle_rdm1_density,
                      oracle_rdm1_full, pauli_identity, pauli_rdm1_full,
-                     random_bindings, word_mat)
+                     random_bindings, word_mat, zero_state)
 
 RNG = np.random.default_rng(97531)
 
@@ -33,7 +33,7 @@ def random_hermitian_sum(n_qubits, n_words, rng):
 class TestExpectation:
     def test_zero_state_z(self):
         z = PauliSum({"Z": 1.0})
-        assert expectation(QuantumState.zero(1), z) == 1.0
+        assert expectation(zero_state(1), z) == 1.0
 
     def test_maximally_mixed_traceless(self):
         rho = QuantumState.from_density(np.eye(4) / 4)
@@ -58,11 +58,11 @@ class TestExpectation:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            expectation(QuantumState.zero(1), PauliSum({"X": 1j}))
+            expectation(zero_state(1), PauliSum({"X": 1j}))
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
-            expectation(QuantumState.zero(2), PauliSum({"Z": 1.0}))
+            expectation(zero_state(2), PauliSum({"Z": 1.0}))
 
 
 ONE_QUBIT_KINDS = ("RX", "RY", "RZ", "X", "H")
@@ -100,7 +100,7 @@ def random_states(draw):
 
 class TestRdm1:
     def test_vacuum(self):
-        rdm = measure_rdm1(QuantumState.zero(4), n_c=1)
+        rdm = measure_rdm1(zero_state(4), n_c=1)
         np.testing.assert_allclose(rdm.matrix, np.zeros((2, 2)), atol=1e-14)
 
     def test_half_filled_determinant(self):
@@ -161,7 +161,7 @@ class TestRdm1:
 
     def test_wrong_register_size(self):
         with pytest.raises(ValueError):
-            measure_rdm1(QuantumState.zero(4), n_c=2)
+            measure_rdm1(zero_state(4), n_c=2)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -362,7 +362,7 @@ def sample_expectation(state, obs, n_shots, seed=None):
 
 class TestSampling:
     def test_deterministic_outcome(self):
-        val = sample_expectation(QuantumState.zero(1), PauliSum({"Z": 1.0}),
+        val = sample_expectation(zero_state(1), PauliSum({"Z": 1.0}),
                                  n_shots=17, seed=0)
         assert val == 1.0
 
@@ -380,12 +380,12 @@ class TestSampling:
         assert a == b
 
     def test_identity_passes_through(self):
-        val = sample_expectation(QuantumState.zero(2),
+        val = sample_expectation(zero_state(2),
                                  pauli_identity(2, 0.37), n_shots=1,
                                  seed=1)
         assert abs(val - 0.37) < 1e-15
 
     def test_shot_validation(self):
         with pytest.raises(ValueError):
-            sample_expectation(QuantumState.zero(1), PauliSum({"Z": 1.0}),
+            sample_expectation(zero_state(1), PauliSum({"Z": 1.0}),
                                n_shots=0)

@@ -104,9 +104,11 @@ class TestRotateHamiltonian:
             np.linalg.eigvalsh(hamiltonian_matrix(orb)), atol=1e-9)
 
     def test_dimension_mismatch(self):
+        # `OrbitalHamiltonian.rotate` checks the shape, for both spins or one
         orb = generic_cluster().orbital()
-        with pytest.raises(ValueError, match="dimension"):
-            rotate_hamiltonian(orb, BasisRotation(np.eye(3)))
+        for wrong in (3, 8):
+            with pytest.raises(ValueError, match="does not match 4 modes"):
+                rotate_hamiltonian(orb, BasisRotation(np.eye(wrong)))
 
     def test_composition(self):
         rng = np.random.default_rng(23)

@@ -23,7 +23,7 @@ from risbvqe.vqe import vqe_minimize
 from oracles import (KIND_AXES, dense_state, finite_difference_gradient,
                      full_register_walk, noisy_density, oracle_transfer,
                      random_bindings, superoperator_density, unfactored,
-                     word_mat)
+                     word_mat, zero_state)
 
 RNG = np.random.default_rng(20240811)
 
@@ -87,10 +87,10 @@ class TestNoiseModel:
 
 class TestQuantumState:
     def test_zero_states(self):
-        pure = QuantumState.zero(3)
+        pure = zero_state(3)
         vec = pure.vector()
         assert vec[0] == 1.0 and np.linalg.norm(vec) == 1.0
-        mixed = QuantumState.zero(2, mixed=True)
+        mixed = zero_state(2, mixed=True)
         rho = mixed.density()
         assert rho[0, 0] == 1.0 and abs(np.trace(rho) - 1.0) < 1e-15
 
@@ -125,11 +125,11 @@ class TestQuantumState:
 
 class TestUnitaryAction:
     def test_x_gate(self):
-        state = apply_gate(QuantumState.zero(1), Gate("X", (0,)))
+        state = apply_gate(zero_state(1), Gate("X", (0,)))
         np.testing.assert_allclose(state.vector(), [0, 1])
 
     def test_input_not_mutated(self):
-        start = QuantumState.zero(2)
+        start = zero_state(2)
         before = start.tensor.copy()
         apply_gate(start, Gate("H", (0,)))
         np.testing.assert_array_equal(start.tensor, before)
@@ -168,7 +168,7 @@ class TestUnitaryAction:
     def test_noise_requires_density(self):
         nm = NoiseModel(0.01, 0.01)
         with pytest.raises(ValueError):
-            apply_gate(QuantumState.zero(1), Gate("X", (0,)), noise=nm)
+            apply_gate(zero_state(1), Gate("X", (0,)), noise=nm)
 
     def test_run_noise_requires_density(self):
         circ = build_mr_nc1(theta=0.4)
@@ -181,14 +181,14 @@ class TestDepolarizing:
         # X then depolarize: <Z> = -(1 - 4 p1 / 3).
         p1 = 0.0024
         nm = NoiseModel(p1, 0.0)
-        state = apply_gate(QuantumState.zero(1, mixed=True),
+        state = apply_gate(zero_state(1, mixed=True),
                            Gate("X", (0,)), noise=nm)
         z = np.trace(state.density() @ SZ).real
         assert abs(z + (1.0 - 4.0 * p1 / 3.0)) < 1e-14
 
     def test_maximal_noise_erases(self):
         nm = NoiseModel(0.75, 0.0)
-        state = apply_gate(QuantumState.zero(1, mixed=True),
+        state = apply_gate(zero_state(1, mixed=True),
                            Gate("X", (0,)), noise=nm)
         np.testing.assert_allclose(state.density(), I2 / 2, atol=1e-14)
 
@@ -290,7 +290,7 @@ def assert_matches_dense_oracles(circuit, noise):
                                rtol=0, atol=1e-12)
     fused = run(circuit, noise=noise, mixed=True).density()
     np.testing.assert_allclose(fused, want, rtol=0, atol=1e-12)
-    state = QuantumState.zero(circuit.n_qubits, mixed=True)
+    state = zero_state(circuit.n_qubits, mixed=True)
     for gate in circuit.gates:
         state = apply_gate(state, gate, noise=noise)
     np.testing.assert_allclose(state.density(), want, rtol=0, atol=1e-12)
@@ -298,7 +298,7 @@ def assert_matches_dense_oracles(circuit, noise):
         want = dense_state(circuit)
         np.testing.assert_allclose(run(circuit).vector(), want,
                                    rtol=0, atol=1e-12)
-        state = QuantumState.zero(circuit.n_qubits)
+        state = zero_state(circuit.n_qubits)
         for gate in circuit.gates:
             state = apply_gate(state, gate)
         np.testing.assert_allclose(state.vector(), want, rtol=0, atol=1e-12)
@@ -370,7 +370,7 @@ class TestPauliBasis:
             assert abs(state.tensor[index] - want) < 1e-14
 
     def test_known_coefficients(self):
-        zero = QuantumState.zero(3, mixed=True)
+        zero = zero_state(3, mixed=True)
         assert_pauli_tensor(zero)
         for index in np.ndindex(*zero.tensor.shape):
             assert zero.tensor[index] == (set(index) <= {0, 3})
@@ -389,7 +389,7 @@ class TestPauliBasis:
         noise = NOISES[noise]
         assert_pauli_tensor(run(circuit, noise=noise, mixed=True))
         gate = circuit.gates[0]
-        start = QuantumState.zero(circuit.n_qubits, mixed=True)
+        start = zero_state(circuit.n_qubits, mixed=True)
         assert_pauli_tensor(apply_gate(start, gate, noise=noise))
         if noise is not None:
             identity = PauliSum({"I" * circuit.n_qubits: 1.0})
@@ -753,7 +753,7 @@ class TestCompiledPurePath:
         want = dense_state(circuit, bindings)
         np.testing.assert_allclose(run(circuit, bindings).vector(), want,
                                    rtol=0, atol=1e-12)
-        state = QuantumState.zero(circuit.n_qubits)
+        state = zero_state(circuit.n_qubits)
         for gate in circuit.gates:
             before = state.tensor.copy()
             after = apply_gate(state, gate, bindings)
@@ -851,12 +851,14 @@ class TestCompileCache:
     def test_cached_arrays_are_read_only(self, mixed, noise):
         # numeric RY gates and CNOTs are fixed, RZ slots at scale -2 named
         circ = decompose_circuit(build_ldca(4, 1))
-        blocks, fixed, kinds, (steps, _) = _compile(circ, mixed, noise)
+        blocks, fixed, kinds, (steps, (_, start)) = _compile(circ, mixed,
+                                                             noise)
         arrays = [f for f in fixed if f is not None]
         arrays += [a for kind in kinds for a in kind[2:]]
         arrays += [b.idx for b in blocks if b.idx is not None]
-        arrays += [s.idx for s in steps if s.idx is not None]
+        arrays += [start]  # the pure |0...0> register, or its Pauli rest
         assert len(arrays) > len(kinds) * 3
+        assert (len(steps) == 0) != mixed
         assert all(b.idx is None for b in blocks) == mixed
         # one gather index per qubit tuple, shared by its blocks
         assert len({id(b.idx) for b in blocks if b.idx is not None}) == (
@@ -884,14 +886,17 @@ FACTORED = {"mrep(2,4)": build_mrep(2, 4), "mrep(2,1)": build_mrep(2, 1),
 
 
 def assert_matches_full_register_walk(circuit, noise, mixed, rng):
-    """`run` and `adjoint_gradient` from the factored start against every
-    block walked on the whole register: final states, <O> and gradients
-    to 1e-14; the two final states agree bit for bit."""
+    """`run` and `adjoint_gradient` against every block walked on the
+    whole register: a pure final state bit for bit, a density matrix's
+    from the factored start to 1e-14, <O> and gradients to 1e-14; the two
+    final states agree bit for bit."""
     bindings = random_bindings(circuit, rng)
     got = run(circuit, bindings, noise=noise, mixed=mixed)
-    np.testing.assert_allclose(
-        got.tensor, full_register_walk(circuit, bindings, noise, mixed),
-        rtol=0, atol=1e-14)
+    want = full_register_walk(circuit, bindings, noise, mixed)
+    if mixed:
+        np.testing.assert_allclose(got.tensor, want, rtol=0, atol=1e-14)
+    else:
+        assert np.array_equal(got.tensor, want)
     if not circuit.parameter_names or mixed != (noise is not None):
         return
     obs = random_observable(circuit.n_qubits, 12, rng)
@@ -905,8 +910,9 @@ def assert_matches_full_register_walk(circuit, noise, mixed, rng):
 
 
 class TestFactoredStart:
-    """A run starts from n one-qubit factors and forms the register at
-    the first block that would join them all."""
+    """A density-matrix run starts from n one-qubit factors and forms the
+    register at the first block that would join them all; a pure run
+    starts from the whole register."""
 
     @pytest.mark.parametrize("noise", [None, calibrate_noise()],
                              ids=["pure", "calibrated"])
@@ -927,17 +933,20 @@ class TestFactoredStart:
 
     @pytest.mark.parametrize("noise, factored", [
         (calibrate_noise(), [2, 3, 4] * 2),   # six fused preparation blocks
-        (None, [1, 2, 1, 3, 1, 4] * 2)])      # twelve preparation gates
+        (None, [])])                          # a pure run has no steps
     def test_mrep_preparation_runs_on_factors(self, noise, factored,
                                               monkeypatch):
-        passes, act = [], simulator._act
+        # the steps call `_apply_unitary`, as `_act` does on a density matrix
+        kernel = "_act" if noise is None else "_apply_unitary"
+        passes, act = [], getattr(simulator, kernel)
 
         def counted(tensor, *args, **kwargs):
             passes.append(tensor.ndim)
             return act(tensor, *args, **kwargs)
 
-        monkeypatch.setattr(simulator, "_act", counted)
+        monkeypatch.setattr(simulator, kernel, counted)
         circ = build_mrep(2, 4)
         run(circ, random_bindings(circ, RNG), noise=noise)
-        # the register forms at the first fSim, (0, 1): 28 full passes
-        assert passes == factored + [8] * 28
+        # the register forms at the first fSim, (0, 1): 28 full passes, or
+        # at the start: all 40 gates
+        assert passes == factored + [8] * (28 if factored else 40)
