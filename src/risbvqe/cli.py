@@ -20,13 +20,13 @@ import numpy as np
 from . import SolverFailure
 from .circuits import (Circuit, build_hea_nc1, build_ldca, build_mr_nc1,
                        build_mrep)
-from .ed import ground_state, half_filling_sector
+from .ed import ground_state, half_filling_sector, hamiltonian_matrix
 from .embedding import (LatticeSpec, SymMatrix, classical_point, eps_loc,
                         risb_sweep)
 from .noization import BASIS_MODES, exact_no_basis, noize, \
     rotate_hamiltonian, vqe_impurity_solver
 from .runio import config_hash, read_table, write_csv, write_json
-from .simulator import NoiseModel, calibrate_noise
+from .simulator import NoiseModel, Observable, calibrate_noise
 from .vqe import landscape_scan, multi_start, vqe_minimize
 
 ANSATZE = ("ed", "mr", "mrep", "ldca", "hea")
@@ -378,7 +378,7 @@ def cmd_vqe(cfg: RunConfig) -> int:
         orbital = emb.orbital()
         if cfg.basis == "exact-no":
             orbital = rotate_hamiltonian(orbital, exact_no_basis(emb))
-        observable = orbital.to_pauli()
+        observable = Observable(hamiltonian_matrix(orbital))
         energies = []
         for i in range(cfg.n_starts):
             seed = cfg.seed + i
@@ -417,7 +417,7 @@ def cmd_noize(cfg: RunConfig) -> int:
                    n_starts=cfg.n_starts, seed=cfg.seed, noise=noise,
                    optimizer=cfg.optimizer, max_iter=cfg.max_iter)
     rotated = rotate_hamiltonian(emb.orbital(), exact_no_basis(emb))
-    reference = multi_start(rotated.to_pauli(), ansatz,
+    reference = multi_start(Observable(hamiltonian_matrix(rotated)), ansatz,
                             n_starts=cfg.n_starts, seed=cfg.seed + 1,
                             optimizer=cfg.optimizer, noise=noise,
                             max_iter=cfg.max_iter)

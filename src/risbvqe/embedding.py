@@ -124,23 +124,6 @@ def fermi(x, beta: float):
     return expit(-beta * np.asarray(x, dtype=float))
 
 
-def dispersion(spec: LatticeSpec, k) -> np.ndarray:
-    """Free dispersion at one wavevector, as an N_c x N_c site matrix.
-
-    The two-site cell is oriented along x; its matrix form folds the
-    original band so the half-bandwidth stays 4|t|.
-    """
-    kx, ky = float(k[0]), float(k[1])
-    t = spec.t
-    if spec.n_c == 1:
-        return np.array([[2.0 * t * (math.cos(kx) + math.cos(ky))]])
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    return (2.0 * t * math.cos(ky) * np.eye(2)
-            + t * (1.0 + math.cos(kx)) * sx
-            + t * math.sin(kx) * sy)
-
-
 def _k_grid(mesh: int) -> tuple[np.ndarray, np.ndarray]:
     vals = 2.0 * math.pi * np.arange(mesh) / mesh
     kx, ky = np.meshgrid(vals, vals, indexing="ij")

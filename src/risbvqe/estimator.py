@@ -18,17 +18,14 @@ import numpy as np
 
 from .circuits import Circuit, ParamRef
 from .ed import Rdm1, ed_rdm1
-from .pauli import PauliSum
-from .simulator import (NoiseModel, QuantumState, _observe,
-                        check_observable, run)
+from .simulator import NoiseModel, Observable, QuantumState, _observe, run
 
 IMAG_TOL = 1e-9
 SPIN_ASYMMETRY_TOL = 1e-6
 
 
-def expectation(state: QuantumState, obs: PauliSum) -> float:
+def expectation(state: QuantumState, obs: Observable) -> float:
     """Exact <O> on either backend; tiny imaginary residue is discarded."""
-    check_observable(obs, state.n_qubits)
     value = _observe(state.tensor, obs, state.kind == "mixed")[0]
     if abs(value.imag) > IMAG_TOL * max(1.0, abs(value.real)):
         raise ValueError(f"expectation has imaginary residue {value.imag}")
@@ -71,40 +68,47 @@ class ShiftFit(NamedTuple):
     flat: bool
 
 
-def _energy_closure(circuit: Circuit, obs: PauliSum,
+def _energy_closure(circuit: Circuit, obs: Observable,
                     noise: NoiseModel | None):
     def energy(bindings: Mapping[str, float]) -> float:
         return expectation(run(circuit, bindings=bindings, noise=noise), obs)
     return energy
 
 
-def parameter_shift_minimize(circuit: Circuit, obs: PauliSum,
-                             noise: NoiseModel | None = None) -> ShiftFit:
-    """Analytic minimizer of a one-parameter sinusoidal landscape.
+def _fit_sinusoid(energy, params: dict[str, float], name: str
+                  ) -> tuple[float, float, bool]:
+    """Fit E(t) = a + b cos(t - c) along the angle `name` from E at its
+    value and at +-pi/2 from it: (the minimizing angle, E at the value,
+    whether the amplitude b vanishes against the energy scale)."""
+    theta = params[name]
+    e_here = energy(params)
+    e_plus = energy({**params, name: theta + math.pi / 2})
+    e_minus = energy({**params, name: theta - math.pi / 2})
+    b_sin = 0.5 * (e_plus - e_minus)
+    b_cos = e_here - 0.5 * (e_plus + e_minus)
+    scale = max(abs(e_here), abs(e_plus), abs(e_minus), 1.0)
+    flat = math.hypot(b_sin, b_cos) < 1e-10 * scale
+    best = math.remainder(theta + math.atan2(b_sin, b_cos) + math.pi,
+                          2.0 * math.pi)
+    return best, e_here, flat
 
-    Fits E(t) = a + b cos(t - c) from E(0) and E(+-pi/2), returns the
-    minimizing angle and the energy measured there.  A vanishing amplitude
-    sets the flat flag and keeps theta at 0.
+
+def parameter_shift_minimize(circuit: Circuit, obs: Observable,
+                             noise: NoiseModel | None = None) -> ShiftFit:
+    """Analytic minimizer of a one-parameter sinusoidal landscape: one
+    `_fit_sinusoid` from 0, the energy measured at the angle it returns.
+    A vanishing amplitude sets the flat flag and keeps theta at 0.
     """
     names = circuit.parameter_names
     if len(names) != 1:
         raise ValueError(f"expected exactly one free parameter, got "
                          f"{list(names)}")
-    name = names[0]
     energy = _energy_closure(circuit, obs, noise)
-    e_zero = energy({name: 0.0})
-    e_plus = energy({name: math.pi / 2})
-    e_minus = energy({name: -math.pi / 2})
-    a = 0.5 * (e_plus + e_minus)
-    b_sin = 0.5 * (e_plus - e_minus)
-    b_cos = e_zero - a
-    amplitude = math.hypot(b_sin, b_cos)
-    scale = max(abs(e_zero), abs(e_plus), abs(e_minus), 1.0)
-    if amplitude < 1e-10 * scale:
+    theta, e_zero, flat = _fit_sinusoid(energy, {names[0]: 0.0}, names[0])
+    if flat:
         return ShiftFit(theta=0.0, energy=e_zero, flat=True)
-    c = math.atan2(b_sin, b_cos)
-    theta = math.remainder(c + math.pi, 2.0 * math.pi)
-    return ShiftFit(theta=theta, energy=energy({name: theta}), flat=False)
+    return ShiftFit(theta=theta, energy=energy({names[0]: theta}),
+                    flat=False)
 
 
 def _check_rotosolve_support(circuit: Circuit) -> None:
@@ -127,12 +131,12 @@ def _check_rotosolve_support(circuit: Circuit) -> None:
         raise ValueError(f"parameters appear in several gates: {shared}")
 
 
-def rotosolve(circuit: Circuit, obs: PauliSum, init: Mapping[str, float],
+def rotosolve(circuit: Circuit, obs: Observable, init: Mapping[str, float],
               n_cycles: int = 10, noise: NoiseModel | None = None
               ) -> tuple[dict[str, float], float]:
-    """Sequential per-parameter analytic minimization from the angles
-    `init`, for a circuit whose every parameter is a plain rotation angle.
-    Noiseless sweeps are monotone non-increasing in energy.
+    """Sequential per-parameter analytic minimization (`_fit_sinusoid`)
+    from the angles `init`, for a circuit whose every parameter is a plain
+    rotation angle.  Noiseless sweeps are monotone non-increasing in energy.
     """
     _check_rotosolve_support(circuit)
     names = circuit.parameter_names
@@ -143,12 +147,5 @@ def rotosolve(circuit: Circuit, obs: PauliSum, init: Mapping[str, float],
     energy = _energy_closure(circuit, obs, noise)
     for _ in range(n_cycles):
         for name in names:
-            theta = params[name]
-            e_here = energy(params)
-            e_plus = energy({**params, name: theta + math.pi / 2})
-            e_minus = energy({**params, name: theta - math.pi / 2})
-            shift = math.atan2(2.0 * e_here - e_plus - e_minus,
-                               e_plus - e_minus)
-            params[name] = math.remainder(theta - math.pi / 2 - shift,
-                                          2.0 * math.pi)
+            params[name] = _fit_sinusoid(energy, params, name)[0]
     return params, energy(params)

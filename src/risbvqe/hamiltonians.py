@@ -3,8 +3,10 @@
 `OrbitalHamiltonian` stores coefficients (h_pq, u_pqrs, const) for
 H = const + sum_pq h[p,q] c+_p c_q + sum_pqrs u[p,q,r,s] c+_p c+_q c_r c_s
 and knows how to change single-particle basis, export fermion terms, and
-compile to a Pauli sum.  `EmbeddingHamiltonian` assembles the impurity+bath
-cluster model from its physical blocks.
+compile to a Pauli sum, whose words the term counts read (simulator
+observables come from `ed.hamiltonian_matrix` instead).
+`EmbeddingHamiltonian` assembles the impurity+bath cluster model from its
+physical blocks.
 
 Modes are spin-major: spin-up orbitals first, then spin-down; within each
 spin the n_c impurity orbitals precede the n_c bath orbitals.
@@ -32,7 +34,7 @@ def mode_index(spin: int, orbital: int, n_c: int) -> int:
 class OrbitalHamiltonian:
     """Coefficient view of a fermionic Hamiltonian on a fixed mode set."""
 
-    __slots__ = ("n_modes", "h", "u", "const", "_pauli")
+    __slots__ = ("n_modes", "h", "u", "const")
 
     def __init__(self, h: np.ndarray, u: np.ndarray | None = None,
                  const: float = 0.0):
@@ -52,7 +54,6 @@ class OrbitalHamiltonian:
         self.h = h
         self.u = u
         self.const = float(const)
-        self._pauli: PauliSum | None = None
 
     def rotate(self, v: np.ndarray) -> "OrbitalHamiltonian":
         """Express the same operator in the orbital basis given by `v`.
@@ -92,10 +93,7 @@ class OrbitalHamiltonian:
         return FermionOperator(terms)
 
     def to_pauli(self) -> PauliSum:
-        if self._pauli is None:
-            self._pauli = jordan_wigner(self.to_fermion_operator(),
-                                        self.n_modes)
-        return self._pauli
+        return jordan_wigner(self.to_fermion_operator(), self.n_modes)
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,11 @@ from .circuits import Circuit, build_hea_nc1
 # The natural-orbital basis lives beside the 1-RDM kernel in `ed`; its
 # names are re-exported here, where the iteration that uses them lives.
 from .ed import (BasisRotation, as_orbital, diagonalize_rdm, ed_rdm1_full,
-                 exact_no_basis)
+                 exact_no_basis, hamiltonian_matrix)
 from .estimator import circuit_rdm1, measure_rdm1, rotosolve
 from .hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
 from .pauli import count_terms
-from .simulator import NoiseModel, calibrate_noise, run
+from .simulator import NoiseModel, Observable, calibrate_noise, run
 from .vqe import VqeResult, multi_start, vqe_minimize
 
 
@@ -80,7 +80,8 @@ def noize(ham, ansatz: Circuit | None = None, n_steps: int = 3,
         if solve is not None:
             energy, rdm = solve(orb)
         else:
-            last = multi_start(orb.to_pauli(), ansatz, n_starts=n_starts,
+            last = multi_start(Observable(hamiltonian_matrix(orb)), ansatz,
+                               n_starts=n_starts,
                                seed=int(rng.integers(2 ** 63)),
                                optimizer=optimizer, noise=noise,
                                max_iter=max_iter)
@@ -142,7 +143,7 @@ def vqe_impurity_solver(ansatz: Circuit, *, basis: str = "exact-no",
         rotation = exact_no_basis(emb) if basis == "exact-no" else None
         target = orb if rotation is None else rotate_hamiltonian(orb,
                                                                  rotation)
-        observable = target.to_pauli()
+        observable = Observable(hamiltonian_matrix(target))
         if memo["params"] is not None:
             fit = vqe_minimize(observable, ansatz, optimizer=optimizer,
                                noise=noise, seed=run_seed,
@@ -171,7 +172,7 @@ def determine_fixed_no_basis(seed: int = 202, n_starts: int = 5,
     """
     emb = EmbeddingHamiltonian(n_c=1, u_int=0.0, d_mix=[[-0.4]],
                                lambda_c=[[0.004]])
-    observable = emb.orbital().to_pauli()
+    observable = Observable(hamiltonian_matrix(emb))
     ansatz = build_hea_nc1()
     names = ansatz.parameter_names
     noise = calibrate_noise()

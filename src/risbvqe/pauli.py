@@ -8,7 +8,9 @@ one-to-one onto qubits in the same order.
 `ladder_table` gives the (row, col, sign) entries of a ladder-operator
 string over all Fock states.  The Jordan-Wigner map reads it here, and `ed`
 reads it for the exact-diagonalization and 1-RDM tables, so the fermionic
-sign convention is written once.
+sign convention is written once.  `ed`'s Fock-space matrix is also every
+simulator observable; Pauli sums serve where words are read, as in
+`count_terms`.
 
 Conventions used throughout the package:
 
@@ -46,7 +48,7 @@ class PauliSum:
     Immutable after construction; zero terms are pruned at `PRUNE_TOL`.
     """
 
-    __slots__ = ("n_qubits", "_terms", "_matrix", "_tensor", "_max_imag")
+    __slots__ = ("n_qubits", "_terms")
 
     def __init__(self, terms: Mapping[str, complex] | None = None,
                  n_qubits: int | None = None):
@@ -66,9 +68,6 @@ class PauliSum:
             raise ValueError("n_qubits required for an empty PauliSum")
         self.n_qubits = int(n_qubits)
         self._terms = merged
-        self._matrix: np.ndarray | None = None
-        self._tensor: np.ndarray | None = None
-        self._max_imag: float | None = None
 
     @property
     def terms(self) -> dict[str, complex]:
@@ -115,11 +114,7 @@ class PauliSum:
                         self.n_qubits)
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
-        # The terms never change, so one scan serves every later check.
-        if self._max_imag is None:
-            self._max_imag = max((abs(c.imag) for c in self._terms.values()),
-                                 default=0.0)
-        return self._max_imag <= tol
+        return all(abs(c.imag) <= tol for c in self._terms.values())
 
     def __repr__(self) -> str:
         n = len(self._terms)
@@ -139,15 +134,6 @@ def count_terms(p: PauliSum, include_identity: bool = False) -> int:
     return n
 
 
-def _masks(word: str) -> tuple[int, int, int]:
-    """(x_mask, z_mask, number of Y) of a word; qubit 0 is the top bit."""
-    x = z = 0
-    for ch in word:
-        x = (x << 1) | (ch in "XY")
-        z = (z << 1) | (ch in "ZY")
-    return x, z, word.count("Y")
-
-
 def _parities(n_bits: int) -> np.ndarray:
     """Parity of the set bits of every index below 2^n_bits."""
     index = np.arange(1 << n_bits, dtype=np.intp)
@@ -155,46 +141,6 @@ def _parities(n_bits: int) -> np.ndarray:
     for bit in range(n_bits):
         parity ^= (index >> bit) & 1
     return parity
-
-
-def expectation_matrix(p: PauliSum) -> np.ndarray:
-    """Materialize a PauliSum as a dense 2^n x 2^n matrix.
-
-    A word maps basis state j to i^(#Y) (-1)^popcount(j & z_mask) times
-    basis state j ^ x_mask (Y = iXZ), so each word fills one permutation
-    pattern of entries; words sharing an x_mask share the pattern.
-    """
-    n_qubits = p.n_qubits
-    if n_qubits > MODE_CAP:
-        raise ValueError(f"{n_qubits} qubits exceeds the dense cap {MODE_CAP}")
-    if p._matrix is not None:
-        return p._matrix
-    dim = 2 ** n_qubits
-    cols = np.arange(dim)
-    parity = _parities(n_qubits)
-    by_x: dict[int, np.ndarray] = {}
-    for word, coeff in p._terms.items():
-        x, z, n_y = _masks(word)
-        phase = coeff * (1, 1j, -1, -1j)[n_y % 4]
-        values = phase * (1 - 2 * parity[cols & z])
-        by_x[x] = by_x[x] + values if x in by_x else values
-    m = np.zeros((dim, dim), dtype=complex)
-    for x, values in by_x.items():
-        m[cols ^ x, cols] = values
-    m.setflags(write=False)
-    p._matrix = m
-    return m
-
-
-def pauli_tensor(p: PauliSum) -> np.ndarray:
-    """The real parts of the coefficients, all of a Hermitian sum's, on a
-    (4,)*n grid in I, X, Y, Z order, built once."""
-    if p._tensor is None:
-        p._tensor = np.zeros((4,) * p.n_qubits)
-        for word, coeff in p._terms.items():
-            p._tensor[tuple(map("IXYZ".index, word))] = coeff.real
-        p._tensor.setflags(write=False)
-    return p._tensor
 
 
 class FermionOperator:

@@ -23,6 +23,9 @@ tensor is formed once, in qubit order, at the first block that would join
 them all (mrep's first fSim, after its two preparations), or at the end.
 The adjoint gradient's reverse sweep runs on the whole register and ends,
 on both backends, in one stacked contraction and one scatter-add per kind.
+An `Observable` is a dense Hermitian matrix, in practice `ed`'s Fock-space
+matrix of a cluster Hamiltonian; a density matrix reads it through its
+Pauli coefficients.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .circuits import _PAULI, Circuit, Gate, gate_stack
-from .pauli import PauliSum, expectation_matrix, pauli_tensor
+
+HERMITICITY_TOL = 1e-10
+HERMITICITY_ROWS = 32  # rows per block of the Hermiticity check
 
 
 @dataclass(frozen=True)
@@ -143,14 +148,36 @@ class QuantumState:
 _BASIS = np.array([np.eye(2), _PAULI["X"], _PAULI["Y"], _PAULI["Z"]])
 
 
-def check_observable(obs: PauliSum, n_qubits: int) -> None:
-    """Raise ValueError unless `obs` is a Hermitian observable on
-    `n_qubits` qubits."""
-    if obs.n_qubits != n_qubits:
-        raise ValueError(f"observable on {obs.n_qubits} qubits, state on "
-                         f"{n_qubits}")
-    if not obs.is_hermitian():
-        raise ValueError("observable is not Hermitian")
+class Observable:
+    """A Hermitian observable on n qubits: its dense 2^n x 2^n matrix,
+    read-only, which a pure state multiplies, and its real Pauli
+    coefficients o_P = tr(P O) / 2^n on a (4,)*n grid in I, X, Y, Z order
+    (O = sum_P o_P P), built once on first use, which a density matrix
+    reads.  The matrix is shared with the caller, not copied."""
+
+    __slots__ = ("n_qubits", "matrix", "_coefficients")
+
+    def __init__(self, matrix):
+        matrix = np.asarray(matrix, dtype=complex).view()
+        n = len(matrix).bit_length() - 1 if matrix.ndim == 2 else -1
+        if n < 0 or matrix.shape != (1 << n, 1 << n):
+            raise ValueError(f"observable of shape {matrix.shape} is not a "
+                             f"square power-of-two matrix")
+        for start in range(0, 1 << n, HERMITICITY_ROWS):
+            rows = slice(start, start + HERMITICITY_ROWS)
+            skew = matrix[rows] - matrix[:, rows].conj().T
+            if np.abs(skew).max() > HERMITICITY_TOL:
+                raise ValueError("observable is not Hermitian")
+        matrix.flags.writeable = False
+        self.n_qubits, self.matrix, self._coefficients = n, matrix, None
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        if self._coefficients is None:
+            self._coefficients = (_pauli_coefficients(self.matrix).real
+                                  / 2 ** self.n_qubits)
+            self._coefficients.flags.writeable = False
+        return self._coefficients
 
 
 def _pauli_coefficients(matrix: np.ndarray) -> np.ndarray:
@@ -447,17 +474,20 @@ def _forward(n: int, fused: list, plan: tuple,
     return tensor
 
 
-def _observe(tensor: np.ndarray, observable: PauliSum,
+def _observe(tensor: np.ndarray, observable: Observable,
              mixed: bool) -> tuple[complex, np.ndarray]:
-    """(<O>, lambda): sum_P x_P o_P and the coefficients o_P
-    (`pauli_tensor`) on a density matrix, <psi|O psi> and O psi on a pure
-    state; `expectation` and the adjoint sweep share it, so their <O>
-    agree bit for bit."""
+    """(<O>, lambda): sum_P x_P o_P, by numpy's pairwise sum so that no
+    BLAS thread split reorders it, and the coefficients o_P on a density
+    matrix, <psi|O psi> and O psi on a pure state; `expectation` and the
+    adjoint sweep share it, so their <O> agree bit for bit."""
+    if observable.n_qubits != tensor.ndim:
+        raise ValueError(f"observable on {observable.n_qubits} qubits, "
+                         f"state on {tensor.ndim}")
     if mixed:
-        lam = pauli_tensor(observable)
-        return complex(np.dot(lam.reshape(-1), tensor.reshape(-1))), lam
+        lam = observable.coefficients
+        return complex(np.multiply(lam, tensor).sum()), lam
     psi = tensor.reshape(-1)
-    lam = expectation_matrix(observable) @ psi
+    lam = observable.matrix @ psi
     return complex(np.vdot(psi, lam)), lam.reshape(tensor.shape)
 
 
@@ -485,7 +515,7 @@ def run(circuit: Circuit, bindings: Mapping[str, float] | None = None,
                         _forward(circuit.n_qubits, fused, plan))
 
 
-def adjoint_gradient(circuit: Circuit, observable: PauliSum,
+def adjoint_gradient(circuit: Circuit, observable: Observable,
                      bindings: Mapping[str, float] | None = None,
                      noise: NoiseModel | None = None
                      ) -> tuple[QuantumState, float, np.ndarray]:
@@ -495,7 +525,7 @@ def adjoint_gradient(circuit: Circuit, observable: PauliSum,
     `_fuse` (Jones & Gacon, arXiv:2009.02823).
 
     Lambda runs back through each block's S^dag from `_observe`'s O psi
-    or tr(P O) / 2^n.  M, the overlap of lambda after a block and the
+    or o_P = tr(P O) / 2^n.  M, the overlap of lambda after a block and the
     tensor entering it over its axes, gives <O> = sum(S * M).  Each gate
     with a named slot takes its share in its own frame: after^T M
     prefix^T for the block's gates after and before it, mapped back
@@ -506,7 +536,6 @@ def adjoint_gradient(circuit: Circuit, observable: PauliSum,
     D(U rho dU^dag) have the same transfer matrix.
     """
     n, mixed = circuit.n_qubits, noise is not None
-    check_observable(observable, n)
     kinds, fused, plan = _fuse(circuit, bindings, mixed, noise)
     grad = np.zeros(circuit.n_params + 1)  # the last for numeric slots
     entering, leaving, framed = {}, {}, {}

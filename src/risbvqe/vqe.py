@@ -18,11 +18,10 @@ from scipy.optimize import minimize
 
 from . import SolverFailure
 from .circuits import Circuit, build_mr_nc1
-from .ed import exact_no_basis
+from .ed import exact_no_basis, hamiltonian_matrix
 from .embedding import LatticeSpec, SymMatrix, risb_cost
 from .estimator import circuit_rdm1, expectation, parameter_shift_minimize
-from .pauli import PauliSum
-from .simulator import NoiseModel, adjoint_gradient, run
+from .simulator import NoiseModel, Observable, adjoint_gradient, run
 
 GRADIENT_TOL = 1e-8
 
@@ -44,7 +43,7 @@ class VqeResult:
         return dict(zip(self.parameter_names, self.best_params))
 
 
-def _objective(circuit: Circuit, observable: PauliSum,
+def _objective(circuit: Circuit, observable: Observable,
                noise: NoiseModel | None, gradient: bool) -> Callable:
     """x -> (<O>, d<O>/dx) from one adjoint sweep, whose lambda starts as
     O psi and gives <O> too, or (<O>, None) from one `run` and
@@ -71,7 +70,7 @@ def _objective(circuit: Circuit, observable: PauliSum,
     return evaluate
 
 
-def vqe_minimize(observable: PauliSum, ansatz: Circuit,
+def vqe_minimize(observable: Observable, ansatz: Circuit,
                  optimizer: str = "bfgs",
                  noise: NoiseModel | None = None,
                  seed: int | None = None,
@@ -122,7 +121,7 @@ def vqe_minimize(observable: PauliSum, ansatz: Circuit,
                      parameter_names=names, n_iter=int(result.nit))
 
 
-def multi_start(observable: PauliSum, ansatz: Circuit, n_starts: int = 5,
+def multi_start(observable: Observable, ansatz: Circuit, n_starts: int = 5,
                 seed: int | None = None, **kwargs) -> VqeResult:
     """Best-of-n restarts with starting angles drawn from one seeded
     stream; ties resolve to the earliest start."""
@@ -158,8 +157,8 @@ def mr_impurity_solver(noise: NoiseModel | None = None) -> Callable:
     def solve(emb) -> np.ndarray:
         basis = exact_no_basis(emb).v
         rotated = emb.orbital().rotate(basis)
-        fit = parameter_shift_minimize(circuit, rotated.to_pauli(),
-                                       noise=noise)
+        fit = parameter_shift_minimize(
+            circuit, Observable(hamiltonian_matrix(rotated)), noise=noise)
         return circuit_rdm1(circuit, {"theta": fit.theta}, emb.n_c,
                             noise=noise, basis=basis)
 

@@ -18,10 +18,15 @@ p.  `build_product_ry` is the entanglement-free ansatz several tests
 run; `pauli_zero` and `pauli_identity` build the empty and identity
 sums, and `sym_from_matrix` reads a symmetry-adapted matrix back into its
 channels.  `zero_state` builds |0...0> on either backend.
+`expectation_matrix` is the Pauli route to a dense matrix, one bitmask
+permutation per word, and `pauli_observable` wraps it as a simulator
+observable for tests that state observables as Pauli words.
+`dispersion` is the per-k band matrix the mesh kernels are checked against.
 """
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -29,7 +34,8 @@ from risbvqe import simulator
 from risbvqe.circuits import Circuit, Gate, ParamRef, gate_stack
 from risbvqe.embedding import SymMatrix, bath_kernel, bath_kernel_slope
 from risbvqe.estimator import expectation
-from risbvqe.pauli import FermionOperator, PauliSum, jordan_wigner
+from risbvqe.pauli import MODE_CAP, FermionOperator, PauliSum, jordan_wigner
+from risbvqe.simulator import Observable
 
 
 # Single-qubit products (a, b) -> (phase, a*b).
@@ -86,6 +92,48 @@ def pauli_sum_product(a, b):
             phase, wc = pauli_product(wa, wb)
             merged[wc] = merged.get(wc, 0.0) + phase * ca * cb
     return PauliSum(merged, a.n_qubits)
+
+
+def _masks(word):
+    """(x_mask, z_mask, number of Y) of a word; qubit 0 is the top bit."""
+    x = z = 0
+    for ch in word:
+        x = (x << 1) | (ch in "XY")
+        z = (z << 1) | (ch in "ZY")
+    return x, z, word.count("Y")
+
+
+def expectation_matrix(p):
+    """A PauliSum as a dense 2^n x 2^n matrix.
+
+    A word maps basis state j to i^(#Y) (-1)^popcount(j & z_mask) times
+    basis state j ^ x_mask (Y = iXZ), so each word fills one permutation
+    pattern of entries; words sharing an x_mask share the pattern.
+    """
+    if p.n_qubits > MODE_CAP:
+        raise ValueError(f"{p.n_qubits} qubits exceeds the dense cap "
+                         f"{MODE_CAP}")
+    dim = 2 ** p.n_qubits
+    cols = np.arange(dim)
+    by_x = {}
+    for word, coeff in p.items():
+        x, z, n_y = _masks(word)
+        phase = coeff * (1, 1j, -1, -1j)[n_y % 4]
+        parity = np.bitwise_count(cols & z).astype(int) & 1
+        values = phase * (1 - 2 * parity)
+        by_x[x] = by_x[x] + values if x in by_x else values
+    m = np.zeros((dim, dim), dtype=complex)
+    for x, values in by_x.items():
+        m[cols ^ x, cols] = values
+    return m
+
+
+def pauli_observable(terms, n_qubits=None):
+    """The simulator observable of a PauliSum, or of its terms, built
+    through `expectation_matrix`."""
+    if not isinstance(terms, PauliSum):
+        terms = PauliSum(terms, n_qubits)
+    return Observable(expectation_matrix(terms))
 
 
 def _ladder_image(mode, dagger, n_modes):
@@ -248,12 +296,14 @@ def _hopping_parts(p, q, n_modes):
     hop = FermionOperator.creation(p) * FermionOperator.annihilation(q)
     h1 = hop + hop.adjoint()
     h2 = 1j * hop + (1j * hop).adjoint()
-    return jordan_wigner(h1, n_modes), jordan_wigner(h2, n_modes)
+    return (pauli_observable(jordan_wigner(h1, n_modes)),
+            pauli_observable(jordan_wigner(h2, n_modes)))
 
 
 @functools.lru_cache(maxsize=None)
 def _number_op(p, n_modes):
-    return jordan_wigner(FermionOperator.number(p), n_modes)
+    return pauli_observable(jordan_wigner(FermionOperator.number(p),
+                                          n_modes))
 
 
 def pauli_rdm1_full(state):
@@ -519,6 +569,23 @@ def sym_from_matrix(m, tol=1e-8):
     a = 0.5 * (m[0, 0] + m[1, 1])
     b = 0.5 * (m[0, 1] + m[1, 0])
     return SymMatrix(a + b, a - b)
+
+
+def dispersion(spec, k):
+    """Free dispersion at one wavevector, as an N_c x N_c site matrix.
+
+    The two-site cell is oriented along x; its matrix form folds the
+    original band so the half-bandwidth stays 4|t|.
+    """
+    kx, ky = float(k[0]), float(k[1])
+    t = spec.t
+    if spec.n_c == 1:
+        return np.array([[2.0 * t * (math.cos(kx) + math.cos(ky))]])
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    return (2.0 * t * math.cos(ky) * np.eye(2)
+            + t * (1.0 + math.cos(kx)) * sx
+            + t * math.sin(kx) * sy)
 
 
 def build_product_ry(n_qubits):

@@ -19,7 +19,7 @@ from risbvqe.circuits import (
     build_mrep,
     decompose_circuit,
 )
-from risbvqe.ed import ground_state, half_filling_sector
+from risbvqe.ed import ground_state, half_filling_sector, hamiltonian_matrix
 from risbvqe.embedding import (
     LatticeSpec,
     classical_point,
@@ -38,7 +38,12 @@ from risbvqe.noization import (
     vqe_impurity_solver,
 )
 from risbvqe.pauli import FermionOperator, count_terms, jordan_wigner
-from risbvqe.simulator import QuantumState, apply_gate, calibrate_noise
+from risbvqe.simulator import (
+    Observable,
+    QuantumState,
+    apply_gate,
+    calibrate_noise,
+)
 from risbvqe.vqe import landscape_scan, multi_start
 
 from oracles import single_site_z
@@ -107,8 +112,8 @@ def exact_no_runs(nc2_points):
         emb = report.emb
         gs = ground_state(emb, half_filling_sector(emb.n_c))
         rotated = rotate_hamiltonian(emb.orbital(), exact_no_basis(emb))
-        fit = multi_start(rotated.to_pauli(), build_mrep(2, 4),
-                          n_starts=3, seed=20, max_iter=300)
+        fit = multi_start(Observable(hamiltonian_matrix(rotated)),
+                          build_mrep(2, 4), n_starts=3, seed=20, max_iter=300)
         runs[u] = (emb, gs.energy, fit)
     return runs
 
@@ -211,7 +216,8 @@ def test_criterion_05_two_determinant_circuit_reaches_exact_energy(
     for emb in embs:
         gs = ground_state(emb, half_filling_sector(emb.n_c))
         rotated = rotate_hamiltonian(emb.orbital(), exact_no_basis(emb))
-        fit = parameter_shift_minimize(build_mr_nc1(), rotated.to_pauli())
+        fit = parameter_shift_minimize(build_mr_nc1(),
+                                       Observable(hamiltonian_matrix(rotated)))
         worst = max(worst, abs(fit.energy - gs.energy))
     assert worst <= 1e-8
     print(f"criterion 5: PASS (max |E - E0| = {worst:.1e} "
@@ -308,8 +314,8 @@ def test_criterion_10_noisy_hardware_model_tracks_reference():
         closing = risb_cost(ref.output.r, ref.output.lam, spec)
         rotated = rotate_hamiltonian(closing.emb.orbital(),
                                      exact_no_basis(closing.emb))
-        warm = multi_start(rotated.to_pauli(), build_mrep(2, 4),
-                           n_starts=2, seed=7, max_iter=200)
+        warm = multi_start(Observable(hamiltonian_matrix(rotated)),
+                           build_mrep(2, 4), n_starts=2, seed=7, max_iter=200)
         solver = vqe_impurity_solver(build_mrep(2, 4), basis="exact-no",
                                      noise=noise, n_starts=2, seed=7,
                                      optimizer="nelder-mead", max_iter=250,

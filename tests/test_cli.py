@@ -1,12 +1,16 @@
 import configparser
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import risbvqe
 from risbvqe import SolverFailure
 from risbvqe.cli import (ConfigError, RunConfig, build_noise, load_reference,
                          main, parse_config, parse_noise_flag, run_hash,
@@ -519,6 +523,46 @@ n_starts = 2
         assert main(["vqe", "--config", cfg, "--out", str(b)]) == 0
         for path in a.iterdir():
             assert (b / path.name).read_bytes() == path.read_bytes()
+
+    def test_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
+        # A noisy n_c = 2 start reads <O> as a sum over 4^8 Pauli
+        # coefficients, long enough for a BLAS dot to split it across
+        # threads; with one and two BLAS threads every byte must agree.
+        cfg = write_cfg(tmp_path, """\
+[lattice]
+n_c = 2
+
+[sweep]
+u_values = 0.05
+
+[ansatz]
+tag = mrep
+layers = 4
+basis = exact-no
+
+[optimizer]
+tag = nelder-mead
+n_starts = 1
+max_iter = 1
+
+[noise]
+mode = calibrated
+""")
+        src = str(Path(risbvqe.__file__).resolve().parents[1])
+        outs = [tmp_path / f"threads{n}" for n in (1, 2)]
+        for n, out in zip((1, 2), outs):
+            subprocess.run(
+                [sys.executable, "-m", "risbvqe", "vqe", "--config", cfg,
+                 "--out", str(out)], check=True, capture_output=True,
+                env=dict(os.environ, PYTHONPATH=src,
+                         OPENBLAS_NUM_THREADS=str(n), OMP_NUM_THREADS=str(n),
+                         MKL_NUM_THREADS=str(n)))
+        names = sorted(path.name for path in outs[0].iterdir())
+        assert names == sorted(path.name for path in outs[1].iterdir())
+        assert len(names) == 2
+        for name in names:
+            assert ((outs[0] / name).read_bytes()
+                    == (outs[1] / name).read_bytes()), name
 
 
 class TestNoizeCommand:

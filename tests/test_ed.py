@@ -16,15 +16,17 @@ from hypothesis import strategies as st
 import risbvqe
 from risbvqe.circuits import build_mr_nc1, build_mrep
 from risbvqe.ed import (GroundState, SectorLabel, _ladder_table, _rdm1_table,
-                        _sector_states, ed_rdm1, ed_rdm1_full, ground_state,
-                        half_filling_sector, hamiltonian_matrix, sector_of)
+                        _sector_states, ed_rdm1, ed_rdm1_full, exact_no_basis,
+                        ground_state, half_filling_sector, hamiltonian_matrix,
+                        sector_of)
 from risbvqe.estimator import parameter_shift_minimize
 from risbvqe.hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
-from risbvqe.pauli import expectation_matrix, ladder_table
-from risbvqe.simulator import QuantumState, run
+from risbvqe.pauli import ladder_table
+from risbvqe.simulator import Observable, QuantumState, run
 
-from oracles import (oracle_hamiltonian_matrix, oracle_rdm1_full,
-                     oracle_sector_basis, pauli_rdm1_full, random_bindings)
+from oracles import (expectation_matrix, oracle_hamiltonian_matrix,
+                     oracle_rdm1_full, oracle_sector_basis, pauli_rdm1_full,
+                     random_bindings)
 
 RNG = np.random.default_rng(40813)
 
@@ -73,12 +75,28 @@ class TestSectors:
 
 class TestGroundState:
     def test_matches_pauli_route(self):
-        for _ in range(6):
-            emb = random_embedding(RNG)
-            via_fock = np.sort(np.linalg.eigvalsh(hamiltonian_matrix(emb)))
-            via_pauli = np.sort(np.linalg.eigvalsh(
-                expectation_matrix(emb.to_pauli())))
-            np.testing.assert_allclose(via_fock, via_pauli, atol=1e-9)
+        # The simulator observable, the ladder-table matrix and its Pauli
+        # coefficients, against the Jordan-Wigner words, in the bare and
+        # the exact natural-orbital basis of n_c = 1 and 2 clusters.
+        rng = np.random.default_rng(7)
+        embs = [random_embedding(RNG) for _ in range(6)]
+        for _ in range(2):
+            lam, t = rng.uniform(-1, 1, (2, 2, 2))
+            embs.append(EmbeddingHamiltonian(
+                n_c=2, u_int=rng.uniform(0, 3), d_mix=rng.uniform(-1, 1,
+                                                                  (2, 2)),
+                lambda_c=lam + lam.T, mu=rng.uniform(-1, 1), t_intra=t + t.T))
+        for emb in embs:
+            for orb in (emb.orbital(),
+                        emb.orbital().rotate(exact_no_basis(emb).v)):
+                pauli = orb.to_pauli()
+                obs = Observable(hamiltonian_matrix(orb))
+                assert np.max(np.abs(obs.matrix - expectation_matrix(
+                    pauli))) < 1e-13
+                words = np.zeros((4,) * orb.n_modes)
+                for word, coeff in pauli.items():
+                    words[tuple(map("IXYZ".index, word))] = coeff.real
+                assert np.max(np.abs(obs.coefficients - words)) < 1e-13
 
     def test_free_fermion_energy(self):
         emb = EmbeddingHamiltonian(n_c=1, u_int=0.0, d_mix=[[-0.4]],
@@ -312,5 +330,6 @@ class TestNaturalOrbitalExactness:
             occ, vecs = np.linalg.eigh(rdm)
             v = vecs[:, ::-1]
             rotated = emb.orbital().rotate(v)
-            fit = parameter_shift_minimize(build_mr_nc1(), rotated.to_pauli())
+            fit = parameter_shift_minimize(
+                build_mr_nc1(), Observable(hamiltonian_matrix(rotated)))
             assert abs(fit.energy - gs.energy) < 1e-8

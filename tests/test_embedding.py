@@ -14,13 +14,14 @@ from risbvqe import SolverFailure
 from risbvqe.embedding import (FIXED_POINT_TOL, CostReport, LatticeSpec,
                                SymMatrix, bath_kernel, bath_kernel_slope,
                                build_embedding_hamiltonian, classical_point,
-                               dispersion, ed_impurity_solver, eps_loc,
+                               ed_impurity_solver, eps_loc,
                                fermi, find_mu, lambda_c, matsubara_fermi,
                                noninteracting_start, qp_fill,
                                risb_cost, risb_solve, risb_sweep, solve_d,
                                sym_project)
 
-from oracles import matrix_lambda_c, single_site_z, sym_from_matrix
+from oracles import (dispersion, matrix_lambda_c, single_site_z,
+                     sym_from_matrix)
 
 HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 

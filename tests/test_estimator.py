@@ -13,13 +13,18 @@ from risbvqe.circuits import Circuit, Gate, ParamRef, build_hea_nc1, \
 from risbvqe.estimator import (Rdm1, expectation, measure_rdm1,
                                parameter_shift_minimize, rotosolve)
 from risbvqe.pauli import PauliSum
-from risbvqe.simulator import NoiseModel, QuantumState, calibrate_noise, run
+from risbvqe.simulator import (NoiseModel, Observable, QuantumState,
+                               calibrate_noise, run)
 
 from oracles import (build_product_ry, noisy_density, oracle_rdm1_density,
-                     oracle_rdm1_full, pauli_identity, pauli_rdm1_full,
-                     random_bindings, word_mat, zero_state)
+                     oracle_rdm1_full, pauli_identity, pauli_observable,
+                     pauli_rdm1_full, random_bindings, word_mat, zero_state)
 
 RNG = np.random.default_rng(97531)
+
+
+def identity_observable(n_qubits, coeff=1.0):
+    return pauli_observable(pauli_identity(n_qubits, coeff))
 
 
 def random_hermitian_sum(n_qubits, n_words, rng):
@@ -32,37 +37,38 @@ def random_hermitian_sum(n_qubits, n_words, rng):
 
 class TestExpectation:
     def test_zero_state_z(self):
-        z = PauliSum({"Z": 1.0})
+        z = pauli_observable({"Z": 1.0})
         assert expectation(zero_state(1), z) == 1.0
 
     def test_maximally_mixed_traceless(self):
         rho = QuantumState.from_density(np.eye(4) / 4)
-        obs = PauliSum({"XY": 0.3, "ZI": 0.2, "YY": -1.1})
+        obs = pauli_observable({"XY": 0.3, "ZI": 0.2, "YY": -1.1})
         assert abs(expectation(rho, obs)) < 1e-14
 
     def test_mr_occupation(self):
         theta = 2.0 * math.asin(math.sqrt(0.3))
         state = run(build_mr_nc1(theta=theta))
-        n_imp_up = PauliSum({"IIII": 0.5, "ZIII": -0.5})
+        n_imp_up = pauli_observable({"IIII": 0.5, "ZIII": -0.5})
         assert abs(expectation(state, n_imp_up) - 0.3) < 1e-12
 
     def test_matches_dense_oracle(self):
         for _ in range(5):
             v = RNG.normal(size=16) + 1j * RNG.normal(size=16)
             v /= np.linalg.norm(v)
-            obs = random_hermitian_sum(4, 6, RNG)
-            mat = sum(c * word_mat(w) for w, c in obs.items())
+            words = random_hermitian_sum(4, 6, RNG)
+            mat = sum(c * word_mat(w) for w, c in words.items())
             want = np.vdot(v, mat @ v).real
-            got = expectation(QuantumState.from_vector(v), obs)
+            got = expectation(QuantumState.from_vector(v),
+                              pauli_observable(words))
             assert abs(got - want) < 1e-10
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            expectation(zero_state(1), PauliSum({"X": 1j}))
+            expectation(zero_state(1), pauli_observable({"X": 1j}))
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
-            expectation(zero_state(2), PauliSum({"Z": 1.0}))
+            expectation(zero_state(2), pauli_observable({"Z": 1.0}))
 
 
 ONE_QUBIT_KINDS = ("RX", "RY", "RZ", "X", "H")
@@ -178,7 +184,7 @@ class TestParameterShift:
     def test_single_ry_on_z(self):
         fit = parameter_shift_minimize(Circuit(1, (Gate("RY", (0,),
                                                         (ParamRef("t"),)),)),
-                                       PauliSum({"Z": 1.0}))
+                                       pauli_observable({"Z": 1.0}))
         assert not fit.flat
         assert abs(abs(fit.theta) - math.pi) < 1e-12
         assert abs(fit.energy + 1.0) < 1e-12
@@ -187,7 +193,7 @@ class TestParameterShift:
         gates = (Gate("H", (0,)), Gate("CNOT", (0, 1)),
                  Gate("RY", (1,), (ParamRef("t"),)), Gate("CNOT", (1, 0)))
         circ = Circuit(2, gates)
-        obs = PauliSum({"ZI": 0.6, "IZ": -0.4, "XX": 0.8, "ZZ": 0.5})
+        obs = pauli_observable({"ZI": 0.6, "IZ": -0.4, "XX": 0.8, "ZZ": 0.5})
         fit = parameter_shift_minimize(circ, obs)
         assert not fit.flat
         grid = np.arange(-math.pi, math.pi, 1e-3)
@@ -200,19 +206,19 @@ class TestParameterShift:
 
     def test_flat_landscape(self):
         circ = Circuit(1, (Gate("RZ", (0,), (ParamRef("t"),)),))
-        fit = parameter_shift_minimize(circ, PauliSum({"Z": 1.0}))
+        fit = parameter_shift_minimize(circ, pauli_observable({"Z": 1.0}))
         assert fit.flat and fit.theta == 0.0
         assert abs(fit.energy - 1.0) < 1e-12
 
     def test_rejects_multiple_parameters(self):
         with pytest.raises(ValueError):
-            parameter_shift_minimize(build_hea_nc1(), pauli_identity(4))
+            parameter_shift_minimize(build_hea_nc1(), identity_observable(4))
 
 
 class TestRotosolve:
     def test_separable_exact_after_one_cycle(self):
         circ = build_product_ry(3)
-        obs = PauliSum({"ZII": 0.7, "IZI": 0.3, "IIZ": -0.2})
+        obs = pauli_observable({"ZII": 0.7, "IZI": 0.3, "IIZ": -0.2})
         params, energy = rotosolve(
             circ, obs, dict.fromkeys(circ.parameter_names, 0.0), n_cycles=1)
         assert abs(energy + 1.2) < 1e-10
@@ -221,7 +227,7 @@ class TestRotosolve:
     def test_monotone_over_cycles(self):
         circ = build_hea_nc1()
         init = dict(zip(circ.parameter_names, RNG.uniform(-2, 2, 8)))
-        obs = random_hermitian_sum(4, 8, RNG)
+        obs = pauli_observable(random_hermitian_sum(4, 8, RNG))
         energies = [rotosolve(circ, obs, init, n_cycles=k)[1]
                     for k in range(4)]
         assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(energies, energies[1:]))
@@ -229,28 +235,28 @@ class TestRotosolve:
     def test_zero_cycles_identity(self):
         start = {f"t{q}": 0.3 * q for q in range(2)}
         circ = build_product_ry(2)
-        params, energy = rotosolve(circ, PauliSum({"ZZ": 1.0}), start,
+        params, energy = rotosolve(circ, pauli_observable({"ZZ": 1.0}), start,
                                    n_cycles=0)
         assert params == start
-        got = expectation(run(circ, start), PauliSum({"ZZ": 1.0}))
+        got = expectation(run(circ, start), pauli_observable({"ZZ": 1.0}))
         assert abs(energy - got) < 1e-14
 
     def test_rejects_two_qubit_rotation_params(self):
         circ = build_mrep(2, 1)
         with pytest.raises(ValueError, match="FSIM"):
-            rotosolve(circ, pauli_identity(8),
+            rotosolve(circ, identity_observable(8),
                       dict.fromkeys(circ.parameter_names, 0.0), n_cycles=1)
 
     def test_rejects_shared_parameter(self):
         shared = (Gate("RY", (0,), (ParamRef("t"),)),
                   Gate("RY", (1,), (ParamRef("t"),)))
         with pytest.raises(ValueError, match="several gates"):
-            rotosolve(Circuit(2, shared), pauli_identity(2), {"t": 0.0},
+            rotosolve(Circuit(2, shared), identity_observable(2), {"t": 0.0},
                       n_cycles=1)
 
     def test_requires_initial_values(self):
         with pytest.raises(ValueError, match="missing"):
-            rotosolve(build_product_ry(2), pauli_identity(2), {"t0": 0.0},
+            rotosolve(build_product_ry(2), identity_observable(2), {"t0": 0.0},
                       n_cycles=1)
 
 
@@ -264,7 +270,7 @@ def fold_cnots(circuit: Circuit, n_foldings: int = 1) -> Circuit:
     return Circuit(circuit.n_qubits, tuple(gates))
 
 
-def zne_linear(circuit: Circuit, obs: PauliSum,
+def zne_linear(circuit: Circuit, obs: Observable,
                noise: NoiseModel | None = None,
                n_foldings: int = 1) -> float:
     """Two-point linear zero-noise extrapolation via CNOT-pair insertion.
@@ -292,7 +298,7 @@ def bell_variant() -> Circuit:
 class TestZne:
     def test_noiseless_is_identity(self):
         circ = bell_variant()
-        obs = PauliSum({"ZZ": 1.0})
+        obs = pauli_observable({"ZZ": 1.0})
         direct = expectation(run(circ), obs)
         assert abs(zne_linear(circ, obs, noise=None) - direct) < 1e-10
 
@@ -303,7 +309,7 @@ class TestZne:
 
     def test_matches_channel_oracle_and_improves(self):
         circ = bell_variant()
-        obs = PauliSum({"ZZ": 1.0})
+        obs = pauli_observable({"ZZ": 1.0})
         noise = NoiseModel(0.01, 0.04)
         zz = word_mat("ZZ")
         e_raw = np.trace(noisy_density(circ, noise) @ zz).real
@@ -315,7 +321,7 @@ class TestZne:
 
     def test_two_foldings(self):
         circ = bell_variant()
-        obs = PauliSum({"ZZ": 1.0})
+        obs = pauli_observable({"ZZ": 1.0})
         noise = NoiseModel(0.0, 0.05)
         zz = word_mat("ZZ")
         e_raw = np.trace(noisy_density(circ, noise) @ zz).real
@@ -328,14 +334,14 @@ class TestZne:
         # Folded CNOTs only carry p2 channels, so p2 = 0 leaves the
         # amplified energy equal to the raw one.
         circ = bell_variant()
-        obs = PauliSum({"ZZ": 1.0})
+        obs = pauli_observable({"ZZ": 1.0})
         noise = NoiseModel(0.02, 0.0)
         raw = expectation(run(circ, noise=noise), obs)
         assert abs(zne_linear(circ, obs, noise=noise) - raw) < 1e-12
 
     def test_requires_cnots(self):
         with pytest.raises(ValueError, match="no CNOTs"):
-            zne_linear(build_product_ry(2), pauli_identity(2), noise=None)
+            zne_linear(build_product_ry(2), identity_observable(2), noise=None)
 
 
 def sample_expectation(state, obs, n_shots, seed=None):
@@ -352,8 +358,8 @@ def sample_expectation(state, obs, n_shots, seed=None):
         if word == identity:
             total += coeff.real
             continue
-        exact = expectation(state, PauliSum({word: 1.0},
-                                            n_qubits=obs.n_qubits))
+        exact = expectation(state, pauli_observable({word: 1.0},
+                                                    obs.n_qubits))
         p_plus = min(1.0, max(0.0, 0.5 * (1.0 + exact)))
         hits = rng.binomial(n_shots, p_plus)
         total += coeff.real * (2.0 * hits / n_shots - 1.0)

@@ -16,6 +16,7 @@ from risbvqe.noization import (BasisRotation, NoizeResult,
                                exact_no_basis, noize, offdiagonal_norm,
                                rotate_hamiltonian)
 from risbvqe.pauli import count_terms
+from risbvqe.simulator import Observable
 from risbvqe.vqe import multi_start
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -183,8 +184,9 @@ class TestNoize:
         result = noize(emb, ansatz=build_hea_nc1(), n_steps=1, n_starts=2,
                        seed=11, max_iter=150)
         rng = np.random.default_rng(11)
-        reference = multi_start(emb.orbital().to_pauli(), build_hea_nc1(),
-                                n_starts=2, seed=int(rng.integers(2 ** 63)),
+        reference = multi_start(Observable(hamiltonian_matrix(emb)),
+                                build_hea_nc1(), n_starts=2,
+                                seed=int(rng.integers(2 ** 63)),
                                 max_iter=150)
         assert result.reports[0]["energy"] == pytest.approx(
             reference.best_energy)

@@ -13,13 +13,13 @@ from risbvqe.pauli import (
     FermionOperator,
     PauliSum,
     count_terms,
-    expectation_matrix,
     jordan_wigner,
     ladder_table,
 )
 
-from oracles import (oracle_jordan_wigner, pauli_identity, pauli_product,
-                     pauli_sum_product, pauli_zero)
+from oracles import (expectation_matrix, oracle_jordan_wigner,
+                     pauli_identity, pauli_product, pauli_sum_product,
+                     pauli_zero)
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -14,16 +14,16 @@ from risbvqe.circuits import (VALID_KINDS, Circuit, Gate, ParamRef,
                               build_mrep, decompose_circuit, gate_stack)
 from risbvqe.ed import ed_rdm1_full
 from risbvqe.estimator import expectation
-from risbvqe.pauli import PauliSum, expectation_matrix
-from risbvqe.simulator import (NoiseModel, QuantumState, _compile, _local,
-                               _ptm, _runs, adjoint_gradient, apply_gate,
-                               calibrate_noise, run)
+from risbvqe.pauli import PauliSum
+from risbvqe.simulator import (NoiseModel, Observable, QuantumState, _compile,
+                               _local, _ptm, _runs, adjoint_gradient,
+                               apply_gate, calibrate_noise, run)
 from risbvqe.vqe import vqe_minimize
 
 from oracles import (KIND_AXES, dense_state, finite_difference_gradient,
                      full_register_walk, noisy_density, oracle_transfer,
-                     random_bindings, superoperator_density, unfactored,
-                     word_mat, zero_state)
+                     pauli_observable, random_bindings, superoperator_density,
+                     unfactored, word_mat, zero_state)
 
 RNG = np.random.default_rng(20240811)
 
@@ -383,6 +383,19 @@ class TestPauliBasis:
         with pytest.raises(ValueError, match="not Hermitian"):
             QuantumState.from_density([[0.5, 0.5], [0.0, 0.5]])
 
+    def test_observable_rejects_malformed_matrices(self):
+        for bad in (np.zeros((4, 2)), np.zeros((3, 3)), np.zeros(4),
+                    np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="power-of-two"):
+                Observable(bad)
+        skew = np.zeros((64, 64), dtype=complex)
+        skew[40, 3] = 1e-9  # outside the first block of rows
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Observable(skew)
+        ok = np.eye(4)
+        Observable(ok)
+        assert ok.flags.writeable
+
     @settings(max_examples=30, deadline=None)
     @given(random_circuits(), st.sampled_from(sorted(NOISES)))
     def test_every_mixed_path_returns_pauli_tensor(self, circuit, noise):
@@ -392,7 +405,7 @@ class TestPauliBasis:
         start = zero_state(circuit.n_qubits, mixed=True)
         assert_pauli_tensor(apply_gate(start, gate, noise=noise))
         if noise is not None:
-            identity = PauliSum({"I" * circuit.n_qubits: 1.0})
+            identity = pauli_observable({"I" * circuit.n_qubits: 1.0})
             final, _, _ = adjoint_gradient(circuit, identity, noise=noise)
             assert_pauli_tensor(final)
 
@@ -413,7 +426,7 @@ class TestPauliBasis:
                                 np.random.default_rng(seed))
         state = run(circuit, noise=NOISES[noise], mixed=True)
         rho = superoperator_density(circuit, NOISES[noise])
-        want = np.trace(rho @ expectation_matrix(obs)).real
+        want = np.trace(rho @ obs.matrix).real
         assert abs(expectation(state, obs) - want) < 1e-12
 
 
@@ -468,10 +481,15 @@ def all_kinds_circuit() -> Circuit:
                        Gate("CNOT", (1, 0))))
 
 
-def random_observable(n: int, n_words: int = 10, rng=RNG) -> PauliSum:
-    words = {"".join(rng.choice(list("IXYZ"), n)): rng.normal()
-             for _ in range(n_words)}
-    return PauliSum(words, n)
+def random_observable(n: int, n_words: int = 10, rng=RNG,
+                      norm: float | None = None) -> Observable:
+    """Random words with normal coefficients, scaled to sum |c| = `norm`
+    if given."""
+    words = PauliSum({"".join(rng.choice(list("IXYZ"), n)): rng.normal()
+                      for _ in range(n_words)}, n)
+    if norm is not None:
+        words = words * (norm / sum(abs(c) for _, c in words.items()))
+    return pauli_observable(words)
 
 
 FD_STEP = 1e-6
@@ -503,7 +521,7 @@ def assert_gradient_matches_oracle(circuit, obs, noise=None, x=None):
 
     want = finite_difference_gradient(energy, x, step=FD_STEP)
     assert got.shape == (len(names),)
-    bound = sum(abs(coeff) for _, coeff in obs.items())
+    bound = np.abs(obs.coefficients).sum()
     floor = FD_ROUNDING_ULPS * np.spacing(bound) / FD_STEP
     err = np.max(np.abs(got - want))
     assert err <= max(1e-7 * np.max(np.abs(want)), floor)
@@ -543,8 +561,7 @@ class TestAdjointGradient:
         names = circuit.parameter_names
         assume(names)
         rng = np.random.default_rng(seed)
-        obs = random_observable(circuit.n_qubits, 6, rng)
-        obs = obs * (1.0 / (16.0 * sum(abs(c) for c in obs.terms.values())))
+        obs = random_observable(circuit.n_qubits, 6, rng, norm=1 / 16)
         assert_gradient_matches_oracle(
             circuit, obs, noise=GRADIENT_NOISES[noise],
             x=rng.uniform(-math.pi, math.pi, len(names)))
@@ -601,8 +618,8 @@ class TestAdjointGradient:
 
     def test_erasing_one_qubit_channels(self):
         noise = NoiseModel(p1=0.75, p2=calibrate_noise().p2)
-        obs = PauliSum({"ZZI": 1.0, "XYI": 0.7, "YXI": -0.4, "IYZ": 0.3,
-                        "ZIX": 0.5, "IIZ": 0.2})
+        obs = pauli_observable({"ZZI": 1.0, "XYI": 0.7, "YXI": -0.4,
+                                "IYZ": 0.3, "ZIX": 0.5, "IIZ": 0.2})
         grad = assert_gradient_matches_oracle(ERASING_P1_CIRCUIT, obs,
                                               noise=noise)
         names = ERASING_P1_CIRCUIT.parameter_names
@@ -635,7 +652,7 @@ class TestAdjointGradient:
         circ = Circuit(1, (Gate("H", (0,)),
                            Gate("RX", (0,), (ParamRef("a"),))))
         grad = assert_gradient_matches_oracle(
-            circ, PauliSum({"X": 1.0}), noise=calibrate_noise(),
+            circ, pauli_observable({"X": 1.0}), noise=calibrate_noise(),
             x=np.array([a]))
         assert abs(grad[0]) < 1e-15
 
@@ -691,8 +708,9 @@ class TestAdjointGradient:
             Gate("RZ", (2,), (ref("g"),)),
             Gate("RY", (1,), (ref("h"),))))
         assert [q for q, _ in _runs(circ.gates)] == [(0, 1), (2, 1)]
-        obs = PauliSum({"XYZ": 0.6, "ZXY": -0.4, "YZX": 0.5, "XXI": 0.3,
-                        "IYY": -0.7, "ZIZ": 0.2, "YIX": 0.4})
+        obs = pauli_observable({"XYZ": 0.6, "ZXY": -0.4, "YZX": 0.5,
+                                "XXI": 0.3, "IYY": -0.7, "ZIZ": 0.2,
+                                "YIX": 0.4})
         x = np.linspace(-2.5, 2.9, 8)
         for noise in (calibrate_noise(), NoiseModel(0.3, 0.2)):
             grad = assert_gradient_matches_oracle(circ, obs, noise=noise, x=x)
@@ -703,7 +721,7 @@ class TestAdjointGradient:
         circ = ERASING_P1_CIRCUIT
         bindings = dict.fromkeys(circ.parameter_names, 0.3)
         with pytest.raises(ValueError, match="not Hermitian"):
-            adjoint_gradient(circ, PauliSum({"XYI": 1j}), bindings,
+            adjoint_gradient(circ, pauli_observable({"XYI": 1j}), bindings,
                              noise=noise)
 
     @pytest.mark.parametrize("noise", [None, calibrate_noise()])
@@ -711,18 +729,19 @@ class TestAdjointGradient:
         circ = ERASING_P1_CIRCUIT
         bindings = dict.fromkeys(circ.parameter_names, 0.3)
         with pytest.raises(ValueError, match="on 2 qubits, state on 3"):
-            adjoint_gradient(circ, PauliSum({"ZZ": 1.0}), bindings,
+            adjoint_gradient(circ, pauli_observable({"ZZ": 1.0}), bindings,
                              noise=noise)
 
     def test_fixed_circuit_has_empty_gradient(self):
         circ = Circuit(1, (Gate("H", (0,)),))
-        _, _, grad = adjoint_gradient(circ, PauliSum({"Z": 1.0}))
+        _, _, grad = adjoint_gradient(circ, pauli_observable({"Z": 1.0}))
         assert grad.shape == (0,)
 
     def test_unbound_parameter_rejected(self):
         circ = build_hea_nc1()
         with pytest.raises(ValueError, match="unbound"):
-            adjoint_gradient(circ, PauliSum({"IIII": 1.0}), {"a0": 0.1})
+            adjoint_gradient(circ, pauli_observable({"IIII": 1.0}),
+                             {"a0": 0.1})
 
     @pytest.mark.parametrize("noise", [None, calibrate_noise()])
     def test_energy_is_the_expectation_of_the_final_state(self, noise):
@@ -761,9 +780,7 @@ class TestCompiledPurePath:
             state = after
         np.testing.assert_allclose(state.vector(), want, rtol=0, atol=1e-12)
         if names:  # sum |c| = 1/16 as in TestAdjointGradient
-            obs = random_observable(circuit.n_qubits, 6, rng)
-            obs = obs * (1.0 / (16.0 * sum(abs(c)
-                                           for c in obs.terms.values())))
+            obs = random_observable(circuit.n_qubits, 6, rng, norm=1 / 16)
             assert_gradient_matches_oracle(circuit, obs, x=x)
 
     def test_every_kind_with_numeric_scaled_and_shared_slots(self):
@@ -823,7 +840,7 @@ class TestCompileCache:
     @pytest.mark.parametrize("noise", [None, calibrate_noise()])
     def test_one_compile_per_vqe_start(self, noise, monkeypatch):
         circ = build_hea_nc1()
-        obs = PauliSum({"ZIII": 1.0, "IXXI": 0.5, "IIYY": -0.3})
+        obs = pauli_observable({"ZIII": 1.0, "IXXI": 0.5, "IIYY": -0.3})
         calls = self.count_compiles(monkeypatch)
         out = vqe_minimize(obs, circ, noise=noise, seed=3, max_iter=5)
         assert len(out.trace) > 1
@@ -899,8 +916,7 @@ def assert_matches_full_register_walk(circuit, noise, mixed, rng):
         assert np.array_equal(got.tensor, want)
     if not circuit.parameter_names or mixed != (noise is not None):
         return
-    obs = random_observable(circuit.n_qubits, 12, rng)
-    obs = obs * (1.0 / sum(abs(c) for c in obs.terms.values()))
+    obs = random_observable(circuit.n_qubits, 12, rng, norm=1.0)
     final, energy, grad = adjoint_gradient(circuit, obs, bindings, noise)
     assert np.array_equal(final.tensor, got.tensor)
     _, want_energy, want = adjoint_gradient(

@@ -8,26 +8,27 @@ import pytest
 
 from risbvqe import SolverFailure
 from risbvqe.circuits import build_hea_nc1, build_mr_nc1
-from risbvqe.ed import SectorLabel, ground_state
+from risbvqe.ed import SectorLabel, ground_state, hamiltonian_matrix
 from risbvqe.embedding import LatticeSpec, SymMatrix, risb_cost, risb_solve
 from risbvqe.estimator import expectation
 from risbvqe.hamiltonians import EmbeddingHamiltonian
-from risbvqe.pauli import PauliSum
-from risbvqe.simulator import adjoint_gradient, calibrate_noise, run
+from risbvqe.simulator import (Observable, adjoint_gradient, calibrate_noise,
+                               run)
 from risbvqe.vqe import (LandscapeTable, VqeResult, landscape_scan,
                          mr_impurity_solver, multi_start, vqe_minimize)
 
-from oracles import build_product_ry, finite_difference_gradient
+from oracles import (build_product_ry, finite_difference_gradient,
+                     pauli_observable)
 
 
-def ry_probe() -> tuple[PauliSum, object]:
-    return PauliSum({"Z": 1.0}), build_product_ry(1)
+def ry_probe() -> tuple[Observable, object]:
+    return pauli_observable({"Z": 1.0}), build_product_ry(1)
 
 
-def embedded_observable() -> PauliSum:
+def embedded_observable() -> Observable:
     emb = EmbeddingHamiltonian(n_c=1, u_int=1.4, d_mix=[[-0.35]],
                                lambda_c=[[-0.7]], mu=0.7)
-    return emb.orbital().to_pauli()
+    return Observable(hamiltonian_matrix(emb))
 
 
 class TestSingleStart:
@@ -48,7 +49,7 @@ class TestSingleStart:
 
     def test_variational_bound(self):
         obs = embedded_observable()
-        e0 = float(np.linalg.eigvalsh(_dense(obs)).min())
+        e0 = float(np.linalg.eigvalsh(obs.matrix).min())
         out = vqe_minimize(obs, build_hea_nc1(), seed=5)
         assert all(e >= e0 - 1e-9 for _, e in out.trace)
         assert out.best_energy >= e0 - 1e-9
@@ -71,7 +72,8 @@ class TestSingleStart:
         from risbvqe.ed import ed_rdm1
         _, vecs = np.linalg.eigh(ed_rdm1(sector_gs.state, 1).matrix)
         rotated = emb.orbital().rotate(vecs[:, ::-1])
-        out = vqe_minimize(rotated.to_pauli(), build_mr_nc1(), seed=9)
+        out = vqe_minimize(Observable(hamiltonian_matrix(rotated)),
+                           build_mr_nc1(), seed=9)
         assert out.best_energy == pytest.approx(sector_gs.energy, abs=1e-7)
 
     def test_seed_determinism(self):
@@ -91,7 +93,8 @@ class TestSingleStart:
         from risbvqe.circuits import Circuit, Gate
         fixed = Circuit(1, (Gate("X", (0,)),))
         with pytest.raises(ValueError, match="parameters"):
-            vqe_minimize(PauliSum({"Z": 1.0}), fixed, optimizer="bfgs")
+            vqe_minimize(pauli_observable({"Z": 1.0}), fixed,
+                         optimizer="bfgs")
 
     def test_divergent_objective_reported(self, monkeypatch):
         # Nelder-Mead reads <O> from `expectation`, BFGS from the sweep.
@@ -142,21 +145,21 @@ class TestSingleStart:
                                          obs)
 
     def test_noisy_bfgs_reads_the_pauli_coefficients(self, monkeypatch):
-        # The mixed sweep starts from the observable's cached coefficient
-        # tensor: no dense matrix is built or converted back on any step.
+        # The mixed sweep reads the observable's Pauli coefficients, built
+        # once from its matrix on first use and kept for every later step.
         import risbvqe.simulator as simulator_module
+        original, transforms = simulator_module._pauli_coefficients, []
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("dense observable round trip")
+        def counted(matrix):
+            transforms.append(matrix.shape)
+            return original(matrix)
 
-        monkeypatch.setattr(simulator_module, "_pauli_coefficients",
-                            forbidden)
-        monkeypatch.setattr(simulator_module, "expectation_matrix", forbidden)
+        monkeypatch.setattr(simulator_module, "_pauli_coefficients", counted)
         obs, ansatz = embedded_observable(), build_hea_nc1()
         out = vqe_minimize(obs, ansatz, noise=calibrate_noise(), seed=5,
                            max_iter=20)
         assert len(out.trace) > 10
-        assert obs._matrix is None
+        assert transforms == [(16, 16)]
 
     def test_noise_lifts_the_floor(self):
         obs, ansatz = ry_probe()
@@ -203,7 +206,7 @@ class TestGradient:
     def test_matches_parameter_shift(self):
         # Plain rotation angles obey the half-turn shift rule, so the
         # finite-difference gradient must agree with the analytic one.
-        obs = PauliSum({"ZI": 0.7, "IZ": -0.3, "XX": 0.4})
+        obs = pauli_observable({"ZI": 0.7, "IZ": -0.3, "XX": 0.4})
         ansatz = build_product_ry(2)
         names = ansatz.parameter_names
 
@@ -267,7 +270,3 @@ class TestLandscape:
                                base_noise=calibrate_noise())
         assert noisy.costs[0, 0, 0] > clean.costs[0, 0, 0] + 1e-3
 
-
-def _dense(obs: PauliSum) -> np.ndarray:
-    from risbvqe.pauli import expectation_matrix
-    return expectation_matrix(obs)
