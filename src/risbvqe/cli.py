@@ -374,10 +374,11 @@ def cmd_vqe(cfg: RunConfig) -> int:
         spec = lattice_spec(cfg, u=u)
         _, report = classical_point(spec)
         emb = report.emb
-        e0 = ground_state(emb, half_filling_sector(cfg.n_c)).energy
+        gs = ground_state(emb, half_filling_sector(cfg.n_c))
+        e0 = gs.energy
         orbital = emb.orbital()
         if cfg.basis == "exact-no":
-            orbital = rotate_hamiltonian(orbital, exact_no_basis(emb))
+            orbital = rotate_hamiltonian(orbital, exact_no_basis(emb, gs))
         observable = Observable(hamiltonian_matrix(orbital))
         energies = []
         for i in range(cfg.n_starts):
@@ -412,16 +413,16 @@ def cmd_noize(cfg: RunConfig) -> int:
     spec = lattice_spec(cfg)
     _, report = classical_point(spec)
     emb = report.emb
-    e0 = ground_state(emb, half_filling_sector(cfg.n_c)).energy
+    gs = ground_state(emb, half_filling_sector(cfg.n_c))
     result = noize(emb, ansatz=ansatz, n_steps=cfg.noize_steps,
                    n_starts=cfg.n_starts, seed=cfg.seed, noise=noise,
                    optimizer=cfg.optimizer, max_iter=cfg.max_iter)
-    rotated = rotate_hamiltonian(emb.orbital(), exact_no_basis(emb))
+    rotated = rotate_hamiltonian(emb.orbital(), exact_no_basis(emb, gs))
     reference = multi_start(Observable(hamiltonian_matrix(rotated)), ansatz,
                             n_starts=cfg.n_starts, seed=cfg.seed + 1,
                             optimizer=cfg.optimizer, noise=noise,
                             max_iter=cfg.max_iter)
-    payload = {"u": cfg.u, "e0": e0,
+    payload = {"u": cfg.u, "e0": gs.energy,
                "exact_no_energy": reference.best_energy,
                "steps": result.reports}
     write_json(Path(cfg.out_dir) / (f"{cfg.label}_noize_{cfg.ansatz}"

@@ -314,15 +314,17 @@ def diagonalize_rdm(rdm: np.ndarray, h: np.ndarray | None = None,
     return BasisRotation(v=vecs, step=step, occupations=occ)
 
 
-def exact_no_basis(ham) -> BasisRotation:
-    """Natural orbitals of the exact half-filled ground state.
+def exact_no_basis(ham, gs: GroundState | None = None) -> BasisRotation:
+    """Natural orbitals of the exact half-filled ground state, `gs` if the
+    caller has solved for it already.
 
     Reference basis for comparisons: the state's per-spin 1-RDM becomes
     diagonal.  A degenerate ground state makes the basis non-unique and is
     flagged with a warning.
     """
     orb, n_c = as_orbital(ham)
-    gs = ground_state(orb, half_filling_sector(n_c))
+    if gs is None:
+        gs = ground_state(orb, half_filling_sector(n_c))
     if gs.degeneracy > 1:
         warnings.warn(f"ground state is {gs.degeneracy}-fold degenerate; "
                       f"natural orbitals are not unique")

@@ -21,15 +21,23 @@ the leading blocks whose factors do not yet span the register on them (a
 block that joins two merges them by one outer product), and the register
 tensor is formed once, in qubit order, at the first block that would join
 them all (mrep's first fSim, after its two preparations), or at the end.
-The adjoint gradient's reverse sweep runs on the whole register and ends,
-on both backends, in one stacked contraction and one scatter-add per kind.
-An `Observable` is a dense Hermitian matrix, in practice `ed`'s Fock-space
-matrix of a cluster Hamiltonian; a density matrix reads it through its
-Pauli coefficients.
+The half register is the density matrix's too: if every gate from there
+on keeps the parity of the number of X/Y factors of each Pauli word (FSIM,
+RZ, X and RPQ on XX, XY, YX, YY or ZZ; checked once, by kind, in `_plan`)
+and every factor's odd words are exactly zero at the join (checked each
+run), the register holds only its even words, 4^n/2 of them, with qubit
+n-1 on two levels (`_halve`), and every register pass runs on them; it is
+made whole only where a `QuantumState` leaves the simulator.  Otherwise
+the same passes take the whole register.  The adjoint gradient's reverse
+sweep runs on the register `run` holds and ends, on both backends, in one
+stacked contraction and one scatter-add per kind.  An `Observable` is a
+dense Hermitian matrix, in practice `ed`'s Fock-space matrix of a cluster
+Hamiltonian; a density matrix reads it through its Pauli coefficients.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -200,17 +208,110 @@ def _flatten(tensor: np.ndarray, axes: tuple[int, ...]):
 
 def _apply_unitary(tensor: np.ndarray, u: np.ndarray,
                    axes: tuple[int, ...]) -> np.ndarray:
-    """`u` on `axes` of a Pauli tensor (axes of 4).  On adjacent axes in
-    order it is viewed as (before, block, after) and takes one batched
-    matmul with no transpose.  Otherwise `axes` are brought to the front,
-    contracted with one matmul and moved back."""
+    """`u` on `axes` of a Pauli tensor, whole or half (`_halve`).  On
+    adjacent axes in order it is viewed as (before, block, after) and takes
+    one batched matmul with no transpose, or one GEMM if `after` is 1 or a
+    half register's last 2 levels (u o 1 then).  Otherwise `axes` are
+    brought to the front, contracted with one matmul and moved back.  On a
+    half register's last qubit it is `_last_pair`."""
+    last = tensor.ndim - 1
+    if tensor.shape[last] == 2 and last in axes:
+        return _last_pair(tensor, u, axes)
     first = axes[0]
     if tensor.shape[0] == 4 and axes == tuple(range(first, first + len(axes))):
         x = tensor.reshape(4 ** first, len(u), -1)
-        out = x[..., 0] @ u.T if x.shape[2] == 1 else np.matmul(u, x)
-        return out.reshape(tensor.shape)
+        if x.shape[2] > 2:
+            return np.matmul(u, x).reshape(tensor.shape)
+        t = u if x.shape[2] == 1 else _kron(u, np.eye(2))
+        return (x.reshape(len(x), -1) @ t.T).reshape(tensor.shape)
     flat, perm = _flatten(tensor, axes)
     return (u @ flat).reshape(tensor.shape).transpose(np.argsort(perm))
+
+
+# Whether each one-qubit Pauli level I, X, Y, Z is odd (X or Y).
+_ODD = np.array([0, 1, 1, 0])
+
+
+@functools.lru_cache(maxsize=None)
+def _odd_words(m: int) -> np.ndarray:
+    """Per m-qubit Pauli word in flat order, 1 if it has an odd number of
+    X/Y factors, else 0.  Read-only."""
+    odd = np.zeros(1, dtype=np.intp)
+    for _ in range(m):
+        odd = (odd[:, None] ^ _ODD).ravel()
+    odd.setflags(write=False)
+    return odd
+
+
+@functools.lru_cache(maxsize=None)
+def _even_words(n: int) -> np.ndarray:
+    """Flat indices, in increasing order, of the n-qubit Pauli words with an
+    even number of X/Y factors: per word of qubits 0..n-2, qubit n-1's two
+    levels of its parity, I and Z after an even word, X and Y after an odd
+    one.  Read-only."""
+    odd = _odd_words(n - 1)
+    words = (4 * np.arange(odd.size)[:, None]
+             + np.array([[0, 3], [1, 2]])[odd]).ravel()
+    words.setflags(write=False)
+    return words
+
+
+def _halve(tensor: np.ndarray) -> np.ndarray:
+    """The half layout of a Pauli tensor whose last axis has 4 levels (axes
+    of 1 broadcast): its even words, shape (..., 2) with qubit n-1's levels
+    of the parity of the rest.  Fermion parity Z...Z is a symmetry of the
+    Jordan-Wigner encoded states, so their odd words vanish (parity
+    superselection, Bravyi & Kitaev, arXiv:quant-ph/0003137).  An array
+    whose last axis has 1 level comes back as it is."""
+    if tensor.shape[-1] == 1:
+        return tensor
+    words = _even_words(tensor.shape.count(4))
+    return tensor.reshape(-1).take(words).reshape(tensor.shape[:-1] + (2,))
+
+
+def _is_half(tensor: np.ndarray) -> bool:
+    return tensor.shape[0] != tensor.shape[-1]  # (4,)*(n-1) + (2,)
+
+
+def _whole(tensor: np.ndarray) -> np.ndarray:
+    """The (4,)*n register of a half one, its odd words zero; any other
+    tensor as it is."""
+    if not _is_half(tensor):
+        return tensor
+    out = np.zeros(4 ** tensor.ndim)
+    out[_even_words(tensor.ndim)] = tensor.reshape(-1)
+    return out.reshape((4,) * tensor.ndim)
+
+
+def _is_even(tensor: np.ndarray) -> bool:
+    """Whether every odd word of a Pauli tensor is exactly zero."""
+    return np.count_nonzero(_halve(tensor)) == np.count_nonzero(tensor)
+
+
+# s.T[_PAIR] = [B_0^T | B_1^T]: B_r = s[w_r][:, w_r], with w_0 and w_1 the
+# even and the odd two-qubit words in increasing order, which are a half
+# register's 8 pair entries after an even and an odd rest.
+_PAIR_WORDS = np.argsort((_ODD[:, None] ^ _ODD).ravel(),
+                         kind="stable").reshape(2, 8)
+_PAIR = (np.repeat(_PAIR_WORDS.T, 8, axis=1),
+         np.tile(_PAIR_WORDS.ravel(), (8, 1)))
+
+
+def _last_pair(tensor: np.ndarray, s: np.ndarray,
+               axes: tuple[int, ...]) -> np.ndarray:
+    """`s` on `axes` of a half register, `axes` holding its last qubit: as a
+    transfer matrix on the pair (a, n-1), with a the other qubit (n-2 if
+    none), moved next to the end.  Each word of the other qubits keeps 8
+    pair entries, which s's block of their parity maps; one GEMM against
+    both blocks side by side and one take of each row's half apply it."""
+    n = tensor.ndim
+    a = sum(axes) - (n - 1) if len(axes) == 2 else n - 2
+    perm = [*range(a), *range(a + 1, n - 1), a, n - 1]
+    x = tensor.transpose(perm).reshape(-1, 8)
+    rows = 2 * np.arange(len(x)) + _odd_words(n - 2)
+    out = (x @ _local(s, axes, (a, n - 1)).T[_PAIR]).reshape(-1, 8)
+    return out.take(rows, axis=0).reshape(tensor.shape).transpose(
+        np.argsort(perm))
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -320,10 +421,44 @@ def _join(parts: list, frame: tuple) -> np.ndarray:
     return out.copy() if out is rest else out
 
 
+def _half_frame(factors: dict, n: int) -> tuple:
+    """How `_join_half` reads the factors (slot: its qubits in axis order):
+    their slots, and the half-register position of each product of their
+    even words, in np.multiply.outer order over the slots."""
+    at = np.zeros(1, dtype=np.intp)
+    for qubits in factors.values():
+        k = len(qubits)
+        digits = _even_words(k)[:, None] // 4 ** np.arange(k - 1, -1, -1) % 4
+        at = (at[:, None] + digits @ 4 ** (n - 1 - np.array(qubits))).ravel()
+    return tuple(factors), np.searchsorted(_even_words(n), at)
+
+
+def _join_half(parts: list, frame: tuple, n: int) -> np.ndarray:
+    """The half register (`_halve`) of even factors: the outer product of
+    their even words, written to its positions; the odd words of the
+    factors, and so of the register, are zero."""
+    slots, at = frame
+    out = np.zeros(2 * 4 ** (n - 1))
+    out[at] = functools.reduce(np.multiply.outer,
+                               [_halve(parts[slot]) for slot in slots]).ravel()
+    return out.reshape((4,) * (n - 1) + (2,))
+
+
+def _keeps_parity(gate: Gate) -> bool:
+    """Whether the gate's transfer matrix keeps the parity of the number of
+    X/Y factors of each Pauli word: U Z...Z U^dag = +-Z...Z."""
+    if gate.kind == "RPQ":
+        return (gate.axes[0] == "Z") == (gate.axes[1] == "Z")
+    return gate.kind in ("FSIM", "RZ", "X")
+
+
 def _plan(blocks, n: int):
-    """(steps, frame) on Pauli factors: the leading blocks whose factors do
-    not yet span the register, each a `_Step`, from n one-qubit factors, and
-    the factors' frame at the first block that would join them all."""
+    """(steps, frame, half) on Pauli factors: the leading blocks whose
+    factors do not yet span the register, each a `_Step`, from n one-qubit
+    factors, the factors' frame at the first block that would join them
+    all, and, if every later gate keeps parity (`_keeps_parity`), their
+    `_half_frame`, by which a register joined from even factors is formed
+    and run in the half layout; else None."""
     factors, owner = {q: (q,) for q in range(n)}, list(range(n))
     steps, live = [], set()  # live: the factors a step acted on
     for block in blocks:
@@ -341,7 +476,10 @@ def _plan(blocks, n: int):
         live.add(slot)
         steps.append(_Step(slot, merge, tuple(map(qubits.index, block.qubits)),
                            _frame(factors, live, n) if block.tuned else None))
-    return tuple(steps), _frame(factors, live, n)
+    parity = n > 1 and all(_keeps_parity(g) for block in blocks[len(steps):]
+                           for g in block.gates)
+    return tuple(steps), _frame(factors, live, n), (
+        _half_frame(factors, n) if parity else None)
 
 
 class _Block(NamedTuple):
@@ -391,10 +529,10 @@ def _compile(circuit: Circuit, mixed: bool, noise: NoiseModel | None):
         [[getattr(s, "scale", s) for s in gates[p].params] for p in ps],
         dtype=float)) for (kind, axes), ps in groups.items()]
     plan = _plan(blocks, n) if mixed else ((), ((), np.eye(  # no steps,
-        1, 2 ** n, dtype=complex).reshape((2,) * n)))  # the |0...0> register
+        1, 2 ** n, dtype=complex).reshape((2,) * n)), None)  # |0...0>
     for array in [*index.values(), *(f for f in fixed if f is not None),
                   *(a for k in kinds for a in k[2:]),
-                  *(f[1] for f in (plan[1], *(s.frame for s in plan[0]))
+                  *(f[1] for f in (*plan[1:], *(s.frame for s in plan[0]))
                     if f is not None)]:
         array.setflags(write=False)
     return tuple(blocks), fixed, tuple(kinds), plan
@@ -431,30 +569,36 @@ def _fuse(circuit: Circuit, bindings: Mapping[str, float] | None,
     return list(zip(kinds, angles)), fused, plan
 
 
-def _act(tensor: np.ndarray, s: np.ndarray, axes: tuple[int, ...],
+def _act(tensor: np.ndarray, s: np.ndarray | None, axes: tuple[int, ...],
          idx: np.ndarray | None, kept: dict | None = None,
          key: int = 0) -> np.ndarray:
-    """`s` on `axes`, in place through the gather index `idx` if given;
-    kept[key] stores the entering tensor's `_flatten` matrix."""
+    """`s` on `axes`, in place through the gather index `idx` if given, or
+    nothing if `s` is None; kept[key] stores the entering tensor's
+    `_flatten` matrix, a half register's through `_whole` where `axes` hold
+    its last qubit."""
     if idx is None:
         if kept is not None:
-            kept[key] = _flatten(tensor, axes)[0]
-        return _apply_unitary(tensor, s, axes)
+            whole = _is_half(tensor) and tensor.ndim - 1 in axes
+            kept[key] = _flatten(_whole(tensor) if whole else tensor,
+                                 axes)[0]
+        return tensor if s is None else _apply_unitary(tensor, s, axes)
     flat = tensor.reshape(-1)
     rows = flat[idx]
     if kept is not None:
         kept[key] = rows
-    flat[idx] = s @ rows
+    if s is not None:
+        flat[idx] = s @ rows
     return tensor
 
 
-def _forward(n: int, fused: list, plan: tuple,
-             entering: dict | None = None) -> np.ndarray:
+def _forward(n: int, fused: list, plan: tuple, entering: dict | None = None,
+             half: bool = True) -> np.ndarray:
     """The final tensor of the plan's steps on n one-qubit Pauli factors,
-    then of the other blocks on the register; `entering` keeps each tuned
-    block's entering matrix, as `_act` does, in the register's frame (a
-    step's from its factors joined for it)."""
-    steps, frame = plan
+    then of the other blocks on the register, in the half layout if `half`,
+    the plan's parity rule holds and every factor at the join is even;
+    `entering` keeps each tuned block's entering matrix, as `_act` does, in
+    the register's frame (a step's from its factors joined for it)."""
+    steps, frame, half_frame = plan
     parts = list(np.tile(_ZERO, (n, 1)))
     for (block, _, prefixes), step in zip(fused, steps):
         if step.merge is not None:
@@ -466,7 +610,11 @@ def _forward(n: int, fused: list, plan: tuple,
                 _join(parts, step.frame), block.qubits)[0]
         parts[step.slot] = _apply_unitary(parts[step.slot], prefixes[-1],
                                           step.axes)
-    tensor = _join(parts, frame)
+    if half and half_frame and all(_is_even(parts[slot])
+                                   for slot in half_frame[0]):
+        tensor = _join_half(parts, half_frame, n)
+    else:
+        tensor = _join(parts, frame)
     for block, _, prefixes in fused[len(steps):]:
         tensor = _act(tensor, prefixes[-1], block.qubits, block.idx,
                       entering if block.tuned else None,
@@ -512,7 +660,7 @@ def run(circuit: Circuit, bindings: Mapping[str, float] | None = None,
         mixed = noise is not None
     _, fused, plan = _fuse(circuit, bindings, mixed, noise)
     return QuantumState(circuit.n_qubits, "mixed" if mixed else "pure",
-                        _forward(circuit.n_qubits, fused, plan))
+                        _whole(_forward(circuit.n_qubits, fused, plan)))
 
 
 def adjoint_gradient(circuit: Circuit, observable: Observable,
@@ -533,17 +681,36 @@ def adjoint_gradient(circuit: Circuit, observable: Observable,
     derivatives dU (pure) or the transfer matrices of rho -> D(dU rho
     U^dag) (density matrix) and one scatter-add give the gradient; the
     weight is 2 on both, as psi enters <O> twice and D(dU rho U^dag) and
-    D(U rho dU^dag) have the same transfer matrix.
+    D(U rho dU^dag) have the same transfer matrix.  The first block's
+    S^dag is not applied: no lambda before it is read.
+
+    A register `run` holds in the half layout takes the reverse sweep in it
+    too when the observable's odd coefficients vanish: lambda then stays
+    even through the register phase, and is made whole at the join for the
+    leading steps (whose derivatives may be odd there).  On the half layout
+    the overlaps are right on their parity-diagonal blocks, the only ones
+    the dU transfer matrices of parity-keeping gates read.  Otherwise the
+    reverse sweep takes the whole register, with the entering tensors of a
+    second forward sweep on it.
     """
     n, mixed = circuit.n_qubits, noise is not None
     kinds, fused, plan = _fuse(circuit, bindings, mixed, noise)
     grad = np.zeros(circuit.n_params + 1)  # the last for numeric slots
     entering, leaving, framed = {}, {}, {}
     tensor = _forward(n, fused, plan, entering)
-    energy, lam = _observe(tensor, observable, mixed)
-    for block, factors, prefixes in reversed(fused):
-        lam = _act(lam, prefixes[-1].conj().T, block.qubits, block.idx,
-                   leaving if block.tuned else None, block.positions.start)
+    final = _whole(tensor)
+    energy, lam = _observe(final, observable, mixed)
+    if final is not tensor and _is_even(lam):
+        lam = _halve(lam)
+    elif final is not tensor:  # entering tensors of the whole register
+        _forward(n, fused, plan, entering, half=False)
+    for k in range(len(fused) - 1, -1, -1):
+        block, factors, prefixes = fused[k]
+        if k + 1 == len(plan[0]):
+            lam = _whole(lam)
+        lam = _act(lam, prefixes[-1].conj().T if k else None, block.qubits,
+                   block.idx, leaving if block.tuned else None,
+                   block.positions.start)
         if block.tuned and mixed:
             p = block.positions.start
             # M, then after^T M as j passes each gate
@@ -568,5 +735,5 @@ def adjoint_gradient(circuit: Circuit, observable: Observable,
             *a.shape[::-1], -1).sum(-1).real
         grad += 2.0 * np.bincount(index.T.ravel(), terms.ravel(),
                                   minlength=len(grad))
-    return (QuantumState(n, "mixed" if mixed else "pure", tensor),
+    return (QuantumState(n, "mixed" if mixed else "pure", final),
             energy.real, grad[:-1])

@@ -543,15 +543,29 @@ def full_register_walk(circuit, bindings=None, noise=None, mixed=False):
 
 
 def unfactored(circuit, mixed, noise=None):
-    """A copy of `circuit` whose compiled plan has no factored steps: its
-    `run` and `adjoint_gradient` start from the whole |0...0> register
-    and walk every block on it.  A pure plan has none already."""
+    """A copy of `circuit` whose compiled plan has no factored steps and no
+    half layout: its `run` and `adjoint_gradient` start from the whole
+    |0...0> register and walk every block on it.  A pure plan is so
+    already."""
     n = circuit.n_qubits
     copy = Circuit(n, circuit.gates)
     blocks, fixed, kinds, plan = simulator._compile(copy, mixed, noise)
     if mixed:
-        plan = (), simulator._frame({q: (q,) for q in range(n)}, set(), n)
+        plan = (), simulator._frame({q: (q,) for q in range(n)}, set(),
+                                    n), None
     copy.compiled[mixed, noise] = blocks, fixed, kinds, plan
+    return copy
+
+
+def whole_register(circuit, noise=None):
+    """A copy of `circuit` whose compiled density-matrix plan keeps its
+    factored steps but has no half layout: its `run` and
+    `adjoint_gradient` walk the blocks after the join on the whole
+    (4,)*n register."""
+    copy = Circuit(circuit.n_qubits, circuit.gates)
+    blocks, fixed, kinds, (steps, frame, _) = simulator._compile(copy, True,
+                                                                 noise)
+    copy.compiled[True, noise] = blocks, fixed, kinds, (steps, frame, None)
     return copy
 
 
