@@ -433,11 +433,12 @@ def _half_frame(factors: dict, n: int) -> tuple:
     return tuple(factors), np.searchsorted(_even_words(n), at)
 
 
-def _join_half(parts: list, frame: tuple, n: int) -> np.ndarray:
+def _join_half(parts: list, frame: tuple) -> np.ndarray:
     """The half register (`_halve`) of even factors: the outer product of
     their even words, written to its positions; the odd words of the
     factors, and so of the register, are zero."""
     slots, at = frame
+    n = len(parts)
     out = np.zeros(2 * 4 ** (n - 1))
     out[at] = functools.reduce(np.multiply.outer,
                                [_halve(parts[slot]) for slot in slots]).ravel()
@@ -612,7 +613,7 @@ def _forward(n: int, fused: list, plan: tuple, entering: dict | None = None,
                                           step.axes)
     if half and half_frame and all(_is_even(parts[slot])
                                    for slot in half_frame[0]):
-        tensor = _join_half(parts, half_frame, n)
+        tensor = _join_half(parts, half_frame)
     else:
         tensor = _join(parts, frame)
     for block, _, prefixes in fused[len(steps):]:
