@@ -7,11 +7,12 @@ independent cross-checks live in the test oracles.  Mode p sits on bit p
 counted from the most significant end of the basis index, matching the
 qubit layout used elsewhere.
 
-The bookkeeping depends only on structure, never on coefficients: each
-fermion term's (row, col, sign) table is restricted to a sector once per
-(term, mode count, sector), and the 1-RDM's (state, p, q, final, sign) table
-is assembled once per mode count.  A new Hamiltonian or state then costs one
-fancy-index update per term, or one accumulation over the table.  The same
+The bookkeeping depends only on structure, never on coefficients: the
+(row, col, sign) tables of a Hamiltonian's terms are stacked and
+restricted to a sector once per (term structure, mode count, sector), and
+the 1-RDM's (state, p, q, final, sign) table is assembled once per mode
+count.  A new Hamiltonian or state then costs one accumulation over its
+table, each matrix entry summed in term order.  The same
 1-RDM table serves exact eigenstates and simulator states alike: an
 amplitude vector or a density matrix goes through `ed_rdm1_full`, and
 `ed_rdm1` is the one place that splits its result into spin blocks.
@@ -30,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
-from .pauli import LADDER_CACHE_SIZE, MODE_CAP, ladder_table
+from .pauli import MODE_CAP, ladder_table
 
 DEGENERACY_RTOL = 1e-9
 SECTOR_CACHE_SIZE = 64
@@ -86,37 +87,44 @@ def _sector_states(n_modes: int, sector: SectorLabel | None) -> np.ndarray:
                     if sector_of(i, n_modes) == sector])
 
 
-@lru_cache(maxsize=LADDER_CACHE_SIZE)
-def _ladder_table(ops: tuple, n_modes: int, sector: SectorLabel | None
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero entries (row, col, sign) of one operator string's matrix
-    over the sector basis, in column order: the kernel's table restricted
-    to the sector."""
-    row, col, sign = ladder_table(ops, n_modes)
-    if sector is None:
-        return row, col, sign
+@lru_cache(maxsize=SECTOR_CACHE_SIZE)
+def _stacked_tables(structure: tuple, n_modes: int,
+                    sector: SectorLabel | None) -> tuple:
+    """The kernel's tables of a Hamiltonian's operator strings, stacked in
+    term order and restricted to the sector basis: (the flat matrix entries
+    they touch, each table entry's bin among them, its term, its sign),
+    read-only."""
+    tables = [ladder_table(ops, n_modes) for ops in structure]
+    row, col, sign = map(np.concatenate,
+                         zip(*tables, [np.zeros(0, np.intp)] * 3))
+    term = np.repeat(np.arange(len(tables)), [len(t[2]) for t in tables])
     states = _sector_states(n_modes, sector)
     position = np.full(1 << n_modes, -1, dtype=np.intp)
     position[states] = np.arange(states.size)
     keep = position[col] >= 0
-    rows = position[row[keep]]
-    if np.any(rows < 0):
+    row, col = position[row[keep]], position[col[keep]]
+    if np.any(row < 0):
         raise ValueError("term leaves the requested sector")
-    return _frozen(rows), _frozen(position[col[keep]]), _frozen(sign[keep])
+    touched, bins = np.unique(row * states.size + col, return_inverse=True)
+    return tuple(map(_frozen, (touched, bins, term[keep], sign[keep])))
 
 
 def hamiltonian_matrix(ham, sector: SectorLabel | None = None) -> np.ndarray:
-    """Dense Hamiltonian over the (sector-restricted) Fock basis."""
+    """Dense Hamiltonian over the (sector-restricted) Fock basis: each
+    touched entry sums its terms' signs times coefficients, in term order."""
     orb = ham.orbital() if isinstance(ham, EmbeddingHamiltonian) else ham
     m = orb.n_modes
     if m > MODE_CAP:
         raise ValueError(f"{m} modes exceeds the dense cap {MODE_CAP}")
     dim = _sector_states(m, sector).size
-    out = np.zeros((dim, dim), dtype=complex)
-    for coeff, ops in orb.to_fermion_operator().terms:
-        rows, cols, signs = _ladder_table(ops, m, sector)
-        out[rows, cols] += signs * coeff
-    return out
+    terms = orb.to_fermion_operator().terms
+    touched, bins, term, signs = _stacked_tables(
+        tuple(ops for _, ops in terms), m, sector)
+    weights = signs * np.array([c for c, _ in terms], dtype=complex)[term]
+    out = np.zeros(dim * dim, dtype=complex)
+    out.real[touched] = np.bincount(bins, weights.real, len(touched))
+    out.imag[touched] = np.bincount(bins, weights.imag, len(touched))
+    return out.reshape(dim, dim)
 
 
 class GroundState(NamedTuple):

@@ -8,19 +8,19 @@ axis 0 and the most significant bit of the flattened index.  `_compile`
 turns a circuit's structure into blocks once per circuit and noise model,
 held in `Circuit.compiled`, `_fuse` fills in the angles of a call's
 bindings with one `gate_stack` per gate kind, and `run`, `apply_gate` and
-`adjoint_gradient` walk those blocks.  A pure block is one gate, applied
-in place as flat[idx] = U flat[idx] through a cached gather index.  On a
-density matrix a gate and its channels form one real 4x4 or 16x16
-transfer matrix, built per kind in the gates' own frame (`_ptm`) and
-placed into its block (`_local`), and each maximal run of consecutive
-gates inside one qubit pair is one block, the product in gate order
-(exact; gate fusion as in qsim and Qiskit Aer).  A pure run walks every
-block on a copy of the compiled |0...0> register.  The factored start is
-the density matrix's: from n one-qubit factors, the compiled `_plan` runs
-the leading blocks whose factors do not yet span the register on them (a
-block that joins two merges them by one outer product), and the register
-tensor is formed once, in qubit order, at the first block that would join
-them all (mrep's first fSim, after its two preparations), or at the end.
+`adjoint_gradient` walk those blocks.  A pure block is one gate: its
+rows are gathered straight from the previous block's output, never
+scattered back, and take one matmul (`_Chain`).  On a density matrix a
+gate and its channels form one real 4x4 or 16x16 transfer matrix, built
+per kind in the gates' own frame (`_ptm`) and placed into its block
+(`_local`), and each maximal run of consecutive gates inside one qubit
+pair is one block, the product in gate order (exact; gate fusion as in
+qsim and Qiskit Aer).  Its factored start: from n one-qubit factors, the
+compiled `_plan` runs the leading blocks whose factors do not yet span
+the register on them (a block that joins two merges them by one outer
+product), and the register tensor is formed once, in qubit order, at the
+first block that would join them all (mrep's first fSim, after its two
+preparations), or at the end.
 The half register is the density matrix's too: if every gate from there
 on keeps the parity of the number of X/Y factors of each Pauli word (FSIM,
 RZ, X and RPQ on XX, XY, YX, YY or ZZ; checked once, by kind, in `_plan`)
@@ -410,9 +410,8 @@ def _frame(factors: dict, live: set, n: int) -> tuple:
 
 
 def _join(parts: list, frame: tuple) -> np.ndarray:
-    """The register tensor from its factors, a new C-contiguous array (a
-    pure state is written in place through its flat view), axes in qubit
-    order."""
+    """The register tensor from its factors, a new C-contiguous array, axes
+    in qubit order."""
     views, rest = frame
     out = rest
     for slot, perm, shape in views:
@@ -487,28 +486,49 @@ class _Block(NamedTuple):
     qubits: tuple[int, ...]
     gates: tuple[Gate, ...]
     positions: range         # of its gates in the circuit
-    idx: np.ndarray | None   # pure states: flat[idx] is `_flatten`'s matrix
     tuned: tuple[int, ...]   # offsets of its gates with a named slot
+
+
+class _Chain(NamedTuple):
+    """A pure circuit's gathers, one per block boundary, each taking a
+    block's output U @ rows, raveled, to the next one's rows (`_flatten`'s
+    matrix), with () for the amplitudes in qubit order at either end; one
+    array per pair of qubit tuples."""
+    forward: tuple     # from () through every block back to ()
+    backward: tuple    # from () to the last block, back to the first
+    keys: tuple        # each block's position if it has a named slot
+    start: np.ndarray  # |0...0>
+
+
+def _chain(blocks, n: int) -> _Chain:
+    flat = np.arange(2 ** n).reshape((2,) * n)
+    rows = {q: _flatten(flat, q)[0] for q in {b.qubits for b in blocks}}
+    rows[()] = flat.reshape(1, -1)
+    ends = [(), *(b.qubits for b in blocks), ()]
+    pairs = list(zip(ends, ends[1:]))
+    gather = {(a, b): np.argsort(rows[a].ravel())[rows[b]]
+              for a, b in {*pairs, *((b, a) for a, b in pairs)}}
+    return _Chain(tuple(gather[p] for p in pairs),
+                  tuple(gather[b, a] for a, b in reversed(pairs[1:])),
+                  tuple(b.positions.start if b.tuned else None
+                        for b in blocks), np.eye(1, 2 ** n, dtype=complex))
 
 
 def _compile(circuit: Circuit, mixed: bool, noise: NoiseModel | None):
     """The angle-free part of `_fuse`, which `_fuse` keeps in
     `circuit.compiled` per (backend, noise): (blocks, each gate's factor if
-    it has no named slot, kinds, plan), its arrays read-only.  A kind
-    (kind, axes, positions, name index, scale) gathers the gates with named
-    slots, with (m, slots) tables; a numeric slot has index len(names) and
-    its angle as scale."""
+    it has no named slot, kinds, `_plan` or a pure `_Chain`), its arrays
+    read-only.  A kind (kind, axes, positions, name index, scale) gathers
+    the gates with named slots, with (m, slots) tables; a numeric slot has
+    index len(names) and its angle as scale."""
     if noise is not None and not mixed:
         raise ValueError("noise requires the density-matrix backend")
     n, gates = circuit.n_qubits, circuit.gates
-    blocks, where, index = [], [], {}  # one gather index per qubit tuple
+    blocks, where = [], []
     for qubits, members in (_runs(gates) if mixed else
                             [(g.qubits, [g]) for g in gates]):
-        if not mixed and qubits not in index:
-            index[qubits] = _flatten(np.arange(
-                2 ** n, dtype=np.intp).reshape((2,) * n), qubits)[0]
         blocks.append(_Block(qubits, tuple(members), range(
-            len(where), len(where) + len(members)), index.get(qubits),
+            len(where), len(where) + len(members)),
             tuple(j for j, g in enumerate(members) if g.param_names())))
         where += [qubits] * len(members)
 
@@ -529,21 +549,21 @@ def _compile(circuit: Circuit, mixed: bool, noise: NoiseModel | None):
           for s in gates[p].params] for p in ps]), np.array(
         [[getattr(s, "scale", s) for s in gates[p].params] for p in ps],
         dtype=float)) for (kind, axes), ps in groups.items()]
-    plan = _plan(blocks, n) if mixed else ((), ((), np.eye(  # no steps,
-        1, 2 ** n, dtype=complex).reshape((2,) * n)), None)  # |0...0>
-    for array in [*index.values(), *(f for f in fixed if f is not None),
-                  *(a for k in kinds for a in k[2:]),
-                  *(f[1] for f in (*plan[1:], *(s.frame for s in plan[0]))
-                    if f is not None)]:
+    plan = _plan(blocks, n) if mixed else _chain(blocks, n)
+    arrays = [f[1] for f in (*plan[1:], *(s.frame for s in plan[0]))
+              if f is not None] if mixed else [*plan.forward, *plan.backward,
+                                               plan.start]
+    for array in [*arrays, *(f for f in fixed if f is not None),
+                  *(a for k in kinds for a in k[2:])]:
         array.setflags(write=False)
     return tuple(blocks), fixed, tuple(kinds), plan
 
 
 def _fuse(circuit: Circuit, bindings: Mapping[str, float] | None,
           mixed: bool, noise: NoiseModel | None):
-    """(each kind with its (m, slots) angles, per block (block, factors,
-    prefixes), `_plan`), factors[k] the action of the block's gates[k] and
-    prefixes[k] = factors[k] ... factors[0], so prefixes[-1] is its S."""
+    """(each kind with its (m, slots) angles, each pure gate's matrix or per
+    block (block, factors, prefixes), plan), factors[k] the action of the
+    block's gates[k] and prefixes[k] = factors[k] ... factors[0]."""
     key = mixed, noise
     if key not in circuit.compiled:
         circuit.compiled[key] = _compile(circuit, mixed, noise)
@@ -560,10 +580,12 @@ def _fuse(circuit: Circuit, bindings: Mapping[str, float] | None,
         for p, f in zip(positions.tolist(), _ptm(u, u, noise) if mixed
                         else u):
             factors[p] = f
+    if not mixed:
+        return list(zip(kinds, angles)), factors, plan
     fused = []
     for block in blocks:
         own = factors[block.positions.start:block.positions.stop]
-        for j in block.tuned if mixed else ():
+        for j in block.tuned:
             own[j] = _local(own[j], block.gates[j].qubits, block.qubits)
         fused.append((block, own, own if len(own) == 1 else list(
             itertools.accumulate(own, lambda s, t: t @ s))))
@@ -571,25 +593,27 @@ def _fuse(circuit: Circuit, bindings: Mapping[str, float] | None,
 
 
 def _act(tensor: np.ndarray, s: np.ndarray | None, axes: tuple[int, ...],
-         idx: np.ndarray | None, kept: dict | None = None,
-         key: int = 0) -> np.ndarray:
-    """`s` on `axes`, in place through the gather index `idx` if given, or
-    nothing if `s` is None; kept[key] stores the entering tensor's
-    `_flatten` matrix, a half register's through `_whole` where `axes` hold
-    its last qubit."""
-    if idx is None:
-        if kept is not None:
-            whole = _is_half(tensor) and tensor.ndim - 1 in axes
-            kept[key] = _flatten(_whole(tensor) if whole else tensor,
-                                 axes)[0]
-        return tensor if s is None else _apply_unitary(tensor, s, axes)
-    flat = tensor.reshape(-1)
-    rows = flat[idx]
+         kept: dict | None = None, key: int = 0) -> np.ndarray:
+    """`s` on `axes` of a Pauli tensor, or nothing if `s` is None;
+    kept[key] stores the entering tensor's `_flatten` matrix, a half
+    register's through `_whole` where `axes` hold its last qubit."""
     if kept is not None:
-        kept[key] = rows
-    if s is not None:
-        flat[idx] = s @ rows
-    return tensor
+        whole = _is_half(tensor) and tensor.ndim - 1 in axes
+        kept[key] = _flatten(_whole(tensor) if whole else tensor, axes)[0]
+    return tensor if s is None else _apply_unitary(tensor, s, axes)
+
+
+def _walk(x: np.ndarray, gathers: tuple, matrices: list,
+          kept: dict | None = None, keys=()) -> np.ndarray:
+    """The last rows along a `_Chain` from `x`: per gather a block's rows,
+    kept[key] if it has a key, then its matrix on them if one is left."""
+    for gather, s, key in itertools.zip_longest(gathers, matrices, keys):
+        x = x.ravel()[gather]
+        if key is not None:
+            kept[key] = x
+        if s is not None:
+            x = s.dot(x)
+    return x
 
 
 def _forward(n: int, fused: list, plan: tuple, entering: dict | None = None,
@@ -598,7 +622,11 @@ def _forward(n: int, fused: list, plan: tuple, entering: dict | None = None,
     then of the other blocks on the register, in the half layout if `half`,
     the plan's parity rule holds and every factor at the join is even;
     `entering` keeps each tuned block's entering matrix, as `_act` does, in
-    the register's frame (a step's from its factors joined for it)."""
+    the register's frame (a step's from its factors joined for it); a pure
+    state's `_Chain` from |0...0>."""
+    if isinstance(plan, _Chain):
+        return _walk(plan.start, plan.forward, fused, entering, plan.keys if
+                     entering is not None else ()).reshape((2,) * n)
     steps, frame, half_frame = plan
     parts = list(np.tile(_ZERO, (n, 1)))
     for (block, _, prefixes), step in zip(fused, steps):
@@ -617,7 +645,7 @@ def _forward(n: int, fused: list, plan: tuple, entering: dict | None = None,
     else:
         tensor = _join(parts, frame)
     for block, _, prefixes in fused[len(steps):]:
-        tensor = _act(tensor, prefixes[-1], block.qubits, block.idx,
+        tensor = _act(tensor, prefixes[-1], block.qubits,
                       entering if block.tuned else None,
                       block.positions.start)
     return tensor
@@ -646,10 +674,17 @@ def apply_gate(state: QuantumState, gate: Gate,
     """Unitary action followed, on the mixed backend, by one depolarizing
     channel per touched qubit (p1 for one-qubit gates, p2 per qubit of a
     two-qubit gate); the gate is a block of one."""
-    _, ((block, _, (s,)),), _ = _fuse(Circuit(state.n_qubits, (gate,)),
-                                      bindings, state.kind == "mixed", noise)
-    return QuantumState(state.n_qubits, state.kind, _act(
-        state.tensor.copy(), s, block.qubits, block.idx))
+    _, fused, plan = _fuse(_circuit(state.n_qubits, (gate,)), bindings,
+                           state.kind == "mixed", noise)
+    tensor = _walk(state.tensor, plan.forward, fused) if isinstance(
+        plan, _Chain) else _apply_unitary(state.tensor, fused[0][2][0],
+                                          gate.qubits)
+    return QuantumState(state.n_qubits, state.kind,
+                        tensor.reshape(state.tensor.shape))
+
+
+# `apply_gate`'s circuits of one gate, each compiled once.
+_circuit = functools.lru_cache(maxsize=256)(Circuit)
 
 
 def run(circuit: Circuit, bindings: Mapping[str, float] | None = None,
@@ -701,18 +736,20 @@ def adjoint_gradient(circuit: Circuit, observable: Observable,
     tensor = _forward(n, fused, plan, entering)
     final = _whole(tensor)
     energy, lam = _observe(final, observable, mixed)
-    if final is not tensor and _is_even(lam):
+    if not mixed:
+        _walk(lam, plan.backward, [s.conj().T for s in fused[:0:-1]],
+              leaving, reversed(plan.keys))
+    elif final is not tensor and _is_even(lam):
         lam = _halve(lam)
     elif final is not tensor:  # entering tensors of the whole register
         _forward(n, fused, plan, entering, half=False)
-    for k in range(len(fused) - 1, -1, -1):
+    for k in range(len(fused) - 1, -1, -1) if mixed else ():
         block, factors, prefixes = fused[k]
         if k + 1 == len(plan[0]):
             lam = _whole(lam)
         lam = _act(lam, prefixes[-1].conj().T if k else None, block.qubits,
-                   block.idx, leaving if block.tuned else None,
-                   block.positions.start)
-        if block.tuned and mixed:
+                   leaving if block.tuned else None, block.positions.start)
+        if block.tuned:
             p = block.positions.start
             # M, then after^T M as j passes each gate
             overlap = leaving.pop(p) @ entering.pop(p).T

@@ -10,6 +10,11 @@ compiled table is checked against, and `gate_matrix` and
 derivative, from explicit traces over Pauli words.  `full_register_walk`
 and `unfactored` do read the simulator's compiled blocks: they check its
 product-state start against every block applied to the whole register.
+`gather_scatter_walk` is the pure walk the compiled chain replaced, each
+gate applied in place through the gather index of its qubits, with its
+adjoint sweep, and `per_term_hamiltonian_matrix` is `ed`'s per-term
+loop over sector-restricted `pauli.ladder_table`s that the stacked
+accumulation replaced; both must agree with production bit for bit.
 `oracle_jordan_wigner` is the string-product Jordan-Wigner map
 (single-qubit product table `_MUL`), and the Fock-space loops (`_ladder`,
 `oracle_hamiltonian_matrix`, `oracle_rdm1_full`) keep their own sign
@@ -30,11 +35,13 @@ import math
 
 import numpy as np
 
-from risbvqe import simulator
+from risbvqe import ed, simulator
 from risbvqe.circuits import Circuit, Gate, ParamRef, gate_stack
 from risbvqe.embedding import SymMatrix, bath_kernel, bath_kernel_slope
 from risbvqe.estimator import expectation
-from risbvqe.pauli import MODE_CAP, FermionOperator, PauliSum, jordan_wigner
+from risbvqe.hamiltonians import EmbeddingHamiltonian
+from risbvqe.pauli import (MODE_CAP, FermionOperator, PauliSum, jordan_wigner,
+                          ladder_table)
 from risbvqe.simulator import Observable
 
 
@@ -373,6 +380,22 @@ def oracle_hamiltonian_matrix(orb, sector=None):
     return out
 
 
+def per_term_hamiltonian_matrix(ham, sector=None):
+    """The dense Hamiltonian as one fancy-index update per fermion term,
+    out[rows, cols] += signs * coeff over its `pauli.ladder_table`
+    restricted to the sector basis, in term order."""
+    orb = ham.orbital() if isinstance(ham, EmbeddingHamiltonian) else ham
+    states = ed._sector_states(orb.n_modes, sector)
+    position = np.full(2 ** orb.n_modes, -1)
+    position[states] = np.arange(states.size)
+    out = np.zeros((states.size, states.size), dtype=complex)
+    for coeff, ops in orb.to_fermion_operator().terms:
+        rows, cols, signs = ladder_table(ops, orb.n_modes)
+        keep = position[cols] >= 0
+        out[position[rows[keep]], position[cols[keep]]] += signs[keep] * coeff
+    return out
+
+
 def matrix_lambda_c(delta, d, r, lam):
     """Matrix form of the bath potential for general symmetric inputs.
 
@@ -533,13 +556,51 @@ def zero_state(n_qubits, mixed=False):
 
 def full_register_walk(circuit, bindings=None, noise=None, mixed=False):
     """The final tensor of `simulator._fuse`'s blocks applied one by one to
-    the whole |0...0> register tensor, with no product-state start."""
-    _, fused, _ = simulator._fuse(circuit, bindings, mixed, noise)
-    tensor = zero_state(circuit.n_qubits, mixed).tensor
+    the whole |0...0> register tensor, with no product-state start; a
+    pure state's is `gather_scatter_walk`'s."""
+    if not mixed:
+        return gather_scatter_walk(circuit, bindings)
+    _, fused, _ = simulator._fuse(circuit, bindings, True, noise)
+    tensor = zero_state(circuit.n_qubits, True).tensor
     for block, _, prefixes in fused:
-        tensor = simulator._act(tensor, prefixes[-1], block.qubits,
-                                block.idx)
+        tensor = simulator._apply_unitary(tensor, prefixes[-1], block.qubits)
     return tensor
+
+
+def gather_scatter_walk(circuit, bindings=None, observable=None):
+    """The pure final tensor from |0...0>, each gate's matrix (from
+    `simulator._fuse`) applied in place as flat[idx] = U flat[idx] through
+    the gather index of its qubits; with an observable, (final tensor,
+    <O>, gradient) from the adjoint sweep over the same gathers and
+    scatters (the first gate's U^dag skipped) and one stacked contraction
+    per gate kind."""
+    n = circuit.n_qubits
+    kinds, matrices, _ = simulator._fuse(circuit, bindings, False, None)
+    grid = np.arange(2 ** n).reshape((2,) * n)
+    idx = [simulator._flatten(grid, g.qubits)[0] for g in circuit.gates]
+    tensor = zero_state(n).tensor
+    flat, entering, leaving = tensor.reshape(-1), {}, {}
+    for p, u in enumerate(matrices):
+        entering[p] = flat[idx[p]]
+        flat[idx[p]] = u @ entering[p]
+    if observable is None:
+        return tensor
+    energy, lam = simulator._observe(tensor, observable, False)
+    lam = lam.reshape(-1)
+    for p in range(len(matrices) - 1, -1, -1):
+        leaving[p] = lam[idx[p]]
+        if p:
+            lam[idx[p]] = matrices[p].conj().T @ leaving[p]
+    grad = np.zeros(circuit.n_params + 1)
+    for (kind, axes, positions, index, scale), a in kinds:
+        m = np.conj([leaving[p] for p in positions.tolist()]) @ np.array(
+            [entering[p] for p in positions.tolist()]).transpose(0, 2, 1)
+        du = [gate_stack(kind, a, axes, slot) for slot in range(a.shape[1])]
+        terms = (scale.T[:, :, None, None] * np.array(du) * m).reshape(
+            *a.shape[::-1], -1).sum(-1).real
+        grad += 2.0 * np.bincount(index.T.ravel(), terms.ravel(),
+                                  minlength=len(grad))
+    return tensor, energy.real, grad[:-1]
 
 
 def unfactored(circuit, mixed, noise=None):

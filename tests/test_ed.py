@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 import risbvqe
 from risbvqe.circuits import build_mr_nc1, build_mrep
-from risbvqe.ed import (GroundState, SectorLabel, _ladder_table, _rdm1_table,
-                        _sector_states, ed_rdm1, ed_rdm1_full, exact_no_basis,
-                        ground_state, half_filling_sector, hamiltonian_matrix,
-                        sector_of)
+from risbvqe.ed import (GroundState, SectorLabel, _rdm1_table, _sector_states,
+                        _stacked_tables, ed_rdm1, ed_rdm1_full,
+                        exact_no_basis, ground_state, half_filling_sector,
+                        hamiltonian_matrix, sector_of)
 from risbvqe.estimator import parameter_shift_minimize
 from risbvqe.hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
 from risbvqe.pauli import ladder_table
@@ -26,7 +26,7 @@ from risbvqe.simulator import Observable, QuantumState, run
 
 from oracles import (expectation_matrix, oracle_hamiltonian_matrix,
                      oracle_rdm1_full, oracle_sector_basis, pauli_rdm1_full,
-                     random_bindings)
+                     per_term_hamiltonian_matrix, random_bindings)
 
 RNG = np.random.default_rng(40813)
 
@@ -201,6 +201,16 @@ def random_unitary(rng, dim) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def random_cluster(rng, n_c: int) -> EmbeddingHamiltonian:
+    """An n_c cluster with random couplings, every entry nonzero."""
+    def sym():
+        a = rng.uniform(-1, 1, (n_c, n_c))
+        return a + a.T
+    return EmbeddingHamiltonian(n_c, rng.uniform(0.5, 3),
+                                rng.uniform(-1, 1, (n_c, n_c)), sym(),
+                                rng.uniform(-1, 1), sym())
+
+
 @st.composite
 def dense_hamiltonians(draw):
     """Random Hermitian h and dense u, optionally rotated, with a sector
@@ -256,14 +266,45 @@ class TestCompiledTables:
         emb = random_embedding(RNG)
         sector = half_filling_sector(1)
         hamiltonian_matrix(emb, sector)
-        _, ops = emb.orbital().to_fermion_operator().terms[-1]
-        arrays = (_ladder_table(ops, 4, sector) + _rdm1_table(4)
-                  + ladder_table(ops, 4)
+        terms = emb.orbital().to_fermion_operator().terms
+        _, ops = terms[-1]
+        arrays = (_stacked_tables(tuple(o for _, o in terms), 4, sector)
+                  + _rdm1_table(4) + ladder_table(ops, 4)
                   + (_sector_states(4, sector), _sector_states(4, None)))
         for array in arrays:
             assert array.size
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 7
+
+    @pytest.mark.parametrize("n_c", [1, 2])
+    def test_matrix_matches_per_term_loop(self, n_c):
+        # the stacked accumulation sums each entry in term order, as the
+        # per-term fancy-index updates do: bit for bit, signed zeros too
+        for _ in range(3):
+            emb = random_cluster(RNG, n_c)
+            rotated = emb.orbital().rotate(random_unitary(RNG, 2 * n_c))
+            for ham in (emb, rotated):
+                for sector in (None, half_filling_sector(n_c)):
+                    got = hamiltonian_matrix(ham, sector)
+                    want = per_term_hamiltonian_matrix(ham, sector)
+                    assert got.tobytes() == want.tobytes()
+                    assert got.shape == want.shape
+
+    def test_tables_follow_the_term_structure(self):
+        sector = half_filling_sector(2)
+        _stacked_tables.cache_clear()
+        hamiltonian_matrix(random_cluster(RNG, 2), sector)
+        # new coefficients on the same terms reuse the stacked tables
+        same = random_cluster(RNG, 2)
+        hamiltonian_matrix(same, sector)
+        assert _stacked_tables.cache_info()[:2] == (1, 1)
+        # without the interaction the terms change: the tables are rebuilt
+        bare = EmbeddingHamiltonian(2, 0.0, same.d_mix, same.lambda_c,
+                                    same.mu, same.t_intra)
+        got = hamiltonian_matrix(bare, sector)
+        assert _stacked_tables.cache_info()[:2] == (1, 2)
+        assert got.tobytes() == per_term_hamiltonian_matrix(
+            bare, sector).tobytes()
 
     def test_sector_states_match_oracle(self):
         assert _sector_states(4, SectorLabel(2, 0)).tolist() == [5, 6, 9, 10]
@@ -276,7 +317,7 @@ class TestCompiledTables:
         # Table building belongs to the first solve, not to start-up.
         code = ("import risbvqe.cli\n"
                 "from risbvqe import ed, embedding, pauli\n"
-                "caches = (ed._sector_states, ed._ladder_table,\n"
+                "caches = (ed._sector_states, ed._stacked_tables,\n"
                 "          ed._rdm1_table, embedding._bands,\n"
                 "          pauli.ladder_table)\n"
                 "print(sum(c.cache_info().currsize for c in caches))\n")

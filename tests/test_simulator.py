@@ -21,7 +21,8 @@ from risbvqe.simulator import (NoiseModel, Observable, QuantumState, _compile,
 from risbvqe.vqe import vqe_minimize
 
 from oracles import (KIND_AXES, dense_state, finite_difference_gradient,
-                     full_register_walk, noisy_density, oracle_transfer,
+                     full_register_walk, gather_scatter_walk,
+                     noisy_density, oracle_transfer,
                      pauli_observable, random_bindings, superoperator_density,
                      unfactored, whole_register, word_mat, zero_state)
 
@@ -133,7 +134,7 @@ class TestUnitaryAction:
         before = start.tensor.copy()
         apply_gate(start, Gate("H", (0,)))
         np.testing.assert_array_equal(start.tensor, before)
-        # the pure backend scatters in place, but into its own copy
+        # the pure backend gathers each block's rows into new arrays
         psi = RNG.normal(size=4) + 1j * RNG.normal(size=4)
         start = QuantumState.from_vector(psi / np.linalg.norm(psi))
         before = start.tensor.copy()
@@ -868,19 +869,23 @@ class TestCompileCache:
     def test_cached_arrays_are_read_only(self, mixed, noise):
         # numeric RY gates and CNOTs are fixed, RZ slots at scale -2 named
         circ = decompose_circuit(build_ldca(4, 1))
-        blocks, fixed, kinds, (steps, (_, start), half) = _compile(
-            circ, mixed, noise)
-        assert half is None  # CNOTs, and no half layout for pure states
+        blocks, fixed, kinds, plan = _compile(circ, mixed, noise)
         arrays = [f for f in fixed if f is not None]
         arrays += [a for kind in kinds for a in kind[2:]]
-        arrays += [b.idx for b in blocks if b.idx is not None]
-        arrays += [start]  # the pure |0...0> register, or its Pauli rest
+        if mixed:
+            steps, (_, start), half = plan
+            assert steps and half is None  # CNOTs: no half layout
+            arrays += [start]  # the Pauli rest of the untouched factors
+        else:
+            # a gather per block boundary, and the |0...0> amplitudes
+            arrays += [*plan.forward, *plan.backward, plan.start]
+            assert len(plan.forward) == len(blocks) + 1
+            assert len(plan.backward) == len(blocks)
+            # one gather per pair of consecutive qubit tuples, shared
+            pairs = {(a.qubits, b.qubits) for a, b in zip(blocks, blocks[1:])}
+            assert len({id(g) for g in plan.forward[1:-1]}) == len(pairs)
+            assert len(pairs) < len(blocks) // 4
         assert len(arrays) > len(kinds) * 3
-        assert (len(steps) == 0) != mixed
-        assert all(b.idx is None for b in blocks) == mixed
-        # one gather index per qubit tuple, shared by its blocks
-        assert len({id(b.idx) for b in blocks if b.idx is not None}) == (
-            0 if mixed else len({b.qubits for b in blocks}))
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -953,20 +958,126 @@ class TestFactoredStart:
         (None, [])])                          # a pure run has no steps
     def test_mrep_preparation_runs_on_factors(self, noise, factored,
                                               monkeypatch):
-        # the steps call `_apply_unitary`, as `_act` does on a density matrix
-        kernel = "_act" if noise is None else "_apply_unitary"
-        passes, act = [], getattr(simulator, kernel)
-
-        def counted(tensor, *args, **kwargs):
-            passes.append(tensor.ndim)
-            return act(tensor, *args, **kwargs)
-
-        monkeypatch.setattr(simulator, kernel, counted)
+        # the steps call `_apply_unitary`, as `_act` does on a density
+        # matrix; a pure run's matmuls along its chain count as ()
+        shapes = count_passes(monkeypatch)
         circ = build_mrep(2, 4)
         run(circ, random_bindings(circ, RNG), noise=noise)
         # the register forms at the first fSim, (0, 1): 28 register passes,
-        # or at the start: all 40 gates
-        assert passes == factored + [8] * (28 if factored else 40)
+        # or at the start: all 40 gates, one matmul each
+        register = [8] * 28 if factored else [0] * 40
+        assert [len(shape) for shape in shapes] == factored + register
+
+
+# Pairs listed both ways and on qubits that are not neighbours, with
+# one-qubit gates between them.
+REVERSED_PAIRS = Circuit(4, (
+    Gate("FSIM", (3, 0), (ParamRef("a"), 0.3)), Gate("CNOT", (0, 3)),
+    Gate("RPQ", (2, 0), (ParamRef("b"),), axes=("X", "Y")),
+    Gate("RY", (2,), (ParamRef("a", scale=-2.0),)),
+    Gate("FSIM", (1, 3), (-0.2, ParamRef("c"))), Gate("CNOT", (3, 1)),
+    Gate("RPQ", (0, 2), (ParamRef("c"),), axes=("Z", "Z"))))
+PURE = {**FACTORED, "mr_nc1": build_mr_nc1(), "reversed pairs": REVERSED_PAIRS}
+
+
+def bits(array: np.ndarray) -> tuple:
+    return array.shape, array.dtype, array.tobytes()
+
+
+def assert_matches_gather_scatter(circuit, rng):
+    """`run`, `adjoint_gradient` and gate-by-gate `apply_gate` against the
+    gather-scatter walk the chain replaced, bit for bit (signed zeros
+    too)."""
+    bindings = random_bindings(circuit, rng)
+    obs = random_observable(circuit.n_qubits, 12, rng, norm=1.0)
+    want, want_energy, want_grad = gather_scatter_walk(circuit, bindings, obs)
+    assert bits(run(circuit, bindings).tensor) == bits(want)
+    final, energy, grad = adjoint_gradient(circuit, obs, bindings)
+    assert bits(final.tensor) == bits(want)
+    assert energy == want_energy and bits(grad) == bits(want_grad)
+    state = zero_state(circuit.n_qubits)
+    for gate in circuit.gates:
+        state = apply_gate(state, gate, bindings)
+    assert bits(state.tensor) == bits(want)
+
+
+LOG: list = []  # the walk's gathers and matmuls, in order
+
+
+class Tracked(np.ndarray):
+    """Amplitudes that log each gather taken from them and refuse writes."""
+
+    def __getitem__(self, index):
+        LOG.append("gather")
+        return super().__getitem__(index)
+
+    def __setitem__(self, index, value):
+        raise AssertionError("a scatter into the walk's amplitudes")
+
+
+class Logged:
+    """A block matrix that logs each product the walk takes with it."""
+
+    def __init__(self, s):
+        self.s = s
+
+    def dot(self, x):
+        LOG.append("matmul")
+        return self.s.dot(np.asarray(x)).view(Tracked)
+
+    def conj(self):
+        return Logged(self.s.conj())
+
+    @property
+    def T(self):
+        return Logged(self.s.T)
+
+
+class TestPureChain:
+    """The pure backend walks a compiled chain: per block one gather of its
+    rows from the previous block's output and one matmul, and nothing is
+    scattered back."""
+
+    @pytest.mark.parametrize("name", sorted(PURE))
+    def test_matches_gather_scatter_walk(self, name):
+        assert_matches_gather_scatter(PURE[name], RNG)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_circuits(NUMERIC_OR_NAMED), st.integers(0, 2 ** 32 - 1))
+    def test_random_circuits(self, circuit, seed):
+        assert_matches_gather_scatter(circuit, np.random.default_rng(seed))
+
+    def test_mrep_walk_steps(self, monkeypatch):
+        fuse = simulator._fuse
+
+        def logged_fuse(*args):
+            kinds, matrices, plan = fuse(*args)
+            return kinds, [Logged(s) for s in matrices], plan._replace(
+                start=plan.start.view(Tracked))
+
+        monkeypatch.setattr(simulator, "_fuse", logged_fuse)
+        circ = build_mrep(2, 4)
+        bindings = random_bindings(circ, RNG)
+        LOG.clear()
+        run(circ, bindings)
+        # entering the first gate, between gates and back to qubit order
+        forward = ["gather", "matmul"] * 40 + ["gather"]
+        assert LOG == forward
+        LOG.clear()
+        adjoint_gradient(circ, random_observable(8, 12), bindings)
+        # back from O psi: the first gate's rows are read, not multiplied
+        assert LOG == forward + ["gather", "matmul"] * 39 + ["gather"]
+
+    def test_apply_gate_compiles_once(self, monkeypatch):
+        simulator._circuit.cache_clear()
+        calls = TestCompileCache.count_compiles(monkeypatch)
+        for state, noise in ((zero_state(3), None),
+                             (zero_state(3, mixed=True), calibrate_noise())):
+            # two equal gates: one circuit, compiled once per backend
+            first = apply_gate(state, Gate("CNOT", (2, 0)), noise=noise)
+            again = apply_gate(state, Gate("CNOT", (2, 0)), noise=noise)
+            assert bits(again.tensor) == bits(first.tensor)
+        assert len(calls) == 2
 
 
 HALF = (4,) * 7 + (2,)  # an 8-qubit register on its even Pauli words
@@ -990,20 +1101,19 @@ def even_observable(n: int, n_words: int, rng,
 
 def count_passes(monkeypatch) -> list:
     """The shape of each density-matrix pass (`_apply_unitary`) and, as
-    (), each pure-state pass (`_act` with a matrix)."""
-    shapes, apply, act = [], simulator._apply_unitary, simulator._act
+    (), each pure-state matmul (one per matrix `_walk` takes)."""
+    shapes, apply, walk = [], simulator._apply_unitary, simulator._walk
 
     def counted_apply(tensor, *args, **kwargs):
         shapes.append(tensor.shape)
         return apply(tensor, *args, **kwargs)
 
-    def counted_act(tensor, s, axes, idx, *args, **kwargs):
-        if idx is not None and s is not None:
-            shapes.append(())
-        return act(tensor, s, axes, idx, *args, **kwargs)
+    def counted_walk(x, gathers, matrices, *args):
+        shapes.extend([()] * len(matrices))
+        return walk(x, gathers, matrices, *args)
 
     monkeypatch.setattr(simulator, "_apply_unitary", counted_apply)
-    monkeypatch.setattr(simulator, "_act", counted_act)
+    monkeypatch.setattr(simulator, "_walk", counted_walk)
     return shapes
 
 
