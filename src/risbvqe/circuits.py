@@ -17,6 +17,7 @@ import numpy as np
 VALID_KINDS = {"RX", "RY", "RZ", "X", "H", "CNOT", "FSIM", "RPQ"}
 _N_PARAMS = {"RX": 1, "RY": 1, "RZ": 1, "X": 0, "H": 0, "CNOT": 0,
              "FSIM": 2, "RPQ": 1}
+_AXIS_PAIRS = tuple((a, b) for a in "XYZ" for b in "XYZ")  # RPQ's P o Q
 
 _PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -58,7 +59,7 @@ class Gate:
                              f"parameter(s)")
         if (self.kind == "RPQ") != (self.axes is not None):
             raise ValueError("axes are for RPQ gates only")
-        if self.axes is not None and any(a not in "XYZ" for a in self.axes):
+        if self.axes is not None and self.axes not in _AXIS_PAIRS:
             raise ValueError(f"invalid rotation axes {self.axes}")
 
     def param_names(self) -> list[str]:
@@ -78,7 +79,7 @@ _PARTS = {("FSIM", None): (np.diag([1, 0, 0, 0]), np.diag([0, 1, 1, 0]),
 _PARTS.update({(k, None): (np.eye(2), -1j * _PAULI[k[1]])
                for k in ("RX", "RY", "RZ")})
 _PARTS.update({("RPQ", (a, b)): (np.eye(4), 1j * np.kron(_PAULI[a], _PAULI[b]))
-               for a in "XYZ" for b in "XYZ"})
+               for a, b in _AXIS_PAIRS})
 _PARTS = {key: np.array(parts, dtype=complex).reshape(len(parts), -1)
           for key, parts in _PARTS.items()}
 

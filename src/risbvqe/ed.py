@@ -117,10 +117,9 @@ def hamiltonian_matrix(ham, sector: SectorLabel | None = None) -> np.ndarray:
     if m > MODE_CAP:
         raise ValueError(f"{m} modes exceeds the dense cap {MODE_CAP}")
     dim = _sector_states(m, sector).size
-    terms = orb.to_fermion_operator().terms
-    touched, bins, term, signs = _stacked_tables(
-        tuple(ops for _, ops in terms), m, sector)
-    weights = signs * np.array([c for c, _ in terms], dtype=complex)[term]
+    strings, coeffs = orb.ladder_terms()
+    touched, bins, term, signs = _stacked_tables(strings, m, sector)
+    weights = signs * coeffs[term]
     out = np.zeros(dim * dim, dtype=complex)
     out.real[touched] = np.bincount(bins, weights.real, len(touched))
     out.imag[touched] = np.bincount(bins, weights.imag, len(touched))
@@ -228,10 +227,10 @@ def ed_rdm1_full(state: np.ndarray) -> np.ndarray:
     return rdm
 
 
-def ed_rdm1(psi: np.ndarray, n_c: int, spin_average: bool = True) -> Rdm1:
+def ed_rdm1(psi: np.ndarray, n_c: int) -> Rdm1:
     """Per-spin 1-RDM of an embedded-cluster state (amplitudes or density
-    matrix, as `ed_rdm1_full` takes them): the spin-up block, or the mean
-    of both blocks.  Modes are spin-major: up block first, down second;
+    matrix, as `ed_rdm1_full` takes them): the mean of both spin blocks,
+    with their gap.  Modes are spin-major: up block first, down second;
     each block lists the n_c impurity orbitals then the n_c bath orbitals.
     """
     full = ed_rdm1_full(psi)
@@ -241,7 +240,7 @@ def ed_rdm1(psi: np.ndarray, n_c: int, spin_average: bool = True) -> Rdm1:
     up = full[:2 * n_c, :2 * n_c]
     down = full[2 * n_c:, 2 * n_c:]
     gap = float(np.max(np.abs(up - down)))
-    return Rdm1(0.5 * (up + down) if spin_average else up, gap)
+    return Rdm1(0.5 * (up + down), gap)
 
 
 @dataclass(frozen=True)
@@ -258,10 +257,6 @@ class BasisRotation:
         gram = v.conj().T @ v
         if not np.allclose(gram, np.eye(v.shape[1]), atol=UNITARY_TOL):
             raise ValueError("rotation is not unitary")
-
-    @property
-    def dim(self) -> int:
-        return self.v.shape[0]
 
 
 def _gauge_fix(vecs: np.ndarray) -> np.ndarray:

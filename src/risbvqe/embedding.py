@@ -24,7 +24,6 @@ from . import SolverFailure
 from .ed import ed_rdm1, ground_state, half_filling_sector
 from .hamiltonians import EmbeddingHamiltonian
 
-FILLING_TOL = 1e-8
 MOTT_CLAMP = 1e-3
 BAND_CACHE_SIZE = 16
 # Nelder-Mead on (R, lambda): initial simplex edge and stopping tolerances.

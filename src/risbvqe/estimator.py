@@ -32,13 +32,12 @@ def expectation(state: QuantumState, obs: Observable) -> float:
     return value.real
 
 
-def measure_rdm1(state: QuantumState, n_c: int,
-                 spin_average: bool = True) -> Rdm1:
-    """Per-spin 1-RDM of an embedded-cluster state, as `ed.ed_rdm1` reads
-    it; a spin average warns when the blocks it averaged differ."""
+def measure_rdm1(state: QuantumState, n_c: int) -> Rdm1:
+    """Spin-averaged 1-RDM of an embedded-cluster state, as `ed.ed_rdm1`
+    reads it; warns when the blocks it averaged differ."""
     rdm = ed_rdm1(state.tensor.reshape(-1) if state.kind == "pure"
-                  else state.density(), n_c, spin_average)
-    if spin_average and rdm.spin_gap > SPIN_ASYMMETRY_TOL:
+                  else state.density(), n_c)
+    if rdm.spin_gap > SPIN_ASYMMETRY_TOL:
         warnings.warn(f"spin blocks differ by {rdm.spin_gap:.3e}; "
                       f"paramagnetic symmetry may be broken", stacklevel=2)
     return rdm

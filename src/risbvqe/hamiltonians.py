@@ -2,9 +2,10 @@
 
 `OrbitalHamiltonian` stores coefficients (h_pq, u_pqrs, const) for
 H = const + sum_pq h[p,q] c+_p c_q + sum_pqrs u[p,q,r,s] c+_p c+_q c_r c_s
-and knows how to change single-particle basis, export fermion terms, and
-compile to a Pauli sum, whose words the term counts read (simulator
-observables come from `ed.hamiltonian_matrix` instead).
+and knows how to change single-particle basis and list its terms once
+(`ladder_terms`).  That one list is read twice: `ed.hamiltonian_matrix`
+sums it into the Fock-space matrix every solver and simulator observable
+uses, and `to_pauli` compiles it to the Pauli words the term counts read.
 `EmbeddingHamiltonian` assembles the impurity+bath cluster model from its
 physical blocks.
 
@@ -76,21 +77,26 @@ class OrbitalHamiltonian:
                           v.conj(), v.conj(), optimize=True)
         return OrbitalHamiltonian(h_new, u_new, self.const)
 
-    def to_fermion_operator(self) -> FermionOperator:
-        terms: list[tuple[complex, tuple]] = []
-        if self.const:
-            terms.append((complex(self.const), ()))
+    def ladder_terms(self) -> tuple[tuple, np.ndarray]:
+        """The operator's one term list: (ladder strings, complex
+        coefficients), the constant first if it is nonzero, then h and u,
+        each in C order, keeping entries with |c| > 1e-14."""
         # argwhere and boolean masks both walk the tensors in C order.
         h_mask = np.abs(self.h) > 1e-14
-        for (p, q), coeff in zip(np.argwhere(h_mask).tolist(),
-                                 self.h[h_mask]):
-            terms.append((coeff, ((p, True), (q, False))))
         u_mask = np.abs(self.u) > 1e-14
-        for (p, q, r, s), coeff in zip(np.argwhere(u_mask).tolist(),
-                                       self.u[u_mask]):
-            terms.append((coeff, ((p, True), (q, True),
-                                  (r, False), (s, False))))
-        return FermionOperator(terms)
+        const = [self.const] if self.const else []
+        strings = [()] * len(const)
+        strings += [((p, True), (q, False))
+                    for p, q in np.argwhere(h_mask).tolist()]
+        strings += [((p, True), (q, True), (r, False), (s, False))
+                    for p, q, r, s in np.argwhere(u_mask).tolist()]
+        coeffs = np.concatenate((np.array(const, dtype=complex),
+                                 self.h[h_mask], self.u[u_mask]))
+        return tuple(strings), coeffs
+
+    def to_fermion_operator(self) -> FermionOperator:
+        strings, coeffs = self.ladder_terms()
+        return FermionOperator(zip(coeffs.tolist(), strings))
 
     def to_pauli(self) -> PauliSum:
         return jordan_wigner(self.to_fermion_operator(), self.n_modes)

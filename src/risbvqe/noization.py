@@ -43,7 +43,6 @@ class NoizeResult:
     """Accumulated rotation and per-step diagnostics of the iteration."""
 
     basis: BasisRotation
-    hamiltonian: OrbitalHamiltonian
     reports: list
     final: VqeResult | None = None
 
@@ -100,7 +99,7 @@ def noize(ham, ansatz: Circuit | None = None, n_steps: int = 3,
         orb = orb.rotate(rotation.v)
         v_tot = v_tot @ rotation.v
     return NoizeResult(basis=BasisRotation(v_tot, step=n_steps),
-                       hamiltonian=orb, reports=reports, final=last)
+                       reports=reports, final=last)
 
 
 BASIS_MODES = ("original", "exact-no", "noize")

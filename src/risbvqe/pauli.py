@@ -1,4 +1,5 @@
-"""Pauli sums, fermionic operators, and the package's one fermion kernel.
+"""Pauli words, ladder-operator strings, and the package's one fermion
+kernel.
 
 A Pauli word is a plain string over the alphabet ``IXYZ``; position ``i`` in
 the word addresses qubit ``i``, and qubit 0 is the leftmost (most
@@ -9,7 +10,9 @@ one-to-one onto qubits in the same order.
 string over all Fock states.  The Jordan-Wigner map reads it here, and `ed`
 reads it for the exact-diagonalization and 1-RDM tables, so the fermionic
 sign convention is written once.  `ed`'s Fock-space matrix is also every
-simulator observable; Pauli sums serve where words are read, as in
+simulator observable.  `PauliSum` and `FermionOperator` are containers,
+not an operator algebra: a `FermionOperator` carries ladder strings into
+`jordan_wigner`, whose `PauliSum` serves only where words are read, as in
 `count_terms`.
 
 Conventions used throughout the package:
@@ -29,8 +32,9 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-# Coefficients with magnitude below this are dropped after every operation;
-# term-count checks rely on this single knob.
+# Coefficients with magnitude below this are dropped when a PauliSum is
+# built and after each term of the Jordan-Wigner map; term-count checks rely
+# on this single knob.
 PRUNE_TOL = 1e-12
 
 # Every O(2^n) table (ladder tables, dense matrices, ED) refuses registers
@@ -84,54 +88,17 @@ class PauliSum:
             return NotImplemented
         return self.n_qubits == other.n_qubits and self._terms == other._terms
 
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if not isinstance(other, PauliSum):
-            return NotImplemented
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("register size mismatch")
-        merged = dict(self._terms)
-        for word, coeff in other._terms.items():
-            merged[word] = merged.get(word, 0.0) + coeff
-        return PauliSum(merged, self.n_qubits)
-
-    def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return self + (-1.0) * other
-
-    def __neg__(self) -> "PauliSum":
-        return (-1.0) * self
-
-    def __rmul__(self, scalar: complex) -> "PauliSum":
-        return PauliSum({w: scalar * c for w, c in self._terms.items()},
-                        self.n_qubits)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, float, complex)):
-            return self.__rmul__(scalar)
-        return NotImplemented
-
-    def adjoint(self) -> "PauliSum":
-        return PauliSum({w: np.conj(c) for w, c in self._terms.items()},
-                        self.n_qubits)
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return all(abs(c.imag) <= tol for c in self._terms.values())
-
     def __repr__(self) -> str:
         n = len(self._terms)
         return f"PauliSum(n_qubits={self.n_qubits}, n_terms={n})"
 
 
-def count_terms(p: PauliSum, include_identity: bool = False) -> int:
-    """Number of surviving Pauli terms.
-
-    The identity term is excluded by default: that is the convention under
-    which the embedded single-site Hamiltonian counts 7 words in the
-    site-spin basis and 52 after the natural-orbital rotation.
+def count_terms(p: PauliSum) -> int:
+    """Number of surviving Pauli terms other than the identity word: the
+    convention under which the embedded single-site Hamiltonian counts 7
+    words in the site-spin basis and 52 after the natural-orbital rotation.
     """
-    n = len(p._terms)
-    if not include_identity and ("I" * p.n_qubits) in p._terms:
-        n -= 1
-    return n
+    return len(p._terms) - (("I" * p.n_qubits) in p._terms)
 
 
 def _parities(n_bits: int) -> np.ndarray:
@@ -168,28 +135,6 @@ class FermionOperator:
     @classmethod
     def number(cls, mode: int, coeff: complex = 1.0) -> "FermionOperator":
         return cls([(coeff, ((mode, True), (mode, False)))])
-
-    def __add__(self, other: "FermionOperator") -> "FermionOperator":
-        return FermionOperator(self.terms + other.terms)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return FermionOperator([(other * c, ops) for c, ops in self.terms])
-        prod = []
-        for ca, opsa in self.terms:
-            for cb, opsb in other.terms:
-                prod.append((ca * cb, opsa + opsb))
-        return FermionOperator(prod)
-
-    def __rmul__(self, scalar: complex) -> "FermionOperator":
-        return self.__mul__(scalar)
-
-    def adjoint(self) -> "FermionOperator":
-        out = []
-        for c, ops in self.terms:
-            rev = tuple((m, not d) for m, d in reversed(ops))
-            out.append((np.conj(c), rev))
-        return FermionOperator(out)
 
     def max_mode(self) -> int:
         return max((m for _, ops in self.terms for m, _ in ops), default=-1)

@@ -64,18 +64,14 @@ def _header_lines(cfg_hash: str) -> list[str]:
 def write_csv(path: str | Path, columns: Sequence[str],
               rows: Sequence[Sequence], cfg_hash: str) -> None:
     """Comment-prefixed metadata header, fixed column order, one row per
-    record.  Rows may be sequences (aligned with `columns`) or mappings."""
+    record, each a sequence aligned with `columns`."""
     lines = _header_lines(cfg_hash)
     lines.append(",".join(columns))
     for row in rows:
-        if isinstance(row, Mapping):
-            cells = [format_value(row[c]) for c in columns]
-        else:
-            if len(row) != len(columns):
-                raise ValueError(f"row of width {len(row)} against "
-                                 f"{len(columns)} columns")
-            cells = [format_value(v) for v in row]
-        lines.append(",".join(cells))
+        if len(row) != len(columns):
+            raise ValueError(f"row of width {len(row)} against "
+                             f"{len(columns)} columns")
+        lines.append(",".join(format_value(v) for v in row))
     atomic_write(path, "\n".join(lines) + "\n")
 
 

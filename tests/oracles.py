@@ -40,8 +40,8 @@ from risbvqe.circuits import Circuit, Gate, ParamRef, gate_stack
 from risbvqe.embedding import SymMatrix, bath_kernel, bath_kernel_slope
 from risbvqe.estimator import expectation
 from risbvqe.hamiltonians import EmbeddingHamiltonian
-from risbvqe.pauli import (MODE_CAP, FermionOperator, PauliSum, jordan_wigner,
-                          ladder_table)
+from risbvqe.pauli import (MODE_CAP, PRUNE_TOL, FermionOperator, PauliSum,
+                          jordan_wigner, ladder_table)
 from risbvqe.simulator import Observable
 
 
@@ -155,17 +155,23 @@ def _ladder_image(mode, dagger, n_modes):
 
 def oracle_jordan_wigner(op, n_modes):
     """Jordan-Wigner by string products: each term is the product of its
-    ladder images, and the terms are summed one PauliSum at a time."""
+    ladder images, merged into the running sum in order, dropping words
+    with |c| <= PRUNE_TOL after each term."""
     if op.max_mode() >= n_modes:
         raise ValueError(f"mode index {op.max_mode()} out of range "
                          f"for {n_modes} modes")
-    total = pauli_zero(n_modes)
+    total = {}
     for coeff, ops in op.terms:
         acc = pauli_identity(n_modes, coeff)
         for mode, dagger in ops:
             acc = pauli_sum_product(acc, _ladder_image(mode, dagger, n_modes))
-        total = total + acc
-    return total
+        for word, value in acc.items():
+            value = total.get(word, 0.0) + value
+            if abs(value) > PRUNE_TOL:
+                total[word] = value
+            else:
+                total.pop(word, None)
+    return PauliSum(total, n_modes)
 
 
 # Every gate kind, RPQ with each of its nine axis pairs.
@@ -300,9 +306,9 @@ def oracle_rdm1_density(rho, n_modes):
 def _hopping_parts(p, q, n_modes):
     """Hermitian pieces h1 = c+_p c_q + h.c. and h2 = i c+_p c_q + h.c.;
     <c+_p c_q> = (<h1> - i <h2>) / 2."""
-    hop = FermionOperator.creation(p) * FermionOperator.annihilation(q)
-    h1 = hop + hop.adjoint()
-    h2 = 1j * hop + (1j * hop).adjoint()
+    hop, back = ((p, True), (q, False)), ((q, True), (p, False))
+    h1 = FermionOperator([(1.0, hop), (1.0, back)])
+    h2 = FermionOperator([(1j, hop), (-1j, back)])
     return (pauli_observable(jordan_wigner(h1, n_modes)),
             pauli_observable(jordan_wigner(h2, n_modes)))
 

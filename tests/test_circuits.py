@@ -317,6 +317,13 @@ class TestCircuitPlumbing:
         with pytest.raises(ValueError):
             Circuit(2, (Gate("X", (5,)),))
 
+    @pytest.mark.parametrize("axes", [("XY", "Z"), ("X",), ("", "X"),
+                                      ("X", "Y", "Z"), ["X", "Y"]])
+    def test_rpq_axes_must_be_two_paulis(self, axes):
+        # each of these once passed construction and failed later in `run`
+        with pytest.raises(ValueError, match="invalid rotation axes"):
+            Gate("RPQ", (0, 1), (0.3,), axes=axes)
+
     def test_serialization_lines(self):
         text = circuit_to_text(build_mr_nc1()).splitlines()
         assert text[0] == "RY 0 theta"

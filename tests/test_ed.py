@@ -180,9 +180,7 @@ class TestRdm1:
         full = ed_rdm1_full(state.vector())
         want = np.max(np.abs(full[:4, :4] - full[4:, 4:]))
         assert want > 1e-2
-        for spin_average in (True, False):
-            rdm = ed_rdm1(state.vector(), n_c=2, spin_average=spin_average)
-            assert rdm.spin_gap == want
+        assert ed_rdm1(state.vector(), n_c=2).spin_gap == want
 
     def test_spin_gap_of_a_ground_state(self):
         for n_c in (1, 2):

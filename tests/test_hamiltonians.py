@@ -10,6 +10,8 @@ from risbvqe.ed import hamiltonian_matrix
 from risbvqe.hamiltonians import (EmbeddingHamiltonian, OrbitalHamiltonian,
                                   mode_index)
 
+from oracles import oracle_jordan_wigner
+
 RNG = np.random.default_rng(6151)
 
 
@@ -94,7 +96,8 @@ class TestEmbedding:
 
     def test_pauli_is_hermitian(self):
         for _ in range(5):
-            assert random_embedding(RNG).to_pauli().is_hermitian()
+            words = random_embedding(RNG).to_pauli()
+            assert all(abs(c.imag) <= 1e-10 for _, c in words.items())
 
 
 class TestRotation:
@@ -132,7 +135,7 @@ class TestRotation:
         base = np.sort(np.linalg.eigvalsh(hamiltonian_matrix(orb)))
         v = unitary_group.rvs(4, random_state=RNG)
         rotated = orb.rotate(v)
-        assert rotated.to_pauli().is_hermitian()
+        assert all(abs(c.imag) <= 1e-10 for _, c in rotated.to_pauli().items())
         got = np.sort(np.linalg.eigvalsh(hamiltonian_matrix(rotated)))
         np.testing.assert_allclose(got, base, atol=1e-9)
 
@@ -144,3 +147,50 @@ class TestRotation:
         one_step = orb.rotate(v1 @ v2)
         np.testing.assert_allclose(two_step.h, one_step.h, atol=1e-10)
         np.testing.assert_allclose(two_step.u, one_step.u, atol=1e-10)
+
+
+def bare_and_rotated(rng, n_c):
+    """A random n_c cluster's coefficients, bare and in a random complex
+    orbital basis."""
+    def sym():
+        a = rng.uniform(-1, 1, (n_c, n_c))
+        return a + a.T
+    orb = EmbeddingHamiltonian(n_c, rng.uniform(0.5, 3),
+                               rng.uniform(-1, 1, (n_c, n_c)), sym(),
+                               rng.uniform(-1, 1), sym()).orbital()
+    return orb, orb.rotate(unitary_group.rvs(2 * n_c, random_state=rng))
+
+
+class TestLadderTerms:
+    @pytest.mark.parametrize("n_c", [1, 2])
+    def test_one_list_in_stated_order(self, n_c):
+        # the constant if nonzero, then h and u in C order, |c| > 1e-14
+        for orb in bare_and_rotated(RNG, n_c):
+            strings, coeffs = orb.ladder_terms()
+            want = [((), orb.const)] if orb.const else []
+            want += [(((p, True), (q, False)), orb.h[p, q])
+                     for p, q in np.ndindex(orb.h.shape)
+                     if abs(orb.h[p, q]) > 1e-14]
+            want += [(((p, True), (q, True), (r, False), (s, False)),
+                      orb.u[p, q, r, s])
+                     for p, q, r, s in np.ndindex(orb.u.shape)
+                     if abs(orb.u[p, q, r, s]) > 1e-14]
+            assert coeffs.dtype == complex
+            assert list(zip(strings, coeffs.tolist())) == want
+            assert orb.to_fermion_operator().terms == list(
+                zip(coeffs.tolist(), strings))
+
+    def test_zero_constant_and_tiny_entries_drop(self):
+        h = np.diag([0.5, 1e-15, -0.5, 0.0])
+        strings, coeffs = OrbitalHamiltonian(h).ladder_terms()
+        assert strings == (((0, True), (0, False)), ((2, True), (2, False)))
+        assert coeffs.tolist() == [0.5, -0.5]
+        strings, coeffs = OrbitalHamiltonian(np.zeros((2, 2)),
+                                             const=0.25).ladder_terms()
+        assert strings == ((),) and coeffs.tolist() == [0.25]
+
+    def test_rotated_words_match_string_oracle(self):
+        _, rotated = bare_and_rotated(RNG, 2)
+        got = rotated.to_pauli()
+        want = oracle_jordan_wigner(rotated.to_fermion_operator(), 8)
+        assert list(got.items()) == list(want.items())

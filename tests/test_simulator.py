@@ -489,7 +489,8 @@ def random_observable(n: int, n_words: int = 10, rng=RNG,
     words = PauliSum({"".join(rng.choice(list("IXYZ"), n)): rng.normal()
                       for _ in range(n_words)}, n)
     if norm is not None:
-        words = words * (norm / sum(abs(c) for _, c in words.items()))
+        scale = norm / sum(abs(c) for _, c in words.items())
+        words = PauliSum({w: scale * c for w, c in words.items()}, n)
     return pauli_observable(words)
 
 
@@ -1096,7 +1097,8 @@ def even_observable(n: int, n_words: int, rng,
                                 "Z": "Y"}[word[-1]]
         words[word] = rng.normal()
     scale = norm / sum(abs(c) for c in words.values())
-    return pauli_observable(PauliSum(words, n) * scale)
+    return pauli_observable({w: scale * complex(c) for w, c in words.items()},
+                            n)
 
 
 def count_passes(monkeypatch) -> list:
