@@ -157,36 +157,42 @@ def eps_loc(spec: LatticeSpec, mu: float) -> SymMatrix:
     return SymMatrix.from_channels([band.mean() - mu for band in bands])
 
 
-def qp_fill(r: SymMatrix, lam: SymMatrix, mu: float,
-            spec: LatticeSpec) -> tuple[SymMatrix, SymMatrix]:
-    """Quasiparticle occupation Delta^p and the kinetic right-hand side.
-
-    For every k the quasiparticle matrix R e_k R+ + lambda - mu is filled
-    with finite-beta Fermi factors in closed form; the inter-channel
-    coupling of the two-site cell is odd in kx, so its mesh average
-    vanishes and both outputs stay channel-diagonal.
-    """
+def _qp_levels(r: SymMatrix, lam: SymMatrix, spec: LatticeSpec):
+    """Mu-independent levels E of R e_k R+ + lambda, one row per band, and
+    for the two-site cell its channel mean a, half-splitting b and
+    rad = |(b, inter-channel coupling)|, so that E = a +- rad."""
     rc, lc = r.channels(), lam.channels()
     if np.any(np.abs(rc) < 1e-12):
         raise ValueError("quasiparticle weight matrix is singular")
     bands, s = _band_components(spec)
-    beta = spec.beta
+    diag = [rc[i] ** 2 * bands[i] + lc[i] for i in range(spec.n_c)]
     if spec.n_c == 1:
-        h = rc[0] ** 2 * bands[0] + lc[0] - mu
-        f = fermi(h, beta)
-        delta = float(f.mean())
-        kinetic = float((bands[0] * rc[0] * f).mean())
-        return SymMatrix(delta), SymMatrix(kinetic)
-    diag = [rc[i] ** 2 * bands[i] + lc[i] - mu for i in range(2)]
-    a = 0.5 * (diag[0] + diag[1])
-    b = 0.5 * (diag[0] - diag[1])
-    c = rc[0] * rc[1] * s
-    rad = np.hypot(b, c)
-    f_up = fermi(a + rad, beta)
-    f_dn = fermi(a - rad, beta)
-    f0 = 0.5 * (f_up + f_dn)
-    df = 0.5 * (f_up - f_dn)
-    centre = fermi(a, beta)
+        return diag[0][None], None
+    a, b = 0.5 * (diag[0] + diag[1]), 0.5 * (diag[0] - diag[1])
+    rad = np.hypot(b, rc[0] * rc[1] * s)
+    return a + np.array([[1.0], [-1.0]]) * rad, (a, b, rad)
+
+
+def qp_fill(r: SymMatrix, lam: SymMatrix, mu: float,
+            spec: LatticeSpec) -> tuple[SymMatrix, SymMatrix]:
+    """Quasiparticle occupation Delta^p and the kinetic right-hand side.
+
+    For every k the levels of `_qp_levels`, shifted by -mu, are filled
+    with finite-beta Fermi factors in closed form; the inter-channel
+    coupling of the two-site cell is odd in kx, so its mesh average
+    vanishes and both outputs stay channel-diagonal.
+    """
+    levels, split = _qp_levels(r, lam, spec)
+    rc, beta = r.channels(), spec.beta
+    bands, s = _band_components(spec)
+    if split is None:
+        f = fermi(levels[0] - mu, beta)
+        return (SymMatrix(float(f.mean())),
+                SymMatrix(float((bands[0] * rc[0] * f).mean())))
+    a, b, rad = split
+    f_up, f_dn = fermi(levels - mu, beta)
+    f0, df = 0.5 * (f_up + f_dn), 0.5 * (f_up - f_dn)
+    centre = fermi(a - mu, beta)
     slope = -beta * centre * (1.0 - centre)
     ratio = np.where(rad > 1e-9, df / np.where(rad > 1e-9, rad, 1.0), slope)
     delta = SymMatrix(float((f0 + ratio * b).mean()),
@@ -258,10 +264,12 @@ def find_mu(r: SymMatrix, lam: SymMatrix, spec: LatticeSpec) -> float:
     """Chemical potential hitting the filling target.
 
     The particle-hole symmetric single-site band pins mu = lambda exactly
-    at half filling; otherwise mu is bracketed and bisected.
+    at half filling; otherwise mu is bracketed and bisected on the mean of
+    fermi(E - mu) over the levels E of `_qp_levels`, built once.
     """
     if spec.n_c == 1 and spec.filling == 0.5:
         return lam.plus
+    levels, _ = _qp_levels(r, lam, spec)
 
     # brentq starts by evaluating both bracket ends, which the doubling
     # loop has just evaluated.
@@ -269,8 +277,7 @@ def find_mu(r: SymMatrix, lam: SymMatrix, spec: LatticeSpec) -> float:
 
     def filling_gap(mu: float) -> float:
         if mu not in gaps:
-            delta, _ = qp_fill(r, lam, mu, spec)
-            gaps[mu] = float(delta.channels().mean()) - spec.filling
+            gaps[mu] = fermi(levels - mu, spec.beta).mean() - spec.filling
         return gaps[mu]
 
     width = 2.0 + float(np.max(np.abs(lam.channels())))

@@ -96,7 +96,8 @@ def noize(ham, ansatz: Circuit | None = None, n_steps: int = 3,
             "offdiag_norm": offdiagonal_norm(rdm),
             "n_terms": count_terms(orb.to_pauli()),
         })
-        orb = orb.rotate(rotation.v)
+        if step < n_steps:  # nothing reads the last rotated copy
+            orb = orb.rotate(rotation.v)
         v_tot = v_tot @ rotation.v
     return NoizeResult(basis=BasisRotation(v_tot, step=n_steps),
                        reports=reports, final=last)

@@ -125,16 +125,8 @@ class FermionOperator:
                       for c, ops in terms]
 
     @classmethod
-    def creation(cls, mode: int, coeff: complex = 1.0) -> "FermionOperator":
-        return cls([(coeff, ((mode, True),))])
-
-    @classmethod
     def annihilation(cls, mode: int, coeff: complex = 1.0) -> "FermionOperator":
         return cls([(coeff, ((mode, False),))])
-
-    @classmethod
-    def number(cls, mode: int, coeff: complex = 1.0) -> "FermionOperator":
-        return cls([(coeff, ((mode, True), (mode, False)))])
 
     def max_mode(self) -> int:
         return max((m for _, ops in self.terms for m, _ in ops), default=-1)

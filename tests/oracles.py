@@ -27,6 +27,11 @@ channels.  `zero_state` builds |0...0> on either backend.
 permutation per word, and `pauli_observable` wraps it as a simulator
 observable for tests that state observables as Pauli words.
 `dispersion` is the per-k band matrix the mesh kernels are checked against.
+`per_mu_qp_fill` and `per_mu_find_mu` are the k-sum and chemical-potential
+search that rebuilt the whole quasiparticle spectrum for every mu, which
+the mu-independent levels replaced.  `fermion_creation` and
+`fermion_number` build the one-term ladder operators the Jordan-Wigner
+tests use.
 """
 
 import functools
@@ -35,9 +40,10 @@ import math
 
 import numpy as np
 
-from risbvqe import ed, simulator
+from risbvqe import SolverFailure, ed, simulator
 from risbvqe.circuits import Circuit, Gate, ParamRef, gate_stack
-from risbvqe.embedding import SymMatrix, bath_kernel, bath_kernel_slope
+from risbvqe.embedding import (SymMatrix, _band_components, bath_kernel,
+                               bath_kernel_slope, fermi)
 from risbvqe.estimator import expectation
 from risbvqe.hamiltonians import EmbeddingHamiltonian
 from risbvqe.pauli import (MODE_CAP, PRUNE_TOL, FermionOperator, PauliSum,
@@ -302,6 +308,16 @@ def oracle_rdm1_density(rho, n_modes):
     return rdm
 
 
+def fermion_creation(mode, coeff=1.0):
+    """c+_mode as a one-term FermionOperator."""
+    return FermionOperator([(coeff, ((mode, True),))])
+
+
+def fermion_number(mode, coeff=1.0):
+    """n_mode = c+_mode c_mode as a one-term FermionOperator."""
+    return FermionOperator([(coeff, ((mode, True), (mode, False)))])
+
+
 @functools.lru_cache(maxsize=None)
 def _hopping_parts(p, q, n_modes):
     """Hermitian pieces h1 = c+_p c_q + h.c. and h2 = i c+_p c_q + h.c.;
@@ -315,8 +331,7 @@ def _hopping_parts(p, q, n_modes):
 
 @functools.lru_cache(maxsize=None)
 def _number_op(p, n_modes):
-    return pauli_observable(jordan_wigner(FermionOperator.number(p),
-                                          n_modes))
+    return pauli_observable(jordan_wigner(fermion_number(p), n_modes))
 
 
 def pauli_rdm1_full(state):
@@ -424,6 +439,69 @@ def matrix_lambda_c(delta, d, r, lam):
     m = np.asarray(r, dtype=float) @ np.asarray(d, dtype=float)
     t_mat = q @ (gamma * (q.T @ m @ q)) @ q.T
     return -np.asarray(lam, dtype=float) - (t_mat + t_mat.T)
+
+
+def per_mu_qp_fill(r, lam, mu, spec):
+    """`embedding.qp_fill` as it was before the mu-independent levels were
+    split out: the whole two-band spectrum is rebuilt with mu inside the
+    quasiparticle matrix."""
+    rc, lc = r.channels(), lam.channels()
+    if np.any(np.abs(rc) < 1e-12):
+        raise ValueError("quasiparticle weight matrix is singular")
+    bands, s = _band_components(spec)
+    beta = spec.beta
+    if spec.n_c == 1:
+        h = rc[0] ** 2 * bands[0] + lc[0] - mu
+        f = fermi(h, beta)
+        delta = float(f.mean())
+        kinetic = float((bands[0] * rc[0] * f).mean())
+        return SymMatrix(delta), SymMatrix(kinetic)
+    diag = [rc[i] ** 2 * bands[i] + lc[i] - mu for i in range(2)]
+    a = 0.5 * (diag[0] + diag[1])
+    b = 0.5 * (diag[0] - diag[1])
+    c = rc[0] * rc[1] * s
+    rad = np.hypot(b, c)
+    f_up = fermi(a + rad, beta)
+    f_dn = fermi(a - rad, beta)
+    f0 = 0.5 * (f_up + f_dn)
+    df = 0.5 * (f_up - f_dn)
+    centre = fermi(a, beta)
+    slope = -beta * centre * (1.0 - centre)
+    ratio = np.where(rad > 1e-9, df / np.where(rad > 1e-9, rad, 1.0), slope)
+    delta = SymMatrix(float((f0 + ratio * b).mean()),
+                      float((f0 - ratio * b).mean()))
+    cross = s ** 2 * ratio
+    k_plus = (bands[0] * rc[0] * (f0 + ratio * b)
+              + rc[0] * rc[1] ** 2 * cross).mean()
+    k_minus = (bands[1] * rc[1] * (f0 - ratio * b)
+               + rc[1] * rc[0] ** 2 * cross).mean()
+    return delta, SymMatrix(float(k_plus), float(k_minus))
+
+
+def per_mu_find_mu(r, lam, spec):
+    """`embedding.find_mu` bisecting on one `per_mu_qp_fill` per mu, with
+    the production bracket and tolerance."""
+    from scipy.optimize import brentq
+
+    if spec.n_c == 1 and spec.filling == 0.5:
+        return lam.plus
+    gaps = {}
+
+    def filling_gap(mu):
+        if mu not in gaps:
+            delta, _ = per_mu_qp_fill(r, lam, mu, spec)
+            gaps[mu] = float(delta.channels().mean()) - spec.filling
+        return gaps[mu]
+
+    width = 2.0 + float(np.max(np.abs(lam.channels())))
+    lo, hi = -width, width
+    for _ in range(80):
+        if filling_gap(lo) < 0.0 < filling_gap(hi):
+            break
+        lo, hi = 2.0 * lo, 2.0 * hi
+    else:
+        raise SolverFailure("could not bracket the chemical potential")
+    return float(brentq(filling_gap, lo, hi, xtol=1e-12))
 
 
 def partial_trace(psi, keep, n_qubits):

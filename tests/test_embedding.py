@@ -20,8 +20,8 @@ from risbvqe.embedding import (FIXED_POINT_TOL, CostReport, LatticeSpec,
                                risb_cost, risb_solve, risb_sweep, solve_d,
                                sym_project)
 
-from oracles import (dispersion, matrix_lambda_c, single_site_z,
-                     sym_from_matrix)
+from oracles import (dispersion, matrix_lambda_c, per_mu_find_mu,
+                     per_mu_qp_fill, single_site_z, sym_from_matrix)
 
 HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -315,34 +315,95 @@ class TestFindMu:
         from scipy.optimize import brentq
         spec = LatticeSpec(n_c=2, u=1.0)
         r, lam = SymMatrix(0.95, 0.6), SymMatrix(-0.3, 0.45)
+        qp_levels = embedding_module._qp_levels
+        levels, _ = qp_levels(r, lam, spec)
         plain = []
 
         def gap(mu):
             plain.append(mu)
-            return float(qp_fill(r, lam, mu, spec)[0].channels().mean()) - 0.5
+            return float(fermi(levels - mu, spec.beta).mean()) - 0.5
 
         # The first bracket [-2.45, 2.45] holds the root.  Plain brentq
         # fills both ends again; find_mu's bracket search already has them.
         want = brentq(gap, -2.45, 2.45, xtol=1e-12)
-        filled = []
+        built, filled = [], []
 
-        def counting_fill(r, lam, mu, spec):
-            filled.append(mu)
-            return qp_fill(r, lam, mu, spec)
+        def counting_levels(*args):
+            built.append(args)
+            return qp_levels(*args)
 
-        monkeypatch.setattr(embedding_module, "qp_fill", counting_fill)
+        def counting_fermi(x, beta):
+            filled.append(np.array(x))
+            return fermi(x, beta)
+
+        def no_fill(*args):
+            raise AssertionError("find_mu must not call qp_fill")
+
+        monkeypatch.setattr(embedding_module, "_qp_levels", counting_levels)
+        monkeypatch.setattr(embedding_module, "fermi", counting_fermi)
+        monkeypatch.setattr(embedding_module, "qp_fill", no_fill)
         assert find_mu(r, lam, spec) == want
-        assert filled[:2] == [-2.45, 2.45]
-        assert len(filled) == len(set(filled)) == len(plain)
+        assert len(built) == 1
+        # One Fermi fill per mu, in plain brentq's order: the two bracket
+        # ends first, then only brentq's new iterates.
+        assert len(plain) == len(set(plain)) == len(filled)
+        assert plain[:2] == [-2.45, 2.45]
+        for mu, x in zip(plain, filled):
+            np.testing.assert_array_equal(x, levels - mu)
 
     def test_lost_bracket_is_a_solver_failure(self, monkeypatch):
-        # A filling that ignores mu can never cross the target.
-        monkeypatch.setattr(embedding_module, "qp_fill",
-                            lambda r, lam, mu, spec: (SymMatrix(0.2, 0.2),
-                                                      None))
+        # NaN levels give a filling that never crosses the target.
+        monkeypatch.setattr(embedding_module, "_qp_levels",
+                            lambda r, lam, spec: (np.full((2, 4), np.nan),
+                                                  None))
         with pytest.raises(SolverFailure, match="bracket"):
             find_mu(SymMatrix(0.9, 0.8), SymMatrix(0.0, 0.0),
                     LatticeSpec(n_c=2, u=1.0))
+
+
+class TestPerMuOracles:
+    """The k-sum and the mu search on mu-independent levels against the
+    per-mu spectrum rebuild they replaced."""
+
+    @pytest.mark.parametrize("n_c, filling, r, lam", [
+        (1, 0.4, (0.8,), (0.37,)),
+        (2, 0.5, (0.9, 0.7), (0.3, -0.2)),
+        (2, 0.4, (0.95, 0.6), (-0.3, 0.45)),
+    ])
+    def test_find_mu_matches_per_mu_search(self, n_c, filling, r, lam):
+        spec = LatticeSpec(n_c=n_c, u=1.0, filling=filling)
+        r, lam = SymMatrix.from_channels(r), SymMatrix.from_channels(lam)
+        want = per_mu_find_mu(r, lam, spec)
+        # The filling rises through the target, so the window of mu that
+        # meets it has zero width and both searches pin the same root.
+        rise = [per_mu_qp_fill(r, lam, want + h, spec)[0].channels().mean()
+                for h in (-1e-6, 1e-6)]
+        assert rise[1] - rise[0] > 1e-8
+        assert abs(find_mu(r, lam, spec) - want) <= 1e-12
+
+    @pytest.mark.parametrize("n_c, r, lam, mu", [
+        (1, (0.8,), (0.37,), 0.2),
+        (2, (0.9, 0.7), (0.3, -0.2), -0.011),
+        (2, (0.95, 0.6), (-0.3, 0.45), 0.4),
+        (2, (1.0, 1.0), (0.0, 0.0), 0.05),
+    ])
+    def test_qp_fill_matches_per_mu_fill(self, n_c, r, lam, mu):
+        spec = LatticeSpec(n_c=n_c, u=1.0)
+        r, lam = SymMatrix.from_channels(r), SymMatrix.from_channels(lam)
+        got, want = qp_fill(r, lam, mu, spec), per_mu_qp_fill(r, lam, mu,
+                                                              spec)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a.channels(), b.channels(),
+                                       rtol=0, atol=1e-13)
+
+    def test_degenerate_levels_take_the_slope_branch(self):
+        # R = 1 and equal channel potentials close the two-site splitting
+        # at kx = pi, where qp_fill uses the Fermi slope instead of
+        # the divided difference.
+        spec = LatticeSpec(n_c=2, u=1.0)
+        _, (_, _, rad) = embedding_module._qp_levels(
+            SymMatrix(1.0, 1.0), SymMatrix(0.0, 0.0), spec)
+        assert np.count_nonzero(rad <= 1e-9) == spec.mesh
 
 
 class TestBandCache:

@@ -17,9 +17,9 @@ from risbvqe.pauli import (
     ladder_table,
 )
 
-from oracles import (expectation_matrix, oracle_jordan_wigner,
-                     pauli_identity, pauli_product, pauli_sum_product,
-                     pauli_zero)
+from oracles import (expectation_matrix, fermion_creation, fermion_number,
+                     oracle_jordan_wigner, pauli_identity, pauli_product,
+                     pauli_sum_product, pauli_zero)
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -168,13 +168,13 @@ class TestPauliSum:
 
 class TestJordanWigner:
     def test_creation_single_mode(self):
-        p = jordan_wigner(FermionOperator.creation(0), 1)
+        p = jordan_wigner(fermion_creation(0), 1)
         assert p.terms == {"X": 0.5, "Y": -0.5j}
         assert np.allclose(oracle_sum_matrix(p),
                            np.array([[0, 0], [1, 0]], dtype=complex))
 
     def test_number_operator(self):
-        p = jordan_wigner(FermionOperator.number(0), 1)
+        p = jordan_wigner(fermion_number(0), 1)
         assert p.terms == {"I": 0.5, "Z": -0.5}
 
     def test_cross_mode_anticommutator_is_zero_symbolically(self):
@@ -185,7 +185,7 @@ class TestJordanWigner:
 
     def test_out_of_range_mode_raises(self):
         with pytest.raises(ValueError):
-            jordan_wigner(FermionOperator.creation(3), 2)
+            jordan_wigner(fermion_creation(3), 2)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_canonical_anticommutation(self, n):
@@ -285,7 +285,7 @@ class TestLadderKernel:
             assert abs(value - want.terms[word]) <= 2 * 5e-324
 
     def test_cap_raises_instead_of_allocating(self):
-        op = FermionOperator.creation(0)
+        op = fermion_creation(0)
         with pytest.raises(ValueError, match="dense cap"):
             jordan_wigner(op, MODE_CAP + 1)
         with pytest.raises(ValueError, match="dense cap"):
