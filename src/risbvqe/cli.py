@@ -21,8 +21,7 @@ from . import SolverFailure
 from .circuits import (Circuit, build_hea_nc1, build_ldca, build_mr_nc1,
                        build_mrep)
 from .ed import ground_state, half_filling_sector, hamiltonian_matrix
-from .embedding import (LatticeSpec, SymMatrix, classical_point, eps_loc,
-                        risb_sweep)
+from .embedding import LatticeSpec, classical_point, eps_loc, risb_sweep
 from .noization import BASIS_MODES, exact_no_basis, noize, \
     rotate_hamiltonian, vqe_impurity_solver
 from .runio import config_hash, read_table, write_csv, write_json
@@ -258,12 +257,11 @@ def _write_sweep_artifacts(cfg: RunConfig, points, solver_tag: str,
     out = Path(cfg.out_dir)
     h = run_hash(cfg)
     rows = []
+    pad = [math.nan] * (2 - cfg.n_c)  # a single site has no minus channel
     for point in points:
-        spec_u = lattice_spec(cfg, u=point.u)
-        z = point.output.z
-        lt = point.output.lambda_tilde(spec_u)
         out_u = point.output
-        rows.append((point.u, z.plus, z.minus, lt.plus, lt.minus,
+        lt = out_u.lambda_tilde(lattice_spec(cfg, u=point.u))
+        rows.append((point.u, *out_u.z, *pad, *lt, *pad,
                      out_u.cost, out_u.n_iter, solver_tag, ntag,
                      out_u.converged, out_u.clamped, len(out_u.cost_trace)))
         trace_path = out / (f"{cfg.label}_trace_{solver_tag}_{ntag}"
@@ -291,8 +289,10 @@ def load_reference(cfg: RunConfig) -> dict:
     """Warm-start table from a classical sweep CSV.
 
     R is recovered as sqrt(Z) (classical solutions keep R positive) and
-    lambda from lambda-tilde via the local level at half filling, where
-    particle-hole symmetry pins mu to U/2.
+    lambda from lambda-tilde via the local level at mu = U/2.  The table
+    has no mu column, and U/2 is mu only where particle-hole symmetry pins
+    it, the half-filled single site; at n_c = 2 the sweep's mu lies below
+    U/2 (0.0499 at U = 0.1), so lambda is a warm start off by mu - U/2.
     """
     if not cfg.classical_table:
         raise ConfigError("a classical reference table is required; set "
@@ -315,19 +315,15 @@ def load_reference(cfg: RunConfig) -> dict:
             raise ConfigError(f"malformed reference table {path}: "
                               f"{exc}") from exc
         # A single-site table writes nan into the minus channel.
-        n_channels = 1 if math.isnan(z_minus) else 2
-        if n_channels != cfg.n_c:
-            raise ConfigError(f"reference table {path} holds {n_channels} "
+        n_ch = 1 if math.isnan(z_minus) else 2
+        if n_ch != cfg.n_c:
+            raise ConfigError(f"reference table {path} holds {n_ch} "
                               f"channel(s) at U = {u:g}, but [lattice] "
                               f"n_c = {cfg.n_c}")
         local = eps_loc(lattice_spec(cfg, u=u), 0.5 * u)
-        if cfg.n_c == 1:
-            r = SymMatrix(math.sqrt(z_plus))
-            lam = SymMatrix(lt_plus + local.plus)
-        else:
-            r = SymMatrix(math.sqrt(z_plus), math.sqrt(max(z_minus, 0.0)))
-            lam = SymMatrix(lt_plus + local.plus, lt_minus + local.minus)
-        mapping[u] = (r, lam)
+        z = np.array([z_plus, max(z_minus, 0.0)])[:n_ch]
+        lt = np.array([lt_plus, lt_minus])[:n_ch]
+        mapping[u] = (np.sqrt(z), lt + local)
     return mapping
 
 

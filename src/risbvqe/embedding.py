@@ -4,9 +4,11 @@ The lattice problem is reduced to a quasiparticle k-sum plus an interacting
 impurity+bath cluster.  Everything is expressed in the symmetry-adapted
 (bonding/antibonding) basis where the two-site cluster matrices
 [[a, b], [b, a]] become two independent channels; the single-site cluster
-is the one-channel special case.  Matsubara sums are evaluated as Fermi
-functions of the quasiparticle matrix; a brute-force frequency sum with
-analytic tail corrections is kept alongside as a validation reference.
+is the one-channel special case.  R, lambda, Delta, D and lambda_c are
+float arrays of one value per channel, plus = a + b then minus = a - b.
+Matsubara sums are evaluated as Fermi functions of the quasiparticle
+matrix; a brute-force frequency sum with analytic tail corrections is kept
+alongside as a validation reference.
 """
 
 from __future__ import annotations
@@ -61,61 +63,26 @@ class LatticeSpec:
         if not 0.0 < self.filling < 1.0:
             raise ValueError("filling must lie in (0, 1)")
 
-    @property
-    def n_channels(self) -> int:
-        return self.n_c
+
+def channel_matrix(c) -> np.ndarray:
+    """Cluster matrix of channel values: [[c]] for one, [[a, b], [b, a]]
+    with a + b and a - b the two channels for two."""
+    if len(c) == 1:
+        return np.array([[c[0]]], dtype=float)
+    a = 0.5 * (c[0] + c[1])
+    b = 0.5 * (c[0] - c[1])
+    return np.array([[a, b], [b, a]])
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """Symmetry-adapted view of a cluster matrix.
-
-    A two-site matrix [[a, b], [b, a]] carries the two channel values
-    plus = a + b and minus = a - b; a single-site quantity uses only
-    `plus` and leaves `minus` as None.
-    """
-
-    plus: float
-    minus: float | None = None
-
-    @property
-    def n_channels(self) -> int:
-        return 1 if self.minus is None else 2
-
-    def channels(self) -> np.ndarray:
-        if self.minus is None:
-            return np.array([self.plus], dtype=float)
-        return np.array([self.plus, self.minus], dtype=float)
-
-    @classmethod
-    def from_channels(cls, values) -> "SymMatrix":
-        values = np.asarray(values, dtype=float).ravel()
-        if values.size == 1:
-            return cls(float(values[0]))
-        if values.size == 2:
-            return cls(float(values[0]), float(values[1]))
-        raise ValueError("one or two channel values expected")
-
-    def to_matrix(self) -> np.ndarray:
-        if self.minus is None:
-            return np.array([[self.plus]])
-        a = 0.5 * (self.plus + self.minus)
-        b = 0.5 * (self.plus - self.minus)
-        return np.array([[a, b], [b, a]])
-
-    def map(self, fn) -> "SymMatrix":
-        return SymMatrix.from_channels(fn(self.channels()))
-
-
-def sym_project(m) -> SymMatrix:
-    """Channel view of a nearly-symmetric matrix, averaging away any small
+def sym_project(m) -> np.ndarray:
+    """Channel values of a nearly-symmetric matrix, averaging away any small
     asymmetry (used on measured, hence noisy, cluster blocks)."""
     m = np.asarray(m, dtype=float)
     if m.shape == (1, 1):
-        return SymMatrix(float(m[0, 0]))
+        return m[0].copy()
     a = 0.5 * (m[0, 0] + m[1, 1])
     b = 0.5 * (m[0, 1] + m[1, 0])
-    return SymMatrix(a + b, a - b)
+    return np.array([a + b, a - b])
 
 
 def fermi(x, beta: float):
@@ -151,30 +118,29 @@ def _bands(n_c: int, t: float, mesh: int):
     return bands, s
 
 
-def eps_loc(spec: LatticeSpec, mu: float) -> SymMatrix:
+def eps_loc(spec: LatticeSpec, mu: float) -> np.ndarray:
     """Mesh average of the dispersion minus the chemical potential."""
     bands, _ = _band_components(spec)
-    return SymMatrix.from_channels([band.mean() - mu for band in bands])
+    return np.array([band.mean() - mu for band in bands])
 
 
-def _qp_levels(r: SymMatrix, lam: SymMatrix, spec: LatticeSpec):
+def _qp_levels(r: np.ndarray, lam: np.ndarray, spec: LatticeSpec):
     """Mu-independent levels E of R e_k R+ + lambda, one row per band, and
     for the two-site cell its channel mean a, half-splitting b and
     rad = |(b, inter-channel coupling)|, so that E = a +- rad."""
-    rc, lc = r.channels(), lam.channels()
-    if np.any(np.abs(rc) < 1e-12):
+    if np.any(np.abs(r) < 1e-12):
         raise ValueError("quasiparticle weight matrix is singular")
     bands, s = _band_components(spec)
-    diag = [rc[i] ** 2 * bands[i] + lc[i] for i in range(spec.n_c)]
+    diag = [r[i] ** 2 * bands[i] + lam[i] for i in range(spec.n_c)]
     if spec.n_c == 1:
         return diag[0][None], None
     a, b = 0.5 * (diag[0] + diag[1]), 0.5 * (diag[0] - diag[1])
-    rad = np.hypot(b, rc[0] * rc[1] * s)
+    rad = np.hypot(b, r[0] * r[1] * s)
     return a + np.array([[1.0], [-1.0]]) * rad, (a, b, rad)
 
 
-def qp_fill(r: SymMatrix, lam: SymMatrix, mu: float,
-            spec: LatticeSpec) -> tuple[SymMatrix, SymMatrix]:
+def qp_fill(r: np.ndarray, lam: np.ndarray, mu: float,
+            spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     """Quasiparticle occupation Delta^p and the kinetic right-hand side.
 
     For every k the levels of `_qp_levels`, shifted by -mu, are filled
@@ -183,26 +149,24 @@ def qp_fill(r: SymMatrix, lam: SymMatrix, mu: float,
     vanishes and both outputs stay channel-diagonal.
     """
     levels, split = _qp_levels(r, lam, spec)
-    rc, beta = r.channels(), spec.beta
+    beta = spec.beta
     bands, s = _band_components(spec)
     if split is None:
         f = fermi(levels[0] - mu, beta)
-        return (SymMatrix(float(f.mean())),
-                SymMatrix(float((bands[0] * rc[0] * f).mean())))
+        return np.array([f.mean()]), np.array([(bands[0] * r[0] * f).mean()])
     a, b, rad = split
     f_up, f_dn = fermi(levels - mu, beta)
     f0, df = 0.5 * (f_up + f_dn), 0.5 * (f_up - f_dn)
     centre = fermi(a - mu, beta)
     slope = -beta * centre * (1.0 - centre)
     ratio = np.where(rad > 1e-9, df / np.where(rad > 1e-9, rad, 1.0), slope)
-    delta = SymMatrix(float((f0 + ratio * b).mean()),
-                      float((f0 - ratio * b).mean()))
+    delta = np.array([(f0 + ratio * b).mean(), (f0 - ratio * b).mean()])
     cross = s ** 2 * ratio
-    k_plus = (bands[0] * rc[0] * (f0 + ratio * b)
-              + rc[0] * rc[1] ** 2 * cross).mean()
-    k_minus = (bands[1] * rc[1] * (f0 - ratio * b)
-               + rc[1] * rc[0] ** 2 * cross).mean()
-    return delta, SymMatrix(float(k_plus), float(k_minus))
+    k_plus = (bands[0] * r[0] * (f0 + ratio * b)
+              + r[0] * r[1] ** 2 * cross).mean()
+    k_minus = (bands[1] * r[1] * (f0 - ratio * b)
+               + r[1] * r[0] ** 2 * cross).mean()
+    return delta, np.array([k_plus, k_minus])
 
 
 def matsubara_fermi(h: np.ndarray, beta: float,
@@ -237,30 +201,27 @@ def bath_kernel_slope(x):
     return (1.0 - 2.0 * x) / (2.0 * bath_kernel(x))
 
 
-def solve_d(delta: SymMatrix, kinetic: SymMatrix) -> SymMatrix:
+def solve_d(delta: np.ndarray, kinetic: np.ndarray) -> np.ndarray:
     """Hybridization amplitudes from the channel-diagonal linear system
     bath_kernel(Delta) * D = K."""
-    dc = delta.channels()
-    if np.any(dc <= 0.0) or np.any(dc >= 1.0):
-        raise ValueError(f"degenerate bath: occupations {dc} touch 0 or 1")
-    g = bath_kernel(dc)
+    if np.any(delta <= 0.0) or np.any(delta >= 1.0):
+        raise ValueError(f"degenerate bath: occupations {delta} touch 0 or 1")
+    g = bath_kernel(delta)
     if np.any(g < 1e-8):
         raise ValueError("degenerate bath: vanishing square-root factor")
-    return SymMatrix.from_channels(kinetic.channels() / g)
+    return kinetic / g
 
 
-def lambda_c(delta: SymMatrix, d: SymMatrix, r: SymMatrix,
-             lam: SymMatrix) -> SymMatrix:
+def lambda_c(delta: np.ndarray, d: np.ndarray, r: np.ndarray,
+             lam: np.ndarray) -> np.ndarray:
     """Bath one-body potential closing the Lagrange equations, one value
     per symmetry channel."""
-    dc = delta.channels()
-    if np.any(dc <= 0.0) or np.any(dc >= 1.0):
+    if np.any(delta <= 0.0) or np.any(delta >= 1.0):
         raise ValueError("bath occupations outside (0, 1)")
-    correction = 2.0 * d.channels() * r.channels() * bath_kernel_slope(dc)
-    return SymMatrix.from_channels(-lam.channels() - correction)
+    return -lam - 2.0 * d * r * bath_kernel_slope(delta)
 
 
-def find_mu(r: SymMatrix, lam: SymMatrix, spec: LatticeSpec) -> float:
+def find_mu(r: np.ndarray, lam: np.ndarray, spec: LatticeSpec) -> float:
     """Chemical potential hitting the filling target.
 
     The particle-hole symmetric single-site band pins mu = lambda exactly
@@ -268,7 +229,7 @@ def find_mu(r: SymMatrix, lam: SymMatrix, spec: LatticeSpec) -> float:
     fermi(E - mu) over the levels E of `_qp_levels`, built once.
     """
     if spec.n_c == 1 and spec.filling == 0.5:
-        return lam.plus
+        return float(lam[0])
     levels, _ = _qp_levels(r, lam, spec)
 
     # brentq starts by evaluating both bracket ends, which the doubling
@@ -280,7 +241,7 @@ def find_mu(r: SymMatrix, lam: SymMatrix, spec: LatticeSpec) -> float:
             gaps[mu] = fermi(levels - mu, spec.beta).mean() - spec.filling
         return gaps[mu]
 
-    width = 2.0 + float(np.max(np.abs(lam.channels())))
+    width = 2.0 + float(np.max(np.abs(lam)))
     lo, hi = -width, width
     for _ in range(80):
         if filling_gap(lo) < 0.0 < filling_gap(hi):
@@ -291,8 +252,8 @@ def find_mu(r: SymMatrix, lam: SymMatrix, spec: LatticeSpec) -> float:
     return float(brentq(filling_gap, lo, hi, xtol=1e-12))
 
 
-def build_embedding_hamiltonian(spec: LatticeSpec, d: SymMatrix,
-                                lam_c: SymMatrix,
+def build_embedding_hamiltonian(spec: LatticeSpec, d: np.ndarray,
+                                lam_c: np.ndarray,
                                 mu: float = 0.0) -> EmbeddingHamiltonian:
     """Impurity+bath cluster for the current self-consistency point.
 
@@ -304,8 +265,8 @@ def build_embedding_hamiltonian(spec: LatticeSpec, d: SymMatrix,
     else:
         t_intra = np.array([[0.0, spec.t], [spec.t, 0.0]])
     return EmbeddingHamiltonian(n_c=spec.n_c, u_int=spec.u,
-                                d_mix=d.to_matrix(),
-                                lambda_c=lam_c.to_matrix(), mu=mu,
+                                d_mix=channel_matrix(d),
+                                lambda_c=channel_matrix(lam_c), mu=mu,
                                 t_intra=t_intra)
 
 
@@ -323,18 +284,18 @@ def _is_exact(impurity_solver: Callable | None) -> bool:
 @dataclass
 class CostReport:
     cost: float
-    f1: SymMatrix | None = None
-    f2: SymMatrix | None = None
+    f1: np.ndarray | None = None
+    f2: np.ndarray | None = None
     mu: float = math.nan
-    delta: SymMatrix | None = None
-    d: SymMatrix | None = None
-    lam_c: SymMatrix | None = None
+    delta: np.ndarray | None = None
+    d: np.ndarray | None = None
+    lam_c: np.ndarray | None = None
     rdm: np.ndarray | None = None
     clamped: bool = False
     emb: EmbeddingHamiltonian | None = None
 
 
-def risb_cost(r: SymMatrix, lam: SymMatrix, spec: LatticeSpec,
+def risb_cost(r: np.ndarray, lam: np.ndarray, spec: LatticeSpec,
               impurity_solver: Callable | None = None) -> CostReport:
     """Root-function residuals of the self-consistency at (R, lambda).
 
@@ -347,13 +308,11 @@ def risb_cost(r: SymMatrix, lam: SymMatrix, spec: LatticeSpec,
     if impurity_solver is None:
         impurity_solver = ed_impurity_solver
     clamped = False
-    rc = r.channels()
-    if np.any(np.abs(rc) < MOTT_CLAMP):
+    if np.any(np.abs(r) < MOTT_CLAMP):
         # Near the localization transition the k-sum becomes ill-behaved;
         # clamp and flag rather than dividing by ~0.
-        rc = np.where(np.abs(rc) < MOTT_CLAMP,
-                      np.where(rc < 0, -MOTT_CLAMP, MOTT_CLAMP), rc)
-        r = SymMatrix.from_channels(rc)
+        r = np.where(np.abs(r) < MOTT_CLAMP,
+                     np.where(r < 0, -MOTT_CLAMP, MOTT_CLAMP), r)
         clamped = True
     try:
         mu = find_mu(r, lam, spec)
@@ -367,13 +326,9 @@ def risb_cost(r: SymMatrix, lam: SymMatrix, spec: LatticeSpec,
     n = spec.n_c
     bath_hole = np.eye(n) - rdm[n:, n:].real
     mixing = rdm[:n, n:].real
-    f1 = SymMatrix.from_channels(sym_project(bath_hole).channels()
-                                 - delta.channels())
-    f2 = SymMatrix.from_channels(sym_project(mixing).channels()
-                                 - r.channels() * bath_kernel(
-                                     delta.channels()))
-    cost = math.sqrt(float(np.sum(f1.channels() ** 2))
-                     + float(np.sum(f2.channels() ** 2)))
+    f1 = sym_project(bath_hole) - delta
+    f2 = sym_project(mixing) - r * bath_kernel(delta)
+    cost = math.sqrt(float(np.sum(f1 ** 2)) + float(np.sum(f2 ** 2)))
     return CostReport(cost=cost, f1=f1, f2=f2, mu=mu, delta=delta, d=d,
                       lam_c=lam_c, rdm=rdm, clamped=clamped, emb=emb)
 
@@ -383,8 +338,8 @@ class RisbOutput:
     """Best-seen self-consistency point; `converged` says whether its cost
     is below FIXED_POINT_TOL."""
 
-    r: SymMatrix
-    lam: SymMatrix
+    r: np.ndarray
+    lam: np.ndarray
     mu: float
     cost: float
     cost_trace: list
@@ -394,22 +349,11 @@ class RisbOutput:
     report: CostReport | None = None
 
     @property
-    def z(self) -> SymMatrix:
-        return self.r.map(lambda c: c ** 2)
+    def z(self) -> np.ndarray:
+        return self.r ** 2
 
-    def lambda_tilde(self, spec: LatticeSpec) -> SymMatrix:
-        local = eps_loc(spec, self.mu)
-        return SymMatrix.from_channels(self.lam.channels()
-                                       - local.channels())
-
-
-def _pack(r: SymMatrix, lam: SymMatrix) -> np.ndarray:
-    return np.concatenate([r.channels(), lam.channels()])
-
-
-def _unpack(x: np.ndarray, n_channels: int) -> tuple[SymMatrix, SymMatrix]:
-    return (SymMatrix.from_channels(x[:n_channels]),
-            SymMatrix.from_channels(x[n_channels:]))
+    def lambda_tilde(self, spec: LatticeSpec) -> np.ndarray:
+        return self.lam - eps_loc(spec, self.mu)
 
 
 class _LeaveRoot(Exception):
@@ -417,12 +361,12 @@ class _LeaveRoot(Exception):
 
 
 def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
-               start: tuple[SymMatrix, SymMatrix] | None = None,
+               start: tuple[np.ndarray, np.ndarray] | None = None,
                max_iter: int = 100) -> RisbOutput:
     """Solve the self-consistency over the symmetry-reduced (R, lambda).
 
     With the exact cluster solver, MINPACK's hybrid Powell method first
-    looks for the root of the 2 n_ch residuals (f1, f2) with at most
+    looks for the root of the 2 n_c residuals (f1, f2) with at most
     `max_iter` evaluations, and its root is accepted when it succeeds with
     a best cost below FIXED_POINT_TOL.  Otherwise (it fails, a cost is not
     finite, or a point is clamped on the Mott side, where the residual
@@ -434,18 +378,13 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
     Nelder-Mead's iterations; `cost_trace` holds every evaluation of both
     phases, and `report` is the best point's CostReport.
     """
-    if start is None:
-        one = SymMatrix(1.0) if spec.n_c == 1 else SymMatrix(1.0, 1.0)
-        zero = one.map(lambda c: 0.0 * c)
-        start = (one, zero)
-    n_ch = start[0].n_channels
-    x0 = _pack(*start)
+    n = spec.n_c
+    x0 = np.concatenate(start or (np.ones(n), np.zeros(n)), dtype=float)
     trace: list[tuple[int, float]] = []
     best: dict = {"cost": math.inf, "report": None, "x": x0}
 
     def evaluate(x: np.ndarray) -> CostReport:
-        r, lam = _unpack(x, n_ch)
-        report = risb_cost(r, lam, spec, impurity_solver)
+        report = risb_cost(x[:n], x[n:], spec, impurity_solver)
         trace.append((len(trace), report.cost))
         if report.cost < best["cost"]:
             best.update(cost=report.cost, report=report, x=x.copy())
@@ -456,7 +395,7 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
         report = first.pop() if first else evaluate(x)
         if report.clamped or not math.isfinite(report.cost):
             raise _LeaveRoot
-        return np.concatenate([report.f1.channels(), report.f2.channels()])
+        return np.concatenate([report.f1, report.f2])
 
     n_iter = None
     if _is_exact(impurity_solver):
@@ -484,20 +423,18 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
     if not math.isfinite(best["cost"]):
         raise SolverFailure(f"cost never became finite over "
                             f"{len(trace)} evaluations")
-    r, lam = _unpack(best["x"], n_ch)
     report = best["report"]
-    return RisbOutput(r=r, lam=lam, mu=report.mu, cost=best["cost"],
+    return RisbOutput(r=best["x"][:n].copy(), lam=best["x"][n:].copy(),
+                      mu=report.mu, cost=best["cost"],
                       cost_trace=trace,
                       converged=best["cost"] < FIXED_POINT_TOL,
                       n_iter=n_iter, clamped=report.clamped, report=report)
 
 
-def noninteracting_start(spec: LatticeSpec) -> tuple[SymMatrix, SymMatrix]:
+def noninteracting_start(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     """Exact U = 0 fixed point: R = 1 and lambda equal to the local level,
     so the self-energy vanishes identically."""
-    ones = (SymMatrix(1.0) if spec.n_c == 1
-            else SymMatrix(1.0, 1.0))
-    return ones, eps_loc(spec, 0.0)
+    return np.ones(spec.n_c), eps_loc(spec, 0.0)
 
 
 @dataclass(frozen=True)
@@ -507,7 +444,7 @@ class SweepPoint:
 
 
 def _reference_start(reference: Sequence[SweepPoint] | Mapping,
-                     u: float) -> tuple[SymMatrix, SymMatrix]:
+                     u: float) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(reference, Mapping):
         entries = [(float(k), v) for k, v in reference.items()]
     else:
@@ -533,7 +470,7 @@ def risb_sweep(spec: LatticeSpec, u_values,
     with Nelder-Mead.  `max_iter` is risb_solve's cap at every point.
     """
     points: list[SweepPoint] = []
-    prev: tuple[SymMatrix, SymMatrix] | None = None
+    prev: tuple[np.ndarray, np.ndarray] | None = None
     for u in u_values:
         spec_u = replace(spec, u=float(u))
         if _is_exact(impurity_solver):

@@ -104,14 +104,6 @@ class QuantumState:
         self.tensor = tensor
 
     @classmethod
-    def from_vector(cls, vec) -> "QuantumState":
-        vec = np.asarray(vec, dtype=complex).ravel()
-        n = vec.size.bit_length() - 1
-        if vec.size < 1 or 1 << n != vec.size:
-            raise ValueError("amplitude vector length is not a power of two")
-        return cls(n, "pure", vec.reshape((2,) * n))
-
-    @classmethod
     def from_density(cls, rho) -> "QuantumState":
         rho = np.asarray(rho, dtype=complex)
         n = rho.shape[0].bit_length() - 1
@@ -593,12 +585,13 @@ def _fuse(circuit: Circuit, bindings: Mapping[str, float] | None,
 
 
 def _act(tensor: np.ndarray, s: np.ndarray | None, axes: tuple[int, ...],
-         kept: dict | None = None, key: int = 0) -> np.ndarray:
+         kept: dict | None = None, key: int = 0,
+         whole: bool = False) -> np.ndarray:
     """`s` on `axes` of a Pauli tensor, or nothing if `s` is None;
     kept[key] stores the entering tensor's `_flatten` matrix, a half
-    register's through `_whole` where `axes` hold its last qubit."""
+    register's through `_whole` if `whole` or `axes` hold its last qubit."""
     if kept is not None:
-        whole = _is_half(tensor) and tensor.ndim - 1 in axes
+        whole = _is_half(tensor) and (whole or tensor.ndim - 1 in axes)
         kept[key] = _flatten(_whole(tensor) if whole else tensor, axes)[0]
     return tensor if s is None else _apply_unitary(tensor, s, axes)
 
@@ -617,13 +610,13 @@ def _walk(x: np.ndarray, gathers: tuple, matrices: list,
 
 
 def _forward(n: int, fused: list, plan: tuple, entering: dict | None = None,
-             half: bool = True) -> np.ndarray:
+             whole: bool = False) -> np.ndarray:
     """The final tensor of the plan's steps on n one-qubit Pauli factors,
-    then of the other blocks on the register, in the half layout if `half`,
-    the plan's parity rule holds and every factor at the join is even;
-    `entering` keeps each tuned block's entering matrix, as `_act` does, in
-    the register's frame (a step's from its factors joined for it); a pure
-    state's `_Chain` from |0...0>."""
+    then of the other blocks on the register, in the half layout if the
+    plan's parity rule holds and every factor at the join is even;
+    `entering` keeps each tuned block's entering matrix, as `_act` does
+    (whole if `whole`), in the register's frame (a step's from its factors
+    joined for it); a pure state's `_Chain` from |0...0>."""
     if isinstance(plan, _Chain):
         return _walk(plan.start, plan.forward, fused, entering, plan.keys if
                      entering is not None else ()).reshape((2,) * n)
@@ -639,15 +632,14 @@ def _forward(n: int, fused: list, plan: tuple, entering: dict | None = None,
                 _join(parts, step.frame), block.qubits)[0]
         parts[step.slot] = _apply_unitary(parts[step.slot], prefixes[-1],
                                           step.axes)
-    if half and half_frame and all(_is_even(parts[slot])
-                                   for slot in half_frame[0]):
+    if half_frame and all(_is_even(parts[slot]) for slot in half_frame[0]):
         tensor = _join_half(parts, half_frame)
     else:
         tensor = _join(parts, frame)
     for block, _, prefixes in fused[len(steps):]:
         tensor = _act(tensor, prefixes[-1], block.qubits,
                       entering if block.tuned else None,
-                      block.positions.start)
+                      block.positions.start, whole)
     return tensor
 
 
@@ -720,29 +712,29 @@ def adjoint_gradient(circuit: Circuit, observable: Observable,
     D(U rho dU^dag) have the same transfer matrix.  The first block's
     S^dag is not applied: no lambda before it is read.
 
-    A register `run` holds in the half layout takes the reverse sweep in it
-    too when the observable's odd coefficients vanish: lambda then stays
-    even through the register phase, and is made whole at the join for the
-    leading steps (whose derivatives may be odd there).  On the half layout
-    the overlaps are right on their parity-diagonal blocks, the only ones
-    the dU transfer matrices of parity-keeping gates read.  Otherwise the
-    reverse sweep takes the whole register, with the entering tensors of a
-    second forward sweep on it.
+    The one forward sweep is `run`'s.  A register it holds in the half
+    layout takes the reverse sweep in it too when the observable's odd
+    coefficients vanish: lambda then stays even through the register
+    phase, and is made whole at the join for the leading steps (whose
+    derivatives may be odd there).  On the half layout the overlaps are
+    right on their parity-diagonal blocks, the only ones the dU transfer
+    matrices of parity-keeping gates read.  Otherwise, as chosen before
+    the forward sweep, the entering tensors are kept whole and the reverse
+    sweep takes the whole register.
     """
     n, mixed = circuit.n_qubits, noise is not None
     kinds, fused, plan = _fuse(circuit, bindings, mixed, noise)
     grad = np.zeros(circuit.n_params + 1)  # the last for numeric slots
     entering, leaving, framed = {}, {}, {}
-    tensor = _forward(n, fused, plan, entering)
+    whole = mixed and not _is_even(observable.coefficients)
+    tensor = _forward(n, fused, plan, entering, whole)
     final = _whole(tensor)
     energy, lam = _observe(final, observable, mixed)
     if not mixed:
         _walk(lam, plan.backward, [s.conj().T for s in fused[:0:-1]],
               leaving, reversed(plan.keys))
-    elif final is not tensor and _is_even(lam):
+    elif final is not tensor and not whole:
         lam = _halve(lam)
-    elif final is not tensor:  # entering tensors of the whole register
-        _forward(n, fused, plan, entering, half=False)
     for k in range(len(fused) - 1, -1, -1) if mixed else ():
         block, factors, prefixes = fused[k]
         if k + 1 == len(plan[0]):

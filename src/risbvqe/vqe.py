@@ -19,7 +19,7 @@ from scipy.optimize import minimize
 from . import SolverFailure
 from .circuits import Circuit, build_mr_nc1
 from .ed import exact_no_basis, hamiltonian_matrix
-from .embedding import LatticeSpec, SymMatrix, risb_cost
+from .embedding import LatticeSpec, risb_cost
 from .estimator import circuit_rdm1, expectation, parameter_shift_minimize
 from .simulator import NoiseModel, Observable, adjoint_gradient, run
 
@@ -205,8 +205,7 @@ def landscape_scan(spec: LatticeSpec, r_values, lambda_values,
         solver = mr_impurity_solver(noise)
         for i, r in enumerate(r_values):
             for j, lam in enumerate(lambda_values):
-                report = risb_cost(SymMatrix(float(r)),
-                                   SymMatrix(float(lam)), spec,
+                report = risb_cost(np.array([r]), np.array([lam]), spec,
                                    impurity_solver=solver)
                 costs[s, i, j] = report.cost
     return LandscapeTable(r_values=r_values, lambda_values=lambda_values,

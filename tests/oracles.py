@@ -22,7 +22,9 @@ bookkeeping.  Qubit 0 is the most significant bit, mode p sits on qubit
 p.  `build_product_ry` is the entanglement-free ansatz several tests
 run; `pauli_zero` and `pauli_identity` build the empty and identity
 sums, and `sym_from_matrix` reads a symmetry-adapted matrix back into its
-channels.  `zero_state` builds |0...0> on either backend.
+channels, which `assert_channel_arrays` checks are separate float
+arrays.  `zero_state` builds |0...0> on either backend and `from_vector`
+the pure state of an amplitude vector.
 `expectation_matrix` is the Pauli route to a dense matrix, one bitmask
 permutation per word, and `pauli_observable` wraps it as a simulator
 observable for tests that state observables as Pauli words.
@@ -42,7 +44,7 @@ import numpy as np
 
 from risbvqe import SolverFailure, ed, simulator
 from risbvqe.circuits import Circuit, Gate, ParamRef, gate_stack
-from risbvqe.embedding import (SymMatrix, _band_components, bath_kernel,
+from risbvqe.embedding import (_band_components, bath_kernel,
                                bath_kernel_slope, fermi)
 from risbvqe.estimator import expectation
 from risbvqe.hamiltonians import EmbeddingHamiltonian
@@ -445,21 +447,20 @@ def per_mu_qp_fill(r, lam, mu, spec):
     """`embedding.qp_fill` as it was before the mu-independent levels were
     split out: the whole two-band spectrum is rebuilt with mu inside the
     quasiparticle matrix."""
-    rc, lc = r.channels(), lam.channels()
-    if np.any(np.abs(rc) < 1e-12):
+    if np.any(np.abs(r) < 1e-12):
         raise ValueError("quasiparticle weight matrix is singular")
     bands, s = _band_components(spec)
     beta = spec.beta
     if spec.n_c == 1:
-        h = rc[0] ** 2 * bands[0] + lc[0] - mu
+        h = r[0] ** 2 * bands[0] + lam[0] - mu
         f = fermi(h, beta)
         delta = float(f.mean())
-        kinetic = float((bands[0] * rc[0] * f).mean())
-        return SymMatrix(delta), SymMatrix(kinetic)
-    diag = [rc[i] ** 2 * bands[i] + lc[i] - mu for i in range(2)]
+        kinetic = float((bands[0] * r[0] * f).mean())
+        return np.array([delta]), np.array([kinetic])
+    diag = [r[i] ** 2 * bands[i] + lam[i] - mu for i in range(2)]
     a = 0.5 * (diag[0] + diag[1])
     b = 0.5 * (diag[0] - diag[1])
-    c = rc[0] * rc[1] * s
+    c = r[0] * r[1] * s
     rad = np.hypot(b, c)
     f_up = fermi(a + rad, beta)
     f_dn = fermi(a - rad, beta)
@@ -468,14 +469,13 @@ def per_mu_qp_fill(r, lam, mu, spec):
     centre = fermi(a, beta)
     slope = -beta * centre * (1.0 - centre)
     ratio = np.where(rad > 1e-9, df / np.where(rad > 1e-9, rad, 1.0), slope)
-    delta = SymMatrix(float((f0 + ratio * b).mean()),
-                      float((f0 - ratio * b).mean()))
+    delta = np.array([(f0 + ratio * b).mean(), (f0 - ratio * b).mean()])
     cross = s ** 2 * ratio
-    k_plus = (bands[0] * rc[0] * (f0 + ratio * b)
-              + rc[0] * rc[1] ** 2 * cross).mean()
-    k_minus = (bands[1] * rc[1] * (f0 - ratio * b)
-               + rc[1] * rc[0] ** 2 * cross).mean()
-    return delta, SymMatrix(float(k_plus), float(k_minus))
+    k_plus = (bands[0] * r[0] * (f0 + ratio * b)
+              + r[0] * r[1] ** 2 * cross).mean()
+    k_minus = (bands[1] * r[1] * (f0 - ratio * b)
+               + r[1] * r[0] ** 2 * cross).mean()
+    return delta, np.array([k_plus, k_minus])
 
 
 def per_mu_find_mu(r, lam, spec):
@@ -484,16 +484,16 @@ def per_mu_find_mu(r, lam, spec):
     from scipy.optimize import brentq
 
     if spec.n_c == 1 and spec.filling == 0.5:
-        return lam.plus
+        return float(lam[0])
     gaps = {}
 
     def filling_gap(mu):
         if mu not in gaps:
             delta, _ = per_mu_qp_fill(r, lam, mu, spec)
-            gaps[mu] = float(delta.channels().mean()) - spec.filling
+            gaps[mu] = float(delta.mean()) - spec.filling
         return gaps[mu]
 
-    width = 2.0 + float(np.max(np.abs(lam.channels())))
+    width = 2.0 + float(np.max(np.abs(lam)))
     lo, hi = -width, width
     for _ in range(80):
         if filling_gap(lo) < 0.0 < filling_gap(hi):
@@ -638,6 +638,15 @@ def zero_state(n_qubits, mixed=False):
     return simulator.QuantumState(n_qubits, "mixed", tensor)
 
 
+def from_vector(vec):
+    """The pure state of an amplitude vector of power-of-two length."""
+    vec = np.asarray(vec, dtype=complex).ravel()
+    n = vec.size.bit_length() - 1
+    if vec.size < 1 or 1 << n != vec.size:
+        raise ValueError("amplitude vector length is not a power of two")
+    return simulator.QuantumState(n, "pure", vec.reshape((2,) * n))
+
+
 def full_register_walk(circuit, bindings=None, noise=None, mixed=False):
     """The final tensor of `simulator._fuse`'s blocks applied one by one to
     the whole |0...0> register tensor, with no product-state start; a
@@ -715,11 +724,11 @@ def whole_register(circuit, noise=None):
 
 
 def sym_from_matrix(m, tol=1e-8):
-    """SymMatrix of a 1x1 matrix or of a 2x2 matrix of [[a, b], [b, a]]
+    """Channel values of a 1x1 matrix or of a 2x2 matrix of [[a, b], [b, a]]
     form within `tol`; any other matrix raises ValueError."""
     m = np.asarray(m, dtype=float)
     if m.shape == (1, 1):
-        return SymMatrix(float(m[0, 0]))
+        return m[0].copy()
     if m.shape != (2, 2):
         raise ValueError(f"expected 1x1 or 2x2 matrix, got {m.shape}")
     if abs(m[0, 0] - m[1, 1]) > tol or abs(m[0, 1] - m[1, 0]) > tol:
@@ -727,7 +736,17 @@ def sym_from_matrix(m, tol=1e-8):
                          f"more than {tol}")
     a = 0.5 * (m[0, 0] + m[1, 1])
     b = 0.5 * (m[0, 1] + m[1, 0])
-    return SymMatrix(a + b, a - b)
+    return np.array([a + b, a - b])
+
+
+def assert_channel_arrays(n_c, *arrays):
+    """Each array holds n_c float channel values, and no two share
+    memory."""
+    for i, a in enumerate(arrays):
+        assert isinstance(a, np.ndarray) and a.dtype == float
+        assert a.shape == (n_c,)
+        for b in arrays[:i]:
+            assert not np.shares_memory(a, b)
 
 
 def dispersion(spec, k):

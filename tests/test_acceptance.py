@@ -249,7 +249,7 @@ def test_criterion_07_basis_iteration_recovers_reference_energy(
 def test_criterion_08_quasiparticle_weight_sweep_matches_scalar_oracle():
     grid = [0.0] + [round(0.05 * k, 10) for k in range(1, 61)]
     points = risb_sweep(LatticeSpec(n_c=1, u=0.0), grid, max_iter=20)
-    zs = [p.output.z.plus for p in points]
+    zs = [p.output.z[0] for p in points]
     assert abs(zs[0] - 1.0) <= 1e-6
     for a, b in zip(zs, zs[1:]):
         assert b <= a + 1e-9
@@ -295,12 +295,12 @@ def test_criterion_10_noisy_hardware_model_tracks_reference():
                            max_iter=100)[0]
         ref = ref_by_u[u]
         for got, want in (
-                (point.output.z.plus, ref.output.z.plus),
-                (point.output.z.minus, ref.output.z.minus),
-                (point.output.lambda_tilde(spec).plus,
-                 ref.output.lambda_tilde(spec).plus),
-                (point.output.lambda_tilde(spec).minus,
-                 ref.output.lambda_tilde(spec).minus)):
+                (point.output.z[0], ref.output.z[0]),
+                (point.output.z[1], ref.output.z[1]),
+                (point.output.lambda_tilde(spec)[0],
+                 ref.output.lambda_tilde(spec)[0]),
+                (point.output.lambda_tilde(spec)[1],
+                 ref.output.lambda_tilde(spec)[1])):
             rel = abs(got - want) / abs(want)
             assert rel <= 0.05, f"U = {u}: {got} vs {want}"
             worst_rel = max(worst_rel, rel)
@@ -324,8 +324,8 @@ def test_criterion_10_noisy_hardware_model_tracks_reference():
                            max_iter=30)[0]
         costs = [c for _, c in point.output.cost_trace]
         assert costs[-1] < costs[0], f"U = {u}: cost did not descend"
-        devs[u] = max(abs(point.output.z.plus - ref.output.z.plus),
-                      abs(point.output.z.minus - ref.output.z.minus))
+        devs[u] = max(abs(point.output.z[0] - ref.output.z[0]),
+                      abs(point.output.z[1] - ref.output.z[1]))
     assert devs[0.05] > devs[2.0], f"deviations {devs}"
 
     # the deep hardware-efficient circuit cannot converge under the same
@@ -370,8 +370,8 @@ def test_criterion_12_noise_displaces_landscape_minimum():
                                noise_scales=(0.0, 1.0),
                                base_noise=calibrate_noise())
     output, _ = classical_point(spec)
-    i_star = int(np.argmin(np.abs(r_values - output.r.plus)))
-    j_star = int(np.argmin(np.abs(lam_values - output.lam.plus)))
+    i_star = int(np.argmin(np.abs(r_values - output.r[0])))
+    j_star = int(np.argmin(np.abs(lam_values - output.lam[0])))
     clean = table.min_node(0)
     noisy = table.min_node(1)
     assert clean == (i_star, j_star)

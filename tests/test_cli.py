@@ -17,6 +17,8 @@ from risbvqe.cli import (ConfigError, RunConfig, build_noise, load_reference,
                          serialize_config, u_grid)
 from risbvqe.runio import read_table
 
+from oracles import assert_channel_arrays
+
 ED_SWEEP = """\
 [lattice]
 n_c = 1
@@ -426,12 +428,12 @@ classical_table = {table}
             classical_table=str(ref / "run_sweep_ed_off.csv")))
         assert set(loaded) == {0.0, 0.2, 0.4}
         r, lam = loaded[0.4]
-        assert r.minus is None
+        assert_channel_arrays(1, r, lam)
         exact = [r_ for r_ in read_table(ref / "run_sweep_ed_off.csv")
                  if abs(r_["U"] - 0.4) < 1e-9][0]
-        assert r.plus == pytest.approx(math.sqrt(exact["Z_plus"]), abs=1e-12)
+        assert r[0] == pytest.approx(math.sqrt(exact["Z_plus"]), abs=1e-12)
         # lambda recovers lambda-tilde shifted by the half-filled level
-        assert lam.plus == pytest.approx(0.2, abs=5e-3)
+        assert lam[0] == pytest.approx(0.2, abs=5e-3)
 
     def test_version_one_table_still_loads(self, tmp_path):
         # A two-site table written before the converged, clamped and
@@ -450,13 +452,14 @@ classical_table = {table}
         loaded = load_reference(cfg)
         assert set(loaded) == {0.0, 0.2}
         r, lam = loaded[0.2]
-        np.testing.assert_allclose(r.channels() ** 2,
+        assert_channel_arrays(2, r, lam)
+        np.testing.assert_allclose(r ** 2,
                                    [0.99779164422288646, 0.99703800076070104],
                                    rtol=0, atol=1e-15)
         # lambda = lambda~ + eps_loc(mu = U/2), channel band means -/+ |t|.
-        np.testing.assert_allclose(
-            lam.channels(), [0.19639526070669872 - 0.25 - 0.1,
-                             0.20178404991531756 + 0.25 - 0.1], atol=1e-12)
+        np.testing.assert_allclose(lam, [0.19639526070669872 - 0.25 - 0.1,
+                                         0.20178404991531756 + 0.25 - 0.1],
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("n_c, table_minus, tag", [
         (2, "nan", "mrep"),  # a single-site table under a two-site sweep

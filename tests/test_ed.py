@@ -22,10 +22,11 @@ from risbvqe.ed import (GroundState, SectorLabel, _rdm1_table, _sector_states,
 from risbvqe.estimator import parameter_shift_minimize
 from risbvqe.hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
 from risbvqe.pauli import ladder_table
-from risbvqe.simulator import Observable, QuantumState, run
+from risbvqe.simulator import Observable, run
 
-from oracles import (expectation_matrix, oracle_hamiltonian_matrix,
-                     oracle_rdm1_full, oracle_sector_basis, pauli_rdm1_full,
+from oracles import (expectation_matrix, from_vector,
+                     oracle_hamiltonian_matrix, oracle_rdm1_full,
+                     oracle_sector_basis, pauli_rdm1_full,
                      per_term_hamiltonian_matrix, random_bindings)
 
 RNG = np.random.default_rng(40813)
@@ -151,7 +152,7 @@ class TestRdm1:
         # Against the Pauli-expectation route and the amplitude loop.
         emb = random_embedding(RNG)
         psi = ground_state(emb, SectorLabel(2, 0)).state
-        pauli = pauli_rdm1_full(QuantumState.from_vector(psi))
+        pauli = pauli_rdm1_full(from_vector(psi))
         got = ed_rdm1_full(psi)
         np.testing.assert_allclose(got, pauli, atol=1e-12)
         np.testing.assert_allclose(got, oracle_rdm1_full(psi, 4), atol=1e-14)

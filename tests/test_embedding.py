@@ -12,16 +12,18 @@ from scipy.special import expit
 import risbvqe.embedding as embedding_module
 from risbvqe import SolverFailure
 from risbvqe.embedding import (FIXED_POINT_TOL, CostReport, LatticeSpec,
-                               SymMatrix, bath_kernel, bath_kernel_slope,
-                               build_embedding_hamiltonian, classical_point,
+                               bath_kernel, bath_kernel_slope,
+                               build_embedding_hamiltonian, channel_matrix,
+                               classical_point,
                                ed_impurity_solver, eps_loc,
                                fermi, find_mu, lambda_c, matsubara_fermi,
                                noninteracting_start, qp_fill,
                                risb_cost, risb_solve, risb_sweep, solve_d,
                                sym_project)
 
-from oracles import (dispersion, matrix_lambda_c, per_mu_find_mu,
-                     per_mu_qp_fill, single_site_z, sym_from_matrix)
+from oracles import (assert_channel_arrays, dispersion, matrix_lambda_c,
+                     per_mu_find_mu, per_mu_qp_fill, single_site_z,
+                     sym_from_matrix)
 
 HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -34,19 +36,22 @@ def site_channels(m) -> np.ndarray:
 
 
 class TestSymMatrix:
+    """Symmetric cluster matrices [[a, b], [b, a]] and their channel
+    values a + b, a - b: `channel_matrix` and `sym_project`."""
+
     def test_round_trip_two_site(self):
         m = np.array([[0.4, -0.1], [-0.1, 0.4]])
         sym = sym_from_matrix(m)
-        assert sym.plus == pytest.approx(0.3)
-        assert sym.minus == pytest.approx(0.5)
-        np.testing.assert_allclose(sym.to_matrix(), m, atol=1e-15)
+        np.testing.assert_allclose(sym, [0.3, 0.5])
+        np.testing.assert_allclose(channel_matrix(sym), m, atol=1e-15)
+        np.testing.assert_array_equal(sym_project(m), sym)
 
     def test_single_site(self):
         sym = sym_from_matrix([[0.7]])
-        assert sym.minus is None
-        assert sym.n_channels == 1
-        np.testing.assert_allclose(sym.to_matrix(), [[0.7]])
-        np.testing.assert_allclose(sym.channels(), [0.7])
+        assert sym.shape == (1,)
+        np.testing.assert_allclose(sym, [0.7])
+        np.testing.assert_array_equal(channel_matrix(sym), [[0.7]])
+        np.testing.assert_array_equal(sym_project([[0.7]]), [0.7])
 
     def test_rejects_asymmetric_form(self):
         with pytest.raises(ValueError, match="form"):
@@ -55,13 +60,19 @@ class TestSymMatrix:
             sym_from_matrix([[0.4, 0.1], [0.3, 0.4]])
 
     def test_projection_averages(self):
-        sym = sym_project([[1.0, 2.0], [4.0, 1.0]])
-        assert sym.plus == pytest.approx(4.0)
-        assert sym.minus == pytest.approx(-2.0)
+        m = np.array([[1.0, 2.0], [4.0, 1.0]])
+        sym = sym_project(m)
+        np.testing.assert_allclose(sym, [4.0, -2.0])
+        assert not np.shares_memory(sym, m)
+        assert not np.shares_memory(sym_project(m[:1, :1]), m)
 
     def test_channel_map(self):
-        sym = SymMatrix(0.3, -0.2).map(lambda c: c ** 2)
-        np.testing.assert_allclose(sym.channels(), [0.09, 0.04])
+        # The channels diagonalize the cluster matrix, so a function of the
+        # matrix maps each channel: Z = R R^T is Z_c = R_c ** 2.
+        r = np.array([0.3, -0.2])
+        np.testing.assert_allclose(channel_matrix(r ** 2),
+                                   channel_matrix(r) @ channel_matrix(r),
+                                   atol=1e-15)
 
 
 class TestLatticeSpec:
@@ -121,34 +132,33 @@ class TestEpsLoc:
     def test_two_site_channels(self):
         spec = LatticeSpec(n_c=2, u=1.0)
         local = eps_loc(spec, mu=0.1)
-        np.testing.assert_allclose(local.channels(), [-0.35, 0.15],
-                                   atol=1e-12)
+        np.testing.assert_allclose(local, [-0.35, 0.15], atol=1e-12)
 
     def test_single_site(self):
         spec = LatticeSpec(n_c=1, u=1.0)
-        assert eps_loc(spec, mu=0.2).plus == pytest.approx(-0.2, abs=1e-12)
+        assert eps_loc(spec, mu=0.2)[0] == pytest.approx(-0.2, abs=1e-12)
 
 
 class TestQpFill:
     def test_half_filling_symmetric_point(self):
         spec = LatticeSpec(n_c=1, u=0.0)
-        delta, kinetic = qp_fill(SymMatrix(1.0), SymMatrix(0.0), 0.0, spec)
-        assert delta.plus == pytest.approx(0.5, abs=1e-12)
-        assert kinetic.plus < -0.1
+        delta, kinetic = qp_fill(np.ones(1), np.zeros(1), 0.0, spec)
+        assert delta[0] == pytest.approx(0.5, abs=1e-12)
+        assert kinetic[0] < -0.1
 
     def test_singular_r_rejected(self):
         spec = LatticeSpec(n_c=1, u=0.0)
         with pytest.raises(ValueError, match="singular"):
-            qp_fill(SymMatrix(0.0), SymMatrix(0.0), 0.0, spec)
+            qp_fill(np.array([0.0]), np.array([0.0]), 0.0, spec)
 
     def test_matches_zero_temperature_projectors(self):
         # At beta = 4000 every quasiparticle level sits far from the Fermi
         # edge, so occupations must match the filled-projector sum.
         spec = LatticeSpec(n_c=2, u=0.0, mesh=8, beta=4000.0)
-        r = SymMatrix(0.9, 0.8)
-        lam = SymMatrix(0.1, -0.05)
+        r = np.array([0.9, 0.8])
+        lam = np.array([0.1, -0.05])
         mu = 0.37
-        rm, lm = r.to_matrix(), lam.to_matrix()
+        rm, lm = channel_matrix(r), channel_matrix(lam)
         vals = 2 * math.pi * np.arange(spec.mesh) / spec.mesh
         fill_sum = np.zeros((2, 2), dtype=complex)
         kin_sum = np.zeros((2, 2), dtype=complex)
@@ -165,18 +175,18 @@ class TestQpFill:
         assert min_gap > 5e-3
         n_k = spec.mesh ** 2
         delta, kinetic = qp_fill(r, lam, mu, spec)
-        np.testing.assert_allclose(delta.channels(),
+        np.testing.assert_allclose(delta,
                                    site_channels(fill_sum / n_k), atol=1e-7)
-        np.testing.assert_allclose(kinetic.channels(),
+        np.testing.assert_allclose(kinetic,
                                    site_channels(kin_sum / n_k), atol=1e-7)
 
     def test_trace_after_mu_adjustment(self):
         spec = LatticeSpec(n_c=2, u=1.0)
-        r = SymMatrix(0.9, 0.7)
-        lam = SymMatrix(0.3, -0.2)
+        r = np.array([0.9, 0.7])
+        lam = np.array([0.3, -0.2])
         mu = find_mu(r, lam, spec)
         delta, _ = qp_fill(r, lam, mu, spec)
-        assert delta.channels().mean() == pytest.approx(0.5, abs=1e-8)
+        assert delta.mean() == pytest.approx(0.5, abs=1e-8)
 
 
 class TestMatsubara:
@@ -198,10 +208,10 @@ class TestMatsubara:
         # Full two-site pipeline cross-check: closed-form Fermi filling of
         # the quasiparticle matrix against the explicit frequency sum.
         spec = LatticeSpec(n_c=2, u=0.0, mesh=6, beta=300.0)
-        r = SymMatrix(0.85, 0.75)
-        lam = SymMatrix(0.12, -0.08)
+        r = np.array([0.85, 0.75])
+        lam = np.array([0.12, -0.08])
         mu = 0.05
-        rm, lm = r.to_matrix(), lam.to_matrix()
+        rm, lm = channel_matrix(r), channel_matrix(lam)
         vals = 2 * math.pi * np.arange(spec.mesh) / spec.mesh
         fill_sum = np.zeros((2, 2), dtype=complex)
         kin_sum = np.zeros((2, 2), dtype=complex)
@@ -214,50 +224,49 @@ class TestMatsubara:
                 kin_sum += (eps @ rm @ occ).T
         n_k = spec.mesh ** 2
         delta, kinetic = qp_fill(r, lam, mu, spec)
-        np.testing.assert_allclose(delta.channels(),
+        np.testing.assert_allclose(delta,
                                    site_channels(fill_sum / n_k), atol=1e-5)
-        np.testing.assert_allclose(kinetic.channels(),
+        np.testing.assert_allclose(kinetic,
                                    site_channels(kin_sum / n_k), atol=1e-5)
 
 
 class TestBathClosure:
     def test_hybridization_solve(self):
-        delta = SymMatrix(0.3, 0.6)
-        kinetic = SymMatrix(-0.12, -0.2)
+        delta = np.array([0.3, 0.6])
+        kinetic = np.array([-0.12, -0.2])
         d = solve_d(delta, kinetic)
-        np.testing.assert_allclose(d.channels(),
+        np.testing.assert_allclose(d,
                                    [-0.12 / math.sqrt(0.21),
                                     -0.2 / math.sqrt(0.24)])
-        np.testing.assert_allclose(bath_kernel(delta.channels())
-                                   * d.channels(), kinetic.channels())
+        np.testing.assert_allclose(bath_kernel(delta) * d, kinetic)
 
     def test_degenerate_bath_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            solve_d(SymMatrix(1.0, 0.5), SymMatrix(0.1, 0.1))
+            solve_d(np.array([1.0, 0.5]), np.array([0.1, 0.1]))
         with pytest.raises(ValueError, match="degenerate"):
-            solve_d(SymMatrix(0.0), SymMatrix(0.1))
+            solve_d(np.array([0.0]), np.array([0.1]))
 
     def test_half_filled_bath_potential_cancels(self):
-        lam = SymMatrix(0.7, -0.4)
-        out = lambda_c(SymMatrix(0.5, 0.5), SymMatrix(-0.3, 0.2),
-                       SymMatrix(0.9, 0.8), lam)
-        np.testing.assert_allclose(out.channels(), -lam.channels())
+        lam = np.array([0.7, -0.4])
+        out = lambda_c(np.array([0.5, 0.5]), np.array([-0.3, 0.2]),
+                       np.array([0.9, 0.8]), lam)
+        np.testing.assert_allclose(out, -lam)
 
     def test_channel_and_matrix_routes_agree(self):
-        delta = SymMatrix(0.41, 0.63)
-        d = SymMatrix(-0.35, 0.22)
-        r = SymMatrix(0.93, 0.81)
-        lam = SymMatrix(0.27, -0.14)
-        fast = lambda_c(delta, d, r, lam).to_matrix()
-        full = matrix_lambda_c(delta.to_matrix(), d.to_matrix(),
-                               r.to_matrix(), lam.to_matrix())
+        delta = np.array([0.41, 0.63])
+        d = np.array([-0.35, 0.22])
+        r = np.array([0.93, 0.81])
+        lam = np.array([0.27, -0.14])
+        fast = channel_matrix(lambda_c(delta, d, r, lam))
+        full = matrix_lambda_c(channel_matrix(delta), channel_matrix(d),
+                               channel_matrix(r), channel_matrix(lam))
         np.testing.assert_allclose(fast, full, atol=1e-12)
 
     def test_scalar_matrix_route(self):
-        fast = lambda_c(SymMatrix(0.37), SymMatrix(-0.5), SymMatrix(0.85),
-                        SymMatrix(0.3))
+        fast = lambda_c(np.array([0.37]), np.array([-0.5]),
+                        np.array([0.85]), np.array([0.3]))
         full = matrix_lambda_c([[0.37]], [[-0.5]], [[0.85]], [[0.3]])
-        assert full[0, 0] == pytest.approx(fast.plus)
+        assert full[0, 0] == pytest.approx(fast[0])
 
     def test_kernel_derivative_matches_finite_difference(self):
         # Directional derivative of tr((R D)^T g(Delta)) along a random
@@ -294,27 +303,27 @@ class TestBathClosure:
 class TestFindMu:
     def test_single_site_pins_to_lambda(self):
         spec = LatticeSpec(n_c=1, u=1.0)
-        assert find_mu(SymMatrix(0.8), SymMatrix(0.37), spec) == 0.37
+        assert find_mu(np.array([0.8]), np.array([0.37]), spec) == 0.37
 
     def test_single_site_off_half_filling(self):
         spec = LatticeSpec(n_c=1, u=1.0, filling=0.4)
-        r, lam = SymMatrix(0.8), SymMatrix(0.37)
+        r, lam = np.array([0.8]), np.array([0.37])
         mu = find_mu(r, lam, spec)
-        assert mu != lam.plus
+        assert mu != lam[0]
         delta, _ = qp_fill(r, lam, mu, spec)
-        assert delta.plus == pytest.approx(0.4, abs=1e-8)
+        assert delta[0] == pytest.approx(0.4, abs=1e-8)
 
     def test_two_site_filling_target(self):
         spec = LatticeSpec(n_c=2, u=1.0)
-        r, lam = SymMatrix(0.95, 0.6), SymMatrix(-0.3, 0.45)
+        r, lam = np.array([0.95, 0.6]), np.array([-0.3, 0.45])
         mu = find_mu(r, lam, spec)
         delta, _ = qp_fill(r, lam, mu, spec)
-        assert delta.channels().mean() == pytest.approx(0.5, abs=1e-8)
+        assert delta.mean() == pytest.approx(0.5, abs=1e-8)
 
     def test_each_mu_filled_once(self, monkeypatch):
         from scipy.optimize import brentq
         spec = LatticeSpec(n_c=2, u=1.0)
-        r, lam = SymMatrix(0.95, 0.6), SymMatrix(-0.3, 0.45)
+        r, lam = np.array([0.95, 0.6]), np.array([-0.3, 0.45])
         qp_levels = embedding_module._qp_levels
         levels, _ = qp_levels(r, lam, spec)
         plain = []
@@ -357,7 +366,7 @@ class TestFindMu:
                             lambda r, lam, spec: (np.full((2, 4), np.nan),
                                                   None))
         with pytest.raises(SolverFailure, match="bracket"):
-            find_mu(SymMatrix(0.9, 0.8), SymMatrix(0.0, 0.0),
+            find_mu(np.array([0.9, 0.8]), np.array([0.0, 0.0]),
                     LatticeSpec(n_c=2, u=1.0))
 
 
@@ -372,11 +381,11 @@ class TestPerMuOracles:
     ])
     def test_find_mu_matches_per_mu_search(self, n_c, filling, r, lam):
         spec = LatticeSpec(n_c=n_c, u=1.0, filling=filling)
-        r, lam = SymMatrix.from_channels(r), SymMatrix.from_channels(lam)
+        r, lam = np.array(r), np.array(lam)
         want = per_mu_find_mu(r, lam, spec)
         # The filling rises through the target, so the window of mu that
         # meets it has zero width and both searches pin the same root.
-        rise = [per_mu_qp_fill(r, lam, want + h, spec)[0].channels().mean()
+        rise = [per_mu_qp_fill(r, lam, want + h, spec)[0].mean()
                 for h in (-1e-6, 1e-6)]
         assert rise[1] - rise[0] > 1e-8
         assert abs(find_mu(r, lam, spec) - want) <= 1e-12
@@ -389,12 +398,11 @@ class TestPerMuOracles:
     ])
     def test_qp_fill_matches_per_mu_fill(self, n_c, r, lam, mu):
         spec = LatticeSpec(n_c=n_c, u=1.0)
-        r, lam = SymMatrix.from_channels(r), SymMatrix.from_channels(lam)
+        r, lam = np.array(r), np.array(lam)
         got, want = qp_fill(r, lam, mu, spec), per_mu_qp_fill(r, lam, mu,
                                                               spec)
         for a, b in zip(got, want):
-            np.testing.assert_allclose(a.channels(), b.channels(),
-                                       rtol=0, atol=1e-13)
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
 
     def test_degenerate_levels_take_the_slope_branch(self):
         # R = 1 and equal channel potentials close the two-site splitting
@@ -402,7 +410,7 @@ class TestPerMuOracles:
         # the divided difference.
         spec = LatticeSpec(n_c=2, u=1.0)
         _, (_, _, rad) = embedding_module._qp_levels(
-            SymMatrix(1.0, 1.0), SymMatrix(0.0, 0.0), spec)
+            np.array([1.0, 1.0]), np.array([0.0, 0.0]), spec)
         assert np.count_nonzero(rad <= 1e-9) == spec.mesh
 
 
@@ -430,26 +438,26 @@ class TestBandCache:
 class TestCost:
     def test_noninteracting_fixed_point(self):
         spec = LatticeSpec(n_c=1, u=0.0)
-        report = risb_cost(SymMatrix(1.0), SymMatrix(0.0), spec)
+        report = risb_cost(np.array([1.0]), np.array([0.0]), spec)
         assert report.cost < 1e-9
         assert report.mu == 0.0
         assert report.emb.u_int == 0.0
 
     def test_residual_blocks(self):
         spec = LatticeSpec(n_c=1, u=2.0)
-        r, lam = SymMatrix(0.8), SymMatrix(0.3)
+        r, lam = np.array([0.8]), np.array([0.3])
         fake = np.array([[0.6, 0.2], [0.2, 0.45]])
         report = risb_cost(r, lam, spec, impurity_solver=lambda emb: fake)
         delta, _ = qp_fill(r, lam, report.mu, spec)
-        f1 = (1.0 - 0.45) - delta.plus
-        f2 = 0.2 - 0.8 * bath_kernel(delta.plus)
-        assert report.f1.plus == pytest.approx(f1)
-        assert report.f2.plus == pytest.approx(f2)
+        f1 = (1.0 - 0.45) - delta[0]
+        f2 = 0.2 - 0.8 * bath_kernel(delta[0])
+        assert report.f1[0] == pytest.approx(f1)
+        assert report.f2[0] == pytest.approx(f2)
         assert report.cost == pytest.approx(math.hypot(f1, f2))
 
     def test_small_r_is_clamped(self):
         spec = LatticeSpec(n_c=1, u=1.0)
-        report = risb_cost(SymMatrix(1e-5), SymMatrix(0.5), spec)
+        report = risb_cost(np.array([1e-5]), np.array([0.5]), spec)
         assert report.clamped
         assert math.isfinite(report.cost)
 
@@ -457,13 +465,13 @@ class TestCost:
         # On the two-point mesh the inter-channel coupling vanishes, so a
         # huge multiplier split saturates one channel exactly.
         spec = LatticeSpec(n_c=2, u=1.0, mesh=2)
-        report = risb_cost(SymMatrix(1.0, 1.0), SymMatrix(50.0, -50.0), spec)
+        report = risb_cost(np.ones(2), np.array([50.0, -50.0]), spec)
         assert report.cost == math.inf
         assert report.f1 is None
 
     def test_imbalanced_multipliers_are_repelled(self):
         spec = LatticeSpec(n_c=2, u=1.0)
-        report = risb_cost(SymMatrix(1.0, 1.0), SymMatrix(50.0, -50.0), spec)
+        report = risb_cost(np.ones(2), np.array([50.0, -50.0]), spec)
         assert math.isfinite(report.cost)
         assert report.cost > 0.1
 
@@ -472,24 +480,24 @@ class TestSolve:
     @pytest.mark.parametrize("u", [1.0, 2.0])
     def test_matches_scalar_reference(self, u):
         spec = LatticeSpec(n_c=1, u=u)
-        out = risb_solve(spec, start=(SymMatrix(0.85),
-                                      SymMatrix(0.5 * u + 0.05)),
+        out = risb_solve(spec, start=(np.array([0.85]),
+                                      np.array([0.5 * u + 0.05])),
                          max_iter=600)
         assert out.converged
         assert out.cost < 1e-6
-        assert out.z.plus == pytest.approx(single_site_z(u), abs=1e-3)
+        assert out.z[0] == pytest.approx(single_site_z(u), abs=1e-3)
         # Particle-hole symmetry pins the impurity level to half the
         # interaction and the chemical potential follows the multiplier.
-        assert out.lam.plus == pytest.approx(0.5 * u, abs=1e-4)
-        assert out.mu == out.lam.plus
+        assert out.lam[0] == pytest.approx(0.5 * u, abs=1e-4)
+        assert out.mu == out.lam[0]
 
     def test_noninteracting_two_site(self):
         spec = LatticeSpec(n_c=2, u=0.0)
-        start = (SymMatrix(0.97, 0.97), SymMatrix(spec.t, -spec.t))
+        start = (np.array([0.97, 0.97]), np.array([spec.t, -spec.t]))
         out = risb_solve(spec, start=start, max_iter=400)
         assert out.cost < 1e-6
-        np.testing.assert_allclose(out.z.channels(), [1.0, 1.0], atol=1e-3)
-        np.testing.assert_allclose(out.lambda_tilde(spec).channels(),
+        np.testing.assert_allclose(out.z, [1.0, 1.0], atol=1e-3)
+        np.testing.assert_allclose(out.lambda_tilde(spec),
                                    [0.0, 0.0], atol=5e-3)
 
     def test_never_finite_cost_is_a_solver_failure(self, monkeypatch):
@@ -500,7 +508,7 @@ class TestSolve:
 
     def test_reports_best_seen_point(self):
         spec = LatticeSpec(n_c=1, u=1.0)
-        out = risb_solve(spec, start=(SymMatrix(0.7), SymMatrix(0.3)),
+        out = risb_solve(spec, start=(np.array([0.7]), np.array([0.3])),
                          max_iter=30)
         costs = [c for _, c in out.cost_trace]
         assert out.cost == pytest.approx(min(costs))
@@ -510,9 +518,18 @@ class TestSolve:
         # Above the localization threshold (~3.24 here) the quasiparticle
         # weight collapses to the clamp floor.
         spec = LatticeSpec(n_c=1, u=5.0)
-        out = risb_solve(spec, start=(SymMatrix(0.1), SymMatrix(2.5)),
+        out = risb_solve(spec, start=(np.array([0.1]), np.array([2.5])),
                          max_iter=200)
-        assert out.z.plus < 1e-4
+        assert out.z[0] < 1e-4
+
+    @pytest.mark.parametrize("n_c", [1, 2])
+    def test_outputs_are_separate_channel_arrays(self, n_c):
+        spec = LatticeSpec(n_c=n_c, u=0.0)
+        outputs = [risb_solve(spec, max_iter=400)] + [
+            p.output for p in risb_sweep(spec, [0.0, 0.05])]
+        assert_channel_arrays(n_c, *[
+            a for out in outputs
+            for a in (out.r, out.lam, out.z, out.lambda_tilde(spec))])
 
     def test_solver_callable_is_used(self):
         spec = LatticeSpec(n_c=1, u=1.0)
@@ -523,7 +540,7 @@ class TestSolve:
             return ed_impurity_solver(emb)
 
         risb_solve(spec, impurity_solver=counting_solver,
-                   start=(SymMatrix(0.9), SymMatrix(0.5)), max_iter=5)
+                   start=(np.array([0.9]), np.array([0.5])), max_iter=5)
         assert calls and all(u == 1.0 for u in calls)
 
 
@@ -532,7 +549,7 @@ def counting_cost(monkeypatch) -> list:
     points = []
 
     def recorded(r, lam, spec, impurity_solver=None):
-        points.append(np.concatenate([r.channels(), lam.channels()]))
+        points.append(np.concatenate([r, lam]))
         return risb_cost(r, lam, spec, impurity_solver)
 
     monkeypatch.setattr(embedding_module, "risb_cost", recorded)
@@ -566,8 +583,8 @@ class TestRootPath:
             assert a.cost == b.cost and a.n_iter == b.n_iter
             assert a.cost_trace == b.cost_trace
             for name in ("r", "lam"):
-                np.testing.assert_array_equal(getattr(a, name).channels(),
-                                              getattr(b, name).channels())
+                np.testing.assert_array_equal(getattr(a, name),
+                                              getattr(b, name))
 
     def test_start_at_fixed_point_skips_root_search(self, monkeypatch):
         calls = counting_cost(monkeypatch)
@@ -576,7 +593,7 @@ class TestRootPath:
         out = risb_solve(spec, start=start, max_iter=400)
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], np.concatenate(
-            [start[0].channels(), start[1].channels()]))
+            [start[0], start[1]]))
         assert out.n_iter == len(out.cost_trace) == 1
         assert out.converged and out.cost < FIXED_POINT_TOL
 
@@ -603,8 +620,8 @@ class TestRootPath:
         assert report.cost == fresh.cost == out.cost
         assert report.mu == fresh.mu and report.clamped == fresh.clamped
         for name in ("f1", "f2", "delta", "d", "lam_c"):
-            np.testing.assert_array_equal(getattr(report, name).channels(),
-                                          getattr(fresh, name).channels())
+            np.testing.assert_array_equal(getattr(report, name),
+                                          getattr(fresh, name))
         np.testing.assert_array_equal(report.rdm, fresh.rdm)
         for name in ("n_c", "u_int", "d_mix", "lambda_c", "mu", "t_intra"):
             np.testing.assert_array_equal(getattr(report.emb, name),
@@ -613,16 +630,16 @@ class TestRootPath:
     @pytest.mark.parametrize("u", [0.5, 2.0, 3.0])
     def test_single_site_matches_scalar_oracle(self, u):
         spec = LatticeSpec(n_c=1, u=u)
-        out = risb_solve(spec, start=(SymMatrix(0.85),
-                                      SymMatrix(0.5 * u + 0.05)))
+        out = risb_solve(spec, start=(np.array([0.85]),
+                                      np.array([0.5 * u + 0.05])))
         assert out.converged
-        assert out.z.plus == pytest.approx(single_site_z(u), abs=1e-6)
+        assert out.z[0] == pytest.approx(single_site_z(u), abs=1e-6)
 
     def test_mott_start_falls_back_to_nelder_mead(self):
         # The root search drives R onto the clamp, where the residual
         # cannot vanish; Nelder-Mead then restarts from the same start.
         spec = LatticeSpec(n_c=1, u=5.0)
-        out = risb_solve(spec, start=(SymMatrix(0.1), SymMatrix(2.5)),
+        out = risb_solve(spec, start=(np.array([0.1]), np.array([2.5])),
                          max_iter=200)
         costs = [c for _, c in out.cost_trace]
         assert costs[0] in costs[1:]
@@ -639,13 +656,13 @@ class TestRootPath:
             return ed_impurity_solver(emb)
 
         out = risb_solve(spec, impurity_solver=wrapped,
-                         start=(SymMatrix(x0[0]), SymMatrix(x0[1])),
+                         start=(np.array([x0[0]]), np.array([x0[1]])),
                          max_iter=40)
         plain = []
 
         def cost(x):
             plain.append(x.copy())
-            return risb_cost(SymMatrix(x[0]), SymMatrix(x[1]), spec).cost
+            return risb_cost(np.array([x[0]]), np.array([x[1]]), spec).cost
 
         simplex = np.vstack([x0] + [x0 + embedding_module.SIMPLEX_STEP * e
                                     for e in np.eye(2)])

@@ -17,9 +17,10 @@ from risbvqe.pauli import PauliSum
 from risbvqe.simulator import (NoiseModel, Observable, QuantumState,
                                calibrate_noise, run)
 
-from oracles import (build_product_ry, noisy_density, oracle_rdm1_density,
-                     oracle_rdm1_full, pauli_identity, pauli_observable,
-                     pauli_rdm1_full, random_bindings, word_mat, zero_state)
+from oracles import (build_product_ry, from_vector, noisy_density,
+                     oracle_rdm1_density, oracle_rdm1_full, pauli_identity,
+                     pauli_observable, pauli_rdm1_full, random_bindings,
+                     word_mat, zero_state)
 
 RNG = np.random.default_rng(97531)
 
@@ -59,8 +60,7 @@ class TestExpectation:
             words = random_hermitian_sum(4, 6, RNG)
             mat = sum(c * word_mat(w) for w, c in words.items())
             want = np.vdot(v, mat @ v).real
-            got = expectation(QuantumState.from_vector(v),
-                              pauli_observable(words))
+            got = expectation(from_vector(v), pauli_observable(words))
             assert abs(got - want) < 1e-10
 
     def test_rejects_non_hermitian(self):
@@ -374,13 +374,13 @@ class TestSampling:
         assert val == 1.0
 
     def test_plus_state_statistics(self):
-        plus = QuantumState.from_vector(np.array([1, 1]) / math.sqrt(2))
+        plus = from_vector(np.array([1, 1]) / math.sqrt(2))
         val = sample_expectation(plus, PauliSum({"Z": 1.0}), n_shots=10 ** 6,
                                  seed=7)
         assert abs(val) < 3e-3
 
     def test_seed_reproducible(self):
-        plus = QuantumState.from_vector(np.array([1, 1]) / math.sqrt(2))
+        plus = from_vector(np.array([1, 1]) / math.sqrt(2))
         obs = PauliSum({"Z": 0.8, "X": 0.4, "I": 0.1})
         a = sample_expectation(plus, obs, n_shots=100, seed=42)
         b = sample_expectation(plus, obs, n_shots=100, seed=42)

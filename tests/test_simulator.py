@@ -21,7 +21,7 @@ from risbvqe.simulator import (NoiseModel, Observable, QuantumState, _compile,
 from risbvqe.vqe import vqe_minimize
 
 from oracles import (KIND_AXES, dense_state, finite_difference_gradient,
-                     full_register_walk, gather_scatter_walk,
+                     from_vector, full_register_walk, gather_scatter_walk,
                      noisy_density, oracle_transfer,
                      pauli_observable, random_bindings, superoperator_density,
                      unfactored, whole_register, word_mat, zero_state)
@@ -98,19 +98,19 @@ class TestQuantumState:
     def test_vector_round_trip(self):
         v = RNG.normal(size=8) + 1j * RNG.normal(size=8)
         v /= np.linalg.norm(v)
-        state = QuantumState.from_vector(v)
+        state = from_vector(v)
         assert state.n_qubits == 3
         np.testing.assert_allclose(state.vector(), v)
         np.testing.assert_allclose(state.density(), np.outer(v, v.conj()))
 
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
-            QuantumState.from_vector(np.ones(3))
+            from_vector(np.ones(3))
         with pytest.raises(ValueError):
             QuantumState.from_density(np.ones((4, 2)))
 
     @pytest.mark.parametrize("read, empty, message", [
-        (QuantumState.from_vector, [], "vector length is not a power"),
+        (from_vector, [], "vector length is not a power"),
         (QuantumState.from_density, np.zeros((0, 0)), "square power-of-two"),
         (ed_rdm1_full, np.zeros(0), "dimension 0 is not a power of two")],
         ids=["from_vector", "from_density", "ed_rdm1_full"])
@@ -136,7 +136,7 @@ class TestUnitaryAction:
         np.testing.assert_array_equal(start.tensor, before)
         # the pure backend gathers each block's rows into new arrays
         psi = RNG.normal(size=4) + 1j * RNG.normal(size=4)
-        start = QuantumState.from_vector(psi / np.linalg.norm(psi))
+        start = from_vector(psi / np.linalg.norm(psi))
         before = start.tensor.copy()
         for gate in all_kinds_circuit().gates:
             out = apply_gate(start, gate, {n: 0.4 for n in "abcdef"})

@@ -9,7 +9,7 @@ import pytest
 from risbvqe import SolverFailure
 from risbvqe.circuits import build_hea_nc1, build_mr_nc1
 from risbvqe.ed import SectorLabel, ground_state, hamiltonian_matrix
-from risbvqe.embedding import LatticeSpec, SymMatrix, risb_cost, risb_solve
+from risbvqe.embedding import LatticeSpec, risb_cost, risb_solve
 from risbvqe.estimator import expectation
 from risbvqe.hamiltonians import EmbeddingHamiltonian
 from risbvqe.simulator import (Observable, adjoint_gradient, calibrate_noise,
@@ -243,10 +243,10 @@ class TestLandscape:
 
     def test_noiseless_minimum_sits_on_solution_node(self):
         spec = LatticeSpec(n_c=1, u=0.1)
-        solved = risb_solve(spec, start=(SymMatrix(0.97), SymMatrix(0.05)),
+        solved = risb_solve(spec, start=(np.array([0.97]), np.array([0.05])),
                             max_iter=400)
         assert solved.cost < 1e-6
-        r0, l0 = solved.r.plus, solved.lam.plus
+        r0, l0 = solved.r[0], solved.lam[0]
         table = landscape_scan(spec, [r0 - 0.01, r0, r0 + 0.01],
                                [l0 - 0.01, l0, l0 + 0.01])
         assert table.min_node(0) == (1, 1)
@@ -254,7 +254,7 @@ class TestLandscape:
 
     def test_circuit_solver_matches_exact_solver_noiselessly(self):
         spec = LatticeSpec(n_c=1, u=0.5)
-        r, lam = SymMatrix(0.9), SymMatrix(0.25)
+        r, lam = np.array([0.9]), np.array([0.25])
         exact = risb_cost(r, lam, spec)
         circuit = risb_cost(r, lam, spec,
                             impurity_solver=mr_impurity_solver())
@@ -262,10 +262,10 @@ class TestLandscape:
 
     def test_noise_raises_cost_at_solution(self):
         spec = LatticeSpec(n_c=1, u=0.1)
-        solved = risb_solve(spec, start=(SymMatrix(0.97), SymMatrix(0.05)),
+        solved = risb_solve(spec, start=(np.array([0.97]), np.array([0.05])),
                             max_iter=400)
-        clean = landscape_scan(spec, [solved.r.plus], [solved.lam.plus])
-        noisy = landscape_scan(spec, [solved.r.plus], [solved.lam.plus],
+        clean = landscape_scan(spec, [solved.r[0]], [solved.lam[0]])
+        noisy = landscape_scan(spec, [solved.r[0]], [solved.lam[0]],
                                noise_scales=(1.0,),
                                base_noise=calibrate_noise())
         assert noisy.costs[0, 0, 0] > clean.costs[0, 0, 0] + 1e-3
