@@ -369,13 +369,12 @@ def cmd_vqe(cfg: RunConfig) -> int:
     for u in u_grid(cfg):
         spec = lattice_spec(cfg, u=u)
         _, report = classical_point(spec)
-        emb = report.emb
-        gs = ground_state(emb, half_filling_sector(cfg.n_c))
+        ham = report.emb
+        gs = ground_state(ham, half_filling_sector(cfg.n_c))
         e0 = gs.energy
-        orbital = emb.orbital()
         if cfg.basis == "exact-no":
-            orbital = rotate_hamiltonian(orbital, exact_no_basis(emb, gs))
-        observable = Observable(hamiltonian_matrix(orbital))
+            ham = rotate_hamiltonian(ham, exact_no_basis(ham, gs))
+        observable = Observable(hamiltonian_matrix(ham))
         energies = []
         for i in range(cfg.n_starts):
             seed = cfg.seed + i
@@ -413,7 +412,7 @@ def cmd_noize(cfg: RunConfig) -> int:
     result = noize(emb, ansatz=ansatz, n_steps=cfg.noize_steps,
                    n_starts=cfg.n_starts, seed=cfg.seed, noise=noise,
                    optimizer=cfg.optimizer, max_iter=cfg.max_iter)
-    rotated = rotate_hamiltonian(emb.orbital(), exact_no_basis(emb, gs))
+    rotated = rotate_hamiltonian(emb, exact_no_basis(emb, gs))
     reference = multi_start(Observable(hamiltonian_matrix(rotated)), ansatz,
                             n_starts=cfg.n_starts, seed=cfg.seed + 1,
                             optimizer=cfg.optimizer, noise=noise,

@@ -30,7 +30,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
 from .pauli import MODE_CAP, ladder_table
 
 DEGENERACY_RTOL = 1e-9
@@ -52,16 +51,6 @@ class SectorLabel:
 
 def half_filling_sector(n_c: int) -> SectorLabel:
     return SectorLabel(n_particles=2 * n_c, sz_twice=0)
-
-
-def as_orbital(ham) -> tuple[OrbitalHamiltonian, int]:
-    """Coefficient view of a cluster Hamiltonian with its cluster size n_c,
-    read off its 4 n_c spin-major modes."""
-    orb = ham.orbital() if isinstance(ham, EmbeddingHamiltonian) else ham
-    n_c, rem = divmod(orb.n_modes, 4)
-    if rem:
-        raise ValueError(f"a cluster has 4 n_c modes, not {orb.n_modes}")
-    return orb, n_c
 
 
 def _frozen(values) -> np.ndarray:
@@ -112,12 +101,11 @@ def _stacked_tables(structure: tuple, n_modes: int,
 def hamiltonian_matrix(ham, sector: SectorLabel | None = None) -> np.ndarray:
     """Dense Hamiltonian over the (sector-restricted) Fock basis: each
     touched entry sums its terms' signs times coefficients, in term order."""
-    orb = ham.orbital() if isinstance(ham, EmbeddingHamiltonian) else ham
-    m = orb.n_modes
+    m = ham.n_modes
     if m > MODE_CAP:
         raise ValueError(f"{m} modes exceeds the dense cap {MODE_CAP}")
     dim = _sector_states(m, sector).size
-    strings, coeffs = orb.ladder_terms()
+    strings, coeffs = ham.ladder_terms()
     touched, bins, term, signs = _stacked_tables(strings, m, sector)
     weights = signs * coeffs[term]
     out = np.zeros(dim * dim, dtype=complex)
@@ -325,11 +313,13 @@ def exact_no_basis(ham, gs: GroundState | None = None) -> BasisRotation:
     diagonal.  A degenerate ground state makes the basis non-unique and is
     flagged with a warning.
     """
-    orb, n_c = as_orbital(ham)
+    n_c, rem = divmod(ham.n_modes, 4)
+    if rem:
+        raise ValueError(f"a cluster has 4 n_c modes, not {ham.n_modes}")
     if gs is None:
-        gs = ground_state(orb, half_filling_sector(n_c))
+        gs = ground_state(ham, half_filling_sector(n_c))
     if gs.degeneracy > 1:
         warnings.warn(f"ground state is {gs.degeneracy}-fold degenerate; "
                       f"natural orbitals are not unique")
     rdm = ed_rdm1(gs.state, n_c).matrix
-    return diagonalize_rdm(rdm, h=orb.h[:2 * n_c, :2 * n_c])
+    return diagonalize_rdm(rdm, h=ham.h[:2 * n_c, :2 * n_c])

@@ -157,9 +157,10 @@ def qp_fill(r: np.ndarray, lam: np.ndarray, mu: float,
     a, b, rad = split
     f_up, f_dn = fermi(levels - mu, beta)
     f0, df = 0.5 * (f_up + f_dn), 0.5 * (f_up - f_dn)
-    centre = fermi(a - mu, beta)
-    slope = -beta * centre * (1.0 - centre)
-    ratio = np.where(rad > 1e-9, df / np.where(rad > 1e-9, rad, 1.0), slope)
+    flat = rad <= 1e-9
+    ratio = df / np.where(flat, 1.0, rad)
+    centre = fermi(a[flat] - mu, beta)
+    ratio[flat] = -beta * centre * (1.0 - centre)
     delta = np.array([(f0 + ratio * b).mean(), (f0 - ratio * b).mean()])
     cross = s ** 2 * ratio
     k_plus = (bands[0] * r[0] * (f0 + ratio * b)

@@ -53,7 +53,7 @@ def circuit_rdm1(circuit: Circuit, bindings: Mapping[str, float], n_c: int,
     with warnings.catch_warnings():
         # Circuits such as mrep break S_z even without noise, so the two
         # spin blocks can differ by O(1); until a spin-symmetry policy
-        # lands (ROADMAP.md, item 3), the average is taken silently.
+        # lands (ROADMAP.md, item 6), the average is taken silently.
         warnings.filterwarnings("ignore", message="spin blocks")
         rdm = measure_rdm1(state, n_c).matrix
     if basis is not None:

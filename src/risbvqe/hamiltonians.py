@@ -6,16 +6,14 @@ and knows how to change single-particle basis and list its terms once
 (`ladder_terms`).  That one list is read twice: `ed.hamiltonian_matrix`
 sums it into the Fock-space matrix every solver and simulator observable
 uses, and `to_pauli` compiles it to the Pauli words the term counts read.
-`EmbeddingHamiltonian` assembles the impurity+bath cluster model from its
-physical blocks.
+`EmbeddingHamiltonian` is one such operator, the impurity+bath cluster
+model, whose coefficients are assembled once from its physical blocks.
 
 Modes are spin-major: spin-up orbitals first, then spin-down; within each
 spin the n_c impurity orbitals precede the n_c bath orbitals.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,9 +100,9 @@ class OrbitalHamiltonian:
         return jordan_wigner(self.to_fermion_operator(), self.n_modes)
 
 
-@dataclass(frozen=True)
-class EmbeddingHamiltonian:
-    """Impurity+bath cluster model in grand-canonical form.
+class EmbeddingHamiltonian(OrbitalHamiltonian):
+    """Impurity+bath cluster model in grand-canonical form, built once into
+    the coefficients it describes.
 
     Per spin the one-body block is [[t_intra - mu, D], [D+, -(lambda_c +
     mu)]]; the bath part enters through f_b f_a+ ordering, which leaves the
@@ -112,47 +110,33 @@ class EmbeddingHamiltonian:
     impurity site.
     """
 
-    n_c: int
-    u_int: float
-    d_mix: np.ndarray
-    lambda_c: np.ndarray
-    mu: float = 0.0
-    t_intra: np.ndarray | None = None
+    __slots__ = ("n_c", "u_int", "d_mix", "lambda_c", "mu", "t_intra")
 
-    def __post_init__(self):
-        n = self.n_c
-        object.__setattr__(self, "d_mix",
-                           np.atleast_2d(np.asarray(self.d_mix, dtype=float)))
-        object.__setattr__(self, "lambda_c",
-                           np.atleast_2d(np.asarray(self.lambda_c,
-                                                    dtype=float)))
-        t = (np.zeros((n, n)) if self.t_intra is None
-             else np.atleast_2d(np.asarray(self.t_intra, dtype=float)))
-        object.__setattr__(self, "t_intra", t)
+    def __init__(self, n_c: int, u_int: float, d_mix, lambda_c,
+                 mu: float = 0.0, t_intra=None):
+        n = n_c
+        self.n_c, self.u_int, self.mu = n_c, u_int, mu
+        self.d_mix = np.atleast_2d(np.asarray(d_mix, dtype=float))
+        self.lambda_c = np.atleast_2d(np.asarray(lambda_c, dtype=float))
+        self.t_intra = (np.zeros((n, n)) if t_intra is None
+                        else np.atleast_2d(np.asarray(t_intra, dtype=float)))
         for name in ("d_mix", "lambda_c", "t_intra"):
             if getattr(self, name).shape != (n, n):
                 raise ValueError(f"{name} must be {n}x{n}")
-
-    @property
-    def n_modes(self) -> int:
-        return 4 * self.n_c
-
-    def orbital(self) -> OrbitalHamiltonian:
-        n = self.n_c
         block = np.zeros((2 * n, 2 * n), dtype=complex)
-        block[:n, :n] = self.t_intra - self.mu * np.eye(n)
+        block[:n, :n] = self.t_intra - mu * np.eye(n)
         block[:n, n:] = self.d_mix
         block[n:, :n] = self.d_mix.conj().T
-        block[n:, n:] = -(self.lambda_c + self.mu * np.eye(n))
-        h = np.kron(np.eye(2), block)
+        block[n:, n:] = -(self.lambda_c + mu * np.eye(n))
         u = np.zeros((4 * n,) * 4, dtype=complex)
         for site in range(n):
             up = mode_index(0, site, n)
             dn = mode_index(1, site, n)
             # n_up n_down reordered to c+_up c+_down c_down c_up.
-            u[up, dn, dn, up] = self.u_int
-        const = 2.0 * float(np.trace(self.lambda_c))
-        return OrbitalHamiltonian(h, u, const)
+            u[up, dn, dn, up] = u_int
+        super().__init__(np.kron(np.eye(2), block), u,
+                         2.0 * float(np.trace(self.lambda_c)))
 
-    def to_pauli(self) -> PauliSum:
-        return self.orbital().to_pauli()
+    def orbital(self) -> OrbitalHamiltonian:
+        """The coefficient view, which is the cluster itself."""
+        return self

@@ -17,8 +17,8 @@ import numpy as np
 from .circuits import Circuit, build_hea_nc1
 # The natural-orbital basis lives beside the 1-RDM kernel in `ed`; its
 # names are re-exported here, where the iteration that uses them lives.
-from .ed import (BasisRotation, as_orbital, diagonalize_rdm, ed_rdm1_full,
-                 exact_no_basis, hamiltonian_matrix)
+from .ed import (BasisRotation, diagonalize_rdm, ed_rdm1_full, exact_no_basis,
+                 hamiltonian_matrix)
 from .estimator import circuit_rdm1, measure_rdm1, rotosolve
 from .hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
 from .pauli import count_terms
@@ -70,16 +70,18 @@ def noize(ham, ansatz: Circuit | None = None, n_steps: int = 3,
         raise ValueError("n_steps must be >= 1")
     if solve is None and ansatz is None:
         raise ValueError("either an ansatz or a solve callable is needed")
-    orb, n_c = as_orbital(ham)
+    n_c, rem = divmod(ham.n_modes, 4)
+    if rem:
+        raise ValueError(f"a cluster has 4 n_c modes, not {ham.n_modes}")
     rng = np.random.default_rng(seed)
     v_tot = np.eye(2 * n_c)
     reports: list[dict] = []
     last: VqeResult | None = None
     for step in range(1, n_steps + 1):
         if solve is not None:
-            energy, rdm = solve(orb)
+            energy, rdm = solve(ham)
         else:
-            last = multi_start(Observable(hamiltonian_matrix(orb)), ansatz,
+            last = multi_start(Observable(hamiltonian_matrix(ham)), ansatz,
                                n_starts=n_starts,
                                seed=int(rng.integers(2 ** 63)),
                                optimizer=optimizer, noise=noise,
@@ -87,17 +89,17 @@ def noize(ham, ansatz: Circuit | None = None, n_steps: int = 3,
             state = run(ansatz, last.bindings(), noise=noise)
             energy = last.best_energy
             rdm = measure_rdm1(state, n_c).matrix
-        rotation = diagonalize_rdm(rdm, h=orb.h[:2 * n_c, :2 * n_c],
+        rotation = diagonalize_rdm(rdm, h=ham.h[:2 * n_c, :2 * n_c],
                                    step=step)
         reports.append({
             "step": step,
             "energy": float(energy),
             "occupations": [float(n) for n in rotation.occupations],
             "offdiag_norm": offdiagonal_norm(rdm),
-            "n_terms": count_terms(orb.to_pauli()),
+            "n_terms": count_terms(ham.to_pauli()),
         })
         if step < n_steps:  # nothing reads the last rotated copy
-            orb = orb.rotate(rotation.v)
+            ham = ham.rotate(rotation.v)
         v_tot = v_tot @ rotation.v
     return NoizeResult(basis=BasisRotation(v_tot, step=n_steps),
                        reports=reports, final=last)
@@ -131,18 +133,16 @@ def vqe_impurity_solver(ansatz: Circuit, *, basis: str = "exact-no",
         if ansatz.n_qubits != 4 * emb.n_c:
             raise ValueError(f"ansatz spans {ansatz.n_qubits} qubits but "
                              f"the cluster needs {4 * emb.n_c}")
-        orb = emb.orbital()
         run_seed = int(rng.integers(2 ** 63))
         if basis == "noize":
-            result = noize(orb, ansatz=ansatz, n_steps=n_steps,
+            result = noize(emb, ansatz=ansatz, n_steps=n_steps,
                            n_starts=n_starts, seed=run_seed, noise=noise,
                            optimizer=optimizer, max_iter=max_iter)
             occ = np.asarray(result.reports[-1]["occupations"], dtype=float)
             v = result.basis.v
             return v @ np.diag(occ) @ v.conj().T
         rotation = exact_no_basis(emb) if basis == "exact-no" else None
-        target = orb if rotation is None else rotate_hamiltonian(orb,
-                                                                 rotation)
+        target = emb if rotation is None else rotate_hamiltonian(emb, rotation)
         observable = Observable(hamiltonian_matrix(target))
         if memo["params"] is not None:
             fit = vqe_minimize(observable, ansatz, optimizer=optimizer,

@@ -156,7 +156,7 @@ def mr_impurity_solver(noise: NoiseModel | None = None) -> Callable:
 
     def solve(emb) -> np.ndarray:
         basis = exact_no_basis(emb).v
-        rotated = emb.orbital().rotate(basis)
+        rotated = emb.rotate(basis)
         fit = parameter_shift_minimize(
             circuit, Observable(hamiltonian_matrix(rotated)), noise=noise)
         return circuit_rdm1(circuit, {"theta": fit.theta}, emb.n_c,

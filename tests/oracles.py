@@ -47,7 +47,6 @@ from risbvqe.circuits import Circuit, Gate, ParamRef, gate_stack
 from risbvqe.embedding import (_band_components, bath_kernel,
                                bath_kernel_slope, fermi)
 from risbvqe.estimator import expectation
-from risbvqe.hamiltonians import EmbeddingHamiltonian
 from risbvqe.pauli import (MODE_CAP, PRUNE_TOL, FermionOperator, PauliSum,
                           jordan_wigner, ladder_table)
 from risbvqe.simulator import Observable
@@ -403,11 +402,10 @@ def oracle_hamiltonian_matrix(orb, sector=None):
     return out
 
 
-def per_term_hamiltonian_matrix(ham, sector=None):
+def per_term_hamiltonian_matrix(orb, sector=None):
     """The dense Hamiltonian as one fancy-index update per fermion term,
     out[rows, cols] += signs * coeff over its `pauli.ladder_table`
     restricted to the sector basis, in term order."""
-    orb = ham.orbital() if isinstance(ham, EmbeddingHamiltonian) else ham
     states = ed._sector_states(orb.n_modes, sector)
     position = np.full(2 ** orb.n_modes, -1)
     position[states] = np.arange(states.size)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.stats import ortho_group, unitary_group
 
-from risbvqe.ed import hamiltonian_matrix
+from risbvqe.circuits import build_mr_nc1
+from risbvqe.ed import exact_no_basis, hamiltonian_matrix
 from risbvqe.hamiltonians import (EmbeddingHamiltonian, OrbitalHamiltonian,
                                   mode_index)
+from risbvqe.noization import vqe_impurity_solver
 
 from oracles import oracle_jordan_wigner
 
@@ -98,6 +100,41 @@ class TestEmbedding:
         for _ in range(5):
             words = random_embedding(RNG).to_pauli()
             assert all(abs(c.imag) <= 1e-10 for _, c in words.items())
+
+
+class TestClusterIsItsCoefficients:
+    """A cluster is the operator it describes, its tensors built once."""
+
+    def test_cluster_is_an_orbital_hamiltonian(self):
+        emb = random_embedding(np.random.default_rng(23))
+        assert isinstance(emb, OrbitalHamiltonian)
+        assert emb.orbital() is emb
+        assert emb.n_modes == 4 and emb.u.shape == (4, 4, 4, 4)
+
+    def test_ed_reads_a_cluster_directly(self):
+        emb = random_embedding(np.random.default_rng(29))
+        bare = OrbitalHamiltonian(emb.h, emb.u, emb.const)
+        np.testing.assert_array_equal(hamiltonian_matrix(emb),
+                                      hamiltonian_matrix(bare))
+        np.testing.assert_array_equal(exact_no_basis(emb).v,
+                                      exact_no_basis(bare).v)
+
+    def test_exact_no_solver_builds_only_the_rotated_copy(self, monkeypatch):
+        emb = EmbeddingHamiltonian(n_c=1, u_int=1.0, d_mix=[[-0.4]],
+                                   lambda_c=[[0.2]], mu=0.5)
+        solver = vqe_impurity_solver(build_mr_nc1(), basis="exact-no",
+                                     n_starts=1, seed=3, max_iter=20)
+        built = []
+        init = OrbitalHamiltonian.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(OrbitalHamiltonian, "__init__", counted)
+        rdm = solver(emb)
+        assert built == [OrbitalHamiltonian]
+        assert rdm.shape == (2, 2)
 
 
 class TestRotation:
