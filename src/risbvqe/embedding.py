@@ -392,23 +392,24 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
         return report
 
     def residual(x: np.ndarray) -> np.ndarray:
-        # hybr's first call is at x0, which `first` already evaluated
-        report = first.pop() if first else evaluate(x)
+        # scipy's shape check and MINPACK both call at x0, which `first`
+        # already evaluated
+        report = first if np.array_equal(x, x0) else evaluate(x)
         if report.clamped or not math.isfinite(report.cost):
             raise _LeaveRoot
         return np.concatenate([report.f1, report.f2])
 
     n_iter = None
     if _is_exact(impurity_solver):
-        first = [evaluate(x0)]
+        first = evaluate(x0)
         try:
-            if first[0].cost < FIXED_POINT_TOL:  # the start is the root
+            if first.cost < FIXED_POINT_TOL:  # the start is the root
                 n_iter = 1
             else:
                 found = root(residual, x0, method="hybr",
                              options={"maxfev": max_iter})
                 if found.success and best["cost"] < FIXED_POINT_TOL:
-                    n_iter = int(found.nfev)
+                    n_iter = len(trace)
         except _LeaveRoot:
             pass
     if n_iter is None:

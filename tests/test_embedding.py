@@ -567,9 +567,23 @@ class TestRootPath:
             assert out.cost < FIXED_POINT_TOL
             assert out.converged and not out.clamped
             assert out.n_iter == len(out.cost_trace)
-        # 1 evaluation at U = 0 and 13 at each later point.
-        assert [len(p.output.cost_trace) for p in points] == [1] + [13] * 4
-        assert len(calls) <= 53
+        # 1 evaluation at U = 0 and 11 at each later point.
+        assert [len(p.output.cost_trace) for p in points] == [1] + [11] * 4
+        assert len(calls) <= 45
+
+    def test_root_search_evaluates_each_point_once(self, monkeypatch):
+        # scipy's shape check and MINPACK each call the residual at the
+        # start, which the start's own evaluation answers.
+        calls = counting_cost(monkeypatch)
+        points = risb_sweep(LatticeSpec(n_c=2, u=0.0), [0.0, 0.05, 0.1, 0.15],
+                            max_iter=400)
+        for point in points:
+            out = point.output
+            assert out.converged and out.n_iter == len(out.cost_trace)
+            searched = np.array(calls[:out.n_iter])
+            del calls[:out.n_iter]
+            assert len(np.unique(searched, axis=0)) == len(searched)
+        assert not calls
 
     def test_explicit_exact_solver_sweeps_as_the_default(self):
         # Passing the exact solver by name needs no reference table and
