@@ -35,6 +35,8 @@ SIMPLEX_FATOL = 1e-12
 WARM_STEP = 0.05
 # A fixed point is reached when the residual norm falls below this.
 FIXED_POINT_TOL = 1e-9
+# Forward-difference step of a Jacobian column, relative to |x_j| as hybrd's.
+FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -348,6 +350,7 @@ class RisbOutput:
     n_iter: int
     clamped: bool = False
     report: CostReport | None = None
+    jacobian: np.ndarray | None = None
 
     @property
     def z(self) -> np.ndarray:
@@ -363,7 +366,8 @@ class _LeaveRoot(Exception):
 
 def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
                start: tuple[np.ndarray, np.ndarray] | None = None,
-               max_iter: int = 100) -> RisbOutput:
+               max_iter: int = 100, *,
+               jacobian: np.ndarray | None = None) -> RisbOutput:
     """Solve the self-consistency over the symmetry-reduced (R, lambda).
 
     With the exact cluster solver, MINPACK's hybrid Powell method first
@@ -394,12 +398,30 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
     def residual(x: np.ndarray) -> np.ndarray:
         # scipy's shape check and MINPACK both call at x0, which `first`
         # already evaluated
-        report = first if np.array_equal(x, x0) else evaluate(x)
+        if np.array_equal(x, x0):
+            report = first
+        elif len(trace) >= max_iter:
+            raise _LeaveRoot
+        else:
+            report = evaluate(x)
         if report.clamped or not math.isfinite(report.cost):
             raise _LeaveRoot
-        return np.concatenate([report.f1, report.f2])
+        last[:] = x.copy(), np.concatenate([report.f1, report.f2])
+        return last[1]
 
-    n_iter = None
+    def carried(x: np.ndarray) -> np.ndarray:
+        # The carried matrix at the start, else hybrd's forward differences
+        if np.array_equal(x, x0):
+            return jacobian
+        f = last[1] if np.array_equal(x, last[0]) else residual(x)
+        columns = []
+        for j, h in enumerate(FD_STEP * np.where(x == 0.0, 1.0, np.abs(x))):
+            shifted = x.copy()
+            shifted[j] += h
+            columns.append((residual(shifted) - f) / h)
+        return np.column_stack(columns)
+
+    n_iter, found_jacobian, last = None, None, [None, None]
     if _is_exact(impurity_solver):
         first = evaluate(x0)
         try:
@@ -407,9 +429,13 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
                 n_iter = 1
             else:
                 found = root(residual, x0, method="hybr",
+                             jac=None if jacobian is None else carried,
                              options={"maxfev": max_iter})
                 if found.success and best["cost"] < FIXED_POINT_TOL:
                     n_iter = len(trace)
+                    upper = np.zeros((x0.size, x0.size))
+                    upper[np.triu_indices(x0.size)] = found.r
+                    found_jacobian = found.fjac.T @ upper
         except _LeaveRoot:
             pass
     if n_iter is None:
@@ -430,7 +456,8 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
                       mu=report.mu, cost=best["cost"],
                       cost_trace=trace,
                       converged=best["cost"] < FIXED_POINT_TOL,
-                      n_iter=n_iter, clamped=report.clamped, report=report)
+                      n_iter=n_iter, clamped=report.clamped, report=report,
+                      jacobian=found_jacobian)
 
 
 def noninteracting_start(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -472,20 +499,21 @@ def risb_sweep(spec: LatticeSpec, u_values,
     with Nelder-Mead.  `max_iter` is risb_solve's cap at every point.
     """
     points: list[SweepPoint] = []
-    prev: tuple[np.ndarray, np.ndarray] | None = None
     for u in u_values:
         spec_u = replace(spec, u=float(u))
-        if _is_exact(impurity_solver):
-            start = prev if prev is not None else noninteracting_start(
-                spec_u)
+        jacobian = None
+        if _is_exact(impurity_solver) and not points:
+            start = noninteracting_start(spec_u)
+        elif _is_exact(impurity_solver):
+            prev = points[-1].output
+            start, jacobian = (prev.r, prev.lam), prev.jacobian
         else:
             if reference is None:
                 raise ValueError("a classical reference table is required "
                                  "to warm-start a quantum-solver sweep")
             start = _reference_start(reference, float(u))
         out = risb_solve(spec_u, impurity_solver, start=start,
-                         max_iter=max_iter)
-        prev = (out.r, out.lam)
+                         max_iter=max_iter, jacobian=jacobian)
         points.append(SweepPoint(u=float(u), output=out))
     return points
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import minimize, root
 from scipy.special import expit
 
 import risbvqe.embedding as embedding_module
@@ -567,9 +567,10 @@ class TestRootPath:
             assert out.cost < FIXED_POINT_TOL
             assert out.converged and not out.clamped
             assert out.n_iter == len(out.cost_trace)
-        # 1 evaluation at U = 0 and 11 at each later point.
-        assert [len(p.output.cost_trace) for p in points] == [1] + [11] * 4
-        assert len(calls) <= 45
+        # 1 evaluation at U = 0, 11 at U = 0.05 (plain hybr) and 7 at each
+        # later point, which starts from the previous point's Jacobian.
+        assert [len(p.output.cost_trace) for p in points] == [1, 11] + [7] * 3
+        assert len(calls) <= 33
 
     def test_root_search_evaluates_each_point_once(self, monkeypatch):
         # scipy's shape check and MINPACK each call the residual at the
@@ -584,6 +585,78 @@ class TestRootPath:
             del calls[:out.n_iter]
             assert len(np.unique(searched, axis=0)) == len(searched)
         assert not calls
+
+    def test_carried_jacobian(self, monkeypatch):
+        # hybr's final Jacobian at U = 0.1 is fjac^T R, close to central
+        # differences, and the U = 0.15 search starts from it without
+        # evaluating a forward-difference column.
+        searches = []
+
+        def recorded_root(fun, x0, **kwargs):
+            asked = []
+
+            def recorded_fun(x):
+                asked.append(x.copy())
+                return fun(x)
+
+            found = root(recorded_fun, x0, **kwargs)
+            searches.append((asked, found, kwargs.get("jac")))
+            return found
+
+        monkeypatch.setattr(embedding_module, "root", recorded_root)
+        calls = counting_cost(monkeypatch)
+        spec = LatticeSpec(n_c=2, u=0.0)
+        points = risb_sweep(spec, [0.0, 0.05, 0.1, 0.15], max_iter=400)
+        last_search = calls[-len(points[3].output.cost_trace):]
+        assert points[0].output.jacobian is None
+        assert [jac is None for _, _, jac in searches] == [True, False, False]
+        out = points[2].output
+        _, found, _ = searches[1]
+        upper = np.zeros((4, 4))
+        upper[np.triu_indices(4)] = found.r
+        np.testing.assert_array_equal(out.jacobian, found.fjac.T @ upper)
+
+        spec_u, h = LatticeSpec(n_c=2, u=0.1), 1e-6
+        x = np.concatenate([out.r, out.lam])
+        columns = []
+        for step in h * np.eye(4):
+            ends = [risb_cost((x + sign * step)[:2], (x + sign * step)[2:],
+                              spec_u) for sign in (1, -1)]
+            columns.append((np.concatenate([ends[0].f1, ends[0].f2])
+                            - np.concatenate([ends[1].f1, ends[1].f2]))
+                           / (2 * h))
+        assert np.max(np.abs(out.jacobian - np.column_stack(columns))) < 0.1
+
+        # Every cost call of the last search beyond its start is a point
+        # MINPACK asked for, so none is a difference column.
+        asked, _, _ = searches[2]
+        assert points[3].output.converged
+        assert all(any(np.array_equal(x, y) for y in asked)
+                   for x in last_search[1:])
+
+    def test_cap_counts_difference_columns(self, monkeypatch):
+        # A carried Jacobian of the wrong sign makes hybrj fall back on
+        # forward differences; their columns count against max_iter.
+        spec = LatticeSpec(n_c=2, u=0.0)
+        points = risb_sweep(spec, [0.0, 0.05, 0.1], max_iter=400)
+        calls = counting_cost(monkeypatch)
+        root_phase = []
+
+        def recorded_minimize(*args, **kwargs):
+            root_phase.append(len(calls))
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(embedding_module, "minimize", recorded_minimize)
+        prev = points[1].output
+        start, flipped = (prev.r, prev.lam), -points[2].output.jacobian
+        out = risb_solve(LatticeSpec(n_c=2, u=0.1), start=start,
+                         max_iter=100, jacobian=flipped)
+        assert out.converged and not root_phase
+        assert out.n_iter == len(calls) > 8
+        calls.clear()
+        risb_solve(LatticeSpec(n_c=2, u=0.1), start=start, max_iter=8,
+                   jacobian=flipped)
+        assert root_phase == [8]
 
     def test_explicit_exact_solver_sweeps_as_the_default(self):
         # Passing the exact solver by name needs no reference table and
