@@ -35,7 +35,7 @@ SIMPLEX_FATOL = 1e-12
 WARM_STEP = 0.05
 # A fixed point is reached when the residual norm falls below this.
 FIXED_POINT_TOL = 1e-9
-# Forward-difference step of a Jacobian column, relative to |x_j| as hybrd's.
+# Forward-difference step of a Jacobian column, relative to |x_j| as hybrd's
 FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
@@ -339,7 +339,8 @@ def risb_cost(r: np.ndarray, lam: np.ndarray, spec: LatticeSpec,
 @dataclass
 class RisbOutput:
     """Best-seen self-consistency point; `converged` says whether its cost
-    is below FIXED_POINT_TOL."""
+    is below FIXED_POINT_TOL.  `n_iter` counts root-path cost evaluations
+    or Nelder-Mead iterations; `jacobian` is an accepted hybr's fjac^T R."""
 
     r: np.ndarray
     lam: np.ndarray
@@ -372,16 +373,18 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
 
     With the exact cluster solver, MINPACK's hybrid Powell method first
     looks for the root of the 2 n_c residuals (f1, f2) with at most
-    `max_iter` evaluations, and its root is accepted when it succeeds with
-    a best cost below FIXED_POINT_TOL.  Otherwise (it fails, a cost is not
-    finite, or a point is clamped on the Mott side, where the residual
-    cannot vanish), and from the outset for circuit solvers, whose capped
-    VQE is too rough for a finite-difference Jacobian, Nelder-Mead
-    minimizes the cost from `start` with `max_iter` iterations.  A start
-    whose cost is already below FIXED_POINT_TOL is returned after that one
-    evaluation.  `n_iter` counts the root search's evaluations or
-    Nelder-Mead's iterations; `cost_trace` holds every evaluation of both
-    phases, and `report` is the best point's CostReport.
+    `max_iter` cost evaluations, difference columns included, and answers
+    every call at `start` from one evaluation.  From a carried `jacobian`
+    it runs hybrj, with hybrd's forward differences away from the start.
+    Its root is accepted when it succeeds with a best cost below
+    FIXED_POINT_TOL.  Otherwise (it fails, a cost is not finite, or a point
+    is clamped on the Mott side, where the residual cannot vanish), and
+    from the outset for circuit solvers, whose capped VQE is too rough for
+    a finite-difference Jacobian, Nelder-Mead minimizes the cost from
+    `start` with `max_iter` iterations.  A start whose cost is already
+    below FIXED_POINT_TOL is returned after that one evaluation.
+    `cost_trace` holds every evaluation of both phases, and `report` is
+    the best point's CostReport.
     """
     n = spec.n_c
     x0 = np.concatenate(start or (np.ones(n), np.zeros(n)), dtype=float)
@@ -396,30 +399,23 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
         return report
 
     def residual(x: np.ndarray) -> np.ndarray:
-        # scipy's shape check and MINPACK both call at x0, which `first`
-        # already evaluated
-        if np.array_equal(x, x0):
-            report = first
-        elif len(trace) >= max_iter:
+        # scipy's shape check and MINPACK both call at x0: read off `first`
+        at_start = np.array_equal(x, x0)
+        if not at_start and len(trace) >= max_iter:
             raise _LeaveRoot
-        else:
-            report = evaluate(x)
+        report = first if at_start else evaluate(x)
         if report.clamped or not math.isfinite(report.cost):
             raise _LeaveRoot
         last[:] = x.copy(), np.concatenate([report.f1, report.f2])
         return last[1]
 
     def carried(x: np.ndarray) -> np.ndarray:
-        # The carried matrix at the start, else hybrd's forward differences
         if np.array_equal(x, x0):
             return jacobian
         f = last[1] if np.array_equal(x, last[0]) else residual(x)
-        columns = []
-        for j, h in enumerate(FD_STEP * np.where(x == 0.0, 1.0, np.abs(x))):
-            shifted = x.copy()
-            shifted[j] += h
-            columns.append((residual(shifted) - f) / h)
-        return np.column_stack(columns)
+        steps = np.diag(FD_STEP * np.where(x == 0.0, 1.0, np.abs(x)))
+        return np.column_stack([(residual(x + h) - f) / h[j]
+                                for j, h in enumerate(steps)])
 
     n_iter, found_jacobian, last = None, None, [None, None]
     if _is_exact(impurity_solver):
@@ -432,19 +428,15 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
                              jac=None if jacobian is None else carried,
                              options={"maxfev": max_iter})
                 if found.success and best["cost"] < FIXED_POINT_TOL:
-                    n_iter = len(trace)
                     upper = np.zeros((x0.size, x0.size))
                     upper[np.triu_indices(x0.size)] = found.r
-                    found_jacobian = found.fjac.T @ upper
+                    n_iter, found_jacobian = len(trace), found.fjac.T @ upper
         except _LeaveRoot:
             pass
     if n_iter is None:
-        simplex = np.vstack([x0] + [x0 + SIMPLEX_STEP * e
-                                    for e in np.eye(x0.size)])
-        result = minimize(lambda x: evaluate(x).cost, x0,
-                          method="Nelder-Mead",
-                          options={"maxiter": max_iter,
-                                   "xatol": SIMPLEX_XATOL,
+        simplex = np.vstack([x0, x0 + SIMPLEX_STEP * np.eye(x0.size)])
+        result = minimize(lambda x: evaluate(x).cost, x0, method="Nelder-Mead",
+                          options={"maxiter": max_iter, "xatol": SIMPLEX_XATOL,
                                    "fatol": SIMPLEX_FATOL,
                                    "initial_simplex": simplex})
         n_iter = int(result.nit)
@@ -453,8 +445,7 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
                             f"{len(trace)} evaluations")
     report = best["report"]
     return RisbOutput(r=best["x"][:n].copy(), lam=best["x"][n:].copy(),
-                      mu=report.mu, cost=best["cost"],
-                      cost_trace=trace,
+                      mu=report.mu, cost=best["cost"], cost_trace=trace,
                       converged=best["cost"] < FIXED_POINT_TOL,
                       n_iter=n_iter, clamped=report.clamped, report=report,
                       jacobian=found_jacobian)
@@ -474,15 +465,31 @@ class SweepPoint:
 
 def _reference_start(reference: Sequence[SweepPoint] | Mapping,
                      u: float) -> tuple[np.ndarray, np.ndarray]:
+    if not reference:
+        raise ValueError("a non-empty classical reference table is required "
+                         "to warm-start a quantum-solver sweep")
     if isinstance(reference, Mapping):
         entries = [(float(k), v) for k, v in reference.items()]
     else:
         entries = [(p.u, (p.output.r, p.output.lam)) for p in reference]
-    if not entries:
-        raise ValueError("classical reference table is empty")
-    target = u - WARM_STEP
-    _, value = min(entries, key=lambda item: abs(item[0] - target))
+    _, value = min(entries, key=lambda item: abs(item[0] - (u - WARM_STEP)))
     return value
+
+
+def _warm_start(points: list[SweepPoint], spec: LatticeSpec):
+    """Exact-solver start and Jacobian after `points`: the last point,
+    extrapolated linearly in U when it and the one before are unclamped
+    roots of the root path (whose n_iter counts every evaluation)."""
+    if not points:
+        return noninteracting_start(spec), None
+    x = [np.concatenate([p.output.r, p.output.lam]) for p in points[-2:]]
+    if len(x) == 2 and points[-2].u != points[-1].u and all(
+            p.output.converged and not p.output.clamped
+            and p.output.n_iter == len(p.output.cost_trace)
+            for p in points[-2:]):
+        x.append(x[1] + (x[1] - x[0]) * (spec.u - points[-1].u)
+                 / (points[-1].u - points[-2].u))
+    return tuple(np.split(x[-1], 2)), points[-1].output.jacobian
 
 
 def risb_sweep(spec: LatticeSpec, u_values,
@@ -491,27 +498,20 @@ def risb_sweep(spec: LatticeSpec, u_values,
                max_iter: int = 100) -> list[SweepPoint]:
     """Solve the self-consistency along an interaction grid.
 
-    With the exact cluster solver each point warm-starts from the previous
-    solution, anchored at the U = 0 fixed point, and is solved as a root
-    problem (see risb_solve).  A quantum solver instead warm-starts every
-    point from the classical reference entry nearest to U minus one grid
-    step, so errors do not compound along the sweep, and minimizes the cost
-    with Nelder-Mead.  `max_iter` is risb_solve's cap at every point.
+    With the exact cluster solver each point is a root problem (see
+    risb_solve), started by `_warm_start` from the last solutions, with the
+    previous point's final Jacobian.  A quantum solver instead warm-starts
+    every point from the classical reference entry nearest to U minus one
+    grid step, so errors do not compound along the sweep, and minimizes the
+    cost with Nelder-Mead.  `max_iter` is risb_solve's cap at every point.
     """
     points: list[SweepPoint] = []
     for u in u_values:
         spec_u = replace(spec, u=float(u))
-        jacobian = None
-        if _is_exact(impurity_solver) and not points:
-            start = noninteracting_start(spec_u)
-        elif _is_exact(impurity_solver):
-            prev = points[-1].output
-            start, jacobian = (prev.r, prev.lam), prev.jacobian
+        if _is_exact(impurity_solver):
+            start, jacobian = _warm_start(points, spec_u)
         else:
-            if reference is None:
-                raise ValueError("a classical reference table is required "
-                                 "to warm-start a quantum-solver sweep")
-            start = _reference_start(reference, float(u))
+            start, jacobian = _reference_start(reference, float(u)), None
         out = risb_solve(spec_u, impurity_solver, start=start,
                          max_iter=max_iter, jacobian=jacobian)
         points.append(SweepPoint(u=float(u), output=out))
@@ -522,8 +522,9 @@ def classical_point(spec: LatticeSpec, *, step: float = 0.05,
                     max_iter: int = 400) -> tuple[RisbOutput, CostReport]:
     """Converged exact-solver solution at spec.u, chained up from U = 0.
 
-    Every grid point is a root search capped at `max_iter` evaluations,
-    with Nelder-Mead as risb_solve's fallback.  The grid ends at spec.u
+    Every grid point is a root search of risb_sweep capped at `max_iter`
+    cost evaluations, with Nelder-Mead as risb_solve's fallback; at
+    spec.u = step no Jacobian is carried yet.  The grid ends at spec.u
     exactly.  Returns the solution together with the cost report of its
     best point, which carries the self-consistent cluster Hamiltonian and
     mu.

@@ -12,6 +12,7 @@ from scipy.special import expit
 import risbvqe.embedding as embedding_module
 from risbvqe import SolverFailure
 from risbvqe.embedding import (FIXED_POINT_TOL, CostReport, LatticeSpec,
+                               RisbOutput, SweepPoint,
                                bath_kernel, bath_kernel_slope,
                                build_embedding_hamiltonian, channel_matrix,
                                classical_point,
@@ -567,10 +568,11 @@ class TestRootPath:
             assert out.cost < FIXED_POINT_TOL
             assert out.converged and not out.clamped
             assert out.n_iter == len(out.cost_trace)
-        # 1 evaluation at U = 0, 11 at U = 0.05 (plain hybr) and 7 at each
-        # later point, which starts from the previous point's Jacobian.
-        assert [len(p.output.cost_trace) for p in points] == [1, 11] + [7] * 3
-        assert len(calls) <= 33
+        # 1 evaluation at U = 0, 11 at U = 0.05 (plain hybr) and 6 at each
+        # later point, which starts from the previous point's Jacobian at
+        # the extrapolation of the last two points.
+        assert [len(p.output.cost_trace) for p in points] == [1, 11] + [6] * 3
+        assert len(calls) <= 30
 
     def test_root_search_evaluates_each_point_once(self, monkeypatch):
         # scipy's shape check and MINPACK each call the residual at the
@@ -657,6 +659,62 @@ class TestRootPath:
         risb_solve(LatticeSpec(n_c=2, u=0.1), start=start, max_iter=8,
                    jacobian=flipped)
         assert root_phase == [8]
+
+    def test_secant_start(self, monkeypatch):
+        calls = counting_cost(monkeypatch)
+        points = risb_sweep(LatticeSpec(n_c=2, u=0.0), [0.0, 0.05, 0.1],
+                            max_iter=400)
+        x0, x1 = (np.concatenate([p.output.r, p.output.lam])
+                  for p in points[:2])
+        start = calls[sum(len(p.output.cost_trace) for p in points[:2])]
+        np.testing.assert_array_equal(start, x1 + (x1 - x0) * 0.05 / 0.05)
+
+    @pytest.mark.parametrize("fault", [None, "nelder-mead", "clamped",
+                                       "unconverged", "same-u"])
+    def test_secant_needs_two_roots(self, fault):
+        def point(u, x):
+            out = RisbOutput(r=np.array([x]), lam=np.array([-x]), mu=0.0,
+                             cost=0.0, cost_trace=[(0, 0.0)] * 3,
+                             converged=True, n_iter=3)
+            return SweepPoint(u=u, output=out)
+
+        points = [point(0.1, 0.9), point(0.2, 0.8)]
+        if fault == "nelder-mead":  # iterations, not evaluations
+            points[0].output.n_iter = 2
+        elif fault == "clamped":
+            points[1].output.clamped = True
+        elif fault == "unconverged":
+            points[0].output.converged = False
+        elif fault == "same-u":
+            points[0] = point(0.2, 0.9)
+        points[1].output.jacobian = np.eye(2)
+        spec = LatticeSpec(n_c=1, u=0.3)
+        (r, lam), jacobian = embedding_module._warm_start(points, spec)
+        want = 0.7 if fault is None else 0.8
+        assert r == pytest.approx([want]) and lam == pytest.approx([-want])
+        assert jacobian is points[1].output.jacobian
+        (r, lam), _ = embedding_module._warm_start(points[1:], spec)
+        assert r == [0.8] and lam == [-0.8]
+        start, jacobian = embedding_module._warm_start([], spec)
+        assert jacobian is None
+        np.testing.assert_array_equal(np.concatenate(start), np.concatenate(
+            noninteracting_start(spec)))
+
+    def test_coarse_grid_stays_on_the_physical_branch(self, monkeypatch):
+        # U steps of 0.5 and 0.2 from U = 0: the warm-started search once
+        # ran off to the asymptote Delta_+ -> 1, where the residual also
+        # tends to zero (lambda_+ = -271 at U = 1.2).
+        spec = LatticeSpec(n_c=2, u=0.0)
+        fine = {p.u: p.output for p in risb_sweep(
+            spec, [round(0.05 * k, 2) for k in range(25)], max_iter=400)}
+        calls = counting_cost(monkeypatch)
+        points = risb_sweep(spec, [0.0, 0.5, 1.0, 1.2], max_iter=400)
+        for point in points:
+            out = point.output
+            assert out.converged and not out.clamped
+            np.testing.assert_allclose(out.z, fine[point.u].z, atol=1e-6)
+            assert out.report.delta[0] < 0.99
+        assert len(calls) <= 100
 
     def test_explicit_exact_solver_sweeps_as_the_default(self):
         # Passing the exact solver by name needs no reference table and
