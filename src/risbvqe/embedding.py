@@ -463,7 +463,7 @@ class SweepPoint:
     output: RisbOutput
 
 
-def _reference_start(reference: Sequence[SweepPoint] | Mapping,
+def _reference_start(reference: Sequence[SweepPoint] | Mapping | None,
                      u: float) -> tuple[np.ndarray, np.ndarray]:
     if not reference:
         raise ValueError("a non-empty classical reference table is required "

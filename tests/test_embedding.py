@@ -667,7 +667,8 @@ class TestRootPath:
         x0, x1 = (np.concatenate([p.output.r, p.output.lam])
                   for p in points[:2])
         start = calls[sum(len(p.output.cost_trace) for p in points[:2])]
-        np.testing.assert_array_equal(start, x1 + (x1 - x0) * 0.05 / 0.05)
+        np.testing.assert_array_equal(
+            start, x1 + (x1 - x0) * (0.1 - 0.05) / (0.05 - 0.0))
 
     @pytest.mark.parametrize("fault", [None, "nelder-mead", "clamped",
                                        "unconverged", "same-u"])
