@@ -21,7 +21,8 @@ from . import SolverFailure
 from .circuits import (Circuit, build_hea_nc1, build_ldca, build_mr_nc1,
                        build_mrep)
 from .ed import ground_state, half_filling_sector, hamiltonian_matrix
-from .embedding import LatticeSpec, classical_point, eps_loc, risb_sweep
+from .embedding import (MOTT_CLAMP, LatticeSpec, classical_point, eps_loc,
+                        find_mu, risb_sweep)
 from .noization import BASIS_MODES, exact_no_basis, noize, \
     rotate_hamiltonian, vqe_impurity_solver
 from .runio import config_hash, read_table, write_csv, write_json
@@ -288,11 +289,11 @@ def run_classical_sweep(cfg: RunConfig) -> Path:
 def load_reference(cfg: RunConfig) -> dict:
     """Warm-start table from a classical sweep CSV.
 
-    R is recovered as sqrt(Z) (classical solutions keep R positive) and
-    lambda from lambda-tilde via the local level at mu = U/2.  The table
-    has no mu column, and U/2 is mu only where particle-hole symmetry pins
-    it, the half-filled single site; at n_c = 2 the sweep's mu lies below
-    U/2 (0.0499 at U = 0.1), so lambda is a warm start off by mu - U/2.
+    R is recovered as sqrt(Z) (classical solutions keep R positive).  The
+    table has no mu column, but find_mu moves with a uniform shift of
+    lambda: with e the local level at mu = 0 and mu' = find_mu(R,
+    lambda~ + e), lambda = lambda~ + e - mu'/2 solves
+    lambda~ = lambda - e + mu exactly.
     """
     if not cfg.classical_table:
         raise ConfigError("a classical reference table is required; set "
@@ -320,10 +321,12 @@ def load_reference(cfg: RunConfig) -> dict:
             raise ConfigError(f"reference table {path} holds {n_ch} "
                               f"channel(s) at U = {u:g}, but [lattice] "
                               f"n_c = {cfg.n_c}")
-        local = eps_loc(lattice_spec(cfg, u=u), 0.5 * u)
-        z = np.array([z_plus, max(z_minus, 0.0)])[:n_ch]
-        lt = np.array([lt_plus, lt_minus])[:n_ch]
-        mapping[u] = (np.sqrt(z), lt + local)
+        spec = lattice_spec(cfg, u=u)
+        r = np.sqrt([z_plus, max(z_minus, 0.0)][:n_ch])
+        lam = np.array([lt_plus, lt_minus])[:n_ch] + eps_loc(spec, 0.0)
+        # risb_cost sets mu at R clamped off the Mott floor
+        mu = find_mu(np.maximum(r, MOTT_CLAMP), lam, spec)
+        mapping[u] = (r, lam - 0.5 * mu)
     return mapping
 
 

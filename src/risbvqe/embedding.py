@@ -339,8 +339,9 @@ def risb_cost(r: np.ndarray, lam: np.ndarray, spec: LatticeSpec,
 @dataclass
 class RisbOutput:
     """Best-seen self-consistency point; `converged` says whether its cost
-    is below FIXED_POINT_TOL.  `n_iter` counts root-path cost evaluations
-    or Nelder-Mead iterations; `jacobian` is an accepted hybr's fjac^T R."""
+    is below FIXED_POINT_TOL.  `n_iter` counts a root search's or chord's
+    cost evaluations (= len(cost_trace)), or Nelder-Mead's iterations after
+    a fallback; `jacobian` is an accepted hybr's fjac^T R."""
 
     r: np.ndarray
     lam: np.ndarray
@@ -371,20 +372,26 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
                jacobian: np.ndarray | None = None) -> RisbOutput:
     """Solve the self-consistency over the symmetry-reduced (R, lambda).
 
-    With the exact cluster solver, MINPACK's hybrid Powell method first
-    looks for the root of the 2 n_c residuals (f1, f2) with at most
-    `max_iter` cost evaluations, difference columns included, and answers
-    every call at `start` from one evaluation.  From a carried `jacobian`
-    it runs hybrj, with hybrd's forward differences away from the start.
-    Its root is accepted when it succeeds with a best cost below
-    FIXED_POINT_TOL.  Otherwise (it fails, a cost is not finite, or a point
-    is clamped on the Mott side, where the residual cannot vanish), and
-    from the outset for circuit solvers, whose capped VQE is too rough for
-    a finite-difference Jacobian, Nelder-Mead minimizes the cost from
-    `start` with `max_iter` iterations.  A start whose cost is already
-    below FIXED_POINT_TOL is returned after that one evaluation.
-    `cost_trace` holds every evaluation of both phases, and `report` is
-    the best point's CostReport.
+    Every solver looks for the root of the 2 n_c residuals (f1, f2) with
+    at most `max_iter` cost evaluations, and a start whose cost is already
+    below FIXED_POINT_TOL is returned after its one evaluation.  With the
+    exact cluster solver, MINPACK's hybrid Powell method counts its
+    difference columns against the cap and answers every call at `start`
+    from that evaluation; from a carried `jacobian` it runs hybrj, with
+    hybrd's forward differences away from the start.  Its root is accepted
+    when it succeeds with a best cost below FIXED_POINT_TOL.  A circuit
+    solver, whose capped VQE is too rough for difference columns, takes
+    chord steps x <- x - J^-1 f(x) until a cost falls below
+    FIXED_POINT_TOL or the cap is reached, with J the forward-difference
+    Jacobian of the exact solver's residual at `start` (2 n_c + 1 exact
+    evaluations, kept out of `cost_trace`).  If either search fails, a
+    cost is not finite, a point is clamped on the Mott side, where the
+    residual cannot vanish, J is singular or the circuit solver rejects a
+    chord iterate's cluster with a ValueError (noisy residuals have no
+    root, and steps along the exact J's near-flat directions run off),
+    Nelder-Mead minimizes the cost from `start` with `max_iter`
+    iterations.  `cost_trace` holds every evaluation of both phases, and
+    `report` is the best point's CostReport.
     """
     n = spec.n_c
     x0 = np.concatenate(start or (np.ones(n), np.zeros(n)), dtype=float)
@@ -398,41 +405,59 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
             best.update(cost=report.cost, report=report, x=x.copy())
         return report
 
+    def vector(report: CostReport) -> np.ndarray:
+        if report.clamped or not math.isfinite(report.cost):
+            raise _LeaveRoot
+        return np.concatenate([report.f1, report.f2])
+
     def residual(x: np.ndarray) -> np.ndarray:
         # scipy's shape check and MINPACK both call at x0: read off `first`
         at_start = np.array_equal(x, x0)
         if not at_start and len(trace) >= max_iter:
             raise _LeaveRoot
-        report = first if at_start else evaluate(x)
-        if report.clamped or not math.isfinite(report.cost):
-            raise _LeaveRoot
-        last[:] = x.copy(), np.concatenate([report.f1, report.f2])
+        last[:] = x.copy(), vector(first if at_start else evaluate(x))
         return last[1]
+
+    def exact_residual(x: np.ndarray) -> np.ndarray:
+        return vector(risb_cost(x[:n], x[n:], spec))
+
+    def differences(fun: Callable, x: np.ndarray,
+                    f: np.ndarray) -> np.ndarray:
+        steps = np.diag(FD_STEP * np.where(x == 0.0, 1.0, np.abs(x)))
+        return np.column_stack([(fun(x + h) - f) / h[j]
+                                for j, h in enumerate(steps)])
 
     def carried(x: np.ndarray) -> np.ndarray:
         if np.array_equal(x, x0):
             return jacobian
         f = last[1] if np.array_equal(x, last[0]) else residual(x)
-        steps = np.diag(FD_STEP * np.where(x == 0.0, 1.0, np.abs(x)))
-        return np.column_stack([(residual(x + h) - f) / h[j]
-                                for j, h in enumerate(steps)])
+        return differences(residual, x, f)
 
     n_iter, found_jacobian, last = None, None, [None, None]
-    if _is_exact(impurity_solver):
-        first = evaluate(x0)
-        try:
-            if first.cost < FIXED_POINT_TOL:  # the start is the root
-                n_iter = 1
-            else:
-                found = root(residual, x0, method="hybr",
-                             jac=None if jacobian is None else carried,
-                             options={"maxfev": max_iter})
-                if found.success and best["cost"] < FIXED_POINT_TOL:
-                    upper = np.zeros((x0.size, x0.size))
-                    upper[np.triu_indices(x0.size)] = found.r
-                    n_iter, found_jacobian = len(trace), found.fjac.T @ upper
-        except _LeaveRoot:
-            pass
+    first = evaluate(x0)
+    try:
+        if first.cost < FIXED_POINT_TOL:  # the start is the root
+            n_iter = 1
+        elif _is_exact(impurity_solver):
+            found = root(residual, x0, method="hybr",
+                         jac=None if jacobian is None else carried,
+                         options={"maxfev": max_iter})
+            if found.success and best["cost"] < FIXED_POINT_TOL:
+                upper = np.zeros((x0.size, x0.size))
+                upper[np.triu_indices(x0.size)] = found.r
+                n_iter, found_jacobian = len(trace), found.fjac.T @ upper
+        else:  # chord steps on the exact solver's Jacobian at the start
+            x, f = x0, residual(x0)
+            chord = differences(exact_residual, x0, exact_residual(x0))
+            while len(trace) < max_iter and best["cost"] >= FIXED_POINT_TOL:
+                x = x - np.linalg.solve(chord, f)
+                f = residual(x)
+            n_iter = len(trace)
+    except _LeaveRoot:
+        pass
+    except ValueError:  # J singular (a LinAlgError), or a run-away chord
+        if _is_exact(impurity_solver):  # iterate's cluster was rejected
+            raise
     if n_iter is None:
         simplex = np.vstack([x0, x0 + SIMPLEX_STEP * np.eye(x0.size)])
         result = minimize(lambda x: evaluate(x).cost, x0, method="Nelder-Mead",
@@ -502,8 +527,9 @@ def risb_sweep(spec: LatticeSpec, u_values,
     risb_solve), started by `_warm_start` from the last solutions, with the
     previous point's final Jacobian.  A quantum solver instead warm-starts
     every point from the classical reference entry nearest to U minus one
-    grid step, so errors do not compound along the sweep, and minimizes the
-    cost with Nelder-Mead.  `max_iter` is risb_solve's cap at every point.
+    grid step, so errors do not compound along the sweep, and takes
+    risb_solve's chord steps from there.  `max_iter` is risb_solve's cap
+    on cost evaluations at every point.
     """
     points: list[SweepPoint] = []
     for u in u_values:

@@ -15,6 +15,7 @@ from risbvqe import SolverFailure, cli, ed
 from risbvqe.cli import (ConfigError, RunConfig, build_noise, load_reference,
                          main, parse_config, parse_noise_flag, run_hash,
                          serialize_config, u_grid)
+from risbvqe.embedding import LatticeSpec, risb_sweep
 from risbvqe.runio import read_table
 
 from oracles import assert_channel_arrays
@@ -437,15 +438,19 @@ classical_table = {table}
 
     def test_version_one_table_still_loads(self, tmp_path):
         # A two-site table written before the converged, clamped and
-        # n_eval columns existed.
+        # n_eval columns existed, holding an exact sweep's U = 0.2 root.
+        spec = LatticeSpec(n_c=2, u=0.2)
+        root = risb_sweep(LatticeSpec(n_c=2, u=0.0), [0.0, 0.1, 0.2],
+                          max_iter=400)[-1].output
+        z, lt = root.z, root.lambda_tilde(spec)
+        cells = ",".join(repr(float(v)) for v in (*z, *lt))
         old = tmp_path / "v1.csv"
         old.write_text(
             "# config = 5f1bc3afeb50\n# artifact_version = 1\n"
             "U,Z_plus,Z_minus,lambda_tilde_plus,lambda_tilde_minus,"
             "cost_final,n_iter,solver_tag,noise_tag\n"
             "0,1,1,0,0,7.7e-16,230,ed,off\n"
-            "0.2,0.99779164422288646,0.99703800076070104,"
-            "0.19639526070669872,0.20178404991531756,1.4e-12,243,ed,off\n")
+            f"0.2,{cells},1.4e-12,243,ed,off\n")
         from dataclasses import replace
         cfg = replace(parse_config("[lattice]\nn_c = 2\n"),
                       classical_table=str(old))
@@ -453,13 +458,9 @@ classical_table = {table}
         assert set(loaded) == {0.0, 0.2}
         r, lam = loaded[0.2]
         assert_channel_arrays(2, r, lam)
-        np.testing.assert_allclose(r ** 2,
-                                   [0.99779164422288646, 0.99703800076070104],
-                                   rtol=0, atol=1e-15)
-        # lambda = lambda~ + eps_loc(mu = U/2), channel band means -/+ |t|.
-        np.testing.assert_allclose(lam, [0.19639526070669872 - 0.25 - 0.1,
-                                         0.20178404991531756 + 0.25 - 0.1],
-                                   atol=1e-12)
+        np.testing.assert_allclose(r ** 2, z, rtol=0, atol=1e-15)
+        # lambda is rebuilt through the sweep's own chemical potential.
+        np.testing.assert_allclose(lam, root.lam, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("n_c, table_minus, tag", [
         (2, "nan", "mrep"),  # a single-site table under a two-site sweep

@@ -11,6 +11,7 @@ from scipy.special import expit
 
 import risbvqe.embedding as embedding_module
 from risbvqe import SolverFailure
+from risbvqe.circuits import build_mrep
 from risbvqe.embedding import (FIXED_POINT_TOL, CostReport, LatticeSpec,
                                RisbOutput, SweepPoint,
                                bath_kernel, bath_kernel_slope,
@@ -21,6 +22,7 @@ from risbvqe.embedding import (FIXED_POINT_TOL, CostReport, LatticeSpec,
                                noninteracting_start, qp_fill,
                                risb_cost, risb_solve, risb_sweep, solve_d,
                                sym_project)
+from risbvqe.noization import vqe_impurity_solver
 
 from oracles import (assert_channel_arrays, dispersion, matrix_lambda_c,
                      per_mu_find_mu, per_mu_qp_fill, single_site_z,
@@ -793,32 +795,148 @@ class TestRootPath:
         assert not out.converged
         assert out.cost > FIXED_POINT_TOL
 
-    def test_wrapped_solver_keeps_nelder_mead(self, monkeypatch):
-        calls = counting_cost(monkeypatch)
+
+def wrapped(emb):
+    """The exact cluster solver under another name: risb_solve treats it as
+    a circuit solver."""
+    return ed_impurity_solver(emb)
+
+
+def circuit_points(monkeypatch) -> list:
+    """Route risb_solve's cost calls through a recorder of the (R, lambda)
+    of those that go through a given cluster solver."""
+    points = []
+
+    def recorded(r, lam, spec, impurity_solver=None):
+        if impurity_solver is not None:
+            points.append(np.concatenate([r, lam]))
+        return risb_cost(r, lam, spec, impurity_solver)
+
+    monkeypatch.setattr(embedding_module, "risb_cost", recorded)
+    return points
+
+
+def nelder_mead_points(spec: LatticeSpec, x0: np.ndarray, max_iter: int):
+    """Points and iteration count of risb_solve's Nelder-Mead from x0."""
+    n, points = spec.n_c, []
+
+    def cost(x):
+        points.append(x.copy())
+        return risb_cost(x[:n], x[n:], spec).cost
+
+    simplex = np.vstack([x0, x0 + embedding_module.SIMPLEX_STEP
+                         * np.eye(x0.size)])
+    result = minimize(cost, x0, method="Nelder-Mead",
+                      options={"maxiter": max_iter,
+                               "xatol": embedding_module.SIMPLEX_XATOL,
+                               "fatol": embedding_module.SIMPLEX_FATOL,
+                               "initial_simplex": simplex})
+    return np.array(points), result.nit
+
+
+class TestChord:
+    def test_wrapped_solver_reaches_the_exact_root(self, monkeypatch):
+        spec = LatticeSpec(n_c=1, u=1.0)
+        start = (np.array([0.9]), np.array([0.5]))
+        exact = risb_solve(spec, start=start, max_iter=40)
+        calls = circuit_points(monkeypatch)
+        out = risb_solve(spec, impurity_solver=wrapped, start=start,
+                         max_iter=40)
+        # Nelder-Mead takes 77 evaluations from this start.
+        assert len(calls) <= 8
+        assert out.converged
+        assert out.n_iter == len(out.cost_trace) == len(calls)
+        np.testing.assert_allclose(np.concatenate([out.r, out.lam]),
+                                   np.concatenate([exact.r, exact.lam]),
+                                   rtol=0, atol=1e-9)
+
+    def test_iterate_on_the_clamp_falls_back_to_nelder_mead(self,
+                                                            monkeypatch):
+        # Chord steps from this Mott-side start reach R below MOTT_CLAMP.
+        spec = LatticeSpec(n_c=1, u=5.0)
+        x0 = np.array([0.05, 2.5])
+        calls = circuit_points(monkeypatch)
+        out = risb_solve(spec, impurity_solver=wrapped,
+                         start=(x0[:1], x0[1:]), max_iter=30)
+        plain, nit = nelder_mead_points(spec, x0, 30)
+        chord = np.array(calls[:len(calls) - len(plain)])
+        np.testing.assert_array_equal(chord[0], x0)
+        assert len(chord) >= 2
+        assert abs(chord[-1][0]) < embedding_module.MOTT_CLAMP
+        np.testing.assert_array_equal(np.array(calls[len(chord):]), plain)
+        assert out.n_iter == nit
+        assert len(out.cost_trace) == len(calls)
+
+    def test_rejected_iterate_falls_back_to_nelder_mead(self, monkeypatch):
+        # A noisy chord can run off to a cluster the circuit solver cannot
+        # take; here the solver rejects the first chord iterate's cluster.
         spec = LatticeSpec(n_c=1, u=1.0)
         x0 = np.array([0.9, 0.5])
+        solves = []
 
-        def wrapped(emb):
+        def rejecting(emb):
+            solves.append(emb)
+            if len(solves) == 2:
+                raise ValueError("one-body matrix is not Hermitian")
             return ed_impurity_solver(emb)
 
+        calls = circuit_points(monkeypatch)
+        out = risb_solve(spec, impurity_solver=rejecting,
+                         start=(x0[:1], x0[1:]), max_iter=40)
+        plain, nit = nelder_mead_points(spec, x0, 40)
+        np.testing.assert_array_equal(np.array(calls[2:]), plain)
+        assert len(out.cost_trace) == 1 + len(plain)
+        assert out.n_iter == nit
+
+    def test_exact_solver_errors_still_raise(self, monkeypatch):
+        solves = []
+
+        def broken(emb):
+            solves.append(emb)
+            if len(solves) == 2:  # inside the root search
+                raise ValueError("broken cluster solver")
+            return ed_impurity_solver(emb)
+
+        monkeypatch.setattr(embedding_module, "ed_impurity_solver", broken)
+        spec = LatticeSpec(n_c=1, u=1.0)
+        with pytest.raises(ValueError, match="broken"):
+            risb_solve(spec, start=(np.array([0.9]), np.array([0.5])))
+
+    def test_singular_jacobian_falls_back_to_nelder_mead(self,
+                                                         monkeypatch):
+        spec = LatticeSpec(n_c=1, u=1.0)
+        x0 = np.array([0.9, 0.5])
+        frozen = risb_cost(x0[:1], x0[1:], spec)
+        plain, nit = nelder_mead_points(spec, x0, 40)
+        calls = []
+
+        def flat_exact(r, lam, spec, impurity_solver=None):
+            # The exact residual does not move: every difference is zero.
+            if impurity_solver is None:
+                return frozen
+            calls.append(np.concatenate([r, lam]))
+            return risb_cost(r, lam, spec, impurity_solver)
+
+        monkeypatch.setattr(embedding_module, "risb_cost", flat_exact)
         out = risb_solve(spec, impurity_solver=wrapped,
-                         start=(np.array([x0[0]]), np.array([x0[1]])),
-                         max_iter=40)
-        plain = []
+                         start=(x0[:1], x0[1:]), max_iter=40)
+        np.testing.assert_array_equal(np.array(calls),
+                                      np.vstack([x0, plain]))
+        assert out.n_iter == nit
 
-        def cost(x):
-            plain.append(x.copy())
-            return risb_cost(np.array([x[0]]), np.array([x[1]]), spec).cost
-
-        simplex = np.vstack([x0] + [x0 + embedding_module.SIMPLEX_STEP * e
-                                    for e in np.eye(2)])
-        result = minimize(cost, x0, method="Nelder-Mead",
-                          options={"maxiter": 40,
-                                   "xatol": embedding_module.SIMPLEX_XATOL,
-                                   "fatol": embedding_module.SIMPLEX_FATOL,
-                                   "initial_simplex": simplex})
-        # Nelder-Mead's own evaluation count for this start and cap.
-        assert len(calls) == len(plain) == 77
-        np.testing.assert_array_equal(np.array(calls), np.array(plain))
-        assert out.n_iter == result.nit
-        assert out.converged == (out.cost < FIXED_POINT_TOL)
+    def test_circuit_sweep_setup_lands_near_the_exact_root(self):
+        # The benchmark's circuit-sweep point, run in process: capped BFGS
+        # mrep(2,4) fits with four cost evaluations from the U = 0.15 root.
+        reference = risb_sweep(LatticeSpec(n_c=2, u=0.0),
+                               [0.0, 0.05, 0.1, 0.15, 0.2], max_iter=400)
+        spec = LatticeSpec(n_c=2, u=0.2)
+        solver = vqe_impurity_solver(build_mrep(2, 4), basis="exact-no",
+                                     n_starts=2, seed=7, optimizer="bfgs",
+                                     max_iter=50)
+        out = risb_sweep(spec, [0.2], solver, reference=reference,
+                         max_iter=4)[0].output
+        exact = reference[-1].output
+        assert out.n_iter == len(out.cost_trace) == 4
+        np.testing.assert_allclose(out.z, exact.z, rtol=0.02)
+        np.testing.assert_allclose(out.lambda_tilde(spec),
+                                   exact.lambda_tilde(spec), rtol=0.02)
