@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize, root
+from scipy.optimize import brentq, minimize
 from scipy.special import expit, polygamma
 
 from . import SolverFailure
@@ -35,7 +35,8 @@ SIMPLEX_FATOL = 1e-12
 WARM_STEP = 0.05
 # A fixed point is reached when the residual norm falls below this.
 FIXED_POINT_TOL = 1e-9
-# Forward-difference step of a Jacobian column, relative to |x_j| as hybrd's
+# Forward-difference step of a Jacobian column, relative to max(|x_j|, 1):
+# a lambda of order 1e-17 must still move the residual.
 FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
@@ -339,9 +340,9 @@ def risb_cost(r: np.ndarray, lam: np.ndarray, spec: LatticeSpec,
 @dataclass
 class RisbOutput:
     """Best-seen self-consistency point; `converged` says whether its cost
-    is below FIXED_POINT_TOL.  `n_iter` counts a root search's or chord's
-    cost evaluations (= len(cost_trace)), or Nelder-Mead's iterations after
-    a fallback; `jacobian` is an accepted hybr's fjac^T R."""
+    is below FIXED_POINT_TOL.  `n_iter` counts the root iteration's cost
+    evaluations (= len(cost_trace)), or Nelder-Mead's iterations after a
+    fallback; `jacobian` is the root iteration's final J, if any."""
 
     r: np.ndarray
     lam: np.ndarray
@@ -366,34 +367,35 @@ class _LeaveRoot(Exception):
     """The root search reached a point where the residual cannot vanish."""
 
 
+class _Capped(Exception):
+    """The root search used up its `max_iter` cost evaluations."""
+
+
 def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
                start: tuple[np.ndarray, np.ndarray] | None = None,
                max_iter: int = 100, *,
                jacobian: np.ndarray | None = None) -> RisbOutput:
     """Solve the self-consistency over the symmetry-reduced (R, lambda).
 
-    Every solver looks for the root of the 2 n_c residuals (f1, f2) with
-    at most `max_iter` cost evaluations, and a start whose cost is already
-    below FIXED_POINT_TOL is returned after its one evaluation.  With the
-    exact cluster solver, MINPACK's hybrid Powell method counts its
-    difference columns against the cap and answers every call at `start`
-    from that evaluation; from a carried `jacobian` it runs hybrj, with
-    hybrd's forward differences away from the start.  Its root is accepted
-    when it succeeds with a best cost below FIXED_POINT_TOL.  A circuit
-    solver, whose capped VQE is too rough for difference columns, takes
-    chord steps x <- x - J^-1 f(x) until a cost falls below
-    FIXED_POINT_TOL or the cap is reached, with J the forward-difference
-    Jacobian of the exact solver's residual at `start` (2 n_c + 1 exact
-    evaluations, kept out of `cost_trace`).  If either search fails, a
-    cost is not finite, a point is clamped on the Mott side, where the
-    residual cannot vanish, J is singular or the circuit solver rejects a
-    chord iterate's cluster with a ValueError (noisy residuals have no
-    root, and steps along the exact J's near-flat directions run off),
-    Nelder-Mead minimizes the cost from `start` with `max_iter`
-    iterations.  `cost_trace` holds every evaluation of both phases, and
-    `report` is the best point's CostReport.
+    Every solver seeks the root of the 2 n_c residuals (f1, f2) by steps
+    x <- x - J^-1 f(x) from `start`, until a cost falls below
+    FIXED_POINT_TOL or `max_iter` evaluations, difference columns included,
+    are spent.  J starts as the carried `jacobian` or the forward-difference
+    Jacobian of the exact solver's residual at `start`.  With the exact
+    cluster solver a step that lowers the cost is taken and J gets Broyden's
+    rank-one update, or is rebuilt by differences if the cost did not halve;
+    any other step is refused, and J is rebuilt at x, or the next step
+    halved if J is fresh.  A circuit solver, too rough for difference
+    columns and cost comparisons, takes every chord step on the J at `start`
+    (2 n_c + 1 exact evaluations, kept out of `cost_trace`).  If a cost is
+    not finite, a point is clamped on the Mott side, where the residual
+    cannot vanish, J is singular or the circuit solver rejects an iterate's
+    cluster with a ValueError (noisy residuals have no root, and steps along
+    the exact J's near-flat directions run off), Nelder-Mead minimizes the
+    cost from `start` with `max_iter` iterations.  `cost_trace` holds every
+    evaluation of both phases, and `report` is the best point's CostReport.
     """
-    n = spec.n_c
+    n, exact = spec.n_c, _is_exact(impurity_solver)
     x0 = np.concatenate(start or (np.ones(n), np.zeros(n)), dtype=float)
     trace: list[tuple[int, float]] = []
     best: dict = {"cost": math.inf, "report": None, "x": x0}
@@ -411,60 +413,54 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
         return np.concatenate([report.f1, report.f2])
 
     def residual(x: np.ndarray) -> np.ndarray:
-        # scipy's shape check and MINPACK both call at x0: read off `first`
-        at_start = np.array_equal(x, x0)
-        if not at_start and len(trace) >= max_iter:
-            raise _LeaveRoot
-        last[:] = x.copy(), vector(first if at_start else evaluate(x))
-        return last[1]
+        if len(trace) >= max_iter:
+            raise _Capped
+        return vector(evaluate(x))
 
     def exact_residual(x: np.ndarray) -> np.ndarray:
         return vector(risb_cost(x[:n], x[n:], spec))
 
     def differences(fun: Callable, x: np.ndarray,
                     f: np.ndarray) -> np.ndarray:
-        steps = np.diag(FD_STEP * np.where(x == 0.0, 1.0, np.abs(x)))
+        steps = np.diag(FD_STEP * np.maximum(np.abs(x), 1.0))
         return np.column_stack([(fun(x + h) - f) / h[j]
                                 for j, h in enumerate(steps)])
 
-    def carried(x: np.ndarray) -> np.ndarray:
-        if np.array_equal(x, x0):
-            return jacobian
-        f = last[1] if np.array_equal(x, last[0]) else residual(x)
-        return differences(residual, x, f)
-
-    n_iter, found_jacobian, last = None, None, [None, None]
-    first = evaluate(x0)
+    x, scale, fresh, fallback = x0, 1.0, False, False
     try:
-        if first.cost < FIXED_POINT_TOL:  # the start is the root
-            n_iter = 1
-        elif _is_exact(impurity_solver):
-            found = root(residual, x0, method="hybr",
-                         jac=None if jacobian is None else carried,
-                         options={"maxfev": max_iter})
-            if found.success and best["cost"] < FIXED_POINT_TOL:
-                upper = np.zeros((x0.size, x0.size))
-                upper[np.triu_indices(x0.size)] = found.r
-                n_iter, found_jacobian = len(trace), found.fjac.T @ upper
-        else:  # chord steps on the exact solver's Jacobian at the start
-            x, f = x0, residual(x0)
-            chord = differences(exact_residual, x0, exact_residual(x0))
-            while len(trace) < max_iter and best["cost"] >= FIXED_POINT_TOL:
-                x = x - np.linalg.solve(chord, f)
-                f = residual(x)
-            n_iter = len(trace)
-    except _LeaveRoot:
+        f, cost = vector(evaluate(x0)), best["cost"]
+        while best["cost"] >= FIXED_POINT_TOL:
+            if jacobian is None:
+                jacobian = (differences(residual, x, f) if exact else
+                            differences(exact_residual, x, exact_residual(x)))
+                fresh = True
+            dx = -scale * np.linalg.solve(jacobian, f)
+            f_new = residual(x + dx)
+            cost_new = np.linalg.norm(f_new)
+            if exact and cost_new >= cost:  # refused: halve on a fresh J
+                scale, jacobian = ((scale / 2, jacobian) if fresh
+                                   else (1.0, None))
+                continue
+            if exact and cost_new > cost / 2:
+                jacobian = None
+            elif exact:  # Broyden's rank-one update
+                jacobian = jacobian + np.outer(f_new - f - jacobian @ dx,
+                                               dx) / (dx @ dx)
+            x, f, cost, scale, fresh = x + dx, f_new, cost_new, 1.0, False
+    except _Capped:
         pass
-    except ValueError:  # J singular (a LinAlgError), or a run-away chord
-        if _is_exact(impurity_solver):  # iterate's cluster was rejected
-            raise
-    if n_iter is None:
+    except (_LeaveRoot, ValueError) as err:  # a singular J is a LinAlgError
+        if exact and not isinstance(err, (_LeaveRoot, np.linalg.LinAlgError)):
+            raise  # the exact solver's own error
+        fallback = True
+    n_iter = len(trace)
+    if fallback:
         simplex = np.vstack([x0, x0 + SIMPLEX_STEP * np.eye(x0.size)])
         result = minimize(lambda x: evaluate(x).cost, x0, method="Nelder-Mead",
                           options={"maxiter": max_iter, "xatol": SIMPLEX_XATOL,
                                    "fatol": SIMPLEX_FATOL,
                                    "initial_simplex": simplex})
-        n_iter = int(result.nit)
+        n_iter, jacobian = int(result.nit), None
     if not math.isfinite(best["cost"]):
         raise SolverFailure(f"cost never became finite over "
                             f"{len(trace)} evaluations")
@@ -473,7 +469,7 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
                       mu=report.mu, cost=best["cost"], cost_trace=trace,
                       converged=best["cost"] < FIXED_POINT_TOL,
                       n_iter=n_iter, clamped=report.clamped, report=report,
-                      jacobian=found_jacobian)
+                      jacobian=jacobian)
 
 
 def noninteracting_start(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -523,13 +519,13 @@ def risb_sweep(spec: LatticeSpec, u_values,
                max_iter: int = 100) -> list[SweepPoint]:
     """Solve the self-consistency along an interaction grid.
 
-    With the exact cluster solver each point is a root problem (see
-    risb_solve), started by `_warm_start` from the last solutions, with the
-    previous point's final Jacobian.  A quantum solver instead warm-starts
-    every point from the classical reference entry nearest to U minus one
-    grid step, so errors do not compound along the sweep, and takes
-    risb_solve's chord steps from there.  `max_iter` is risb_solve's cap
-    on cost evaluations at every point.
+    Every point is risb_solve's root iteration.  With the exact cluster
+    solver it starts from `_warm_start`'s extrapolation of the last
+    solutions, with the previous point's final Jacobian.  A quantum solver
+    instead warm-starts every point from the classical reference entry
+    nearest to U minus one grid step, so errors do not compound along the
+    sweep, and takes chord steps on the exact Jacobian there.  `max_iter`
+    is risb_solve's cap on cost evaluations at every point.
     """
     points: list[SweepPoint] = []
     for u in u_values:
@@ -548,12 +544,12 @@ def classical_point(spec: LatticeSpec, *, step: float = 0.05,
                     max_iter: int = 400) -> tuple[RisbOutput, CostReport]:
     """Converged exact-solver solution at spec.u, chained up from U = 0.
 
-    Every grid point is a root search of risb_sweep capped at `max_iter`
-    cost evaluations, with Nelder-Mead as risb_solve's fallback; at
-    spec.u = step no Jacobian is carried yet.  The grid ends at spec.u
-    exactly.  Returns the solution together with the cost report of its
-    best point, which carries the self-consistent cluster Hamiltonian and
-    mu.
+    Every grid point is risb_sweep's root iteration capped at `max_iter`
+    cost evaluations, with Nelder-Mead as risb_solve's fallback; U = step
+    builds its Jacobian by differences, later points carry it.  The grid
+    ends at spec.u exactly.  Returns the solution together with the cost
+    report of its best point, which carries the self-consistent cluster
+    Hamiltonian and mu.
     """
     grid = [u for u in np.arange(0.0, spec.u + step / 2, step)
             if u < spec.u - 1e-12] + [spec.u]

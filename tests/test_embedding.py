@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize, root
+from scipy.optimize import minimize
 from scipy.special import expit
 
 import risbvqe.embedding as embedding_module
@@ -570,15 +570,16 @@ class TestRootPath:
             assert out.cost < FIXED_POINT_TOL
             assert out.converged and not out.clamped
             assert out.n_iter == len(out.cost_trace)
-        # 1 evaluation at U = 0, 11 at U = 0.05 (plain hybr) and 6 at each
-        # later point, which starts from the previous point's Jacobian at
-        # the extrapolation of the last two points.
-        assert [len(p.output.cost_trace) for p in points] == [1, 11] + [6] * 3
-        assert len(calls) <= 30
+        # 1 evaluation at U = 0, 10 at U = 0.05 (start, four difference
+        # columns, five steps) and 4 at each later point, which starts from
+        # the previous point's Jacobian at the extrapolation of the last
+        # two points.
+        assert [len(p.output.cost_trace) for p in points] == [1, 10] + [4] * 3
+        assert len(calls) <= 23
 
     def test_root_search_evaluates_each_point_once(self, monkeypatch):
-        # scipy's shape check and MINPACK each call the residual at the
-        # start, which the start's own evaluation answers.
+        # The start's own evaluation is the base of its difference columns
+        # and of its first step.
         calls = counting_cost(monkeypatch)
         points = risb_sweep(LatticeSpec(n_c=2, u=0.0), [0.0, 0.05, 0.1, 0.15],
                             max_iter=400)
@@ -591,76 +592,53 @@ class TestRootPath:
         assert not calls
 
     def test_carried_jacobian(self, monkeypatch):
-        # hybr's final Jacobian at U = 0.1 is fjac^T R, close to central
-        # differences, and the U = 0.15 search starts from it without
-        # evaluating a forward-difference column.
-        searches = []
-
-        def recorded_root(fun, x0, **kwargs):
-            asked = []
-
-            def recorded_fun(x):
-                asked.append(x.copy())
-                return fun(x)
-
-            found = root(recorded_fun, x0, **kwargs)
-            searches.append((asked, found, kwargs.get("jac")))
-            return found
-
-        monkeypatch.setattr(embedding_module, "root", recorded_root)
-        calls = counting_cost(monkeypatch)
+        # Each point after U = 0.05 starts from the previous point's final
+        # Jacobian: its first step solves against that matrix.
         spec = LatticeSpec(n_c=2, u=0.0)
         points = risb_sweep(spec, [0.0, 0.05, 0.1, 0.15], max_iter=400)
-        last_search = calls[-len(points[3].output.cost_trace):]
         assert points[0].output.jacobian is None
-        assert [jac is None for _, _, jac in searches] == [True, False, False]
-        out = points[2].output
-        _, found, _ = searches[1]
-        upper = np.zeros((4, 4))
-        upper[np.triu_indices(4)] = found.r
-        np.testing.assert_array_equal(out.jacobian, found.fjac.T @ upper)
+        solved, solve = [], np.linalg.solve
 
-        spec_u, h = LatticeSpec(n_c=2, u=0.1), 1e-6
-        x = np.concatenate([out.r, out.lam])
-        columns = []
-        for step in h * np.eye(4):
-            ends = [risb_cost((x + sign * step)[:2], (x + sign * step)[2:],
-                              spec_u) for sign in (1, -1)]
-            columns.append((np.concatenate([ends[0].f1, ends[0].f2])
-                            - np.concatenate([ends[1].f1, ends[1].f2]))
-                           / (2 * h))
-        assert np.max(np.abs(out.jacobian - np.column_stack(columns))) < 0.1
+        def recorded_solve(a, b):
+            solved.append(a.copy())
+            return solve(a, b)
 
-        # Every cost call of the last search beyond its start is a point
-        # MINPACK asked for, so none is a difference column.
-        asked, _, _ = searches[2]
-        assert points[3].output.converged
-        assert all(any(np.array_equal(x, y) for y in asked)
-                   for x in last_search[1:])
+        monkeypatch.setattr(embedding_module.np.linalg, "solve",
+                            recorded_solve)
+        calls = counting_cost(monkeypatch)
+        spec = LatticeSpec(n_c=2, u=0.15)
+        start, carried = embedding_module._warm_start(points[:3], spec)
+        out = risb_solve(spec, start=start, max_iter=400, jacobian=carried)
+        assert carried is points[2].output.jacobian
+        np.testing.assert_array_equal(solved[0], carried)
+        assert out.converged and len(calls) == len(out.cost_trace) == 4
+        np.testing.assert_array_equal(np.concatenate([out.r, out.lam]),
+                                      np.concatenate([points[3].output.r,
+                                                      points[3].output.lam]))
 
     def test_cap_counts_difference_columns(self, monkeypatch):
-        # A carried Jacobian of the wrong sign makes hybrj fall back on
-        # forward differences; their columns count against max_iter.
-        spec = LatticeSpec(n_c=2, u=0.0)
-        points = risb_sweep(spec, [0.0, 0.05, 0.1], max_iter=400)
+        # max_iter counts every evaluation, difference columns included;
+        # reaching it ends the search with the best point, unconverged and
+        # without Nelder-Mead.
+        spec = LatticeSpec(n_c=2, u=0.1)
+        start = (np.full(2, 0.95), np.array([-0.25, 0.25]))
         calls = counting_cost(monkeypatch)
-        root_phase = []
-
-        def recorded_minimize(*args, **kwargs):
-            root_phase.append(len(calls))
-            return minimize(*args, **kwargs)
-
-        monkeypatch.setattr(embedding_module, "minimize", recorded_minimize)
-        prev = points[1].output
-        start, flipped = (prev.r, prev.lam), -points[2].output.jacobian
-        out = risb_solve(LatticeSpec(n_c=2, u=0.1), start=start,
-                         max_iter=100, jacobian=flipped)
-        assert out.converged and not root_phase
-        assert out.n_iter == len(calls) > 8
+        fallback = []
+        monkeypatch.setattr(embedding_module, "minimize",
+                            lambda *args, **kwargs: fallback.append(args))
+        full = risb_solve(spec, start=start, max_iter=100)
+        assert full.converged and full.n_iter == len(calls) > 8
         calls.clear()
-        risb_solve(LatticeSpec(n_c=2, u=0.1), start=start, max_iter=8,
-                   jacobian=flipped)
-        assert root_phase == [8]
+        for cap in (3, 8):  # inside the difference columns, then after
+            out = risb_solve(spec, start=start, max_iter=cap)
+            assert len(calls) == out.n_iter == len(out.cost_trace) == cap
+            assert not out.converged and not fallback
+            costs = [c for _, c in out.cost_trace]
+            assert out.cost == min(costs)
+            np.testing.assert_array_equal(
+                np.concatenate([out.r, out.lam]),
+                calls[costs.index(min(costs))])
+            calls.clear()
 
     def test_secant_start(self, monkeypatch):
         calls = counting_cost(monkeypatch)
@@ -718,6 +696,23 @@ class TestRootPath:
             np.testing.assert_allclose(out.z, fine[point.u].z, atol=1e-6)
             assert out.report.delta[0] < 0.99
         assert len(calls) <= 100
+
+    @pytest.mark.parametrize("n_c, max_iter, total", [(2, 100, 480),
+                                                       (1, 20, 343)])
+    def test_default_grid_converges_by_root_steps(self, monkeypatch, n_c,
+                                                  max_iter, total):
+        # The CLI's U = 0-3 grid: every point reaches the fixed point by
+        # root steps alone (n_iter counts evaluations, not Nelder-Mead
+        # iterations), within a budget of cost calls.
+        calls = counting_cost(monkeypatch)
+        grid = [round(0.05 * k, 10) for k in range(61)]
+        points = risb_sweep(LatticeSpec(n_c=n_c, u=0.0), grid,
+                            max_iter=max_iter)
+        for point in points:
+            out = point.output
+            assert out.converged and not out.clamped
+            assert out.n_iter == len(out.cost_trace)
+        assert len(calls) < total
 
     def test_explicit_exact_solver_sweeps_as_the_default(self):
         # Passing the exact solver by name needs no reference table and
@@ -850,6 +845,16 @@ class TestChord:
                                    np.concatenate([exact.r, exact.lam]),
                                    rtol=0, atol=1e-9)
 
+    def test_difference_step_is_floored(self, monkeypatch):
+        # At the n_c = 1 noninteracting start lambda = eps_loc = 5.3e-17; a
+        # step relative to |lambda| alone leaves J's lambda column zero.
+        spec = LatticeSpec(n_c=1, u=0.05)
+        calls = circuit_points(monkeypatch)
+        out = risb_solve(spec, impurity_solver=wrapped,
+                         start=noninteracting_start(spec), max_iter=40)
+        assert out.converged
+        assert out.n_iter == len(out.cost_trace) == len(calls) <= 8
+
     def test_iterate_on_the_clamp_falls_back_to_nelder_mead(self,
                                                             monkeypatch):
         # Chord steps from this Mott-side start reach R below MOTT_CLAMP.
@@ -923,6 +928,19 @@ class TestChord:
         np.testing.assert_array_equal(np.array(calls),
                                       np.vstack([x0, plain]))
         assert out.n_iter == nit
+
+    def test_singular_carried_jacobian_falls_back_to_nelder_mead(
+            self, monkeypatch):
+        # On the exact path too a singular J ends the root loop.
+        spec = LatticeSpec(n_c=1, u=1.0)
+        x0 = np.array([0.9, 0.5])
+        plain, nit = nelder_mead_points(spec, x0, 40)
+        calls = counting_cost(monkeypatch)
+        out = risb_solve(spec, start=(x0[:1], x0[1:]), max_iter=40,
+                         jacobian=np.zeros((2, 2)))
+        np.testing.assert_array_equal(np.array(calls),
+                                      np.vstack([x0, plain]))
+        assert out.n_iter == nit and out.jacobian is None
 
     def test_circuit_sweep_setup_lands_near_the_exact_root(self):
         # The benchmark's circuit-sweep point, run in process: capped BFGS
