@@ -19,7 +19,7 @@ import numpy as np
 
 from .pauli import FermionOperator, PauliSum, jordan_wigner
 
-HERMITICITY_TOL = 1e-10
+HERMITICITY_TOL = 1e-10  # times max(1, max |h_pq|)
 
 
 def mode_index(spin: int, orbital: int, n_c: int) -> int:
@@ -40,7 +40,8 @@ class OrbitalHamiltonian:
         h = np.asarray(h, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("one-body matrix must be square")
-        if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
+        if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL * max(
+                1.0, np.max(np.abs(h))):
             raise ValueError("one-body matrix is not Hermitian")
         m = h.shape[0]
         if u is None:

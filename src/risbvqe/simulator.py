@@ -7,20 +7,20 @@ Pauli-transfer-matrix basis, Greenbaum, arXiv:1509.02921).  Qubit 0 is
 axis 0 and the most significant bit of the flattened index.  `_compile`
 turns a circuit's structure into blocks once per circuit and noise model,
 held in `Circuit.compiled`, `_fuse` fills in the angles of a call's
-bindings with one `gate_stack` per gate kind, and `run`, `apply_gate` and
-`adjoint_gradient` walk those blocks.  A pure block is one gate: its
-rows are gathered straight from the previous block's output, never
-scattered back, and take one matmul (`_Chain`).  On a density matrix a
-gate and its channels form one real 4x4 or 16x16 transfer matrix, built
-per kind in the gates' own frame (`_ptm`) and placed into its block
-(`_local`), and each maximal run of consecutive gates inside one qubit
-pair is one block, the product in gate order (exact; gate fusion as in
-qsim and Qiskit Aer).  Its factored start: from n one-qubit factors, the
-compiled `_plan` runs the leading blocks whose factors do not yet span
-the register on them (a block that joins two merges them by one outer
-product), and the register tensor is formed once, in qubit order, at the
-first block that would join them all (mrep's first fSim, after its two
-preparations), or at the end.
+bindings with one `gate_stack` per gate kind, and `run`, `apply_gate`,
+`adjoint_gradient` and `displaced_energies` walk those blocks.  A pure
+block is one gate: its rows are gathered straight from the previous
+block's output, never scattered back, and take one matmul (`_Chain`).  On
+a density matrix a gate and its channels form one real 4x4 or 16x16
+transfer matrix, built per kind in the gates' own frame (`_ptm`) and
+placed into its block (`_local`), and each maximal run of consecutive
+gates inside one qubit pair is one block, the product in gate order
+(exact; gate fusion as in qsim and Qiskit Aer).  Its factored start:
+from n one-qubit factors, the compiled `_plan` runs the leading blocks
+whose factors do not yet span the register on them (a block that joins
+two merges them by one outer product), and the register tensor is formed
+once, in qubit order, at the first block that would join them all
+(mrep's first fSim, after its two preparations), or at the end.
 The half register is the density matrix's too: if every gate from there
 on keeps the parity of the number of X/Y factors of each Pauli word (FSIM,
 RZ, X and RPQ on XX, XY, YX, YY or ZZ; checked once, by kind, in `_plan`)
@@ -30,13 +30,22 @@ n-1 on two levels (`_halve`), and every register pass runs on them; it is
 made whole only where a `QuantumState` leaves the simulator.  Otherwise
 the same passes take the whole register.  The adjoint gradient's reverse
 sweep runs on the register `run` holds and ends, on both backends, in one
-stacked contraction and one scatter-add per kind.  An `Observable` is a
-dense Hermitian matrix, in practice `ed`'s Fock-space matrix of a cluster
-Hamiltonian; a density matrix reads it through its Pauli coefficients.
+stacked contraction and one scatter-add per kind.  On a density matrix
+that sweep (`_environments`) is checkpointed: the forward pass keeps the
+state entering every few register blocks, and going back each block's
+entering state is recomputed from the checkpoint before it, bit for bit,
+so it holds a few registers, not one per block.  It gives each tuned
+gate's environment, against which `adjoint_gradient` contracts derivative
+transfer matrices and `displaced_energies` transfer matrices at moved
+angles: <O> is linear in each of them, so one sweep gives Nelder-Mead's
+whole starting simplex.  An `Observable` is a dense Hermitian matrix, in
+practice `ed`'s Fock-space matrix of a cluster Hamiltonian; a density
+matrix reads it through its Pauli coefficients.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -47,7 +56,7 @@ import numpy as np
 
 from .circuits import _PAULI, Circuit, Gate, gate_stack
 
-HERMITICITY_TOL = 1e-10
+HERMITICITY_TOL = 1e-10  # times max(1, max |entry|)
 HERMITICITY_ROWS = 32  # rows per block of the Hermiticity check
 
 
@@ -163,11 +172,14 @@ class Observable:
         if n < 0 or matrix.shape != (1 << n, 1 << n):
             raise ValueError(f"observable of shape {matrix.shape} is not a "
                              f"square power-of-two matrix")
+        skew = size = 0.0
         for start in range(0, 1 << n, HERMITICITY_ROWS):
             rows = slice(start, start + HERMITICITY_ROWS)
-            skew = matrix[rows] - matrix[:, rows].conj().T
-            if np.abs(skew).max() > HERMITICITY_TOL:
-                raise ValueError("observable is not Hermitian")
+            skew = max(skew, np.abs(matrix[rows]
+                                    - matrix[:, rows].conj().T).max())
+            size = max(size, np.abs(matrix[rows]).max())
+        if skew > HERMITICITY_TOL * max(1.0, size):
+            raise ValueError("observable is not Hermitian")
         matrix.flags.writeable = False
         self.n_qubits, self.matrix, self._coefficients = n, matrix, None
 
@@ -584,16 +596,13 @@ def _fuse(circuit: Circuit, bindings: Mapping[str, float] | None,
     return list(zip(kinds, angles)), fused, plan
 
 
-def _act(tensor: np.ndarray, s: np.ndarray | None, axes: tuple[int, ...],
-         kept: dict | None = None, key: int = 0,
-         whole: bool = False) -> np.ndarray:
-    """`s` on `axes` of a Pauli tensor, or nothing if `s` is None;
-    kept[key] stores the entering tensor's `_flatten` matrix, a half
-    register's through `_whole` if `whole` or `axes` hold its last qubit."""
-    if kept is not None:
-        whole = _is_half(tensor) and (whole or tensor.ndim - 1 in axes)
-        kept[key] = _flatten(_whole(tensor) if whole else tensor, axes)[0]
-    return tensor if s is None else _apply_unitary(tensor, s, axes)
+def _rows(tensor: np.ndarray, axes: tuple[int, ...],
+          whole: bool) -> np.ndarray:
+    """`_flatten`'s matrix of a Pauli tensor over `axes`, a half register's
+    through `_whole` if `whole` or `axes` hold its last qubit."""
+    if _is_half(tensor) and (whole or tensor.ndim - 1 in axes):
+        tensor = _whole(tensor)
+    return _flatten(tensor, axes)[0]
 
 
 def _walk(x: np.ndarray, gathers: tuple, matrices: list,
@@ -609,38 +618,123 @@ def _walk(x: np.ndarray, gathers: tuple, matrices: list,
     return x
 
 
-def _forward(n: int, fused: list, plan: tuple, entering: dict | None = None,
-             whole: bool = False) -> np.ndarray:
-    """The final tensor of the plan's steps on n one-qubit Pauli factors,
-    then of the other blocks on the register, in the half layout if the
-    plan's parity rule holds and every factor at the join is even;
-    `entering` keeps each tuned block's entering matrix, as `_act` does
-    (whole if `whole`), in the register's frame (a step's from its factors
-    joined for it); a pure state's `_Chain` from |0...0>."""
-    if isinstance(plan, _Chain):
-        return _walk(plan.start, plan.forward, fused, entering, plan.keys if
-                     entering is not None else ()).reshape((2,) * n)
+def _prepare(parts: list, plan: tuple, k: int):
+    """The Pauli state block k acts on, from the factors block k - 1 left:
+    during the plan's steps the factors, step k's merge made; from the
+    first register block on the register, in the half layout if the plan's
+    parity rule holds and every factor at the join is even."""
     steps, frame, half_frame = plan
-    parts = list(np.tile(_ZERO, (n, 1)))
-    for (block, _, prefixes), step in zip(fused, steps):
-        if step.merge is not None:
-            parts[step.slot] = np.multiply.outer(parts[step.slot],
-                                                 parts[step.merge])
-            parts[step.merge] = None
-        if entering is not None and block.tuned:
-            entering[block.positions.start] = _flatten(
-                _join(parts, step.frame), block.qubits)[0]
-        parts[step.slot] = _apply_unitary(parts[step.slot], prefixes[-1],
-                                          step.axes)
-    if half_frame and all(_is_even(parts[slot]) for slot in half_frame[0]):
-        tensor = _join_half(parts, half_frame)
-    else:
-        tensor = _join(parts, frame)
-    for block, _, prefixes in fused[len(steps):]:
-        tensor = _act(tensor, prefixes[-1], block.qubits,
-                      entering if block.tuned else None,
-                      block.positions.start, whole)
-    return tensor
+    if k == len(steps):
+        if half_frame and all(_is_even(parts[slot])
+                              for slot in half_frame[0]):
+            return _join_half(parts, half_frame)
+        return _join(parts, frame)
+    step = steps[k]
+    if step.merge is not None:
+        parts = list(parts)
+        parts[step.slot] = np.multiply.outer(parts[step.slot],
+                                             parts[step.merge])
+        parts[step.merge] = None
+    return parts
+
+
+def _advance(state, k: int, fused: list, plan: tuple):
+    """The state block k + 1 acts on, from the one block k acts on (a new
+    list or array; neither is changed in place)."""
+    steps, prefixes = plan[0], fused[k][2]
+    if k >= len(steps):
+        return _apply_unitary(state, prefixes[-1], fused[k][0].qubits)
+    parts, step = list(state), steps[k]
+    parts[step.slot] = _apply_unitary(parts[step.slot], prefixes[-1],
+                                      step.axes)
+    return _prepare(parts, plan, k + 1)
+
+
+def _forward(n: int, fused: list, plan: tuple, kept: dict | None = None,
+             marks=()) -> np.ndarray:
+    """The final tensor of the plan's steps on n one-qubit Pauli factors,
+    then of the other blocks on the register (`_prepare`), kept[k] the
+    state entering each block k in `marks`; a pure state's `_Chain` from
+    |0...0>."""
+    if isinstance(plan, _Chain):
+        return _walk(plan.start, plan.forward, fused).reshape((2,) * n)
+    state = _prepare(list(np.tile(_ZERO, (n, 1))), plan, 0)
+    for k in range(len(fused)):
+        if k in marks:
+            kept[k] = state
+        state = _advance(state, k, fused, plan)
+    return state
+
+
+def _entering(kept: dict, k: int, fused: list, plan: tuple):
+    """The state entering block k, recomputed from the last checkpoint
+    in `kept` at or before it; a step's is its factors joined."""
+    first = max(c for c in kept if c <= k)
+    state = kept[first]
+    for i in range(first, k):
+        state = _advance(state, i, fused, plan)
+    steps = plan[0]
+    return _join(state, steps[k].frame) if k < len(steps) else state
+
+
+def _environments(n: int, fused: list, plan: tuple, observable: Observable,
+                  final: bool) -> tuple[float, np.ndarray | None, dict]:
+    """(<O>, the final register as the plan holds it if `final`, else None,
+    framed): per gate position p with a named slot, its environment in its
+    own frame, the matrix with <O> = sum(T_p * framed[p]) for T_p its noisy
+    transfer matrix (`_ptm`), so linear in T_p with every other gate fixed.
+
+    Lambda runs back through each block's S^dag from o_P = tr(P O) / 2^n.
+    M, the overlap of lambda after a block and the tensor entering it over
+    its axes, gives <O> = sum(S * M), and a gate's share is after^T M
+    prefix^T for the block's gates after and before it, mapped back through
+    `_local`.  The first block's S^dag is not applied: no lambda before it
+    is read.  Of the states entering the blocks, the forward pass keeps
+    the first (the factors) and every s-th register, s = isqrt(2R) for R
+    register blocks, and the reverse sweep recomputes each tuned block's
+    from the checkpoint before it (`_entering`) with the same arithmetic:
+    the overlaps are those of keeping every entering tensor, while about
+    R/s registers are held, not R, for about (s - 1)/2 more forward
+    passes.
+
+    A register held in the half layout takes the reverse sweep in it too
+    when the observable's odd coefficients vanish: lambda then stays even
+    through the register phase, and is made whole at the join for the
+    leading steps (whose transfer matrices may be odd there).  On the half
+    layout the overlaps are right on their parity-diagonal blocks, the only
+    ones the transfer matrices of parity-keeping gates read.  Otherwise the
+    entering tensors are read whole and the reverse sweep takes the whole
+    register."""
+    steps = plan[0]
+    span = max(1, math.isqrt(2 * (len(fused) - len(steps))))
+    marks = {0, *range(len(steps) + span, len(fused), span)}
+    whole, kept = not _is_even(observable.coefficients), {}
+    state = _forward(n, fused, plan, kept, marks)
+    energy, lam = _observe(_whole(state), observable, True)
+    if _is_half(state) and not whole:
+        lam = _halve(lam)
+    state, framed = state if final else None, {}
+    for k in range(len(fused) - 1, -1, -1):
+        block, factors, prefixes = fused[k]
+        if k + 1 == len(steps):
+            lam = _whole(lam)
+        if block.tuned:
+            # M, then after^T M as j passes each gate
+            right = _rows(_entering(kept, k, fused, plan), block.qubits, whole)
+            overlap = _rows(lam, block.qubits, whole) @ right.T
+            del right  # before the next register pass
+            p = block.positions.start
+            for j in range(len(factors) - 1, block.tuned[0] - 1, -1):
+                if j in block.tuned:
+                    framed[p + j] = _local(
+                        overlap @ prefixes[j - 1].T if j else overlap,
+                        block.gates[j].qubits, block.qubits, adjoint=True)
+                if j > block.tuned[0]:
+                    overlap = factors[j].T @ overlap
+        if k:
+            lam = _apply_unitary(lam, prefixes[-1].conj().T, block.qubits)
+        kept.pop(k, None)
+    return energy.real, state, framed
 
 
 def _observe(tensor: np.ndarray, observable: Observable,
@@ -700,58 +794,30 @@ def adjoint_gradient(circuit: Circuit, observable: Observable,
     order, from one forward and one reverse sweep over the blocks of
     `_fuse` (Jones & Gacon, arXiv:2009.02823).
 
-    Lambda runs back through each block's S^dag from `_observe`'s O psi
-    or o_P = tr(P O) / 2^n.  M, the overlap of lambda after a block and the
-    tensor entering it over its axes, gives <O> = sum(S * M).  Each gate
-    with a named slot takes its share in its own frame: after^T M
-    prefix^T for the block's gates after and before it, mapped back
-    through `_local`.  Per gate kind, one stacked contraction with the
-    derivatives dU (pure) or the transfer matrices of rho -> D(dU rho
-    U^dag) (density matrix) and one scatter-add give the gradient; the
-    weight is 2 on both, as psi enters <O> twice and D(dU rho U^dag) and
-    D(U rho dU^dag) have the same transfer matrix.  The first block's
-    S^dag is not applied: no lambda before it is read.
-
-    The one forward sweep is `run`'s.  A register it holds in the half
-    layout takes the reverse sweep in it too when the observable's odd
-    coefficients vanish: lambda then stays even through the register
-    phase, and is made whole at the join for the leading steps (whose
-    derivatives may be odd there).  On the half layout the overlaps are
-    right on their parity-diagonal blocks, the only ones the dU transfer
-    matrices of parity-keeping gates read.  Otherwise, as chosen before
-    the forward sweep, the entering tensors are kept whole and the reverse
-    sweep takes the whole register.
+    On a density matrix the sweep is `_environments`', whose checkpointed
+    forward pass computes `run`'s final state.  On a pure state lambda
+    runs back from O psi along the `_Chain` and meets each block's kept
+    rows.  Per gate kind, one stacked contraction with the derivatives dU
+    (pure) or the transfer matrices of rho -> D(dU rho U^dag) (density
+    matrix) and one scatter-add give the gradient; the weight is 2 on both,
+    as psi enters <O> twice and D(dU rho U^dag) and D(U rho dU^dag) have
+    the same transfer matrix.
     """
     n, mixed = circuit.n_qubits, noise is not None
     kinds, fused, plan = _fuse(circuit, bindings, mixed, noise)
     grad = np.zeros(circuit.n_params + 1)  # the last for numeric slots
-    entering, leaving, framed = {}, {}, {}
-    whole = mixed and not _is_even(observable.coefficients)
-    tensor = _forward(n, fused, plan, entering, whole)
-    final = _whole(tensor)
-    energy, lam = _observe(final, observable, mixed)
-    if not mixed:
+    if mixed:
+        energy, final, framed = _environments(n, fused, plan, observable,
+                                             True)
+        final = _whole(final)
+    else:
+        entering, leaving = {}, {}
+        final = _walk(plan.start, plan.forward, fused, entering,
+                      plan.keys).reshape((2,) * n)
+        energy, lam = _observe(final, observable, False)
         _walk(lam, plan.backward, [s.conj().T for s in fused[:0:-1]],
               leaving, reversed(plan.keys))
-    elif final is not tensor and not whole:
-        lam = _halve(lam)
-    for k in range(len(fused) - 1, -1, -1) if mixed else ():
-        block, factors, prefixes = fused[k]
-        if k + 1 == len(plan[0]):
-            lam = _whole(lam)
-        lam = _act(lam, prefixes[-1].conj().T if k else None, block.qubits,
-                   leaving if block.tuned else None, block.positions.start)
-        if block.tuned:
-            p = block.positions.start
-            # M, then after^T M as j passes each gate
-            overlap = leaving.pop(p) @ entering.pop(p).T
-            for j in range(len(factors) - 1, block.tuned[0] - 1, -1):
-                if j in block.tuned:
-                    framed[p + j] = _local(
-                        overlap @ prefixes[j - 1].T if j else overlap,
-                        block.gates[j].qubits, block.qubits, adjoint=True)
-                if j > block.tuned[0]:
-                    overlap = factors[j].T @ overlap
+        energy = energy.real
     for (kind, axes, positions, index, scale), a in kinds:
         positions = positions.tolist()  # one overlap per gate, stacked
         m = np.array([framed[p] for p in positions]) if mixed else np.conj(
@@ -766,4 +832,42 @@ def adjoint_gradient(circuit: Circuit, observable: Observable,
         grad += 2.0 * np.bincount(index.T.ravel(), terms.ravel(),
                                   minlength=len(grad))
     return (QuantumState(n, "mixed" if mixed else "pure", final),
-            energy.real, grad[:-1])
+            energy, grad[:-1])
+
+
+def displaced_energies(circuit: Circuit, observable: Observable,
+                       bindings: Mapping[str, float], moved,
+                       noise: NoiseModel) -> list[float | None]:
+    """<O> of the noisy circuit at `bindings`, then, per parameter k of
+    `circuit.parameter_names`, <O> with parameter k alone moved to
+    moved[k]: Nelder-Mead's starting simplex from one `_environments`
+    sweep.  <O> is linear in each gate's transfer matrix, so each moved
+    value is sum(T' * framed[p]) with T' the transfer matrix of the gate
+    that holds the parameter at its moved angles, one `gate_stack` and
+    `_ptm` stack per gate kind.  A parameter that fills more than one slot
+    moves several transfer matrices at once; its entry is None.  The first
+    entry is `expectation(run(...))`'s value bit for bit; the others agree
+    with it to rounding."""
+    kinds, fused, plan = _fuse(circuit, bindings, True, noise)
+    energy, _, framed = _environments(circuit.n_qubits, fused, plan,
+                                      observable, False)
+    slots = collections.Counter(name for gate in circuit.gates
+                                for name in gate.param_names())
+    # per name index, whether it fills one slot (numeric slots: False)
+    once = np.array([slots[name] == 1 for name in circuit.parameter_names]
+                    + [False])
+    moved = np.asarray(moved, dtype=float)
+    energies: list[float | None] = [energy] + [None] * circuit.n_params
+    for (kind, axes, positions, index, scale), a in kinds:
+        rows, cols = np.nonzero(once[index])  # one per moved parameter
+        if not len(rows):
+            continue
+        params = index[rows, cols]
+        a = a[rows]  # a copy: the moved angle replaces its slot's
+        a[np.arange(len(rows)), cols] = scale[rows, cols] * moved[params]
+        u = gate_stack(kind, a, axes)
+        values = (_ptm(u, u, noise) * np.array(
+            [framed[p] for p in positions[rows]])).sum(axis=(1, 2))
+        for k, value in zip(params.tolist(), values.tolist()):
+            energies[1 + k] = value
+    return energies

@@ -1,10 +1,11 @@
 """Variational minimization of cluster energies over circuit parameters.
 
 Single starts wrap scipy optimizers around the exact channel expectation,
-BFGS with exact adjoint gradients; multi-start keeps the best of a seeded
-batch.  The landscape scan sweeps the single-site self-consistency cost
-over an (R, lambda) grid with the one-parameter ansatz tuned analytically
-at each node.
+BFGS with exact adjoint gradients and noisy Nelder-Mead with its starting
+simplex from one sweep; multi-start keeps the best of a seeded batch.  The
+landscape scan sweeps the single-site self-consistency cost over an (R,
+lambda) grid with the one-parameter ansatz tuned analytically at each
+node.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .circuits import Circuit, build_mr_nc1
 from .ed import exact_no_basis, hamiltonian_matrix
 from .embedding import LatticeSpec, risb_cost
 from .estimator import circuit_rdm1, expectation, parameter_shift_minimize
-from .simulator import NoiseModel, Observable, adjoint_gradient, run
+from .simulator import (NoiseModel, Observable, adjoint_gradient,
+                        displaced_energies, run)
 
 GRADIENT_TOL = 1e-8
 
@@ -44,11 +46,13 @@ class VqeResult:
 
 
 def _objective(circuit: Circuit, observable: Observable,
-               noise: NoiseModel | None, gradient: bool) -> Callable:
+               noise: NoiseModel | None, gradient: bool,
+               known: dict) -> Callable:
     """x -> (<O>, d<O>/dx) from one adjoint sweep, whose lambda starts as
-    O psi and gives <O> too, or (<O>, None) from one `run` and
-    `expectation`; both read <O> off the final state with the same
-    arithmetic, so they give the same value bit for bit."""
+    O psi and gives <O> too, or (<O>, None) from `known`, keyed by the
+    point's bytes and answered once, or else from one `run` and
+    `expectation`; the sweep and the run read <O> off the final state with
+    the same arithmetic, so they give the same value bit for bit."""
     names = circuit.parameter_names
 
     def evaluate(x: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -61,8 +65,10 @@ def _objective(circuit: Circuit, observable: Observable,
                 bad = grad[~np.isfinite(grad)][0]
                 raise SolverFailure(f"objective gradient diverged to {bad}")
         else:
-            value = expectation(run(circuit, bindings, noise=noise),
-                                observable)
+            value = known.pop(np.asarray(x, dtype=float).tobytes(), None)
+            if value is None:
+                value = expectation(run(circuit, bindings, noise=noise),
+                                    observable)
         if not math.isfinite(value):
             raise SolverFailure(f"objective diverged to {value}")
         return value, grad
@@ -80,6 +86,13 @@ def vqe_minimize(observable: Observable, ansatz: Circuit,
 
     BFGS takes the channel expectation and its exact gradient together
     from one forward and one reverse (adjoint) sweep of the circuit.
+    Nelder-Mead with noise builds scipy's default starting simplex itself
+    (x0, and per coordinate x0 with it times 1.05, or 0.00025 where it is
+    0), passes it as `initial_simplex`, so scipy's trajectory is unchanged,
+    and answers its N + 1 vertices from one `displaced_energies` sweep;
+    every other point, and a vertex whose parameter fills more than one
+    slot, is one `run`.  Without noise every point is one `run`: <O> of a
+    pure state is quadratic in each gate matrix.
     """
     names = ansatz.parameter_names
     if not names:
@@ -96,7 +109,22 @@ def vqe_minimize(observable: Observable, ansatz: Circuit,
                          f"parameters")
 
     bfgs = optimizer == "bfgs"
-    evaluate = _objective(ansatz, observable, noise, gradient=bfgs)
+    options = {"maxiter": max_iter}
+    known = {}
+    if bfgs:
+        options["gtol"] = GRADIENT_TOL
+    else:
+        options.update(xatol=1e-6, fatol=1e-9)
+        if noise is not None:
+            simplex = np.tile(x0, (len(x0) + 1, 1))
+            moved = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+            simplex[1:][np.diag_indices(len(x0))] = moved
+            options["initial_simplex"] = simplex
+            energies = displaced_energies(ansatz, observable,
+                                          dict(zip(names, x0)), moved, noise)
+            known = {vertex.tobytes(): value for vertex, value
+                     in zip(simplex, energies) if value is not None}
+    evaluate = _objective(ansatz, observable, noise, bfgs, known)
     trace: list[tuple[int, float]] = []
     best = {"energy": math.inf, "x": x0.copy()}
 
@@ -107,14 +135,8 @@ def vqe_minimize(observable: Observable, ansatz: Circuit,
             best.update(energy=value, x=np.asarray(x, dtype=float).copy())
         return (value, grad) if bfgs else value
 
-    if bfgs:
-        result = minimize(traced, x0, method="BFGS", jac=True,
-                          options={"gtol": GRADIENT_TOL,
-                                   "maxiter": max_iter})
-    else:
-        result = minimize(traced, x0, method="Nelder-Mead",
-                          options={"maxiter": max_iter, "xatol": 1e-6,
-                                   "fatol": 1e-9})
+    result = minimize(traced, x0, method="BFGS" if bfgs else "Nelder-Mead",
+                      jac=True if bfgs else None, options=options)
     return VqeResult(best_params=best["x"], best_energy=best["energy"],
                      trace=trace, n_starts=1,
                      converged=bool(result.success),

@@ -10,6 +10,8 @@ compiled table is checked against, and `gate_matrix` and
 derivative, from explicit traces over Pauli words.  `full_register_walk`
 and `unfactored` do read the simulator's compiled blocks: they check its
 product-state start against every block applied to the whole register.
+`simplex_by_runs` evaluates Nelder-Mead's starting simplex by one `run`
+per vertex, which the one-sweep `displaced_energies` replaced.
 `gather_scatter_walk` is the pure walk the compiled chain replaced, each
 gate applied in place through the gather index of its qubits, with its
 adjoint sweep, and `per_term_hamiltonian_matrix` is `ed`'s per-term
@@ -720,6 +722,16 @@ def whole_register(circuit, noise=None):
     copy.compiled[True, noise] = blocks, fixed, kinds, (steps, frame, None)
     return copy
 
+
+def simplex_by_runs(circuit, observable, bindings, moved, noise):
+    """What `simulator.displaced_energies` gives, by one `run` per vertex
+    of Nelder-Mead's starting simplex: <O> at `bindings`, then with each
+    parameter of `circuit.parameter_names` alone moved to moved[k]."""
+    names = circuit.parameter_names
+    points = [bindings] + [{**bindings, name: value}
+                           for name, value in zip(names, moved)]
+    return [expectation(simulator.run(circuit, point, noise=noise),
+                        observable) for point in points]
 
 def sym_from_matrix(m, tol=1e-8):
     """Channel values of a 1x1 matrix or of a 2x2 matrix of [[a, b], [b, a]]

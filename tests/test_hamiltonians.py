@@ -8,8 +8,8 @@ from scipy.stats import ortho_group, unitary_group
 
 from risbvqe.circuits import build_mr_nc1
 from risbvqe.ed import exact_no_basis, hamiltonian_matrix
-from risbvqe.hamiltonians import (EmbeddingHamiltonian, OrbitalHamiltonian,
-                                  mode_index)
+from risbvqe.hamiltonians import (HERMITICITY_TOL, EmbeddingHamiltonian,
+                                  OrbitalHamiltonian, mode_index)
 from risbvqe.noization import vqe_impurity_solver
 
 from oracles import oracle_jordan_wigner
@@ -184,6 +184,31 @@ class TestRotation:
         one_step = orb.rotate(v1 @ v2)
         np.testing.assert_allclose(two_step.h, one_step.h, atol=1e-10)
         np.testing.assert_allclose(two_step.u, one_step.u, atol=1e-10)
+
+
+    def test_large_cluster_survives_an_exact_rotation(self):
+        # λ_c = 1e7, as a runaway chord iterate reached: an exact unitary
+        # leaves a rounding skew far above 1e-10, which the check scales
+        # by the largest entry
+        emb = large_cluster()
+        v = unitary_group.rvs(4, random_state=np.random.default_rng(3))
+        rotated = emb.rotate(v)
+        skew = np.abs(rotated.h - rotated.h.conj().T).max()
+        assert skew > HERMITICITY_TOL
+        bad = rotated.h.copy()
+        bad[0, 1] += 1e-6 * np.abs(rotated.h).max()
+        with pytest.raises(ValueError, match="not Hermitian"):
+            OrbitalHamiltonian(bad, rotated.u, rotated.const)
+        small = np.zeros((2, 2))
+        small[0, 1] = 1e-9  # entries below 1 keep the absolute bound
+        with pytest.raises(ValueError, match="not Hermitian"):
+            OrbitalHamiltonian(small)
+
+
+def large_cluster() -> EmbeddingHamiltonian:
+    return EmbeddingHamiltonian(n_c=2, u_int=2.0,
+                                d_mix=[[0.3, 0.1], [0.1, 0.3]],
+                                lambda_c=[[1e7, -174.0], [-174.0, -5326.0]])
 
 
 def bare_and_rotated(rng, n_c):

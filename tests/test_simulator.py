@@ -2,6 +2,7 @@
 identities computed by hand."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from risbvqe import simulator
 from risbvqe.circuits import (VALID_KINDS, Circuit, Gate, ParamRef,
                               build_hea_nc1, build_ldca, build_mr_nc1,
                               build_mrep, decompose_circuit, gate_stack)
-from risbvqe.ed import ed_rdm1_full
+from risbvqe.ed import ed_rdm1_full, hamiltonian_matrix
 from risbvqe.estimator import expectation
+from risbvqe.hamiltonians import EmbeddingHamiltonian
 from risbvqe.pauli import PauliSum
 from risbvqe.simulator import (NoiseModel, Observable, QuantumState, _compile,
                                _local, _ptm, _runs, adjoint_gradient,
@@ -22,8 +24,8 @@ from risbvqe.vqe import vqe_minimize
 
 from oracles import (KIND_AXES, dense_state, finite_difference_gradient,
                      from_vector, full_register_walk, gather_scatter_walk,
-                     noisy_density, oracle_transfer,
-                     pauli_observable, random_bindings, superoperator_density,
+                     noisy_density, oracle_transfer, pauli_observable,
+                     random_bindings, simplex_by_runs, superoperator_density,
                      unfactored, whole_register, word_mat, zero_state)
 
 RNG = np.random.default_rng(20240811)
@@ -396,6 +398,19 @@ class TestPauliBasis:
         ok = np.eye(4)
         Observable(ok)
         assert ok.flags.writeable
+
+    def test_observable_skew_is_relative_to_its_entries(self):
+        # a Fock-space matrix with entries of 1e7 carries rounding skew
+        # above 1e-10; a skew of 1e-6 of its largest entry still raises
+        q, _ = np.linalg.qr(RNG.normal(size=(16, 16))
+                            + 1j * RNG.normal(size=(16, 16)))
+        big = 1e7 * (q @ np.diag(RNG.normal(size=16)) @ q.conj().T)
+        assert np.abs(big - big.conj().T).max() > simulator.HERMITICITY_TOL
+        Observable(big)
+        bad = big.copy()
+        bad[9, 2] += 1e-6 * np.abs(big).max()
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Observable(bad)
 
     @settings(max_examples=30, deadline=None)
     @given(random_circuits(), st.sampled_from(sorted(NOISES)))
@@ -1256,9 +1271,21 @@ class TestHalfRegister:
         final, energy, _ = adjoint_gradient(circ, obs, bindings, noise)
         assert np.array_equal(final.tensor, state.tensor)
         assert energy == expectation(state, obs)
-        # the reverse sweep skips the first block's pass: five of the six
-        # preparation blocks, on the register made whole at the join
-        assert shapes == prep + [HALF] * 56 + [(4,) * 8] * 5
+        # the forward pass keeps the factors and the registers entering
+        # blocks 13, 20 and 27 (every isqrt(2 * 28) = 7th after the first
+        # register block); going back, each tuned block (the two fused
+        # RY+CNOT preparations and every fSim) recomputes its entering
+        # state from the checkpoint before it, then lambda takes its pass,
+        # except before the first block: on the register made whole at
+        # the join for the preparation blocks
+        forward = prep + [HALF] * 28
+        want = list(forward)
+        for k in range(33, -1, -1):
+            if k >= 6 or k in (0, 3):
+                want += forward[max(m for m in (0, 13, 20, 27) if m <= k):k]
+            if k:
+                want.append(HALF if k >= 6 else (4,) * 8)
+        assert shapes == want
         shapes.clear()
         adjoint_gradient(circ, obs, bindings)
         assert shapes == [()] * (40 + 39)
@@ -1278,3 +1305,87 @@ class TestHalfRegister:
             shapes.clear()
             run(circ, bindings, noise=calibrate_noise())
             assert HALF not in shapes and (4,) * 8 in shapes
+
+
+def cluster_observable() -> Observable:
+    """A two-site cluster Hamiltonian on 8 qubits: parity-even, so
+    calibrated mrep(2,4) runs and sweeps on the half register."""
+    emb = EmbeddingHamiltonian(n_c=2, u_int=1.3,
+                               d_mix=[[0.4, -0.1], [-0.1, 0.35]],
+                               lambda_c=[[0.2, 0.05], [0.05, -0.3]], mu=0.65)
+    return Observable(hamiltonian_matrix(emb))
+
+
+# Parameter "a" fills two slots, so its vertex moves two transfer matrices
+# and is left to a run; FSIM's numeric second angle stays fixed.
+SHARED_NAME = Circuit(4, (
+    Gate("RY", (0,), (ParamRef("a"),)), Gate("CNOT", (0, 1)),
+    Gate("FSIM", (1, 2), (ParamRef("b"), 0.3)),
+    Gate("RY", (3,), (ParamRef("a", scale=-2.0),)),
+    Gate("RPQ", (2, 3), (ParamRef("c"),), axes=("X", "Y")),
+    Gate("RX", (0,), (ParamRef("d", scale=0.5),))))
+
+
+def simplex_case(name):
+    """(circuit, observable, noise) of each `displaced_energies` check."""
+    if name == "calibrated mrep(2,4)":
+        return build_mrep(2, 4), cluster_observable(), calibrate_noise()
+    if name == "ldca(8,1), complex observable":
+        return build_ldca(8, 1), random_observable(8, 12, RNG), \
+            calibrate_noise()
+    if name == "hea_nc1":
+        return build_hea_nc1(), random_observable(4, 8, RNG), \
+            calibrate_noise()
+    if name == "mrep(2,1) at p = 3/4":
+        return build_mrep(2, 1), cluster_observable(), NoiseModel(0.75, 0.75)
+    return SHARED_NAME, random_observable(4, 8, RNG), calibrate_noise()
+
+
+class TestDisplacedEnergies:
+    """Nelder-Mead's starting simplex from one sweep against one `run` per
+    vertex."""
+
+    @pytest.mark.parametrize("name", [
+        "calibrated mrep(2,4)", "ldca(8,1), complex observable", "hea_nc1",
+        "mrep(2,1) at p = 3/4", "shared name and numeric slot"])
+    def test_matches_one_run_per_vertex(self, name):
+        circuit, obs, noise = simplex_case(name)
+        x0 = RNG.uniform(-math.pi, math.pi, circuit.n_params)
+        x0[1] = 0.0  # scipy moves a zero coordinate to 0.00025
+        moved = np.where(x0 != 0, 1.05 * x0, 0.00025)
+        bindings = dict(zip(circuit.parameter_names, x0))
+        got = simulator.displaced_energies(circuit, obs, bindings, moved,
+                                           noise)
+        want = simplex_by_runs(circuit, obs, bindings, moved, noise)
+        assert got[0] == want[0]  # the forward pass is `run`'s
+        shared = [1 + circuit.parameter_names.index("a")] if (
+            circuit is SHARED_NAME) else []
+        assert [k for k, e in enumerate(got) if e is None] == shared
+        for g, w in zip(got, want):
+            assert g is None or abs(g - w) <= 1e-12
+
+    @pytest.mark.parametrize("sweep", ["adjoint_gradient",
+                                       "displaced_energies"])
+    def test_sweep_peak_memory_is_a_few_runs(self, sweep):
+        # the forward pass keeps a checkpoint every few register blocks,
+        # not every entering tensor (about 10 runs' worth on mrep(2,4))
+        circ, obs, noise = build_mrep(2, 4), cluster_observable(), \
+            calibrate_noise()
+        x0 = RNG.uniform(-math.pi, math.pi, circ.n_params)
+        bindings = dict(zip(circ.parameter_names, x0))
+        calls = {"adjoint_gradient": lambda: adjoint_gradient(
+            circ, obs, bindings, noise), "displaced_energies": lambda:
+            simulator.displaced_energies(circ, obs, bindings, 1.05 * x0,
+                                         noise)}
+        calls[sweep]()  # compiles the plan and the observable once
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(calls[sweep]) <= 3 * peak(lambda: run(circ, bindings,
+                                                          noise=noise))

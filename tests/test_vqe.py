@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from risbvqe import SolverFailure
 from risbvqe.circuits import build_hea_nc1, build_mr_nc1
@@ -13,7 +14,7 @@ from risbvqe.embedding import LatticeSpec, risb_cost, risb_solve
 from risbvqe.estimator import expectation
 from risbvqe.hamiltonians import EmbeddingHamiltonian
 from risbvqe.simulator import (Observable, adjoint_gradient, calibrate_noise,
-                               run)
+                               displaced_energies, run)
 from risbvqe.vqe import (LandscapeTable, VqeResult, landscape_scan,
                          mr_impurity_solver, multi_start, vqe_minimize)
 
@@ -169,6 +170,91 @@ class TestSingleStart:
         assert out.best_energy == pytest.approx(ideal, abs=1e-6)
         assert out.best_energy > -1.0
 
+
+
+class TestNoisySimplex:
+    """Noisy Nelder-Mead's starting simplex from one `displaced_energies`
+    sweep instead of N + 1 runs."""
+
+    @staticmethod
+    def counted(monkeypatch, counts):
+        import risbvqe.vqe as vqe_module
+
+        def counting_run(*args, **kwargs):
+            counts["run"] += 1
+            return run(*args, **kwargs)
+
+        def counting_sweep(*args, **kwargs):
+            counts["sweep"] += 1
+            return displaced_energies(*args, **kwargs)
+
+        monkeypatch.setattr(vqe_module, "run", counting_run)
+        monkeypatch.setattr(vqe_module, "displaced_energies", counting_sweep)
+
+    def test_one_sweep_replaces_the_vertex_runs(self, monkeypatch):
+        import risbvqe.vqe as vqe_module
+        obs, ansatz, noise = embedded_observable(), build_hea_nc1(), \
+            calibrate_noise()
+        kwargs = dict(optimizer="nelder-mead", noise=noise, seed=5,
+                      max_iter=40)
+        batched = {"run": 0, "sweep": 0}
+        self.counted(monkeypatch, batched)
+        out = vqe_minimize(obs, ansatz, **kwargs)
+        forced = {"run": 0, "sweep": 0}
+        self.counted(monkeypatch, forced)
+        monkeypatch.setattr(vqe_module, "displaced_energies",
+                            lambda circuit, *args: [None] * (
+                                circuit.n_params + 1))
+        every_run = vqe_minimize(obs, ansatz, **kwargs)
+        n = ansatz.n_params
+        assert batched["sweep"] == 1 and forced["sweep"] == 0
+        assert batched["run"] == forced["run"] - (n + 1)
+        assert forced["run"] == len(every_run.trace)
+        assert [s for s, _ in out.trace] == list(range(len(out.trace)))
+        assert len(out.trace) == len(every_run.trace)
+        assert abs(out.best_energy - every_run.best_energy) <= 1e-12
+        noiseless = {"run": 0, "sweep": 0}
+        self.counted(monkeypatch, noiseless)
+        vqe_minimize(obs, ansatz, optimizer="nelder-mead", seed=5,
+                     max_iter=5)
+        assert noiseless["sweep"] == 0  # a pure state keeps its runs
+
+    def test_simplex_is_scipys_default(self, monkeypatch):
+        # passed as `initial_simplex`, scipy's trajectory is unchanged
+        import risbvqe.vqe as vqe_module
+        obs, ansatz = embedded_observable(), build_hea_nc1()
+        x0 = np.linspace(-1.0, 1.2, ansatz.n_params)
+        x0[3] = 0.0
+        swept = []
+        monkeypatch.setattr(vqe_module, "displaced_energies",
+                            lambda circuit, observable, bindings, moved,
+                            noise: swept.append((bindings, moved)) or
+                            [None] * (circuit.n_params + 1))
+        vqe_minimize(obs, ansatz, optimizer="nelder-mead",
+                     noise=calibrate_noise(), x0=x0, max_iter=1)
+        (bindings, moved), = swept
+        ours = [x0] + [np.where(np.arange(len(x0)) == k, moved[k], x0)
+                       for k in range(len(x0))]
+        points = []
+        minimize(lambda x: points.append(x.copy()) or 0.0, x0,
+                 method="Nelder-Mead", options={"maxiter": 1})
+        assert list(bindings.values()) == x0.tolist()
+        assert [p.tobytes() for p in points[:len(x0) + 1]] == [
+            p.tobytes() for p in ours]
+
+    def test_divergent_vertex_reported(self, monkeypatch):
+        import risbvqe.vqe as vqe_module
+
+        def nan_vertex(*args):
+            energies = displaced_energies(*args)
+            energies[3] = math.nan
+            return energies
+
+        monkeypatch.setattr(vqe_module, "displaced_energies", nan_vertex)
+        with pytest.raises(SolverFailure, match="diverged"):
+            vqe_minimize(embedded_observable(), build_hea_nc1(),
+                         optimizer="nelder-mead", noise=calibrate_noise(),
+                         seed=5)
 
 class TestMultiStart:
     def test_single_start_matches_plain_run(self):
