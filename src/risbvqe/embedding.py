@@ -38,6 +38,9 @@ FIXED_POINT_TOL = 1e-9
 # Forward-difference step of a Jacobian column, relative to max(|x_j|, 1):
 # a lambda of order 1e-17 must still move the residual.
 FD_STEP = math.sqrt(np.finfo(float).eps)
+# A circuit solver's chord iterate with some Z = R^2 above this has run off
+# the physical range Z <= 1, which VQE jitter near U = 0 overshoots by 3e-3.
+Z_RUNAWAY = 1.1
 
 
 @dataclass(frozen=True)
@@ -389,9 +392,10 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
     columns and cost comparisons, takes every chord step on the J at `start`
     (2 n_c + 1 exact evaluations, kept out of `cost_trace`).  If a cost is
     not finite, a point is clamped on the Mott side, where the residual
-    cannot vanish, J is singular or the circuit solver rejects an iterate's
-    cluster with a ValueError (noisy residuals have no root, and steps along
-    the exact J's near-flat directions run off), Nelder-Mead minimizes the
+    cannot vanish, J is singular, or a circuit solver's chord iterate has
+    some Z above Z_RUNAWAY (not evaluated) or a cluster the solver rejects
+    with a ValueError (noisy residuals have no root, and steps along the
+    exact J's near-flat directions run off), Nelder-Mead minimizes the
     cost from `start` with `max_iter` iterations.  `cost_trace` holds every
     evaluation of both phases, and `report` is the best point's CostReport.
     """
@@ -415,6 +419,8 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
     def residual(x: np.ndarray) -> np.ndarray:
         if len(trace) >= max_iter:
             raise _Capped
+        if not exact and np.any(x[:n] ** 2 > Z_RUNAWAY):
+            raise _LeaveRoot
         return vector(evaluate(x))
 
     def exact_residual(x: np.ndarray) -> np.ndarray:

@@ -893,6 +893,22 @@ class TestChord:
         assert len(out.cost_trace) == 1 + len(plain)
         assert out.n_iter == nit
 
+    def test_runaway_iterate_falls_back_unevaluated(self, monkeypatch):
+        # Under calibrated noise a chord step ran off to Z = 3455; here a
+        # carried J that turns the f2 residual (0.023) into a hundredfold
+        # step in R sends the first iterate to R = -1.39, Z = 1.94.
+        spec = LatticeSpec(n_c=1, u=1.0)
+        x0 = np.array([0.9, 0.5])
+        plain, nit = nelder_mead_points(spec, x0, 40)
+        calls = circuit_points(monkeypatch)
+        out = risb_solve(spec, impurity_solver=wrapped,
+                         start=(x0[:1], x0[1:]), max_iter=40,
+                         jacobian=np.array([[0.0, 0.01], [0.01, 0.0]]))
+        np.testing.assert_array_equal(np.array(calls),
+                                      np.vstack([x0, plain]))
+        assert out.n_iter == nit
+        assert np.all(out.z <= 1)
+
     def test_exact_solver_errors_still_raise(self, monkeypatch):
         solves = []
 

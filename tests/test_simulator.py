@@ -1271,18 +1271,27 @@ class TestHalfRegister:
         final, energy, _ = adjoint_gradient(circ, obs, bindings, noise)
         assert np.array_equal(final.tensor, state.tensor)
         assert energy == expectation(state, obs)
-        # the forward pass keeps the factors and the registers entering
-        # blocks 13, 20 and 27 (every isqrt(2 * 28) = 7th after the first
-        # register block); going back, each tuned block (the two fused
-        # RY+CNOT preparations and every fSim) recomputes its entering
-        # state from the checkpoint before it, then lambda takes its pass,
-        # except before the first block: on the register made whole at
-        # the join for the preparation blocks
+        # the half layout, whatever the checkpoint schedule: the forward
+        # pass is run's, every register pass is on half words, and the
+        # reverse sweep's only passes on whole words are lambda's through
+        # five of the six preparation blocks (not the first), on the
+        # register made whole at the join
         forward = prep + [HALF] * 28
+        assert shapes[:len(forward)] == forward
+        assert set(shapes) <= {*prep, HALF, (4,) * 8}
+        assert shapes.count((4,) * 8) == 5
+        # the exact sequence of the schedule: with R = 28 register blocks
+        # the forward pass keeps the factors (block 0) and the registers
+        # entering every isqrt(2R) = 7th register block after the first
+        # (blocks 13, 20 and 27); going back, each tuned block (the two
+        # fused RY+CNOT preparations, 0 and 3, and every fSim) recomputes
+        # its entering state from the checkpoint before it, then lambda
+        # takes its pass, except before the first block
+        checkpoints = (0, 6 + 7, 6 + 14, 6 + 21)
         want = list(forward)
         for k in range(33, -1, -1):
             if k >= 6 or k in (0, 3):
-                want += forward[max(m for m in (0, 13, 20, 27) if m <= k):k]
+                want += forward[max(m for m in checkpoints if m <= k):k]
             if k:
                 want.append(HALF if k >= 6 else (4,) * 8)
         assert shapes == want
