@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import check_adjoint
 from .pauli import MODE_CAP, ladder_table
 
 DEGENERACY_RTOL = 1e-9
@@ -37,8 +38,6 @@ SECTOR_CACHE_SIZE = 64
 AMPLITUDE_FLOOR = 1e-16
 OCC_TOL = 1e-8
 OCC_DEGENERACY_TOL = 1e-10
-UNITARY_TOL = 1e-10
-HERMITICITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -162,8 +161,7 @@ class Rdm1:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ValueError("1-RDM is not Hermitian")
+        check_adjoint(m, m, "1-RDM is not Hermitian")
         self.matrix = 0.5 * (m + m.conj().T)
         occ = np.linalg.eigvalsh(self.matrix)
         if occ.min() < -OCC_TOL or occ.max() > 1.0 + OCC_TOL:
@@ -236,15 +234,13 @@ class BasisRotation:
     """Unitary single-particle rotation with its occupation spectrum."""
 
     v: np.ndarray
-    step: int = 0
     occupations: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.asarray(self.v)
         object.__setattr__(self, "v", v)
-        gram = v.conj().T @ v
-        if not np.allclose(gram, np.eye(v.shape[1]), atol=UNITARY_TOL):
-            raise ValueError("rotation is not unitary")
+        check_adjoint(v.conj().T @ v, np.eye(v.shape[1]),
+                      "rotation is not unitary")
 
 
 def _gauge_fix(vecs: np.ndarray) -> np.ndarray:
@@ -265,8 +261,8 @@ def _column_key(col: np.ndarray) -> tuple:
                           9))
 
 
-def diagonalize_rdm(rdm: np.ndarray, h: np.ndarray | None = None,
-                    step: int = 0) -> BasisRotation:
+def diagonalize_rdm(rdm: np.ndarray, h: np.ndarray | None = None
+                    ) -> BasisRotation:
     """Occupation eigenbasis of a Hermitian 1-RDM, columns descending.
 
     Gauge: each column's largest component is made real-positive; exact
@@ -277,8 +273,7 @@ def diagonalize_rdm(rdm: np.ndarray, h: np.ndarray | None = None,
     m = np.asarray(rdm)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("density matrix must be square")
-    if not np.allclose(m, m.conj().T, atol=HERMITICITY_TOL):
-        raise ValueError("density matrix is not Hermitian")
+    check_adjoint(m, m, "density matrix is not Hermitian")
     m = 0.5 * (m + m.conj().T)
     occ, vecs = np.linalg.eigh(m)
     occ, vecs = occ[::-1], vecs[:, ::-1]
@@ -302,7 +297,7 @@ def diagonalize_rdm(rdm: np.ndarray, h: np.ndarray | None = None,
             vecs[:, start:stop] = block[:, order]
         start = stop
     vecs = _gauge_fix(vecs)
-    return BasisRotation(v=vecs, step=step, occupations=occ)
+    return BasisRotation(v=vecs, occupations=occ)
 
 
 def exact_no_basis(ham, gs: GroundState | None = None) -> BasisRotation:

@@ -102,6 +102,7 @@ def parameter_shift_minimize(circuit: Circuit, obs: Observable,
     if len(names) != 1:
         raise ValueError(f"expected exactly one free parameter, got "
                          f"{list(names)}")
+    _check_sinusoidal(circuit)
     energy = _energy_closure(circuit, obs, noise)
     theta, e_zero, flat = _fit_sinusoid(energy, {names[0]: 0.0}, names[0])
     if flat:
@@ -110,7 +111,9 @@ def parameter_shift_minimize(circuit: Circuit, obs: Observable,
                     flat=False)
 
 
-def _check_rotosolve_support(circuit: Circuit) -> None:
+def _check_sinusoidal(circuit: Circuit) -> None:
+    """Refuse a parameter that is scaled, shared, or outside an RX/RY/RZ
+    gate: the energy is then not a 2pi sinusoid in it."""
     hits: dict[str, int] = {}
     for gate in circuit.gates:
         for slot in gate.params:
@@ -120,7 +123,7 @@ def _check_rotosolve_support(circuit: Circuit) -> None:
                 raise ValueError(f"parameter {slot.name!r} sits in a "
                                  f"{gate.kind} gate; only single-angle "
                                  f"rotations have the 2pi-sinusoidal "
-                                 f"landscape this sweep assumes")
+                                 f"landscape this fit assumes")
             if slot.scale != 1.0:
                 raise ValueError(f"parameter {slot.name!r} enters with "
                                  f"scale {slot.scale}")
@@ -137,7 +140,7 @@ def rotosolve(circuit: Circuit, obs: Observable, init: Mapping[str, float],
     from the angles `init`, for a circuit whose every parameter is a plain
     rotation angle.  Noiseless sweeps are monotone non-increasing in energy.
     """
-    _check_rotosolve_support(circuit)
+    _check_sinusoidal(circuit)
     names = circuit.parameter_names
     missing = [n for n in names if n not in init]
     if missing:

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import check_adjoint
 from .pauli import FermionOperator, PauliSum, jordan_wigner
-
-HERMITICITY_TOL = 1e-10  # times max(1, max |h_pq|)
 
 
 def mode_index(spin: int, orbital: int, n_c: int) -> int:
@@ -40,9 +39,7 @@ class OrbitalHamiltonian:
         h = np.asarray(h, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("one-body matrix must be square")
-        if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL * max(
-                1.0, np.max(np.abs(h))):
-            raise ValueError("one-body matrix is not Hermitian")
+        check_adjoint(h, h, "one-body matrix is not Hermitian")
         m = h.shape[0]
         if u is None:
             u = np.zeros((m, m, m, m), dtype=complex)
@@ -69,8 +66,8 @@ class OrbitalHamiltonian:
         if v.shape != (self.n_modes, self.n_modes):
             raise ValueError(f"rotation shape {v.shape} does not match "
                              f"{self.n_modes} modes")
-        if np.max(np.abs(v.conj().T @ v - np.eye(self.n_modes))) > 1e-10:
-            raise ValueError("rotation is not unitary")
+        check_adjoint(v.conj().T @ v, np.eye(self.n_modes),
+                      "rotation is not unitary")
         h_new = v.T @ self.h @ v.conj()
         u_new = np.einsum("Pp,Qq,PQRS,Rr,Ss->pqrs", v, v, self.u,
                           v.conj(), v.conj(), optimize=True)

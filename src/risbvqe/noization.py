@@ -89,8 +89,7 @@ def noize(ham, ansatz: Circuit | None = None, n_steps: int = 3,
             state = run(ansatz, last.bindings(), noise=noise)
             energy = last.best_energy
             rdm = measure_rdm1(state, n_c).matrix
-        rotation = diagonalize_rdm(rdm, h=ham.h[:2 * n_c, :2 * n_c],
-                                   step=step)
+        rotation = diagonalize_rdm(rdm, h=ham.h[:2 * n_c, :2 * n_c])
         reports.append({
             "step": step,
             "energy": float(energy),
@@ -101,7 +100,7 @@ def noize(ham, ansatz: Circuit | None = None, n_steps: int = 3,
         if step < n_steps:  # nothing reads the last rotated copy
             ham = ham.rotate(rotation.v)
         v_tot = v_tot @ rotation.v
-    return NoizeResult(basis=BasisRotation(v_tot, step=n_steps),
+    return NoizeResult(basis=BasisRotation(v_tot),
                        reports=reports, final=last)
 
 

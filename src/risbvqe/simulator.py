@@ -54,10 +54,8 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from . import check_adjoint
 from .circuits import _PAULI, Circuit, Gate, gate_stack
-
-HERMITICITY_TOL = 1e-10  # times max(1, max |entry|)
-HERMITICITY_ROWS = 32  # rows per block of the Hermiticity check
 
 
 @dataclass(frozen=True)
@@ -118,8 +116,7 @@ class QuantumState:
         n = rho.shape[0].bit_length() - 1
         if rho.shape[0] < 1 or rho.shape != (1 << n, 1 << n):
             raise ValueError("density matrix must be square power-of-two")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-            raise ValueError("density matrix not Hermitian")
+        check_adjoint(rho, rho, "density matrix not Hermitian")
         return cls(n, "mixed", _pauli_coefficients(rho).real.copy())
 
     def vector(self) -> np.ndarray:
@@ -172,14 +169,7 @@ class Observable:
         if n < 0 or matrix.shape != (1 << n, 1 << n):
             raise ValueError(f"observable of shape {matrix.shape} is not a "
                              f"square power-of-two matrix")
-        skew = size = 0.0
-        for start in range(0, 1 << n, HERMITICITY_ROWS):
-            rows = slice(start, start + HERMITICITY_ROWS)
-            skew = max(skew, np.abs(matrix[rows]
-                                    - matrix[:, rows].conj().T).max())
-            size = max(size, np.abs(matrix[rows]).max())
-        if skew > HERMITICITY_TOL * max(1.0, size):
-            raise ValueError("observable is not Hermitian")
+        check_adjoint(matrix, matrix, "observable is not Hermitian")
         matrix.flags.writeable = False
         self.n_qubits, self.matrix, self._coefficients = n, matrix, None
 

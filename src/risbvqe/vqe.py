@@ -45,37 +45,6 @@ class VqeResult:
         return dict(zip(self.parameter_names, self.best_params))
 
 
-def _objective(circuit: Circuit, observable: Observable,
-               noise: NoiseModel | None, gradient: bool,
-               known: dict) -> Callable:
-    """x -> (<O>, d<O>/dx) from one adjoint sweep, whose lambda starts as
-    O psi and gives <O> too, or (<O>, None) from `known`, keyed by the
-    point's bytes and answered once, or else from one `run` and
-    `expectation`; the sweep and the run read <O> off the final state with
-    the same arithmetic, so they give the same value bit for bit."""
-    names = circuit.parameter_names
-
-    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray | None]:
-        bindings = dict(zip(names, x))
-        grad = None
-        if gradient:
-            _, value, grad = adjoint_gradient(circuit, observable, bindings,
-                                              noise=noise)
-            if not np.all(np.isfinite(grad)):
-                bad = grad[~np.isfinite(grad)][0]
-                raise SolverFailure(f"objective gradient diverged to {bad}")
-        else:
-            value = known.pop(np.asarray(x, dtype=float).tobytes(), None)
-            if value is None:
-                value = expectation(run(circuit, bindings, noise=noise),
-                                    observable)
-        if not math.isfinite(value):
-            raise SolverFailure(f"objective diverged to {value}")
-        return value, grad
-
-    return evaluate
-
-
 def vqe_minimize(observable: Observable, ansatz: Circuit,
                  optimizer: str = "bfgs",
                  noise: NoiseModel | None = None,
@@ -124,18 +93,35 @@ def vqe_minimize(observable: Observable, ansatz: Circuit,
                                           dict(zip(names, x0)), moved, noise)
             known = {vertex.tobytes(): value for vertex, value
                      in zip(simplex, energies) if value is not None}
-    evaluate = _objective(ansatz, observable, noise, bfgs, known)
     trace: list[tuple[int, float]] = []
     best = {"energy": math.inf, "x": x0.copy()}
 
-    def traced(x: np.ndarray):
-        value, grad = evaluate(x)
+    def objective(x: np.ndarray):
+        # BFGS: <O> and its gradient from one adjoint sweep, whose lambda
+        # starts as O psi.  Nelder-Mead: <O> from `known`, keyed by the
+        # point's bytes and answered once, or else from one `run`.  The
+        # sweep and the run read <O> off the final state with the same
+        # arithmetic, so they give the same value bit for bit.
+        bindings = dict(zip(names, x))
+        if bfgs:
+            _, value, grad = adjoint_gradient(ansatz, observable, bindings,
+                                              noise=noise)
+            if not np.all(np.isfinite(grad)):
+                bad = grad[~np.isfinite(grad)][0]
+                raise SolverFailure(f"objective gradient diverged to {bad}")
+        else:
+            value = known.pop(np.asarray(x, dtype=float).tobytes(), None)
+            if value is None:
+                value = expectation(run(ansatz, bindings, noise=noise),
+                                    observable)
+        if not math.isfinite(value):
+            raise SolverFailure(f"objective diverged to {value}")
         trace.append((len(trace), value))
         if value < best["energy"]:
             best.update(energy=value, x=np.asarray(x, dtype=float).copy())
         return (value, grad) if bfgs else value
 
-    result = minimize(traced, x0, method="BFGS" if bfgs else "Nelder-Mead",
+    result = minimize(objective, x0, method="BFGS" if bfgs else "Nelder-Mead",
                       jac=True if bfgs else None, options=options)
     return VqeResult(best_params=best["x"], best_energy=best["energy"],
                      trace=trace, n_starts=1,

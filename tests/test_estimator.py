@@ -175,6 +175,8 @@ class TestRdm1:
             Rdm1(np.diag([1.5, 0.0]).astype(complex))
         with pytest.raises(ValueError):
             Rdm1(np.array([[0.5, 0.2], [0.4, 0.5]], dtype=complex))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Rdm1(np.array([[0.6, 0.2 + 0.6e-6], [0.2, 0.4]]))
 
     def test_occupation_cache(self):
         rdm = Rdm1(np.diag([0.9, 0.1]).astype(complex))
@@ -214,6 +216,13 @@ class TestParameterShift:
     def test_rejects_multiple_parameters(self):
         with pytest.raises(ValueError):
             parameter_shift_minimize(build_hea_nc1(), identity_observable(4))
+
+    def test_rejects_a_scaled_parameter(self):
+        # E(t) = cos(2t) is no 2pi sinusoid in t: the fit would return
+        # t = pi, the maximum
+        circ = Circuit(1, (Gate("RX", (0,), (ParamRef("t", 2.0),)),))
+        with pytest.raises(ValueError, match="scale 2.0"):
+            parameter_shift_minimize(circ, pauli_observable({"Z": 1.0}))
 
 
 class TestRotosolve:

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.stats import ortho_group, unitary_group
 
+from risbvqe import MATRIX_TOL
 from risbvqe.circuits import build_mr_nc1
 from risbvqe.ed import exact_no_basis, hamiltonian_matrix
-from risbvqe.hamiltonians import (HERMITICITY_TOL, EmbeddingHamiltonian,
-                                  OrbitalHamiltonian, mode_index)
+from risbvqe.hamiltonians import (EmbeddingHamiltonian, OrbitalHamiltonian,
+                                  mode_index)
 from risbvqe.noization import vqe_impurity_solver
 
 from oracles import oracle_jordan_wigner
@@ -194,11 +195,15 @@ class TestRotation:
         v = unitary_group.rvs(4, random_state=np.random.default_rng(3))
         rotated = emb.rotate(v)
         skew = np.abs(rotated.h - rotated.h.conj().T).max()
-        assert skew > HERMITICITY_TOL
+        assert skew > MATRIX_TOL
         bad = rotated.h.copy()
         bad[0, 1] += 1e-6 * np.abs(rotated.h).max()
         with pytest.raises(ValueError, match="not Hermitian"):
             OrbitalHamiltonian(bad, rotated.u, rotated.const)
+        moved = v.copy()
+        moved[2, 1] += 1e-6
+        with pytest.raises(ValueError, match="not unitary"):
+            emb.rotate(moved)
         small = np.zeros((2, 2))
         small[0, 1] = 1e-9  # entries below 1 keep the absolute bound
         with pytest.raises(ValueError, match="not Hermitian"):

@@ -6,7 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
+from risbvqe import MATRIX_TOL
 from risbvqe.circuits import build_hea_nc1
 from risbvqe.ed import (ed_rdm1, ground_state, half_filling_sector,
                         hamiltonian_matrix)
@@ -75,6 +77,20 @@ class TestDiagonalizeRdm:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             diagonalize_rdm(np.array([[0.5, 0.2], [0.1, 0.5]]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            diagonalize_rdm(np.array([[0.6, 0.2 + 1e-6], [0.2, 0.4]]))
+
+    def test_skew_is_relative_to_the_largest_entry(self):
+        # an exact rotation of a 1e7-scale matrix leaves rounding skew far
+        # above 1e-10; a skew of 1e-6 of its largest entry still raises
+        v = unitary_group.rvs(4, random_state=np.random.default_rng(5))
+        big = 1e7 * v @ np.diag([4.0, -1.0, 0.5, 2.0]) @ v.conj().T
+        assert np.abs(big - big.conj().T).max() > MATRIX_TOL
+        np.testing.assert_allclose(diagonalize_rdm(big).occupations,
+                                   [4e7, 2e7, 0.5e7, -1e7])
+        big[3, 0] += 1e-6 * np.abs(big).max()
+        with pytest.raises(ValueError, match="Hermitian"):
+            diagonalize_rdm(big)
 
     def test_degenerate_block_diagonalizes_projected_h(self):
         h = np.array([[0.2, 0.05], [0.05, -0.1]])
@@ -87,6 +103,12 @@ class TestBasisRotation:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             BasisRotation(np.array([[1.0, 0.0], [1.0, 1.0]]))
+        v = unitary_group.rvs(4, random_state=np.random.default_rng(8))
+        BasisRotation(v)
+        v[1, 3] += 1e-6
+        for bad in (v, np.diag([1.0 + 1e-6, 1.0, 1.0, 1.0])):
+            with pytest.raises(ValueError, match="unitary"):
+                BasisRotation(bad)
 
 
 class TestRotateHamiltonian:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from risbvqe import simulator
+from risbvqe import MATRIX_TOL, simulator
 from risbvqe.circuits import (VALID_KINDS, Circuit, Gate, ParamRef,
                               build_hea_nc1, build_ldca, build_mr_nc1,
                               build_mrep, decompose_circuit, gate_stack)
@@ -385,6 +385,8 @@ class TestPauliBasis:
     def test_rejects_non_hermitian_density(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             QuantumState.from_density([[0.5, 0.5], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            QuantumState.from_density([[0.6, 0.2 + 0.6e-6], [0.2, 0.4]])
 
     def test_observable_rejects_malformed_matrices(self):
         for bad in (np.zeros((4, 2)), np.zeros((3, 3)), np.zeros(4),
@@ -395,6 +397,10 @@ class TestPauliBasis:
         skew[40, 3] = 1e-9  # outside the first block of rows
         with pytest.raises(ValueError, match="not Hermitian"):
             Observable(skew)
+        nan = np.eye(64)
+        nan[3, 3] = np.nan  # a NaN in the first block still fails
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Observable(nan)
         ok = np.eye(4)
         Observable(ok)
         assert ok.flags.writeable
@@ -405,7 +411,7 @@ class TestPauliBasis:
         q, _ = np.linalg.qr(RNG.normal(size=(16, 16))
                             + 1j * RNG.normal(size=(16, 16)))
         big = 1e7 * (q @ np.diag(RNG.normal(size=16)) @ q.conj().T)
-        assert np.abs(big - big.conj().T).max() > simulator.HERMITICITY_TOL
+        assert np.abs(big - big.conj().T).max() > MATRIX_TOL
         Observable(big)
         bad = big.copy()
         bad[9, 2] += 1e-6 * np.abs(big).max()
