@@ -80,8 +80,13 @@ _PARTS.update({(k, None): (np.eye(2), -1j * _PAULI[k[1]])
                for k in ("RX", "RY", "RZ")})
 _PARTS.update({("RPQ", (a, b)): (np.eye(4), 1j * np.kron(_PAULI[a], _PAULI[b]))
                for a, b in _AXIS_PAIRS})
-_PARTS = {key: np.array(parts, dtype=complex).reshape(len(parts), -1)
-          for key, parts in _PARTS.items()}
+_PARTS.update({(kind, None): (u,) for kind, u in _FIXED.items()})  # f = 1
+_PARTS = {key: np.array(parts, dtype=complex) for key, parts in _PARTS.items()}
+# The real forms [[Re A, -Im A], [Im A, Re A]] of [A_k; i A_k], flattened.
+_PARTS_REAL = {key: np.concatenate([a, 1j * a]) for key, a in _PARTS.items()}
+_PARTS_REAL = {key: np.block([[a.real, -a.imag], [a.imag, a.real]]).reshape(
+    len(a), -1) for key, a in _PARTS_REAL.items()}
+_PARTS = {key: a.reshape(len(a), -1) for key, a in _PARTS.items()}
 
 
 def gate_stack(kind: str, angles, axes: tuple[str, str] | None = None,
@@ -90,9 +95,24 @@ def gate_stack(kind: str, angles, axes: tuple[str, str] | None = None,
     of angles), or with `slot` their derivatives in that angle, as an
     (m, d, d) complex stack: the (m, K) coefficients f_k times the A_k
     (`_PARTS`, flattened)."""
+    f, d = _coefficients(kind, angles, slot)
+    return (f @ _PARTS[kind, axes]).reshape(-1, d, d)
+
+
+def real_stack(kind: str, angles, axes: tuple[str, str] | None = None,
+               slot: int | None = None) -> np.ndarray:
+    """`gate_stack`'s matrices as (m, 2d, 2d) real forms [[Re U, -Im U],
+    [Im U, Re U]], acting on [Re psi; Im psi] as U on psi: [Re f, Im f]
+    times the real forms of [A_k; i A_k]."""
+    f, d = _coefficients(kind, angles, slot)
+    return (np.concatenate([f.real, f.imag], axis=1)
+            @ _PARTS_REAL[kind, axes]).reshape(-1, 2 * d, 2 * d)
+
+
+def _coefficients(kind: str, angles, slot: int | None):
+    """(`gate_stack`'s (m, K) coefficients f_k, the gate's dimension d)."""
     if kind in _FIXED:
-        return np.broadcast_to(_FIXED[kind],
-                               (len(angles), *_FIXED[kind].shape))
+        return np.ones((len(angles), 1)), len(_FIXED[kind])
     angles = np.asarray(angles, dtype=float)
     half = kind in ("RX", "RY", "RZ")
     theta = angles[:, 0] / 2.0 if half else angles[:, 0]
@@ -104,8 +124,7 @@ def gate_stack(kind: str, angles, axes: tuple[str, str] | None = None,
         f = ([zero, *f, zero] if slot == 0 else
              [zero, zero, zero, -1j * phase] if slot == 1 else
              [zero + 1.0, *f, phase])
-    d = 2 if half else 4
-    return (np.array(f).T @ _PARTS[kind, axes]).reshape(-1, d, d)
+    return np.array(f).T, 2 if half else 4
 
 
 # Basis changes bringing e^{i theta Z o Z} to e^{i theta P o Q}: the fragment

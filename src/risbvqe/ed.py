@@ -208,9 +208,9 @@ def ed_rdm1_full(state: np.ndarray) -> np.ndarray:
         terms = np.empty(idx.size, dtype=complex)
         terms.real = b.real * a.real + b.imag * a.imag
         terms.imag = b.real * a.imag - b.imag * a.real
-    rdm = np.zeros((m, m), dtype=complex)
-    np.add.at(rdm, (p, q), terms * sign)
-    return rdm
+    terms, bins = terms * sign, p * m + q
+    return (np.bincount(bins, terms.real, m * m)
+            + 1j * np.bincount(bins, terms.imag, m * m)).reshape(m, m)
 
 
 def ed_rdm1(psi: np.ndarray, n_c: int) -> Rdm1:

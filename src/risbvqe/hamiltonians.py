@@ -33,6 +33,7 @@ class OrbitalHamiltonian:
     """Coefficient view of a fermionic Hamiltonian on a fixed mode set."""
 
     __slots__ = ("n_modes", "h", "u", "const")
+    _paths: dict[int, list] = {}  # `rotate`'s einsum order per mode count
 
     def __init__(self, h: np.ndarray, u: np.ndarray | None = None,
                  const: float = 0.0):
@@ -69,8 +70,12 @@ class OrbitalHamiltonian:
         check_adjoint(v.conj().T @ v, np.eye(self.n_modes),
                       "rotation is not unitary")
         h_new = v.T @ self.h @ v.conj()
-        u_new = np.einsum("Pp,Qq,PQRS,Rr,Ss->pqrs", v, v, self.u,
-                          v.conj(), v.conj(), optimize=True)
+        spec = "Pp,Qq,PQRS,Rr,Ss->pqrs"
+        if self.n_modes not in self._paths:  # it depends on the shapes only
+            self._paths[self.n_modes] = np.einsum_path(
+                spec, v, v, self.u, v, v, optimize=True)[0]
+        u_new = np.einsum(spec, v, v, self.u, v.conj(), v.conj(),
+                          optimize=self._paths[self.n_modes])
         return OrbitalHamiltonian(h_new, u_new, self.const)
 
     def ladder_terms(self) -> tuple[tuple, np.ndarray]:

@@ -7,19 +7,21 @@ Pauli-transfer-matrix basis, Greenbaum, arXiv:1509.02921).  Qubit 0 is
 axis 0 and the most significant bit of the flattened index.  `_compile`
 turns a circuit's structure into blocks once per circuit and noise model,
 held in `Circuit.compiled`, `_fuse` fills in the angles of a call's
-bindings with one `gate_stack` per gate kind, and `run`, `apply_gate`,
-`adjoint_gradient` and `displaced_energies` walk those blocks.  A pure
-block is one gate: its rows are gathered straight from the previous
-block's output, never scattered back, and take one matmul (`_Chain`).  On
-a density matrix a gate and its channels form one real 4x4 or 16x16
-transfer matrix, built per kind in the gates' own frame (`_ptm`) and
-placed into its block (`_local`), and each maximal run of consecutive
-gates inside one qubit pair is one block, the product in gate order
-(exact; gate fusion as in qsim and Qiskit Aer).  Its factored start:
-from n one-qubit factors, the compiled `_plan` runs the leading blocks
-whose factors do not yet span the register on them (a block that joins
-two merges them by one outer product), and the register tensor is formed
-once, in qubit order, at the first block that would join them all
+bindings with one `gate_stack` (pure: `real_stack`) per gate kind, and
+`run`, `apply_gate`, `adjoint_gradient` and `displaced_energies` walk
+those blocks.  A pure block is one gate but a fixed 0/1 permutation
+(CNOT, X), which the gathers compose: its rows of the real planes (Re
+psi, Im psi) come straight from the previous block's output, never
+scattered back, and take one matmul by [[Re U, -Im U], [Im U, Re U]]
+(`_Chain`).  On a density matrix a gate and its channels form one real
+4x4 or 16x16 transfer matrix, built per kind in the gates' own frame
+(`_ptm`) and placed into its block (`_local`), and each maximal run of
+consecutive gates inside one qubit pair is one block, the product in gate
+order (exact; gate fusion as in qsim and Qiskit Aer).  Its factored
+start: from n one-qubit factors, the compiled `_plan` runs the leading
+blocks whose factors do not yet span the register on them (a block that
+joins two merges them by one outer product), and the register tensor is
+formed once, in qubit order, at the first block that would join them all
 (mrep's first fSim, after its two preparations), or at the end.
 The half register is the density matrix's too: if every gate from there
 on keeps the parity of the number of X/Y factors of each Pauli word (FSIM,
@@ -55,7 +57,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import check_adjoint
-from .circuits import _PAULI, Circuit, Gate, gate_stack
+from .circuits import _PAULI, Circuit, Gate, gate_stack, real_stack
 
 
 @dataclass(frozen=True)
@@ -484,28 +486,39 @@ class _Block(NamedTuple):
 
 
 class _Chain(NamedTuple):
-    """A pure circuit's gathers, one per block boundary, each taking a
-    block's output U @ rows, raveled, to the next one's rows (`_flatten`'s
-    matrix), with () for the amplitudes in qubit order at either end; one
-    array per pair of qubit tuples."""
-    forward: tuple     # from () through every block back to ()
-    backward: tuple    # from () to the last block, back to the first
+    """A pure circuit's gathers on its real planes, each taking a block's
+    output S @ rows, raveled, to the next one's rows (`_flatten`'s matrix
+    over the plane and its qubits), with the amplitudes in qubit order, a
+    complex array's floats, at either end; equal arrays are one."""
+    forward: tuple     # from qubit order through every block back to it
+    backward: tuple    # from qubit order to the last block, back to the first
     keys: tuple        # each block's position if it has a named slot
     start: np.ndarray  # |0...0>
 
 
-def _chain(blocks, n: int) -> _Chain:
-    flat = np.arange(2 ** n).reshape((2,) * n)
-    rows = {q: _flatten(flat, q)[0] for q in {b.qubits for b in blocks}}
-    rows[()] = flat.reshape(1, -1)
-    ends = [(), *(b.qubits for b in blocks), ()]
-    pairs = list(zip(ends, ends[1:]))
-    gather = {(a, b): np.argsort(rows[a].ravel())[rows[b]]
-              for a, b in {*pairs, *((b, a) for a, b in pairs)}}
-    return _Chain(tuple(gather[p] for p in pairs),
-                  tuple(gather[b, a] for a, b in reversed(pairs[1:])),
-                  tuple(b.positions.start if b.tuned else None
-                        for b in blocks), np.eye(1, 2 ** n, dtype=complex))
+def _chain(blocks, fixed: tuple, n: int) -> tuple[list, _Chain]:
+    """(the blocks but those of a fixed 0/1 permutation s, CNOT or X, their
+    chain): s @ x = x[order] reorders `where`, the place of each real
+    amplitude in the array at hand, so the next gather composes it."""
+    planes = np.arange(2 ** (n + 1)).reshape((2,) * (n + 1))
+    end = planes.reshape(2, -1).T.copy()
+    where, forward, steps, unique = np.argsort(end.ravel()), [], [], {}
+    for block, s in zip(blocks, fixed):
+        rows = _flatten(planes, (0, *(q + 1 for q in block.qubits)))[0]
+        if s is not None and np.isin(s, (0, 1)).all():
+            where[rows] = where[rows[s.argmax(axis=1)]]
+        else:
+            forward.append(where[rows])
+            where = np.argsort(rows.ravel())
+            steps.append(block)
+    forward.append(where[end])
+    backward = [np.argsort(b.ravel()).reshape(a.shape)  # inverses
+                for a, b in zip(forward[-2::-1], forward[:0:-1])]
+    forward, backward = ([unique.setdefault((g.shape, g.tobytes()), g)
+                          for g in gathers] for gathers in (forward, backward))
+    return steps, _Chain(tuple(forward), tuple(backward), tuple(
+        b.positions.start if b.tuned else None for b in steps),
+        np.eye(1, 2 ** (n + 1)))
 
 
 def _compile(circuit: Circuit, mixed: bool, noise: NoiseModel | None):
@@ -527,7 +540,8 @@ def _compile(circuit: Circuit, mixed: bool, noise: NoiseModel | None):
         where += [qubits] * len(members)
 
     def factor(gate, block_qubits):  # a batch of one
-        u = gate_stack(gate.kind, [gate.params], gate.axes)
+        u = (gate_stack if mixed else real_stack)(gate.kind, [gate.params],
+                                                  gate.axes)
         return (_local(_ptm(u, u, noise)[0], gate.qubits, block_qubits)
                 if mixed else u[0].copy())
 
@@ -543,7 +557,8 @@ def _compile(circuit: Circuit, mixed: bool, noise: NoiseModel | None):
           for s in gates[p].params] for p in ps]), np.array(
         [[getattr(s, "scale", s) for s in gates[p].params] for p in ps],
         dtype=float)) for (kind, axes), ps in groups.items()]
-    plan = _plan(blocks, n) if mixed else _chain(blocks, n)
+    blocks, plan = ((blocks, _plan(blocks, n)) if mixed else
+                    _chain(blocks, fixed, n))
     arrays = [f[1] for f in (*plan[1:], *(s.frame for s in plan[0]))
               if f is not None] if mixed else [*plan.forward, *plan.backward,
                                                plan.start]
@@ -555,9 +570,9 @@ def _compile(circuit: Circuit, mixed: bool, noise: NoiseModel | None):
 
 def _fuse(circuit: Circuit, bindings: Mapping[str, float] | None,
           mixed: bool, noise: NoiseModel | None):
-    """(each kind with its (m, slots) angles, each pure gate's matrix or per
-    block (block, factors, prefixes), plan), factors[k] the action of the
-    block's gates[k] and prefixes[k] = factors[k] ... factors[0]."""
+    """(each kind with its (m, slots) angles, each pure block's real form
+    or per block (block, factors, prefixes), plan), factors[k] the action
+    of the block's gates[k] and prefixes[k] = factors[k] ... factors[0]."""
     key = mixed, noise
     if key not in circuit.compiled:
         circuit.compiled[key] = _compile(circuit, mixed, noise)
@@ -570,12 +585,13 @@ def _fuse(circuit: Circuit, bindings: Mapping[str, float] | None,
     angles = [scale * values[index] for *_, index, scale in kinds]
     factors = list(fixed)
     for (kind, axes, positions, _, _), a in zip(kinds, angles):
-        u = gate_stack(kind, a, axes)
+        u = (gate_stack if mixed else real_stack)(kind, a, axes)
         for p, f in zip(positions.tolist(), _ptm(u, u, noise) if mixed
                         else u):
             factors[p] = f
     if not mixed:
-        return list(zip(kinds, angles)), factors, plan
+        return list(zip(kinds, angles)), [factors[b.positions.start]
+                                          for b in blocks], plan
     fused = []
     for block in blocks:
         own = factors[block.positions.start:block.positions.stop]
@@ -645,9 +661,10 @@ def _forward(n: int, fused: list, plan: tuple, kept: dict | None = None,
     """The final tensor of the plan's steps on n one-qubit Pauli factors,
     then of the other blocks on the register (`_prepare`), kept[k] the
     state entering each block k in `marks`; a pure state's `_Chain` from
-    |0...0>."""
+    |0...0>, kept[key] a block's rows for each key in `marks`, in order."""
     if isinstance(plan, _Chain):
-        return _walk(plan.start, plan.forward, fused).reshape((2,) * n)
+        return _walk(plan.start, plan.forward, fused, kept,
+                     marks).view(complex).reshape((2,) * n)
     state = _prepare(list(np.tile(_ZERO, (n, 1))), plan, 0)
     for k in range(len(fused)):
         if k in marks:
@@ -752,7 +769,8 @@ def apply_gate(state: QuantumState, gate: Gate,
     two-qubit gate); the gate is a block of one."""
     _, fused, plan = _fuse(_circuit(state.n_qubits, (gate,)), bindings,
                            state.kind == "mixed", noise)
-    tensor = _walk(state.tensor, plan.forward, fused) if isinstance(
+    tensor = _walk(np.ascontiguousarray(state.tensor, complex).view(float),
+                   plan.forward, fused).view(complex) if isinstance(
         plan, _Chain) else _apply_unitary(state.tensor, fused[0][2][0],
                                           gate.qubits)
     return QuantumState(state.n_qubits, state.kind,
@@ -786,12 +804,13 @@ def adjoint_gradient(circuit: Circuit, observable: Observable,
 
     On a density matrix the sweep is `_environments`', whose checkpointed
     forward pass computes `run`'s final state.  On a pure state lambda
-    runs back from O psi along the `_Chain` and meets each block's kept
-    rows.  Per gate kind, one stacked contraction with the derivatives dU
+    runs back from O psi along the `_Chain` by each block's transpose; a
+    gate's environment is L X^T of lambda's and the kept real rows.  Per
+    gate kind, sum(scale dT env) over a stack, dT the real forms of dU
     (pure) or the transfer matrices of rho -> D(dU rho U^dag) (density
-    matrix) and one scatter-add give the gradient; the weight is 2 on both,
-    as psi enters <O> twice and D(dU rho U^dag) and D(U rho dU^dag) have
-    the same transfer matrix.
+    matrix), and one scatter-add give the gradient; the weight is 2 on
+    both, as psi enters <O> twice and D(dU rho U^dag) and D(U rho dU^dag)
+    have the same transfer matrix.
     """
     n, mixed = circuit.n_qubits, noise is not None
     kinds, fused, plan = _fuse(circuit, bindings, mixed, noise)
@@ -802,23 +821,23 @@ def adjoint_gradient(circuit: Circuit, observable: Observable,
         final = _whole(final)
     else:
         entering, leaving = {}, {}
-        final = _walk(plan.start, plan.forward, fused, entering,
-                      plan.keys).reshape((2,) * n)
+        final = _forward(n, fused, plan, entering, plan.keys)
         energy, lam = _observe(final, observable, False)
-        _walk(lam, plan.backward, [s.conj().T for s in fused[:0:-1]],
+        _walk(lam.view(float), plan.backward, [s.T for s in fused[:0:-1]],
               leaving, reversed(plan.keys))
         energy = energy.real
     for (kind, axes, positions, index, scale), a in kinds:
-        positions = positions.tolist()  # one overlap per gate, stacked
-        m = np.array([framed[p] for p in positions]) if mixed else np.conj(
+        positions = positions.tolist()  # one environment per gate, stacked
+        m = np.array([framed[p] for p in positions]) if mixed else np.array(
             [leaving[p] for p in positions]) @ np.array(
             [entering[p] for p in positions]).transpose(0, 2, 1)
-        du = [gate_stack(kind, a, axes, slot) for slot in range(a.shape[1])]
+        du = [(gate_stack if mixed else real_stack)(kind, a, axes, slot)
+              for slot in range(a.shape[1])]
         if mixed:
             u = gate_stack(kind, a, axes)
             du = [_ptm(d, u, noise) for d in du]
         terms = (scale.T[:, :, None, None] * np.array(du) * m).reshape(
-            *a.shape[::-1], -1).sum(-1).real
+            *a.shape[::-1], -1).sum(-1)
         grad += 2.0 * np.bincount(index.T.ravel(), terms.ravel(),
                                   minlength=len(grad))
     return (QuantumState(n, "mixed" if mixed else "pure", final),

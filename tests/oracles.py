@@ -12,11 +12,13 @@ and `unfactored` do read the simulator's compiled blocks: they check its
 product-state start against every block applied to the whole register.
 `simplex_by_runs` evaluates Nelder-Mead's starting simplex by one `run`
 per vertex, which the one-sweep `displaced_energies` replaced.
-`gather_scatter_walk` is the pure walk the compiled chain replaced, each
-gate applied in place through the gather index of its qubits, with its
-adjoint sweep, and `per_term_hamiltonian_matrix` is `ed`'s per-term
-loop over sector-restricted `pauli.ladder_table`s that the stacked
-accumulation replaced; both must agree with production bit for bit.
+`gather_scatter_walk` is the pure walk of the compiled chain written
+per gate on the real planes [Re psi, Im psi], each gate's real form
+applied in place through the gather index of its qubits in both planes,
+with its adjoint sweep, and `per_term_hamiltonian_matrix` is `ed`'s
+per-term loop over sector-restricted `pauli.ladder_table`s that the
+stacked accumulation replaced; both must agree with production bit for
+bit.
 `oracle_jordan_wigner` is the string-product Jordan-Wigner map
 (single-qubit product table `_MUL`), and the Fock-space loops (`_ladder`,
 `oracle_hamiltonian_matrix`, `oracle_rdm1_full`) keep their own sign
@@ -27,6 +29,8 @@ sums, and `sym_from_matrix` reads a symmetry-adapted matrix back into its
 channels, which `assert_channel_arrays` checks are separate float
 arrays.  `zero_state` builds |0...0> on either backend and `from_vector`
 the pure state of an amplitude vector.
+`kron_gradient` is the dense complex product of np.kron-built gate
+matrices (`kron_matrix`), with each named slot's derivative.
 `expectation_matrix` is the Pauli route to a dense matrix, one bitmask
 permutation per word, and `pauli_observable` wraps it as a simulator
 observable for tests that state observables as Pauli words.
@@ -45,7 +49,8 @@ import math
 import numpy as np
 
 from risbvqe import SolverFailure, ed, simulator
-from risbvqe.circuits import Circuit, Gate, ParamRef, gate_stack
+from risbvqe.circuits import (Circuit, Gate, ParamRef, gate_stack,
+                              real_stack)
 from risbvqe.embedding import (_band_components, bath_kernel,
                                bath_kernel_slope, fermi)
 from risbvqe.estimator import expectation
@@ -258,6 +263,42 @@ def dense_unitary(circuit, bindings=None):
 
 def dense_state(circuit, bindings=None):
     return dense_unitary(circuit, bindings)[:, 0]
+
+
+def kron_matrix(n_qubits, qubits, u):
+    """A 2x2 or 4x4 matrix on `qubits` (in the listed order) as a full 2^n
+    matrix by np.kron: per entry u[r, c], the kron of |r_j><c_j| on its
+    j-th qubit and the identity on the others."""
+    k, basis = len(qubits), np.eye(2)
+    full = np.zeros((2 ** n_qubits,) * 2, dtype=complex)
+    for r, c in itertools.product(range(2 ** k), repeat=2):
+        ops = [basis] * n_qubits
+        for j, q in enumerate(qubits):
+            bit = k - 1 - j
+            ops[q] = np.outer(basis[r >> bit & 1], basis[c >> bit & 1])
+        full += u[r, c] * functools.reduce(np.kron, ops)
+    return full
+
+
+def kron_gradient(circuit, matrix, bindings=None):
+    """(final amplitudes, <psi|O psi>, d<O>/d(parameter) in
+    `parameter_names` order) for O = `matrix`, from dense complex products
+    of the `kron_matrix` of each gate, the gradient one gate at a time
+    replaced by its derivative in one named slot (`gate_derivatives`)."""
+    n, names = circuit.n_qubits, circuit.parameter_names
+    mats = [kron_matrix(n, g.qubits, gate_matrix(g, bindings))
+            for g in circuit.gates]
+    start = np.eye(2 ** n, 1, dtype=complex).ravel()
+    psi = functools.reduce(lambda v, m: m @ v, mats, start)
+    grad = dict.fromkeys(names, 0.0)
+    for p, gate in enumerate(circuit.gates):
+        for name, du in gate_derivatives(gate, bindings):
+            v = start
+            for q, m in enumerate(mats):
+                v = (kron_matrix(n, gate.qubits, du) if q == p else m) @ v
+            grad[name] += 2.0 * np.vdot(psi, matrix @ v).real
+    return (psi, np.vdot(psi, matrix @ psi).real,
+            np.array([grad[name] for name in names]))
 
 
 def _mode_bit(index, mode, n):
@@ -661,36 +702,56 @@ def full_register_walk(circuit, bindings=None, noise=None, mixed=False):
 
 
 def gather_scatter_walk(circuit, bindings=None, observable=None):
-    """The pure final tensor from |0...0>, each gate's matrix (from
-    `simulator._fuse`) applied in place as flat[idx] = U flat[idx] through
-    the gather index of its qubits; with an observable, (final tensor,
-    <O>, gradient) from the adjoint sweep over the same gathers and
-    scatters (the first gate's U^dag skipped) and one stacked contraction
-    per gate kind."""
-    n = circuit.n_qubits
+    """The pure final tensor from |0...0>, walked on its real planes
+    [Re psi, Im psi]: per gate, its rows gathered through the index of its
+    qubits in both planes, its real form [[Re U, -Im U], [Im U, Re U]]
+    (from `simulator._fuse`) applied and the rows scattered back; a 0/1
+    permutation gate (CNOT, X), which `_fuse` leaves out, reorders its
+    rows instead.  With an observable, (final tensor, <O>, gradient) from
+    the adjoint sweep over the same gathers and scatters by the transposed
+    real forms (the first gate's skipped) and one stacked contraction per
+    gate kind of the environments L X^T with the derivatives' real
+    forms."""
+    n, size = circuit.n_qubits, 2 ** circuit.n_qubits
     kinds, matrices, _ = simulator._fuse(circuit, bindings, False, None)
-    grid = np.arange(2 ** n).reshape((2,) * n)
-    idx = [simulator._flatten(grid, g.qubits)[0] for g in circuit.gates]
-    tensor = zero_state(n).tensor
-    flat, entering, leaving = tensor.reshape(-1), {}, {}
-    for p, u in enumerate(matrices):
+    blocks = circuit.compiled[False, None][0]
+    real = {block.positions.start: s for block, s in zip(blocks, matrices)}
+    grid = np.arange(size).reshape((2,) * n)
+    idx, orders = [], {}
+    for p, gate in enumerate(circuit.gates):
+        rows = simulator._flatten(grid, gate.qubits)[0]
+        idx.append(np.concatenate([rows, rows + size]))
+        if p not in real:
+            u = gate_matrix(gate, bindings)
+            order = np.abs(u).argmax(axis=1)
+            assert np.array_equal(u, np.eye(len(u))[order])
+            orders[p] = np.concatenate([order, order + len(u)])
+
+    def act(p, x, back=False):
+        if p in real:
+            return (real[p].T if back else real[p]).dot(x)
+        return x[np.argsort(orders[p])] if back else x[orders[p]]
+
+    flat, entering, leaving = np.eye(1, 2 * size).ravel(), {}, {}
+    for p in range(len(circuit.gates)):
         entering[p] = flat[idx[p]]
-        flat[idx[p]] = u @ entering[p]
+        flat[idx[p]] = act(p, entering[p])
+    tensor = flat.reshape(2, -1).T.copy().view(complex).reshape((2,) * n)
     if observable is None:
         return tensor
     energy, lam = simulator._observe(tensor, observable, False)
-    lam = lam.reshape(-1)
-    for p in range(len(matrices) - 1, -1, -1):
+    lam = np.concatenate([lam.real.ravel(), lam.imag.ravel()])
+    for p in range(len(circuit.gates) - 1, -1, -1):
         leaving[p] = lam[idx[p]]
         if p:
-            lam[idx[p]] = matrices[p].conj().T @ leaving[p]
+            lam[idx[p]] = act(p, leaving[p], back=True)
     grad = np.zeros(circuit.n_params + 1)
     for (kind, axes, positions, index, scale), a in kinds:
-        m = np.conj([leaving[p] for p in positions.tolist()]) @ np.array(
+        m = np.array([leaving[p] for p in positions.tolist()]) @ np.array(
             [entering[p] for p in positions.tolist()]).transpose(0, 2, 1)
-        du = [gate_stack(kind, a, axes, slot) for slot in range(a.shape[1])]
+        du = [real_stack(kind, a, axes, slot) for slot in range(a.shape[1])]
         terms = (scale.T[:, :, None, None] * np.array(du) * m).reshape(
-            *a.shape[::-1], -1).sum(-1).real
+            *a.shape[::-1], -1).sum(-1)
         grad += 2.0 * np.bincount(index.T.ravel(), terms.ravel(),
                                   minlength=len(grad))
     return tensor, energy.real, grad[:-1]
