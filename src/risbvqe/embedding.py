@@ -345,7 +345,8 @@ class RisbOutput:
     """Best-seen self-consistency point; `converged` says whether its cost
     is below FIXED_POINT_TOL.  `n_iter` counts the root iteration's cost
     evaluations (= len(cost_trace)), or Nelder-Mead's iterations after a
-    fallback; `jacobian` is the root iteration's final J, if any."""
+    circuit solver's fallback; `jacobian` is the root iteration's final J,
+    None if the iteration stopped early."""
 
     r: np.ndarray
     lam: np.ndarray
@@ -390,14 +391,16 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
     any other step is refused, and J is rebuilt at x, or the next step
     halved if J is fresh.  A circuit solver, too rough for difference
     columns and cost comparisons, takes every chord step on the J at `start`
-    (2 n_c + 1 exact evaluations, kept out of `cost_trace`).  If a cost is
-    not finite, a point is clamped on the Mott side, where the residual
-    cannot vanish, J is singular, or a circuit solver's chord iterate has
-    some Z above Z_RUNAWAY (not evaluated) or a cluster the solver rejects
-    with a ValueError (noisy residuals have no root, and steps along the
-    exact J's near-flat directions run off), Nelder-Mead minimizes the
-    cost from `start` with `max_iter` iterations.  `cost_trace` holds every
-    evaluation of both phases, and `report` is the best point's CostReport.
+    (2 n_c + 1 exact evaluations, kept out of `cost_trace`).  The iteration
+    stops early, keeping no J, if a cost is not finite, a point is clamped
+    on the Mott side, where the residual cannot vanish, or J is singular,
+    and with a circuit solver also at a chord iterate with some Z above
+    Z_RUNAWAY (not evaluated) or a cluster the solver rejects with a
+    ValueError (noisy residuals have no root, and steps along the exact
+    J's near-flat directions run off).  An exact point ends there; a
+    circuit solver's goes on to Nelder-Mead, which minimizes the cost from
+    `start` with `max_iter` iterations.  `cost_trace` holds every
+    evaluation, and `report` is the best point's CostReport.
     """
     n, exact = spec.n_c, _is_exact(impurity_solver)
     x0 = np.concatenate(start or (np.ones(n), np.zeros(n)), dtype=float)
@@ -458,7 +461,7 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
     except (_LeaveRoot, ValueError) as err:  # a singular J is a LinAlgError
         if exact and not isinstance(err, (_LeaveRoot, np.linalg.LinAlgError)):
             raise  # the exact solver's own error
-        fallback = True
+        fallback, jacobian = not exact, None
     n_iter = len(trace)
     if fallback:
         simplex = np.vstack([x0, x0 + SIMPLEX_STEP * np.eye(x0.size)])
@@ -466,7 +469,7 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
                           options={"maxiter": max_iter, "xatol": SIMPLEX_XATOL,
                                    "fatol": SIMPLEX_FATOL,
                                    "initial_simplex": simplex})
-        n_iter, jacobian = int(result.nit), None
+        n_iter = int(result.nit)
     if not math.isfinite(best["cost"]):
         raise SolverFailure(f"cost never became finite over "
                             f"{len(trace)} evaluations")
@@ -506,13 +509,12 @@ def _reference_start(reference: Sequence[SweepPoint] | Mapping | None,
 def _warm_start(points: list[SweepPoint], spec: LatticeSpec):
     """Exact-solver start and Jacobian after `points`: the last point,
     extrapolated linearly in U when it and the one before are unclamped
-    roots of the root path (whose n_iter counts every evaluation)."""
+    roots."""
     if not points:
         return noninteracting_start(spec), None
     x = [np.concatenate([p.output.r, p.output.lam]) for p in points[-2:]]
     if len(x) == 2 and points[-2].u != points[-1].u and all(
             p.output.converged and not p.output.clamped
-            and p.output.n_iter == len(p.output.cost_trace)
             for p in points[-2:]):
         x.append(x[1] + (x[1] - x[0]) * (spec.u - points[-1].u)
                  / (points[-1].u - points[-2].u))
@@ -551,11 +553,10 @@ def classical_point(spec: LatticeSpec, *, step: float = 0.05,
     """Converged exact-solver solution at spec.u, chained up from U = 0.
 
     Every grid point is risb_sweep's root iteration capped at `max_iter`
-    cost evaluations, with Nelder-Mead as risb_solve's fallback; U = step
-    builds its Jacobian by differences, later points carry it.  The grid
-    ends at spec.u exactly.  Returns the solution together with the cost
-    report of its best point, which carries the self-consistent cluster
-    Hamiltonian and mu.
+    cost evaluations; U = step builds its Jacobian by differences, later
+    points carry it.  The grid ends at spec.u exactly.  Returns the
+    solution together with the cost report of its best point, which
+    carries the self-consistent cluster Hamiltonian and mu.
     """
     grid = [u for u in np.arange(0.0, spec.u + step / 2, step)
             if u < spec.u - 1e-12] + [spec.u]

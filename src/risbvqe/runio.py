@@ -30,8 +30,6 @@ def format_value(value) -> str:
         return str(bool(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if value is None:
-        return "nan"
     if isinstance(value, (float, np.floating)):
         return "%.17g" % float(value)
     return str(value)
@@ -75,21 +73,11 @@ def write_csv(path: str | Path, columns: Sequence[str],
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def write_json(path: str | Path, payload: Mapping, cfg_hash: str) -> None:
     """Nested records (traces, per-step reports) under the same metadata."""
     document = {"config": cfg_hash, "artifact_version": ARTIFACT_VERSION}
     document.update(payload)
-    text = json.dumps(document, indent=2, sort_keys=True, default=_jsonable)
+    text = json.dumps(document, indent=2, sort_keys=True)
     atomic_write(path, text + "\n")
 
 

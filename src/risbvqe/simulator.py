@@ -253,15 +253,12 @@ def _even_words(n: int) -> np.ndarray:
 
 
 def _halve(tensor: np.ndarray) -> np.ndarray:
-    """The half layout of a Pauli tensor whose last axis has 4 levels (axes
-    of 1 broadcast): its even words, shape (..., 2) with qubit n-1's levels
-    of the parity of the rest.  Fermion parity Z...Z is a symmetry of the
-    Jordan-Wigner encoded states, so their odd words vanish (parity
-    superselection, Bravyi & Kitaev, arXiv:quant-ph/0003137).  An array
-    whose last axis has 1 level comes back as it is."""
-    if tensor.shape[-1] == 1:
-        return tensor
-    words = _even_words(tensor.shape.count(4))
+    """The half layout of a Pauli tensor, 4 levels on every axis: its even
+    words, shape (..., 2) with qubit n-1's levels of the parity of the
+    rest.  Fermion parity Z...Z is a symmetry of the Jordan-Wigner encoded
+    states, so their odd words vanish (parity superselection, Bravyi &
+    Kitaev, arXiv:quant-ph/0003137)."""
+    words = _even_words(tensor.ndim)
     return tensor.reshape(-1).take(words).reshape(tensor.shape[:-1] + (2,))
 
 
@@ -739,7 +736,7 @@ def _environments(n: int, fused: list, plan: tuple, observable: Observable,
                 if j > block.tuned[0]:
                     overlap = factors[j].T @ overlap
         if k:
-            lam = _apply_unitary(lam, prefixes[-1].conj().T, block.qubits)
+            lam = _apply_unitary(lam, prefixes[-1].T, block.qubits)
         kept.pop(k, None)
     return energy.real, state, framed
 

@@ -863,6 +863,27 @@ def finite_difference_gradient(fn, x, step=1e-6):
     return grad
 
 
+def square_band(t=-0.25, mesh=40):
+    """Nearest-neighbour dispersion over the mesh x mesh k-grid."""
+    k = 2.0 * np.pi * np.arange(mesh) / mesh
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    return 2.0 * t * (np.cos(kx) + np.cos(ky)).ravel()
+
+
+def brinkman_rice_uc(t=-0.25, mesh=40, beta=200.0):
+    """Brinkman-Rice critical interaction 16 |mean of eps f(eps)|: sixteen
+    times the free kinetic energy per spin on the grid at this beta."""
+    eps = square_band(t, mesh)
+    occupation = 0.5 * (1.0 - np.tanh(0.5 * beta * eps))
+    return 16.0 * abs(float((eps * occupation).mean()))
+
+
+def brinkman_rice_z(u, t=-0.25, mesh=40, beta=200.0):
+    """Gutzwiller quasiparticle weight 1 - (U/U_c)^2 of the half-filled
+    single site, 0 from U_c on (Brinkman & Rice, PRB 2, 4302 (1970))."""
+    return max(0.0, 1.0 - (u / brinkman_rice_uc(t, mesh, beta)) ** 2)
+
+
 def single_site_z(u, t=-0.25, mesh=40, beta=200.0):
     """Quasiparticle weight of the half-filled single-site cluster.
 
@@ -874,9 +895,7 @@ def single_site_z(u, t=-0.25, mesh=40, beta=200.0):
     from scipy.optimize import brentq
     from scipy.special import expit
 
-    k = 2.0 * np.pi * np.arange(mesh) / mesh
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    eps = 2.0 * t * (np.cos(kx) + np.cos(ky)).ravel()
+    eps = square_band(t, mesh)
 
     def mixing_gap(r):
         d = 2.0 * float((eps * r * expit(-beta * r * r * eps)).mean())

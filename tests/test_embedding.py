@@ -24,7 +24,8 @@ from risbvqe.embedding import (FIXED_POINT_TOL, CostReport, LatticeSpec,
                                sym_project)
 from risbvqe.noization import vqe_impurity_solver
 
-from oracles import (assert_channel_arrays, dispersion, matrix_lambda_c,
+from oracles import (assert_channel_arrays, brinkman_rice_uc,
+                     brinkman_rice_z, dispersion, matrix_lambda_c,
                      per_mu_find_mu, per_mu_qp_fill, single_site_z,
                      sym_from_matrix)
 
@@ -559,6 +560,19 @@ def counting_cost(monkeypatch) -> list:
     return points
 
 
+def nelder_mead_calls(monkeypatch) -> list:
+    """Record the arguments of every call risb_solve makes to scipy's
+    minimize (its Nelder-Mead fallback), passing each call through."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(embedding_module, "minimize", recorded)
+    return calls
+
+
 class TestRootPath:
     def test_classical_grid_reaches_fixed_point(self, monkeypatch):
         # The benchmark's classical sweep: n_c = 2, warm-started from U = 0.
@@ -623,9 +637,7 @@ class TestRootPath:
         spec = LatticeSpec(n_c=2, u=0.1)
         start = (np.full(2, 0.95), np.array([-0.25, 0.25]))
         calls = counting_cost(monkeypatch)
-        fallback = []
-        monkeypatch.setattr(embedding_module, "minimize",
-                            lambda *args, **kwargs: fallback.append(args))
+        fallback = nelder_mead_calls(monkeypatch)
         full = risb_solve(spec, start=start, max_iter=100)
         assert full.converged and full.n_iter == len(calls) > 8
         calls.clear()
@@ -650,8 +662,8 @@ class TestRootPath:
         np.testing.assert_array_equal(
             start, x1 + (x1 - x0) * (0.1 - 0.05) / (0.05 - 0.0))
 
-    @pytest.mark.parametrize("fault", [None, "nelder-mead", "clamped",
-                                       "unconverged", "same-u"])
+    @pytest.mark.parametrize("fault", [None, "clamped", "unconverged",
+                                       "same-u"])
     def test_secant_needs_two_roots(self, fault):
         def point(u, x):
             out = RisbOutput(r=np.array([x]), lam=np.array([-x]), mu=0.0,
@@ -660,9 +672,7 @@ class TestRootPath:
             return SweepPoint(u=u, output=out)
 
         points = [point(0.1, 0.9), point(0.2, 0.8)]
-        if fault == "nelder-mead":  # iterations, not evaluations
-            points[0].output.n_iter = 2
-        elif fault == "clamped":
+        if fault == "clamped":
             points[1].output.clamped = True
         elif fault == "unconverged":
             points[0].output.converged = False
@@ -778,17 +788,67 @@ class TestRootPath:
         assert out.converged
         assert out.z[0] == pytest.approx(single_site_z(u), abs=1e-6)
 
-    def test_mott_start_falls_back_to_nelder_mead(self):
+    def test_mott_start_ends_on_the_clamp(self, monkeypatch):
         # The root search drives R onto the clamp, where the residual
-        # cannot vanish; Nelder-Mead then restarts from the same start.
+        # cannot vanish; the point ends there, not in Nelder-Mead.
+        fallback = nelder_mead_calls(monkeypatch)
         spec = LatticeSpec(n_c=1, u=5.0)
         out = risb_solve(spec, start=(np.array([0.1]), np.array([2.5])),
                          max_iter=200)
-        costs = [c for _, c in out.cost_trace]
-        assert costs[0] in costs[1:]
+        assert not fallback
         assert out.clamped
         assert not out.converged
         assert out.cost > FIXED_POINT_TOL
+        assert out.n_iter == len(out.cost_trace) < 200
+        assert out.jacobian is None
+
+
+MOTT_GRID = [round(0.1 * k, 10) for k in range(51)]
+
+
+class TestMottSide:
+    """The exact n_c = 1 sweep over U = 0-5.  At half filling RISB on one
+    site is the Gutzwiller approximation (Lechermann, Georges, Kotliar &
+    Parcollet, PRB 76, 155102 (2007)), whose metallic root vanishes at the
+    Brinkman-Rice point."""
+
+    @pytest.fixture
+    def sweep(self, monkeypatch):
+        fallback = nelder_mead_calls(monkeypatch)
+        return risb_sweep(LatticeSpec(n_c=1, u=0.0), MOTT_GRID), fallback
+
+    def test_weak_coupling_follows_brinkman_rice(self, sweep):
+        # U_c = 16 |mean of eps f(eps)| on the mesh-40, beta = 200 grid.  The
+        # finite-beta gap grows from 2e-7 at U = 0.5 to 1.2e-4 at U = 2.0,
+        # a factor of 8 inside the bound.
+        assert brinkman_rice_uc() == pytest.approx(3.2387, abs=1e-4)
+        points, _ = sweep
+        weak = [p for p in points if p.u <= 2.0]
+        assert len(weak) == 21
+        for point in weak:
+            assert point.output.converged
+            assert point.output.z[0] == pytest.approx(
+                brinkman_rice_z(point.u), abs=1e-3)
+
+    def test_first_clamped_point_is_the_transition(self, sweep):
+        # single_site_z also reads 0 at U = 0, where it brackets no root.
+        first = next(u for u in MOTT_GRID if u > 0 and single_site_z(u) == 0)
+        assert first == 3.1
+        points, _ = sweep
+        for point in points:
+            out = point.output
+            assert out.converged == (not out.clamped) == (point.u < first)
+
+    def test_mott_side_ends_without_nelder_mead(self, sweep):
+        # The bound is a tenth of the 3815 evaluations that Nelder-Mead
+        # from each start spends on the 20 points U = 3.1-5.0.
+        points, fallback = sweep
+        assert not fallback
+        assert all(p.output.n_iter == len(p.output.cost_trace)
+                   for p in points)
+        mott = [p.output for p in points if p.output.clamped]
+        assert len(mott) == 20
+        assert sum(len(out.cost_trace) for out in mott) < 381
 
 
 def wrapped(emb):
@@ -945,18 +1005,20 @@ class TestChord:
                                       np.vstack([x0, plain]))
         assert out.n_iter == nit
 
-    def test_singular_carried_jacobian_falls_back_to_nelder_mead(
-            self, monkeypatch):
-        # On the exact path too a singular J ends the root loop.
+    def test_singular_carried_jacobian_ends_the_exact_point(self,
+                                                            monkeypatch):
+        # On the exact path a singular J ends the point after the start's
+        # evaluation, and is not carried on.
         spec = LatticeSpec(n_c=1, u=1.0)
         x0 = np.array([0.9, 0.5])
-        plain, nit = nelder_mead_points(spec, x0, 40)
         calls = counting_cost(monkeypatch)
         out = risb_solve(spec, start=(x0[:1], x0[1:]), max_iter=40,
                          jacobian=np.zeros((2, 2)))
-        np.testing.assert_array_equal(np.array(calls),
-                                      np.vstack([x0, plain]))
-        assert out.n_iter == nit and out.jacobian is None
+        np.testing.assert_array_equal(np.array(calls), [x0])
+        assert out.n_iter == len(out.cost_trace) == 1
+        assert out.jacobian is None and not out.converged
+        np.testing.assert_array_equal(np.concatenate([out.r, out.lam]), x0)
+        assert out.cost == risb_cost(x0[:1], x0[1:], spec).cost
 
     def test_circuit_sweep_setup_lands_near_the_exact_root(self):
         # The benchmark's circuit-sweep point, run in process: capped BFGS

@@ -12,11 +12,12 @@ from risbvqe import MATRIX_TOL
 from risbvqe.circuits import build_hea_nc1
 from risbvqe.ed import (ed_rdm1, ground_state, half_filling_sector,
                         hamiltonian_matrix)
+from risbvqe.estimator import circuit_rdm1
 from risbvqe.hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
 from risbvqe.noization import (BasisRotation, NoizeResult,
                                determine_fixed_no_basis, diagonalize_rdm,
                                exact_no_basis, noize, offdiagonal_norm,
-                               rotate_hamiltonian)
+                               rotate_hamiltonian, vqe_impurity_solver)
 from risbvqe.pauli import count_terms
 from risbvqe.simulator import Observable
 from risbvqe.vqe import multi_start
@@ -212,6 +213,21 @@ class TestNoize:
                                 max_iter=150)
         assert result.reports[0]["energy"] == pytest.approx(
             reference.best_energy)
+
+    @pytest.mark.filterwarnings("ignore:spin blocks")
+    def test_noize_solver_returns_the_fitted_rdm(self):
+        # The cluster solver's noize basis runs noize with the seed it draws
+        # and returns the final fit's 1-RDM, rebuilt from its natural
+        # orbitals and occupations.
+        emb, ansatz = generic_cluster(), build_hea_nc1()
+        solver = vqe_impurity_solver(ansatz, basis="noize", n_steps=1,
+                                     n_starts=1, seed=5)
+        got = solver(emb)
+        seed = int(np.random.default_rng(5).integers(2 ** 63))
+        result = noize(emb, ansatz=ansatz, n_steps=1, n_starts=1, seed=seed)
+        np.testing.assert_allclose(
+            got, circuit_rdm1(ansatz, result.final.bindings(), 1),
+            rtol=0, atol=1e-14)
 
     def test_validation(self):
         emb = generic_cluster()

@@ -1299,17 +1299,19 @@ class TestHalfRegister:
                            Gate("FSIM", (1, 2), (ParamRef("c"), 0.3)),
                            Gate("RZ", (3,), (ParamRef("d"),))))
         assert _compile(circ, True, None)[3][2] is not None
+        # its own generator: the draws do not depend on the tests before it
+        rng = np.random.default_rng(1293)
         shapes = count_passes(monkeypatch)
         for noise in (None, calibrate_noise()):
-            assert_half_matches_oracles(circ, noise, RNG,
-                                        [even_observable(4, 8, RNG)])
+            assert_half_matches_oracles(circ, noise, rng,
+                                        [even_observable(4, 8, rng)])
         assert (4, 4, 4, 2) not in shapes and (4,) * 4 in shapes
         # at RY(0) exactly the factor is even, though d/db is odd: only an
-        # observable's odd words read it, and they take the whole register
-        # on the reverse sweep
+        # observable's odd words read it, here Z0 X3, and they take the
+        # whole register on the reverse sweep
         x = np.array([0.4, 0.0, -1.1, 0.8])
-        for obs, odd in ((even_observable(4, 8, RNG, norm=1 / 16), False),
-                         (random_observable(4, 8, RNG, norm=1 / 16), True)):
+        for obs, odd in ((even_observable(4, 8, rng, norm=1 / 16), False),
+                         (pauli_observable({"ZIIX": 1 / 16}, 4), True)):
             shapes.clear()
             grad = assert_gradient_matches_oracle(circ, obs,
                                                   calibrate_noise(), x)
