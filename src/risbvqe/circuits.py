@@ -259,10 +259,11 @@ def reference_occupation(n_qubits: int) -> tuple[int, ...]:
 def build_ldca(n_qubits: int = 8, n_cycles: int = 1) -> Circuit:
     """Low-depth circuit ansatz: matchgate cycles with an added ZZ rotation.
 
-    Initial layer: one fixed RY preparing the reference determinant plus one
-    variational RZ per qubit.  Each cycle has n_qubits/2 rounds of even-pair
-    then odd-pair sublayers; every pair block carries the five rotations
-    XY, YX, XX, ZZ, YY.  At (8 qubits, 1 cycle) this yields 148 angles and,
+    Initial layer: an exact X on each qubit occupied in the reference
+    determinant and RY(0) on the others, plus one variational RZ per
+    qubit.  Each cycle has n_qubits/2 rounds of even-pair then odd-pair
+    sublayers; every pair block carries the five rotations XY, YX, XX, ZZ,
+    YY.  At (8 qubits, 1 cycle) this yields 148 angles and,
     once the two-qubit rotations are expanded, 1108 gates with 280 CNOTs.
     """
     if n_qubits % 2:
@@ -270,7 +271,8 @@ def build_ldca(n_qubits: int = 8, n_cycles: int = 1) -> Circuit:
     occupied = set(reference_occupation(n_qubits))
     gates: list[Gate] = []
     for q in range(n_qubits):
-        gates.append(Gate("RY", (q,), (math.pi if q in occupied else 0.0,)))
+        gates.append(Gate("X", (q,)) if q in occupied
+                     else Gate("RY", (q,), (0.0,)))
         gates.append(Gate("RZ", (q,), (ParamRef(f"z_q{q}"),)))
     even = [(q, q + 1) for q in range(0, n_qubits - 1, 2)]
     odd = [(q, q + 1) for q in range(1, n_qubits - 1, 2)]

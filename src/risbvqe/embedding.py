@@ -295,8 +295,6 @@ class CostReport:
     f2: np.ndarray | None = None
     mu: float = math.nan
     delta: np.ndarray | None = None
-    d: np.ndarray | None = None
-    lam_c: np.ndarray | None = None
     rdm: np.ndarray | None = None
     clamped: bool = False
     emb: EmbeddingHamiltonian | None = None
@@ -336,17 +334,16 @@ def risb_cost(r: np.ndarray, lam: np.ndarray, spec: LatticeSpec,
     f1 = sym_project(bath_hole) - delta
     f2 = sym_project(mixing) - r * bath_kernel(delta)
     cost = math.sqrt(float(np.sum(f1 ** 2)) + float(np.sum(f2 ** 2)))
-    return CostReport(cost=cost, f1=f1, f2=f2, mu=mu, delta=delta, d=d,
-                      lam_c=lam_c, rdm=rdm, clamped=clamped, emb=emb)
+    return CostReport(cost=cost, f1=f1, f2=f2, mu=mu, delta=delta, rdm=rdm,
+                      clamped=clamped, emb=emb)
 
 
 @dataclass
 class RisbOutput:
     """Best-seen self-consistency point; `converged` says whether its cost
-    is below FIXED_POINT_TOL.  `n_iter` counts the root iteration's cost
-    evaluations (= len(cost_trace)), or Nelder-Mead's iterations after a
-    circuit solver's fallback; `jacobian` is the root iteration's final J,
-    None if the iteration stopped early."""
+    is below FIXED_POINT_TOL.  `n_iter` counts its cost evaluations
+    (= len(cost_trace)); `jacobian` is the root iteration's final J, None
+    if the iteration stopped early."""
 
     r: np.ndarray
     lam: np.ndarray
@@ -399,8 +396,8 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
     ValueError (noisy residuals have no root, and steps along the exact
     J's near-flat directions run off).  An exact point ends there; a
     circuit solver's goes on to Nelder-Mead, which minimizes the cost from
-    `start` with `max_iter` iterations.  `cost_trace` holds every
-    evaluation, and `report` is the best point's CostReport.
+    `start` with the evaluations of `max_iter` not yet spent.  `cost_trace`
+    holds every evaluation, and `report` is the best point's CostReport.
     """
     n, exact = spec.n_c, _is_exact(impurity_solver)
     x0 = np.concatenate(start or (np.ones(n), np.zeros(n)), dtype=float)
@@ -462,14 +459,12 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
         if exact and not isinstance(err, (_LeaveRoot, np.linalg.LinAlgError)):
             raise  # the exact solver's own error
         fallback, jacobian = not exact, None
-    n_iter = len(trace)
     if fallback:
         simplex = np.vstack([x0, x0 + SIMPLEX_STEP * np.eye(x0.size)])
-        result = minimize(lambda x: evaluate(x).cost, x0, method="Nelder-Mead",
-                          options={"maxiter": max_iter, "xatol": SIMPLEX_XATOL,
-                                   "fatol": SIMPLEX_FATOL,
-                                   "initial_simplex": simplex})
-        n_iter = int(result.nit)
+        minimize(lambda x: evaluate(x).cost, x0, method="Nelder-Mead",
+                 options={"maxfev": max_iter - len(trace),
+                          "xatol": SIMPLEX_XATOL, "fatol": SIMPLEX_FATOL,
+                          "initial_simplex": simplex})
     if not math.isfinite(best["cost"]):
         raise SolverFailure(f"cost never became finite over "
                             f"{len(trace)} evaluations")
@@ -477,8 +472,8 @@ def risb_solve(spec: LatticeSpec, impurity_solver: Callable | None = None,
     return RisbOutput(r=best["x"][:n].copy(), lam=best["x"][n:].copy(),
                       mu=report.mu, cost=best["cost"], cost_trace=trace,
                       converged=best["cost"] < FIXED_POINT_TOL,
-                      n_iter=n_iter, clamped=report.clamped, report=report,
-                      jacobian=jacobian)
+                      n_iter=len(trace), clamped=report.clamped,
+                      report=report, jacobian=jacobian)
 
 
 def noninteracting_start(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:

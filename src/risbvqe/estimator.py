@@ -11,7 +11,6 @@ solver ends in.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -21,7 +20,6 @@ from .ed import Rdm1, ed_rdm1
 from .simulator import NoiseModel, Observable, QuantumState, _observe, run
 
 IMAG_TOL = 1e-9
-SPIN_ASYMMETRY_TOL = 1e-6
 
 
 def expectation(state: QuantumState, obs: Observable) -> float:
@@ -34,13 +32,9 @@ def expectation(state: QuantumState, obs: Observable) -> float:
 
 def measure_rdm1(state: QuantumState, n_c: int) -> Rdm1:
     """Spin-averaged 1-RDM of an embedded-cluster state, as `ed.ed_rdm1`
-    reads it; warns when the blocks it averaged differ."""
-    rdm = ed_rdm1(state.tensor.reshape(-1) if state.kind == "pure"
-                  else state.density(), n_c)
-    if rdm.spin_gap > SPIN_ASYMMETRY_TOL:
-        warnings.warn(f"spin blocks differ by {rdm.spin_gap:.3e}; "
-                      f"paramagnetic symmetry may be broken", stacklevel=2)
-    return rdm
+    reads it; its `spin_gap` says how far the averaged blocks differ."""
+    return ed_rdm1(state.tensor.reshape(-1) if state.kind == "pure"
+                   else state.density(), n_c)
 
 
 def circuit_rdm1(circuit: Circuit, bindings: Mapping[str, float], n_c: int,
@@ -49,13 +43,10 @@ def circuit_rdm1(circuit: Circuit, bindings: Mapping[str, float], n_c: int,
     """Spin-averaged 1-RDM of a fitted cluster circuit, rotated back from
     the orbital basis `basis` (columns) the circuit works in to the bare
     one: the one read-out of every circuit impurity solver."""
-    state = run(circuit, bindings, noise=noise)
-    with warnings.catch_warnings():
-        # Circuits such as mrep break S_z even without noise, so the two
-        # spin blocks can differ by O(1); until a spin-symmetry policy
-        # lands (ROADMAP.md, item 6), the average is taken silently.
-        warnings.filterwarnings("ignore", message="spin blocks")
-        rdm = measure_rdm1(state, n_c).matrix
+    # Circuits such as mrep break S_z even without noise, so the two spin
+    # blocks can differ by O(1); until a spin-symmetry policy lands
+    # (ROADMAP.md, item 6), the average is taken silently.
+    rdm = measure_rdm1(run(circuit, bindings, noise=noise), n_c).matrix
     if basis is not None:
         rdm = basis @ rdm @ basis.conj().T
     return rdm

@@ -9,6 +9,7 @@ natural orbitals, where low-depth multireference circuits become accurate.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,6 +25,8 @@ from .hamiltonians import EmbeddingHamiltonian, OrbitalHamiltonian
 from .pauli import count_terms
 from .simulator import NoiseModel, Observable, calibrate_noise, run
 from .vqe import VqeResult, multi_start, vqe_minimize
+
+SPIN_ASYMMETRY_TOL = 1e-6
 
 
 def rotate_hamiltonian(ham: OrbitalHamiltonian,
@@ -60,11 +63,12 @@ def noize(ham, ansatz: Circuit | None = None, n_steps: int = 3,
 
     The default solver is best-of-`n_starts` VQE on the given ansatz; a
     custom `solve(orbital) -> (energy, rdm)` callable, with the per-spin
-    1-RDM as an array, replaces it (for exact-solver baselines).  The
-    cluster size is read off the Hamiltonian's 4 n_c modes.  Reports
-    carry, per step, the energy in the basis that was solved, the
-    occupation spectrum, the residual 1-RDM off-diagonal norm, and the
-    Pauli term count.
+    1-RDM as an array, replaces it (for exact-solver baselines), and the
+    default one warns when the spin blocks it averaged differ by more than
+    SPIN_ASYMMETRY_TOL.  The cluster size is read off the Hamiltonian's
+    4 n_c modes.  Reports carry, per step, the energy in the basis that
+    was solved, the occupation spectrum, the residual 1-RDM off-diagonal
+    norm, and the Pauli term count.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -86,9 +90,14 @@ def noize(ham, ansatz: Circuit | None = None, n_steps: int = 3,
                                seed=int(rng.integers(2 ** 63)),
                                optimizer=optimizer, noise=noise,
                                max_iter=max_iter)
-            state = run(ansatz, last.bindings(), noise=noise)
             energy = last.best_energy
-            rdm = measure_rdm1(state, n_c).matrix
+            measured = measure_rdm1(run(ansatz, last.bindings(),
+                                        noise=noise), n_c)
+            if measured.spin_gap > SPIN_ASYMMETRY_TOL:
+                warnings.warn(f"spin blocks differ by "
+                              f"{measured.spin_gap:.3e}; paramagnetic "
+                              f"symmetry may be broken")
+            rdm = measured.matrix
         rotation = diagonalize_rdm(rdm, h=ham.h[:2 * n_c, :2 * n_c])
         reports.append({
             "step": step,

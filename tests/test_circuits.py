@@ -317,6 +317,15 @@ class TestCircuitPlumbing:
         with pytest.raises(ValueError):
             Circuit(2, (Gate("X", (5,)),))
 
+    @pytest.mark.parametrize("kind, qubits, params, axes, message", [
+        ("CNOT", (0,), (), None, "CNOT acts on 2 qubit"),
+        ("RY", (0, 1), (0.3,), None, "RY acts on 1 qubit"),
+        ("RPQ", (0, 1), (0.3,), None, "axes are for RPQ gates only"),
+        ("RY", (0,), (0.3,), ("X", "Y"), "axes are for RPQ gates only")])
+    def test_arity_and_axes(self, kind, qubits, params, axes, message):
+        with pytest.raises(ValueError, match=message):
+            Gate(kind, qubits, params, axes=axes)
+
     @pytest.mark.parametrize("axes", [("XY", "Z"), ("X",), ("", "X"),
                                       ("X", "Y", "Z"), ["X", "Y"]])
     def test_rpq_axes_must_be_two_paulis(self, axes):

@@ -16,7 +16,7 @@ from risbvqe.cli import (ConfigError, RunConfig, build_noise, load_reference,
                          main, parse_config, parse_noise_flag, run_hash,
                          serialize_config, u_grid)
 from risbvqe.embedding import LatticeSpec, risb_sweep
-from risbvqe.runio import read_table
+from risbvqe.runio import atomic_write, read_table, write_csv
 
 from oracles import assert_channel_arrays
 
@@ -322,10 +322,53 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("[lattice]\nmesh = -1\n", "mesh and beta must be nonnegative"),
+        ("[lattice]\nbeta = -1\n", "mesh and beta must be nonnegative"),
+        ("[optimizer]\nrisb_max_iter = 0\n", "counts must be >= 1"),
+        ("[noise]\neps1 = -0.001\n", "error rates must be nonnegative"),
+        ("[landscape]\nlam_num = 0\n", "grid sizes must be >= 1"),
+        ("[sweep]\nu_values = 0.2, x\n", "[sweep] u_values: could not")],
+        ids=["mesh", "beta", "count", "eps1", "landscape", "u_values"])
+    def test_rejected_values(self, tmp_path, capsys, text, message):
+        argv = ["ed-reference", "--config", write_cfg(tmp_path, text),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("table", ["missing", "empty"])
+    def test_reference_table_missing_or_empty(self, tmp_path, capsys,
+                                              table):
+        path = tmp_path / "table.csv"
+        if table == "empty":
+            path.write_text("# config = x\nU,Z_plus\n")
+        cfg = write_cfg(tmp_path, "[lattice]\nn_c = 2\n[ansatz]\n"
+                        f"tag = mrep\n[output]\nclassical_table = {path}\n")
+        assert main(["risb-sweep", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert ("not found" if table == "missing" else "is empty") in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_landscape_needs_single_site(self, tmp_path):
         cfg = write_cfg(tmp_path, "[lattice]\nn_c = 2\n")
         assert main(["landscape", "--config", cfg,
                      "--out", str(tmp_path)]) == 2
+
+
+class TestArtifactWriters:
+    def test_failed_write_leaves_nothing(self, tmp_path):
+        path = tmp_path / "out" / "table.csv"
+        with pytest.raises(TypeError):
+            atomic_write(path, 42)  # not text: the write itself fails
+        assert list(path.parent.iterdir()) == []
+
+    def test_row_width_must_match_the_columns(self, tmp_path):
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match="row of width 1 against 2"):
+            write_csv(path, ("U", "Z"), [(0.1, 0.9), (0.2,)], "x")
+        assert not path.exists()
 
 
 class TestClassicalSweepCommand:

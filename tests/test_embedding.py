@@ -772,7 +772,7 @@ class TestRootPath:
         fresh = risb_cost(out.r, out.lam, spec)
         assert report.cost == fresh.cost == out.cost
         assert report.mu == fresh.mu and report.clamped == fresh.clamped
-        for name in ("f1", "f2", "delta", "d", "lam_c"):
+        for name in ("f1", "f2", "delta"):
             np.testing.assert_array_equal(getattr(report, name),
                                           getattr(fresh, name))
         np.testing.assert_array_equal(report.rdm, fresh.rdm)
@@ -871,8 +871,9 @@ def circuit_points(monkeypatch) -> list:
     return points
 
 
-def nelder_mead_points(spec: LatticeSpec, x0: np.ndarray, max_iter: int):
-    """Points and iteration count of risb_solve's Nelder-Mead from x0."""
+def nelder_mead_points(spec: LatticeSpec, x0: np.ndarray, max_fev: int):
+    """Points of risb_solve's Nelder-Mead from x0 with `max_fev` cost
+    evaluations, the part of its `max_iter` the root loop left."""
     n, points = spec.n_c, []
 
     def cost(x):
@@ -881,12 +882,27 @@ def nelder_mead_points(spec: LatticeSpec, x0: np.ndarray, max_iter: int):
 
     simplex = np.vstack([x0, x0 + embedding_module.SIMPLEX_STEP
                          * np.eye(x0.size)])
-    result = minimize(cost, x0, method="Nelder-Mead",
-                      options={"maxiter": max_iter,
-                               "xatol": embedding_module.SIMPLEX_XATOL,
-                               "fatol": embedding_module.SIMPLEX_FATOL,
-                               "initial_simplex": simplex})
-    return np.array(points), result.nit
+    minimize(cost, x0, method="Nelder-Mead",
+             options={"maxfev": max_fev,
+                      "xatol": embedding_module.SIMPLEX_XATOL,
+                      "fatol": embedding_module.SIMPLEX_FATOL,
+                      "initial_simplex": simplex})
+    return np.array(points)
+
+
+def rejecting_solver():
+    """A circuit solver that rejects the cluster of its second call, the
+    first chord iterate, as a noisy chord can run off to a cluster the
+    circuit solver cannot take."""
+    solves = []
+
+    def solver(emb):
+        solves.append(emb)
+        if len(solves) == 2:
+            raise ValueError("one-body matrix is not Hermitian")
+        return ed_impurity_solver(emb)
+
+    return solver
 
 
 class TestChord:
@@ -923,35 +939,54 @@ class TestChord:
         calls = circuit_points(monkeypatch)
         out = risb_solve(spec, impurity_solver=wrapped,
                          start=(x0[:1], x0[1:]), max_iter=30)
-        plain, nit = nelder_mead_points(spec, x0, 30)
-        chord = np.array(calls[:len(calls) - len(plain)])
+        clamp = next(k for k, x in enumerate(calls)
+                     if abs(x[0]) < embedding_module.MOTT_CLAMP)
+        chord = np.array(calls[:clamp + 1])
         np.testing.assert_array_equal(chord[0], x0)
         assert len(chord) >= 2
-        assert abs(chord[-1][0]) < embedding_module.MOTT_CLAMP
+        plain = nelder_mead_points(spec, x0, 30 - len(chord))
         np.testing.assert_array_equal(np.array(calls[len(chord):]), plain)
-        assert out.n_iter == nit
-        assert len(out.cost_trace) == len(calls)
+        assert out.n_iter == len(out.cost_trace) == len(calls) <= 30
 
     def test_rejected_iterate_falls_back_to_nelder_mead(self, monkeypatch):
-        # A noisy chord can run off to a cluster the circuit solver cannot
-        # take; here the solver rejects the first chord iterate's cluster.
+        # The rejected iterate is not evaluated, so Nelder-Mead has 39.
         spec = LatticeSpec(n_c=1, u=1.0)
         x0 = np.array([0.9, 0.5])
-        solves = []
-
-        def rejecting(emb):
-            solves.append(emb)
-            if len(solves) == 2:
-                raise ValueError("one-body matrix is not Hermitian")
-            return ed_impurity_solver(emb)
-
         calls = circuit_points(monkeypatch)
-        out = risb_solve(spec, impurity_solver=rejecting,
+        out = risb_solve(spec, impurity_solver=rejecting_solver(),
                          start=(x0[:1], x0[1:]), max_iter=40)
-        plain, nit = nelder_mead_points(spec, x0, 40)
+        plain = nelder_mead_points(spec, x0, 39)
         np.testing.assert_array_equal(np.array(calls[2:]), plain)
-        assert len(out.cost_trace) == 1 + len(plain)
-        assert out.n_iter == nit
+        assert out.n_iter == len(out.cost_trace) == 1 + len(plain) <= 40
+
+    @pytest.mark.parametrize("max_iter", [2, 3])
+    def test_fallback_keeps_a_small_budget(self, monkeypatch, max_iter):
+        # Below 2 n_c + 2 evaluations Nelder-Mead cannot finish its
+        # starting simplex, yet the point ends at max_iter evaluations.
+        spec = LatticeSpec(n_c=1, u=1.0)
+        x0 = np.array([0.9, 0.5])
+        calls = circuit_points(monkeypatch)
+        out = risb_solve(spec, impurity_solver=rejecting_solver(),
+                         start=(x0[:1], x0[1:]), max_iter=max_iter)
+        plain = nelder_mead_points(spec, x0, max_iter - 1)
+        assert len(plain) == max_iter - 1
+        np.testing.assert_array_equal(np.array(calls[2:]), plain)
+        assert out.n_iter == len(out.cost_trace) == max_iter
+
+    @pytest.mark.parametrize("kind", ["exact", "chord", "fallback"])
+    def test_every_point_counts_its_evaluations(self, monkeypatch, kind):
+        # circuit points start from the reference root 0.1 below them
+        spec, grid, max_iter = LatticeSpec(n_c=1, u=0.0), [0.6, 1.1, 1.6], 12
+        reference = risb_sweep(spec, [0.5, 1.0, 1.5])
+        if kind == "fallback":  # every chord iterate runs off
+            monkeypatch.setattr(embedding_module, "Z_RUNAWAY", 0.0)
+        calls = nelder_mead_calls(monkeypatch)
+        points = risb_sweep(spec, grid, None if kind == "exact" else wrapped,
+                            reference=reference, max_iter=max_iter)
+        assert len(calls) == (len(grid) if kind == "fallback" else 0)
+        for point in points:
+            out = point.output
+            assert out.n_iter == len(out.cost_trace) <= max_iter
 
     def test_runaway_iterate_falls_back_unevaluated(self, monkeypatch):
         # Under calibrated noise a chord step ran off to Z = 3455; here a
@@ -959,14 +994,14 @@ class TestChord:
         # step in R sends the first iterate to R = -1.39, Z = 1.94.
         spec = LatticeSpec(n_c=1, u=1.0)
         x0 = np.array([0.9, 0.5])
-        plain, nit = nelder_mead_points(spec, x0, 40)
+        plain = nelder_mead_points(spec, x0, 39)
         calls = circuit_points(monkeypatch)
         out = risb_solve(spec, impurity_solver=wrapped,
                          start=(x0[:1], x0[1:]), max_iter=40,
                          jacobian=np.array([[0.0, 0.01], [0.01, 0.0]]))
         np.testing.assert_array_equal(np.array(calls),
                                       np.vstack([x0, plain]))
-        assert out.n_iter == nit
+        assert out.n_iter == len(out.cost_trace) == len(calls) <= 40
         assert np.all(out.z <= 1)
 
     def test_exact_solver_errors_still_raise(self, monkeypatch):
@@ -988,7 +1023,7 @@ class TestChord:
         spec = LatticeSpec(n_c=1, u=1.0)
         x0 = np.array([0.9, 0.5])
         frozen = risb_cost(x0[:1], x0[1:], spec)
-        plain, nit = nelder_mead_points(spec, x0, 40)
+        plain = nelder_mead_points(spec, x0, 39)
         calls = []
 
         def flat_exact(r, lam, spec, impurity_solver=None):
@@ -1003,7 +1038,7 @@ class TestChord:
                          start=(x0[:1], x0[1:]), max_iter=40)
         np.testing.assert_array_equal(np.array(calls),
                                       np.vstack([x0, plain]))
-        assert out.n_iter == nit
+        assert out.n_iter == len(out.cost_trace) == len(calls) <= 40
 
     def test_singular_carried_jacobian_ends_the_exact_point(self,
                                                             monkeypatch):

@@ -1,7 +1,6 @@
 """Estimator checked against amplitude-level oracles and channel algebra."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +12,8 @@ from risbvqe.circuits import Circuit, Gate, ParamRef, build_hea_nc1, \
 from risbvqe.ed import ed_rdm1_full
 from risbvqe.estimator import (Rdm1, expectation, measure_rdm1,
                                parameter_shift_minimize, rotosolve)
+from risbvqe.hamiltonians import EmbeddingHamiltonian
+from risbvqe.noization import noize
 from risbvqe.pauli import PauliSum
 from risbvqe.simulator import (NoiseModel, Observable, QuantumState,
                                calibrate_noise, run)
@@ -129,19 +130,14 @@ class TestRdm1:
         full = oracle_rdm1_full(state.vector(), 8)
         got_up = ed_rdm1_full(state.vector())[:4, :4]
         np.testing.assert_allclose(got_up, full[:4, :4], atol=1e-10)
-        with warnings.catch_warnings():
-            # random angles break the spin symmetry
-            warnings.simplefilter("ignore")
-            got = measure_rdm1(state, n_c=2).matrix
+        got = measure_rdm1(state, n_c=2).matrix
         np.testing.assert_allclose(got, 0.5 * (full[:4, :4] + full[4:, 4:]),
                                    atol=1e-10)
 
     def test_particle_number_conserved(self):
         circ = build_mrep(2, 2)
         state = run(circ, random_bindings(circ, RNG))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            total = 2.0 * measure_rdm1(state, n_c=2).trace()
+        total = 2.0 * measure_rdm1(state, n_c=2).trace()
         assert abs(total - 4.0) < 1e-9
 
     @settings(max_examples=30, deadline=None)
@@ -153,18 +149,22 @@ class TestRdm1:
                       oracle_rdm1_density(state.density(), state.n_qubits))
         got_up = ed_rdm1_full(state.vector() if state.kind == "pure"
                               else state.density())[:m, :m]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got_mean = measure_rdm1(state, n_c).matrix
+        got_mean = measure_rdm1(state, n_c).matrix
         for full in references:
             up, down = full[:m, :m], full[m:, m:]
             assert np.max(np.abs(got_up - up)) <= 1e-12
             assert np.max(np.abs(got_mean - 0.5 * (up + down))) <= 1e-12
 
     def test_spin_asymmetry_warns(self):
-        state = run(Circuit(4, (Gate("X", (0,)),)))
-        with pytest.warns(UserWarning, match="spin blocks differ"):
-            measure_rdm1(state, n_c=1)
+        # measure_rdm1 reports the gap; noize, which averages it away
+        # before rotating, is where it warns
+        ansatz = Circuit(4, (Gate("X", (0,)),
+                             Gate("RZ", (0,), (ParamRef("a"),))))
+        assert measure_rdm1(run(ansatz, {"a": 0.0}), n_c=1).spin_gap == 1.0
+        emb = EmbeddingHamiltonian(n_c=1, u_int=1.0, d_mix=[[-0.4]],
+                                   lambda_c=[[0.1]])
+        with pytest.warns(UserWarning, match="spin blocks differ by 1.000"):
+            noize(emb, ansatz=ansatz, n_steps=1, n_starts=1, seed=3)
 
     def test_wrong_register_size(self):
         with pytest.raises(ValueError):

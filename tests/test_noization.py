@@ -214,6 +214,17 @@ class TestNoize:
         assert result.reports[0]["energy"] == pytest.approx(
             reference.best_energy)
 
+    def test_solver_input_checks(self):
+        with pytest.raises(ValueError, match="unknown basis mode 'natural'"):
+            vqe_impurity_solver(build_hea_nc1(), basis="natural")
+        two_site = EmbeddingHamiltonian(n_c=2, u_int=1.0,
+                                        d_mix=[[-0.3, 0.0], [0.0, -0.3]],
+                                        lambda_c=[[0.1, 0.0], [0.0, 0.1]])
+        solver = vqe_impurity_solver(build_hea_nc1())
+        with pytest.raises(ValueError, match="ansatz spans 4 qubits but "
+                                             "the cluster needs 8"):
+            solver(two_site)
+
     @pytest.mark.filterwarnings("ignore:spin blocks")
     def test_noize_solver_returns_the_fitted_rdm(self):
         # The cluster solver's noize basis runs noize with the seed it draws

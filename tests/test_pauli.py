@@ -117,6 +117,15 @@ class TestPauliSum:
         p = PauliSum({"X": 1e-13, "Z": 1.0})
         assert p.terms == {"Z": 1.0}
 
+    @pytest.mark.parametrize("terms, n_qubits, message", [
+        ({"XA": 1.0}, None, "invalid Pauli word 'XA'"),
+        ({"xz": 1.0}, 2, "invalid Pauli word 'xz'"),
+        ({"XZ": 1.0, "Y": 1.0}, None, "word 'Y' has length 1, expected 2"),
+        ({}, None, "n_qubits required")])
+    def test_bad_words(self, terms, n_qubits, message):
+        with pytest.raises(ValueError, match=message):
+            PauliSum(terms, n_qubits)
+
     def test_arithmetic_against_matrices(self):
         # the oracles' product of sums, which the string-product
         # Jordan-Wigner map is built from

@@ -127,6 +127,11 @@ class TestQuantumState:
         with pytest.raises(ValueError):
             QuantumState.from_density(rho).check()
 
+    def test_check_flags_bad_norm(self):
+        from_vector(np.array([0.6, 0.8j])).check()
+        with pytest.raises(ValueError, match="state norm"):
+            from_vector(np.array([0.6, 0.8j, 0.1, 0.0])).check()
+
 
 class TestUnitaryAction:
     def test_x_gate(self):
@@ -902,10 +907,11 @@ class TestCompileCache:
             arrays += [start]  # the Pauli rest of the untouched factors
         else:
             # a gather into each block and one out, and the |0...0>
-            # amplitudes; the CNOTs and the two RY(0) are no blocks
+            # amplitudes; the CNOTs, the two preparing X and the two RY(0)
+            # are no blocks
             gathers = [*plan.forward, *plan.backward]
             arrays += [*gathers, plan.start]
-            assert len(blocks) == len(circ.gates) - circ.count_cnots() - 2
+            assert len(blocks) == len(circ.gates) - circ.count_cnots() - 4
             assert len(plan.forward) == len(blocks) + 1
             assert len(plan.backward) == len(blocks)
             # equal gathers are one array
@@ -1361,21 +1367,38 @@ class TestHalfRegister:
         adjoint_gradient(circ, obs, bindings)
         assert shapes == [()] * (30 + 29)
 
-    def test_ldca_runs_on_the_whole_register(self, monkeypatch):
-        # Native LDCA keeps parity after its preparation, but RY(pi)
-        # leaves odd coefficients of about 1e-16 (cos(pi/2) is not 0 in
-        # floating point), so the exact check at the join fails; the
-        # decomposed circuit's CNOTs fail the rule itself.
+    def test_ldca_runs_on_even_words(self, monkeypatch):
+        # Native LDCA keeps parity after its preparation, and its exact X
+        # gates leave the factors even at the join; the decomposed
+        # circuit's CNOTs fail the rule itself.
         native = build_ldca(8, 1)
         assert _compile(native, True, None)[3][2] is not None
         decomposed = decompose_circuit(native)
         assert _compile(decomposed, True, None)[3][2] is None
         shapes = count_passes(monkeypatch)
-        for circ in (native, decomposed):
+        for circ, half in ((native, True), (decomposed, False)):
             bindings = random_bindings(circ, RNG)
             shapes.clear()
             run(circ, bindings, noise=calibrate_noise())
-            assert HALF not in shapes and (4,) * 8 in shapes
+            assert (HALF in shapes) == half
+            assert ((4,) * 8 in shapes) != half
+
+    def test_ldca_matches_its_rotation_prepared_build(self):
+        # RY(pi) prepares the same determinant up to cos(pi/2) = 6.1e-17,
+        # on the whole register
+        native = build_ldca(8, 1)
+        rotated = Circuit(8, tuple(
+            Gate("RY", gate.qubits, (math.pi,)) if gate.kind == "X"
+            else gate for gate in native.gates))
+        noise, obs = calibrate_noise(), cluster_observable()
+        bindings = random_bindings(native, np.random.default_rng(1364))
+        np.testing.assert_allclose(
+            run(native, bindings, noise=noise).tensor,
+            run(rotated, bindings, noise=noise).tensor, rtol=0, atol=1e-15)
+        got = adjoint_gradient(native, obs, bindings, noise)
+        want = adjoint_gradient(rotated, obs, bindings, noise)
+        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got[2], want[2], rtol=0, atol=1e-14)
 
 
 def cluster_observable() -> Observable:
